@@ -3,9 +3,11 @@
 A workload is a key range, a thread count and an update percentage x:
 each thread draws operations from its own seeded generator, picking
 insert with probability x/2 %, delete with x/2 % and contains otherwise,
-over uniformly random keys.  The structure is prefilled to half the key
-range so successful and failing updates stay roughly balanced during
-the run.
+over uniformly random keys.  The draws are made before timing starts:
+each thread replays its stream of 2^14 draws, shifting the keys by one
+more on every pass, so the measured loop does not pay for the random
+number generator.  The structure is prefilled to half the key range so
+successful and failing updates stay roughly balanced during the run.
 
 Timing uses a warmup phase and a measured window carved out of a longer
 run: workers bang on the set until a shared stop flag flips, and the
@@ -40,6 +42,8 @@ CSV_HEADER = ("impl,threads,range,update_pct,duration_ms,throughput_ops_s,"
               "inserts,deletes,contains,restarts")
 
 _GOLDEN = 0x9E3779B97F4A7C15
+
+_STREAM_LEN = 1 << 14    # ops pre-drawn per thread, replayed in passes
 
 
 def thread_seed(seed: int, tid: int) -> int:
@@ -183,26 +187,40 @@ def prefill(set_, key_range: int, seed: int) -> int:
     return n
 
 
-def _worker(set_, cfg: WorkloadConfig, tid: int, counters: _WorkerCounters,
-            stop: list):
+def _draw_stream(cfg: WorkloadConfig, tid: int) -> tuple[list, list]:
+    """Thread ``tid``'s ops and keys, drawn from its seeded generator
+    before any thread starts, so the timed loop only replays them."""
     rng = random.Random(thread_seed(cfg.seed, tid))
-    update_pct = cfg.update_pct
-    key_range = cfg.key_range
+    ops, keys = [], []
+    for _ in range(_STREAM_LEN):
+        ops.append(draw_op(rng, cfg.update_pct))
+        keys.append(rng.randrange(cfg.key_range))
+    return ops, keys
+
+
+def _worker(set_, key_range: int, stream: tuple[list, list],
+            counters: _WorkerCounters, stop: list):
+    ops, keys = stream
     run_op = set_.run_op
-    while not stop[0]:
-        op = draw_op(rng, update_pct)
-        key = rng.randrange(key_range)
-        out = run_op(op, key)
-        if op == "insert":
-            counters.inserts += 1
-            counters.update_ok += out.result
-        elif op == "delete":
-            counters.deletes += 1
-            counters.update_ok += out.result
-        else:
-            counters.contains += 1
-        if out.restarts:
-            counters.restarts += out.restarts
+    shift = 0
+    while True:
+        for op, key in zip(ops, keys):
+            if stop[0]:
+                return
+            out = run_op(op, (key + shift) % key_range)
+            if op == "insert":
+                counters.inserts += 1
+                counters.update_ok += out.result
+            elif op == "delete":
+                counters.deletes += 1
+                counters.update_ok += out.result
+            else:
+                counters.contains += 1
+            if out.restarts:
+                counters.restarts += out.restarts
+        # each pass shifts the keys by one more: replaying the same
+        # op/key pairs would make every update after the first pass fail
+        shift += 1
 
 
 def run_bench(cfg: WorkloadConfig) -> BenchResult:
@@ -214,7 +232,8 @@ def run_bench(cfg: WorkloadConfig) -> BenchResult:
     stop = [False]
     counters = [_WorkerCounters() for _ in range(cfg.threads)]
     threads = [threading.Thread(target=_worker,
-                                args=(set_, cfg, tid, counters[tid], stop),
+                                args=(set_, cfg.key_range, _draw_stream(cfg, tid),
+                                      counters[tid], stop),
                                 daemon=True)
                for tid in range(cfg.threads)]
     for t in threads:

@@ -24,20 +24,26 @@ Readers that already hold a reference may still observe the node as
 DATA afterwards; that is deliberate and linearizable, because such
 reads overlap the deletion.  Unlinked nodes go to the epoch reclaimer.
 
-The operation bodies are written as generators.  In normal use the
-yields are disabled and the generator is drained in a tight loop, so
-real threads pay almost nothing.  A set built with ``instrumented=True``
-yields a checkpoint descriptor before every shared read, committed
-write, node creation and lock attempt, which is what the deterministic
-schedule harness steps on.  Post-lock re-verification reads do not
-yield: no other thread can run between a lock grant and its re-check in
-any schedule, so suspending there would only inflate the interleaving
-space without adding behaviours.
+The operation bodies are written once, as generators.  A set built with
+``instrumented=True`` runs them as written: they yield a checkpoint
+descriptor before every shared read, committed write, node creation and
+lock attempt, which is what the deterministic schedule harness steps
+on.  Post-lock re-verification reads do not yield: no other thread can
+run between a lock grant and its re-check in any schedule, so
+suspending there would only inflate the interleaving space without
+adding behaviours.  The public methods of an uninstrumented set call
+plain functions instead, which ``compile_plain`` derives from the same
+generator source at import: the instrumentation is folded away and each
+``yield from`` becomes a direct call, so real threads pay for no
+generator frames.  Both forms keep every check, counter and lock call.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
 import itertools
+import linecache
 import random
 import threading
 import time
@@ -52,9 +58,11 @@ from .tree_core import (DATA, LEFT, PLUS_INF, RIGHT, ROUTING, Node,
 __all__ = [
     "ConcurrentSet", "OpOutcome", "ThreadStats",
     "try_lock_edge_ref", "try_lock_edge_val", "try_lock_state", "try_lock_edge",
-    "Site", "LockPoint",
+    "Site", "LockPoint", "compile_plain",
     "K_READ", "K_WRITE", "K_LOCK", "K_CREATE",
 ]
+
+_OPS = ("contains", "insert", "delete")
 
 # checkpoint kinds, as seen by the schedule harness
 K_READ = "read"
@@ -291,36 +299,51 @@ class ConcurrentSet:
         # diagnostics; only maintained when instrumented
         self.lock_holders: dict | None = {} if instrumented else None
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        compile_plain(cls)   # a redefined generator method needs its own twin
+
     # -- public set interface -------------------------------------------
 
     def contains(self, v) -> bool:
-        return self._drain(self._contains_gen(v, threading.get_ident())).result
+        tkey = threading.get_ident()
+        if self._instr:
+            return self._drain(self._op("contains", v, tkey)).result
+        return self._op_plain("contains", v, tkey).result
 
     def insert(self, v) -> bool:
-        return self._drain(self._insert_gen(v, threading.get_ident())).result
+        tkey = threading.get_ident()
+        if self._instr:
+            return self._drain(self._op("insert", v, tkey)).result
+        return self._op_plain("insert", v, tkey).result
 
     def delete(self, v) -> bool:
-        return self._drain(self._delete_gen(v, threading.get_ident())).result
+        tkey = threading.get_ident()
+        if self._instr:
+            return self._drain(self._op("delete", v, tkey)).result
+        return self._op_plain("delete", v, tkey).result
 
     def run_op(self, op: str, v, tkey=None) -> OpOutcome:
         """Run one operation to completion and return the full outcome,
         including how many times it had to restart."""
-        return self._drain(self.op_gen(op, v, tkey))
+        if self._instr:
+            return self._drain(self.op_gen(op, v, tkey))
+        if op not in _OPS:
+            raise ValueError("unknown operation %r" % (op,))
+        if tkey is None:
+            tkey = threading.get_ident()
+        return self._op_plain(op, v, tkey)
 
     def op_gen(self, op: str, v, tkey=None):
         """The stepping form used by the schedule harness: a generator
         that yields at every checkpoint when the set is instrumented.
         ``tkey`` identifies the logical thread for stats and epoch
         pinning; it defaults to the real thread id."""
+        if op not in _OPS:
+            raise ValueError("unknown operation %r" % (op,))
         if tkey is None:
             tkey = threading.get_ident()
-        if op == "contains":
-            return self._contains_gen(v, tkey)
-        if op == "insert":
-            return self._insert_gen(v, tkey)
-        if op == "delete":
-            return self._delete_gen(v, tkey)
-        raise ValueError("unknown operation %r" % (op,))
+        return self._op(op, v, tkey)
 
     @staticmethod
     def _drain(gen) -> OpOutcome:
@@ -410,7 +433,10 @@ class ConcurrentSet:
 
     def _backoff(self, n: int) -> None:
         """Sleep a random, exponentially growing amount after the n-th
-        restart of one operation.  Called with no locks held."""
+        restart of one operation.  Called with no locks held.  A
+        scheduled run never sleeps: the schedule picks who runs next."""
+        if self._instr:
+            return
         limit = min(_BACKOFF_BASE_S * (1 << min(n - 1, _BACKOFF_MAX_EXP)),
                     _BACKOFF_CAP_S)
         time.sleep(random.uniform(0.0, limit))
@@ -458,10 +484,9 @@ class ConcurrentSet:
             self._on_lock_event(tkey, point if point is not None else name, out)
         return out
 
-    def _traverse_gen(self, v: int):
+    def _traverse(self, v: int):
         """Unsynchronized descent; the only checkpoints are the child
         pointer reads, one per step down."""
-        instr = self._instr
         gprev = None
         prev = None
         curr = self.root
@@ -472,77 +497,64 @@ class ConcurrentSet:
             gprev = prev
             prev = curr
             if v < cv:
-                if instr:
+                if self._instr:
                     yield S_TRAV_LEFT
                 curr = curr.left
             else:
-                if instr:
+                if self._instr:
                     yield S_TRAV_RIGHT
                 curr = curr.right
         return TraversalResult(gprev, prev, curr)
 
-    # -- contains ----------------------------------------------------------
+    # -- one operation: the wrapper shared by all three -------------------
 
-    def _contains_gen(self, v, tkey):
+    def _op(self, op, v, tkey):
+        """Run ``op`` on ``v``: epoch pin, recorder events and stats
+        around the wait-free read or the restart loop of an update."""
         validate_key(v)
         st = self._thread_stats(tkey)
-        st.ops["contains"] += 1
-        rec = self._recorder
-        self.reclaimer.pin(tkey)
-        try:
-            if rec is not None:
-                rec.invoke(tkey, "contains", v)
-            tr = yield from self._traverse_gen(v)
-            if tr.curr is None:
-                result = False
-            else:
-                if self._instr:
-                    yield S_CONT_STATE
-                result = tr.curr.state == DATA
-        finally:
-            self.reclaimer.unpin(tkey)
-        if rec is not None:
-            rec.respond(tkey, "contains", v, result)
-        st.completed += 1
-        return OpOutcome("contains", v, result, 0)
-
-    # -- insert ------------------------------------------------------------
-
-    def _insert_gen(self, v, tkey):
-        validate_key(v)
-        st = self._thread_stats(tkey)
-        st.ops["insert"] += 1
+        st.ops[op] += 1
         rec = self._recorder
         restarts = 0
         self.reclaimer.pin(tkey)
         try:
             if rec is not None:
-                rec.invoke(tkey, "insert", v)
-            while True:
-                verdict = yield from self._insert_attempt(v, tkey, st)
-                if verdict is RESTART:
+                rec.invoke(tkey, op, v)
+            if op == "contains":
+                tr = yield from self._traverse(v)
+                if tr.curr is None:
+                    result = False
+                else:
+                    if self._instr:
+                        yield S_CONT_STATE
+                    result = tr.curr.state == DATA
+            else:
+                while True:
+                    if op == "insert":
+                        result = yield from self._insert_attempt(v, tkey, st)
+                    else:
+                        result = yield from self._delete_attempt(v, tkey, st)
+                    if result is not RESTART:
+                        break
                     restarts += 1
                     st.restarts += 1
-                    if not self._instr:
-                        self._backoff(restarts)
-                    continue
-                result = verdict
-                break
+                    self._backoff(restarts)
         finally:
             self.reclaimer.unpin(tkey)
         if rec is not None:
-            rec.respond(tkey, "insert", v, result)
+            rec.respond(tkey, op, v, result)
         st.completed += 1
-        return OpOutcome("insert", v, result, restarts)
+        return OpOutcome(op, v, result, restarts)
+
+    # -- insert ------------------------------------------------------------
 
     def _insert_attempt(self, v, tkey, st):
-        instr = self._instr
         ctx = _AttemptCtx(tkey)
         try:
-            tr = yield from self._traverse_gen(v)
+            tr = yield from self._traverse(v)
             curr, prev = tr.curr, tr.prev
             if curr is not None:
-                if instr:
+                if self._instr:
                     yield S_INS_STATE
                 state = tr.set_once("curr_state", curr.state)
                 if state == DATA:
@@ -557,7 +569,7 @@ class ConcurrentSet:
                     level=0)
                 if out is not LockOutcome.ACQUIRED:
                     return RESTART
-                if instr:
+                if self._instr:
                     yield W_INS_PROMOTE
                 curr.state = DATA
                 self._trace_state(curr, DATA)
@@ -580,10 +592,10 @@ class ConcurrentSet:
                 return RESTART
             if prev.deleted:   # fresh read under the lock
                 return RESTART
-            if instr:
+            if self._instr:
                 yield C_INS_NODE
             node = self._make_node(v)
-            if instr:
+            if self._instr:
                 yield W_INS_LINK
             prev.set_child(side, node)
             self._trace_edge(prev, side, node)
@@ -593,50 +605,22 @@ class ConcurrentSet:
 
     # -- delete ------------------------------------------------------------
 
-    def _delete_gen(self, v, tkey):
-        validate_key(v)
-        st = self._thread_stats(tkey)
-        st.ops["delete"] += 1
-        rec = self._recorder
-        restarts = 0
-        self.reclaimer.pin(tkey)
-        try:
-            if rec is not None:
-                rec.invoke(tkey, "delete", v)
-            while True:
-                verdict = yield from self._delete_attempt(v, tkey, st)
-                if verdict is RESTART:
-                    restarts += 1
-                    st.restarts += 1
-                    if not self._instr:
-                        self._backoff(restarts)
-                    continue
-                result = verdict
-                break
-        finally:
-            self.reclaimer.unpin(tkey)
-        if rec is not None:
-            rec.respond(tkey, "delete", v, result)
-        st.completed += 1
-        return OpOutcome("delete", v, result, restarts)
-
     def _delete_attempt(self, v, tkey, st):
-        instr = self._instr
         ctx = _AttemptCtx(tkey)
         try:
-            tr = yield from self._traverse_gen(v)
+            tr = yield from self._traverse(v)
             curr, prev = tr.curr, tr.prev
             if curr is None:
                 return False
-            if instr:
+            if self._instr:
                 yield S_DEL_STATE
             state = tr.set_once("curr_state", curr.state)
             if state != DATA:
                 return False
-            if instr:
+            if self._instr:
                 yield S_DEL_LEFT
             left = tr.set_once("curr_left", curr.left)
-            if instr:
+            if self._instr:
                 yield S_DEL_RIGHT
             right = tr.set_once("curr_right", curr.right)
 
@@ -648,14 +632,14 @@ class ConcurrentSet:
                     ctx, tkey, st, v, prev, curr, child,
                     LEFT if left is not None else RIGHT))
             # leaf: which unlink shape applies depends on the parent kind
-            if instr:
+            if self._instr:
                 yield S_DEL_PSTATE
             pstate = tr.set_once("prev_state", prev.state)
             if pstate == DATA:
                 return (yield from self._delete_leaf_data_parent(
                     ctx, tkey, st, v, prev))
             side = LEFT if v < prev.val else RIGHT
-            if instr:
+            if self._instr:
                 yield S_DEL_SIBLING
             sibling = tr.set_once(
                 "sibling", prev.right if side == LEFT else prev.left)
@@ -667,7 +651,6 @@ class ConcurrentSet:
     def _delete_two_children(self, ctx, tkey, st, curr):
         """Both children present: the node only loses its membership and
         stays as routing structure."""
-        instr = self._instr
         out = yield from self._lock(
             ctx, tkey, st, "delete", curr.state_lock, LockMode.WRITE,
             _state_cond(curr, DATA), "state", "delete.demote_state", level=0)
@@ -677,7 +660,7 @@ class ConcurrentSet:
         # may have been spliced away before we got the lock; re-check
         if curr.left is None or curr.right is None:
             return RESTART
-        if instr:
+        if self._instr:
             yield W_DEL_DEMOTE
         curr.state = ROUTING
         self._trace_state(curr, ROUTING)
@@ -689,7 +672,6 @@ class ConcurrentSet:
         Lock order is strictly deeper-first: the edge below curr, the
         edge above curr, then curr's state.
         """
-        instr = self._instr
         side = LEFT if v < prev.val else RIGHT
         out = yield from self._lock(
             ctx, tkey, st, "delete", curr.edge_lock(child_side), LockMode.WRITE,
@@ -714,11 +696,11 @@ class ConcurrentSet:
         other = curr.right if child_side == LEFT else curr.left
         if other is not None:
             return RESTART
-        if instr:
+        if self._instr:
             yield W_DEL_MARK
         curr.deleted = True
         self._trace_mark(curr)
-        if instr:
+        if self._instr:
             yield W_DEL_SPLICE
         prev.set_child(side, child)
         self._trace_edge(prev, side, child)
@@ -733,7 +715,6 @@ class ConcurrentSet:
         key in the meantime; we re-read the current occupant under the
         lock and delete that one.
         """
-        instr = self._instr
         side = LEFT if v < prev.val else RIGHT
         out = yield from self._lock(
             ctx, tkey, st, "delete", prev.edge_lock(side), LockMode.WRITE,
@@ -755,11 +736,11 @@ class ConcurrentSet:
             level=-1)
         if out is not LockOutcome.ACQUIRED:
             return RESTART
-        if instr:
+        if self._instr:
             yield W_DEL_MARK
         curr.deleted = True
         self._trace_mark(curr)
-        if instr:
+        if self._instr:
             yield W_DEL_UNLINK_LEAF
         prev.set_child(side, None)
         self._trace_edge(prev, side, None)
@@ -771,7 +752,6 @@ class ConcurrentSet:
         would be left with a single child.  The sibling moves up into
         the grandparent's slot, taking both nodes out in one pointer
         swing."""
-        instr = self._instr
         assert gprev is not None, "routing parent cannot be the root"
         side = LEFT if v < prev.val else RIGHT
         pside = LEFT if prev.val < gprev.val else RIGHT
@@ -808,18 +788,92 @@ class ConcurrentSet:
             level=-1)
         if out is not LockOutcome.ACQUIRED:
             return RESTART
-        if instr:
+        if self._instr:
             yield W_DEL_MARK_PARENT
         prev.deleted = True
         self._trace_mark(prev)
-        if instr:
+        if self._instr:
             yield W_DEL_MARK
         curr.deleted = True
         self._trace_mark(curr)
-        if instr:
+        if self._instr:
             yield W_DEL_UNLINK_PAIR
         gprev.set_child(pside, sibling)
         self._trace_edge(gprev, pside, sibling)
         self._note_unlinked(prev)
         self._note_unlinked(curr)
         return True
+
+
+# -- the plain-call form ---------------------------------------------------
+#
+# Each generator method ``_m`` is recompiled from its own source into a
+# plain function installed beside it as ``_m_plain``.  ``self._instr``
+# reads as False, every ``if`` that this decides keeps only the branch
+# taken, which drops each ``yield SITE`` and the instrumented half of
+# ``_lock``, and ``yield from self._m(...)`` becomes a call of
+# ``self._m_plain``.  The twins are compiled with the source's own file
+# name and line numbers, so a traceback through one points at the
+# generator body it came from.
+
+class _FoldInstrumentation(ast.NodeTransformer):
+
+    def visit_Attribute(self, node):
+        if (node.attr == "_instr" and isinstance(node.value, ast.Name)
+                and node.value.id == "self"):
+            return ast.copy_location(ast.Constant(False), node)
+        return self.generic_visit(node)
+
+    def visit_If(self, node):
+        self.generic_visit(node)
+        if isinstance(node.test, ast.Constant):
+            return node.body if node.test.value else node.orelse
+        return node
+
+    def visit_YieldFrom(self, node):
+        self.generic_visit(node)
+        call = node.value
+        if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and isinstance(call.func.value, ast.Name)
+                and call.func.value.id == "self"):
+            call.func.attr += "_plain"
+            return call
+        return node
+
+
+def compile_plain(cls) -> None:
+    """Install on ``cls`` the plain twin of every generator method that
+    ``cls`` itself defines (inherited ones already have theirs).
+
+    Each source file is parsed once.  Subclasses are compiled when they
+    are created; call this again after replacing a generator method on
+    a class, or the plain form keeps running the old body.
+    """
+    gens = [(name, fn) for name, fn in vars(cls).items()
+            if inspect.isgeneratorfunction(fn)]
+    defs = {}
+    for filename, fn in {fn.__code__.co_filename: fn for _, fn in gens}.items():
+        source = "".join(linecache.getlines(filename, fn.__globals__))
+        for node in ast.walk(ast.parse(source, filename)):
+            if isinstance(node, ast.FunctionDef):
+                defs[filename, node.lineno] = node
+    for name, fn in gens:
+        code = fn.__code__
+        if code.co_freevars:
+            raise TypeError("%s.%s uses enclosing variables %s; only plain "
+                            "methods can be compiled"
+                            % (cls.__name__, name, code.co_freevars))
+        node = _FoldInstrumentation().visit(
+            defs[code.co_filename, code.co_firstlineno])
+        node.name = name + "_plain"
+        for sub in ast.walk(node):
+            if isinstance(sub, (ast.Yield, ast.YieldFrom)):
+                raise TypeError("%s.%s: yield left at line %d after folding"
+                                % (cls.__name__, name, sub.lineno))
+        module = ast.Module([node], [])
+        ns: dict = {}
+        exec(compile(module, code.co_filename, "exec"), fn.__globals__, ns)
+        setattr(cls, node.name, ns[node.name])
+
+
+compile_plain(ConcurrentSet)

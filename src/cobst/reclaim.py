@@ -104,7 +104,9 @@ class EpochReclaimer:
 
     def _sweep(self) -> None:
         horizon = self.epoch - _GRACE
-        for ep in [ep for ep in self._buckets if ep <= horizon]:
+        # list() snapshots the keys: a retire on another thread may add
+        # the bucket of the epoch just entered while the filter runs
+        for ep in [ep for ep in list(self._buckets) if ep <= horizon]:
             for node in self._buckets.pop(ep):
                 self._reclaim(node)
 

@@ -115,8 +115,8 @@ class TraversalResult:
         self.gprev = gprev
         self.prev = prev
         self.curr = curr
-        for name in _CACHED_FIELDS:
-            setattr(self, name, _UNSET)
+        self.curr_state = self.curr_left = self.curr_right = _UNSET
+        self.prev_state = self.sibling = _UNSET
 
     def set_once(self, name: str, value):
         assert getattr(self, name) is _UNSET, "field %r cached twice" % name

@@ -7,7 +7,6 @@ ones through the module-level dictionaries below.
 """
 
 import os
-import pathlib
 import random
 import threading
 import time
@@ -234,8 +233,8 @@ def test_criterion_09_progress_in_every_window():
             % (len(deltas), min(deltas)))
 
 
-def test_criterion_10_scaling_advisory():
-    artifact = pathlib.Path(__file__).resolve().parent.parent / "scaling_advisory.txt"
+def test_criterion_10_scaling_advisory(tmp_path):
+    artifact = tmp_path / "scaling_advisory.txt"
 
     def measure(impl, threads):
         return run_bench(WorkloadConfig(
@@ -251,8 +250,6 @@ def test_criterion_10_scaling_advisory():
                % (hw, co1, co8, coarse8))
     ok = hw >= 8 and co8 >= 2 * co1 and co8 >= coarse8
     if ok:
-        if artifact.exists():
-            artifact.unlink()
         note(10, "scaling sanity met: " + figures.replace("\n", ", ").rstrip(", "))
     else:
         reason = ("fewer than 8 hardware threads" if hw < 8
@@ -261,4 +258,4 @@ def test_criterion_10_scaling_advisory():
             "scaling sanity advisory: NOT met on this machine (%s).\n%s"
             "This check is hardware-dependent and advisory only.\n"
             % (reason, figures))
-        note(10, "advisory only: %s; wrote %s" % (reason, artifact.name))
+        note(10, "advisory only: %s; wrote %s" % (reason, artifact))

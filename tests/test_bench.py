@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from cobst import bench
 from cobst.bench import (CSV_HEADER, RANGE_PRESETS, BenchResult, CoarseLockedSet,
                          WorkloadConfig, draw_op, emit_csv, make_set, prefill,
                          run_bench, thread_seed)
@@ -175,6 +176,25 @@ def test_update_success_rate_is_reported_not_asserted():
     r = run_bench(small_cfg(threads=1, update_pct=100, duration_ms=200))
     assert 0 < r.update_ok <= r.inserts + r.deletes
     assert "% of updates succeeded" in str(r)
+
+
+def test_workload_is_drawn_before_the_threads_start(monkeypatch):
+    started = []
+    draws = []
+    real_draw, real_start = bench.draw_op, threading.Thread.start
+    monkeypatch.setattr(bench, "draw_op",
+                        lambda rng, pct: draws.append(len(started))
+                        or real_draw(rng, pct))
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda t: started.append(t) or real_start(t))
+    monkeypatch.setattr(bench, "_STREAM_LEN", 256)   # many passes
+    r = run_bench(small_cfg(threads=2, key_range=4096, update_pct=100,
+                            duration_ms=200))
+    assert draws == [0] * 512           # 2 streams, drawn before any start
+    # the replayed passes keep the prefilled balance: without the key
+    # shift, updates after the first pass would mostly fail
+    assert r.total_ops > 10 * 512
+    assert 0.3 < r.update_ok / r.total_ops < 0.7
 
 
 # -- CSV -----------------------------------------------------------------------

@@ -311,6 +311,32 @@ def test_epoch_advances_only_when_pins_caught_up():
     assert r.try_advance()
 
 
+def test_sweep_survives_a_retire_into_the_new_epoch():
+    # The sweep filters the buckets right after the epoch advanced; a
+    # delete on another thread may retire a node at that moment, adding
+    # the new epoch's bucket.  The retire is injected deterministically
+    # from the filter's own comparison.
+    r = EpochReclaimer()
+    late = Node(7)
+    late.deleted = True
+
+    class Epoch(int):
+        def __le__(self, other):
+            if r.retired_count == 1:     # once, on the first comparison
+                r.retire(late)
+            return int(self) <= other
+
+    r.epoch = Epoch(0)
+    old = Node(5)
+    old.deleted = True
+    r.retire(old)                       # bucket keyed by Epoch(0)
+    r.epoch = 2                         # bucket 0 is now old enough
+    assert r.try_advance()              # sweeps at epoch 3, horizon 1
+    assert old.reclaimed and not late.reclaimed
+    assert r.retired_count == 2
+    assert r.pending() == 1             # the late node waits in bucket 3
+
+
 # -- instrumentation ---------------------------------------------------------------
 
 def test_real_mode_generators_never_yield():
