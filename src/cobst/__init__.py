@@ -7,9 +7,8 @@ checks linearizability, ``harness`` replays deterministic schedules and
 exhaustively explores tiny scenarios, and ``bench`` measures throughput.
 """
 
-from .concurrent_set import (ConcurrentSet, OpOutcome, try_lock_edge,
-                             try_lock_edge_ref, try_lock_edge_val,
-                             try_lock_state)
+from .concurrent_set import (ConcurrentSet, OpOutcome, try_lock_edge_ref,
+                             try_lock_edge_val, try_lock_state)
 from .history import (History, HistoryEvent, HistoryRecorder,
                       HistoryTooLargeError, check_observable_correctness,
                       complete_history, emit_history, is_linearizable,
@@ -21,16 +20,15 @@ from .harness import (SETUP_THREAD, ExplorationBoundError, ExplorationReport,
                       random_schedule, run_script, script_edge_conflict_restart,
                       script_parallel_inserts, script_twin_replacement)
 from .rwlock import CondRwLock, LockMode, LockOutcome, SpinPolicy
-from .tree_core import (PLUS_INF, Node, SequentialBst, TraversalResult,
-                        dump_tree, parse_tree, traverse, validate_key,
-                        validate_structure)
+from .tree_core import (PLUS_INF, Node, SequentialBst, dump_tree, parse_tree,
+                        traverse, validate_key, validate_structure)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConcurrentSet", "OpOutcome", "SequentialBst", "Node", "TraversalResult",
+    "ConcurrentSet", "OpOutcome", "SequentialBst", "Node",
     "CondRwLock", "LockMode", "LockOutcome", "SpinPolicy",
-    "try_lock_edge", "try_lock_edge_ref", "try_lock_edge_val", "try_lock_state",
+    "try_lock_edge_ref", "try_lock_edge_val", "try_lock_state",
     "History", "HistoryEvent", "HistoryRecorder", "HistoryTooLargeError",
     "is_linearizable", "linearizable_by_enumeration", "complete_history",
     "set_type_step", "check_observable_correctness",

@@ -50,14 +50,12 @@ import time
 from dataclasses import dataclass
 
 from .reclaim import EpochReclaimer
-from .rwlock import (CondRwLock, LockMode, LockOutcome, SpinPolicy,
-                     DEFAULT_SPIN)
-from .tree_core import (DATA, LEFT, PLUS_INF, RIGHT, ROUTING, Node,
-                        TraversalResult, validate_key)
+from .rwlock import CondRwLock, LockMode, LockOutcome, DEFAULT_SPIN
+from .tree_core import DATA, LEFT, PLUS_INF, RIGHT, ROUTING, Node, validate_key
 
 __all__ = [
     "ConcurrentSet", "OpOutcome", "ThreadStats",
-    "try_lock_edge_ref", "try_lock_edge_val", "try_lock_state", "try_lock_edge",
+    "try_lock_edge_ref", "try_lock_edge_val", "try_lock_state",
     "Site", "LockPoint", "compile_plain",
     "K_READ", "K_WRITE", "K_LOCK", "K_CREATE",
 ]
@@ -211,18 +209,6 @@ def try_lock_state(node: Node, mode: LockMode, expected_state: str) -> LockOutco
         mode, _state_cond(node, expected_state))
 
 
-def try_lock_edge(node: Node, child: Node, by: str = "ref") -> LockOutcome:
-    """Lock the edge from ``node`` to ``child``, picking the side from
-    the key order.  ``by`` selects reference or value validation."""
-    assert child.val != node.val, "parent and child cannot share a key"
-    side = LEFT if child.val < node.val else RIGHT
-    if by == "ref":
-        return try_lock_edge_ref(node, side, child)
-    if by == "val":
-        return try_lock_edge_val(node, side, child.val)
-    raise ValueError("by must be 'ref' or 'val', got %r" % (by,))
-
-
 class ThreadStats:
     __slots__ = ("ops", "completed", "restarts", "acquisitions",
                  "cond_violations", "contended_aborts")
@@ -273,27 +259,24 @@ class ConcurrentSet:
                     (created/state/mark/edge tuples, commit order)
     recorder        invocation/response recorder with ``invoke``/``respond``
     on_lock_event   callback (tkey, point, outcome) after each attempt
-    reclaim         "epoch" (default) or "arena" (never free)
     track_unlinked  keep every unlinked node in ``self.unlinked`` so
                     validation can prove they stay unreachable
     debug_checks    assert the child-before-parent lock ordering
     """
 
     def __init__(self, *, instrumented: bool = False, trace: list | None = None,
-                 recorder=None, on_lock_event=None, reclaim: str = "epoch",
-                 track_unlinked: bool = False, debug_checks: bool = False,
-                 spin: SpinPolicy = DEFAULT_SPIN):
+                 recorder=None, on_lock_event=None,
+                 track_unlinked: bool = False, debug_checks: bool = False):
         self._ids = itertools.count()
         self.root = Node(PLUS_INF, DATA, next(self._ids))
         self._instr = instrumented
         self._trace = trace
         self._recorder = recorder
         self._on_lock_event = on_lock_event
-        self.reclaimer = EpochReclaimer(mode=reclaim)
+        self.reclaimer = EpochReclaimer()
         self.track_unlinked = track_unlinked
         self.unlinked: list[Node] = []
         self._debug = debug_checks
-        self._spin = spin
         self._stats: dict = {}
         # who currently holds which lock, for the harness's wait-for
         # diagnostics; only maintained when instrumented
@@ -470,7 +453,7 @@ class ConcurrentSet:
             out = lock.try_lock_with_condition(mode, cond)
         else:
             point = None
-            out = lock.lock_with_spin(mode, cond, self._spin)
+            out = lock.lock_with_spin(mode, cond, DEFAULT_SPIN)
         if out is LockOutcome.ACQUIRED:
             ctx.held.append((lock, mode))
             st.acquisitions[optag] += 1
@@ -485,7 +468,8 @@ class ConcurrentSet:
         return out
 
     def _traverse(self, v: int):
-        """Unsynchronized descent; the only checkpoints are the child
+        """Unsynchronized descent to ``(gprev, prev, curr)`` as in
+        ``tree_core.traverse``; the only checkpoints are the child
         pointer reads, one per step down."""
         gprev = None
         prev = None
@@ -504,7 +488,7 @@ class ConcurrentSet:
                 if self._instr:
                     yield S_TRAV_RIGHT
                 curr = curr.right
-        return TraversalResult(gprev, prev, curr)
+        return gprev, prev, curr
 
     # -- one operation: the wrapper shared by all three -------------------
 
@@ -521,13 +505,13 @@ class ConcurrentSet:
             if rec is not None:
                 rec.invoke(tkey, op, v)
             if op == "contains":
-                tr = yield from self._traverse(v)
-                if tr.curr is None:
+                curr = (yield from self._traverse(v))[2]
+                if curr is None:
                     result = False
                 else:
                     if self._instr:
                         yield S_CONT_STATE
-                    result = tr.curr.state == DATA
+                    result = curr.state == DATA
             else:
                 while True:
                     if op == "insert":
@@ -551,13 +535,11 @@ class ConcurrentSet:
     def _insert_attempt(self, v, tkey, st):
         ctx = _AttemptCtx(tkey)
         try:
-            tr = yield from self._traverse(v)
-            curr, prev = tr.curr, tr.prev
+            _, prev, curr = yield from self._traverse(v)
             if curr is not None:
                 if self._instr:
                     yield S_INS_STATE
-                state = tr.set_once("curr_state", curr.state)
-                if state == DATA:
+                if curr.state == DATA:
                     # present already; lock-free and final even if the
                     # node is concurrently being deleted, the read just
                     # linearizes before that deletion
@@ -608,21 +590,19 @@ class ConcurrentSet:
     def _delete_attempt(self, v, tkey, st):
         ctx = _AttemptCtx(tkey)
         try:
-            tr = yield from self._traverse(v)
-            curr, prev = tr.curr, tr.prev
+            gprev, prev, curr = yield from self._traverse(v)
             if curr is None:
                 return False
             if self._instr:
                 yield S_DEL_STATE
-            state = tr.set_once("curr_state", curr.state)
-            if state != DATA:
+            if curr.state != DATA:
                 return False
             if self._instr:
                 yield S_DEL_LEFT
-            left = tr.set_once("curr_left", curr.left)
+            left = curr.left
             if self._instr:
                 yield S_DEL_RIGHT
-            right = tr.set_once("curr_right", curr.right)
+            right = curr.right
 
             if left is not None and right is not None:
                 return (yield from self._delete_two_children(ctx, tkey, st, curr))
@@ -634,17 +614,15 @@ class ConcurrentSet:
             # leaf: which unlink shape applies depends on the parent kind
             if self._instr:
                 yield S_DEL_PSTATE
-            pstate = tr.set_once("prev_state", prev.state)
-            if pstate == DATA:
+            if prev.state == DATA:
                 return (yield from self._delete_leaf_data_parent(
                     ctx, tkey, st, v, prev))
             side = LEFT if v < prev.val else RIGHT
             if self._instr:
                 yield S_DEL_SIBLING
-            sibling = tr.set_once(
-                "sibling", prev.right if side == LEFT else prev.left)
+            sibling = prev.right if side == LEFT else prev.left
             return (yield from self._delete_leaf_routing_parent(
-                ctx, tkey, st, v, tr.gprev, prev, sibling))
+                ctx, tkey, st, v, gprev, prev, sibling))
         finally:
             self._release_all(ctx)
 

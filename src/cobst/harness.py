@@ -208,6 +208,25 @@ class RunReport:
         return "\n".join(out)
 
 
+def _prepared_run(script: ScheduleScript, trace: list | None = None,
+                  recorder: HistoryRecorder | None = None):
+    """The instrumented set every scheduled run steps, with the setup
+    inserts done, and one unstarted worker per thread.
+
+    It reclaims through epochs like a production set: every operation
+    stays pinned while its generator sits suspended at a checkpoint, so
+    no node it can still reach is reclaimed under it.
+    """
+    set_ = ConcurrentSet(instrumented=True, trace=trace, recorder=recorder,
+                         track_unlinked=True, debug_checks=True)
+    for k in script.setup:
+        if not set_.run_op("insert", k, tkey=SETUP_THREAD).result:
+            raise ScriptError("setup insert(%d) returned false" % k)
+    workers = {tid: _Worker(tid, set_, ops)
+               for tid, ops in sorted(script.programs.items())}
+    return set_, workers
+
+
 def _collect_locks_free(set_: ConcurrentSet) -> bool:
     nodes = []
     stack = [set_.root]
@@ -261,15 +280,7 @@ def run_script(script: ScheduleScript, *, on_blocked: str = "error",
     script.validate()
     trace: list = []
     recorder = HistoryRecorder()
-    set_ = ConcurrentSet(instrumented=True, trace=trace, recorder=recorder,
-                         reclaim="arena", track_unlinked=True, debug_checks=True)
-    for k in script.setup:
-        out = set_.run_op("insert", k, tkey=SETUP_THREAD)
-        if not out.result:
-            raise ScriptError("setup insert(%d) returned false" % k)
-
-    workers = {tid: _Worker(tid, set_, ops)
-               for tid, ops in sorted(script.programs.items())}
+    set_, workers = _prepared_run(script, trace, recorder)
     realized: list[int] = []
     total_ops = len(script.setup) + sum(len(p) for p in script.programs.values())
     grant_cap = 10_000 + 1_000 * total_ops
@@ -402,13 +413,10 @@ class ExplorationReport:
                    len(self.obs_failures), len(self.structure_failures)))
 
 
-def _solo_steps(setup, programs, tid) -> int:
+def _solo_steps(script, tid) -> int:
     """Checkpoint count of one thread running alone: the basis for the
     interleaving estimate."""
-    set_ = ConcurrentSet(instrumented=True, reclaim="arena")
-    for k in setup:
-        set_.run_op("insert", k, tkey=SETUP_THREAD)
-    w = _Worker(tid, set_, programs[tid])
+    w = _prepared_run(script)[1][tid]
     n = 0
     while not w.finished:
         w.grant()
@@ -443,7 +451,7 @@ def explore_small(setup, programs, *, bound: int = 10 ** 6,
     """
     script = ScheduleScript(setup=list(setup), programs=dict(programs))
     script.validate()
-    counts = [_solo_steps(script.setup, script.programs, tid)
+    counts = [_solo_steps(script, tid)
               for tid in sorted(script.programs)]
     est = _interleaving_estimate(counts)
     rep = ExplorationReport(estimate=est)
@@ -460,13 +468,7 @@ def explore_small(setup, programs, *, bound: int = 10 ** 6,
         the run artifacts."""
         trace: list = []
         recorder = HistoryRecorder()
-        set_ = ConcurrentSet(instrumented=True, trace=trace, recorder=recorder,
-                             reclaim="arena", track_unlinked=True,
-                             debug_checks=True)
-        for k in script.setup:
-            set_.run_op("insert", k, tkey=SETUP_THREAD)
-        workers = {tid: _Worker(tid, set_, ops)
-                   for tid, ops in sorted(script.programs.items())}
+        set_, workers = _prepared_run(script, trace, recorder)
         decisions = []   # (runnable tuple, chosen index) where len > 1
         realized = []
         depth = 0

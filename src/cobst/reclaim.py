@@ -13,10 +13,6 @@ Reclaiming a node poisons its child pointers and flags it, so any buggy
 late access blows up loudly instead of silently wandering through freed
 structure.  The actual memory is returned by the garbage collector once
 the last reference drops; poisoning is what severs the reference chains.
-
-``arena`` mode never reclaims: retired nodes are kept alive and intact.
-The checker and replay builds use it so that even pathological
-interleavings can never observe a poisoned node.
 """
 
 from __future__ import annotations
@@ -34,19 +30,16 @@ class _Poison:
 POISON = _Poison()
 
 _GRACE = 2  # epochs a retired node must age before reclamation
+_SWEEP_INTERVAL = 64  # retirements between attempts to advance the epoch
 
 
 class EpochReclaimer:
 
-    def __init__(self, mode: str = "epoch", sweep_interval: int = 64):
-        assert mode in ("epoch", "arena")
-        self.mode = mode
+    def __init__(self):
         self.epoch = 0
         self._pins: dict = {}          # thread key -> epoch pinned at
         self._buckets: dict = {}       # retirement epoch -> [nodes]
-        self._arena: list = []
         self._since_sweep = 0
-        self._sweep_interval = sweep_interval
         self._advance_guard = threading.Lock()
         self.retired_count = 0
         self.reclaimed_count = 0
@@ -54,13 +47,9 @@ class EpochReclaimer:
     # -- per-operation protocol -----------------------------------------
 
     def pin(self, tkey) -> None:
-        if self.mode == "arena":
-            return
         self._pins[tkey] = self.epoch
 
     def unpin(self, tkey) -> None:
-        if self.mode == "arena":
-            return
         del self._pins[tkey]
 
     def retire(self, node) -> None:
@@ -71,12 +60,9 @@ class EpochReclaimer:
         """
         assert node.deleted, "retire() on a node not marked deleted"
         self.retired_count += 1
-        if self.mode == "arena":
-            self._arena.append(node)
-            return
         self._buckets.setdefault(self.epoch, []).append(node)
         self._since_sweep += 1
-        if self._since_sweep >= self._sweep_interval:
+        if self._since_sweep >= _SWEEP_INTERVAL:
             self.try_advance()
 
     # -- epoch machinery --------------------------------------------------
@@ -118,8 +104,6 @@ class EpochReclaimer:
 
     def drain(self) -> int:
         """Quiescent-only: reclaim everything retired so far."""
-        if self.mode == "arena":
-            return 0
         assert not self._pins, "drain() while operations are still pinned"
         before = self.reclaimed_count
         for _ in range(_GRACE + 1):
@@ -127,6 +111,4 @@ class EpochReclaimer:
         return self.reclaimed_count - before
 
     def pending(self) -> int:
-        if self.mode == "arena":
-            return len(self._arena)
         return sum(len(b) for b in self._buckets.values())

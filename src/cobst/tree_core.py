@@ -12,7 +12,7 @@ This module keeps everything single-threaded: traversal, the sequential
 set operations used as the reference implementation, structural
 validation, and a small text format for dumping and parsing trees in
 tests.  The concurrent operations live in concurrent_set and reuse the
-same Node and TraversalResult types.
+same Node type.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .rwlock import CondRwLock
 
 __all__ = [
     "PLUS_INF", "MAX_KEY", "MIN_KEY", "LEFT", "RIGHT",
-    "DATA", "ROUTING", "Node", "TraversalResult", "validate_key",
+    "DATA", "ROUTING", "Node", "validate_key",
     "traverse", "SequentialBst", "StructureReport", "validate_structure",
     "dump_tree", "parse_tree",
 ]
@@ -90,50 +90,15 @@ class Node:
         return "<Node %s %s%s>" % (v, tag, " deleted" if self.deleted else "")
 
 
-_UNSET = object()
-
-# Fields an operation may snapshot from its traversal.  One slot each;
-# a dict would be more flexible but this sits on the hot path.
-_CACHED_FIELDS = ("curr_state", "curr_left", "curr_right", "prev_state", "sibling")
-
-
-class TraversalResult:
-    """Traversal outcome plus a write-once snapshot of node fields.
-
-    ``curr`` is the node holding the sought key, or None if the key is
-    absent (then ``prev`` is the would-be parent).  Operations read each
-    shared field at most once per attempt and stash it here via
-    ``set_once``; later uses take the cached value, and any deliberate
-    fresh re-read goes straight to the node instead.  Caching a field
-    twice trips an assertion, which keeps the read-once discipline
-    honest.
-    """
-
-    __slots__ = ("gprev", "prev", "curr") + _CACHED_FIELDS
-
-    def __init__(self, gprev, prev, curr):
-        self.gprev = gprev
-        self.prev = prev
-        self.curr = curr
-        self.curr_state = self.curr_left = self.curr_right = _UNSET
-        self.prev_state = self.sibling = _UNSET
-
-    def set_once(self, name: str, value):
-        assert getattr(self, name) is _UNSET, "field %r cached twice" % name
-        setattr(self, name, value)
-        return value
-
-    def is_cached(self, name: str) -> bool:
-        return getattr(self, name) is not _UNSET
-
-
-def traverse(root: Node, v: int) -> TraversalResult:
-    """Walk from the root towards ``v`` without locks.
+def traverse(root: Node, v: int) -> tuple:
+    """Walk from the root towards ``v`` without locks and return
+    ``(gprev, prev, curr)``.
 
     Descends left when v is smaller than the current key and right when
     larger, stopping at the first node holding v or at a null child.
-    The result never contains a null prev: the root compares greater
-    than every client key, so at least one descent happens.
+    ``curr`` is that node, or None if the key is absent (then ``prev``
+    is the would-be parent).  ``prev`` is never null: the root compares
+    greater than every client key, so at least one descent happens.
     """
     gprev = None
     prev = None
@@ -145,7 +110,7 @@ def traverse(root: Node, v: int) -> TraversalResult:
         gprev = prev
         prev = curr
         curr = curr.left if v < cv else curr.right
-    return TraversalResult(gprev, prev, curr)
+    return gprev, prev, curr
 
 
 class SequentialBst:
@@ -177,13 +142,12 @@ class SequentialBst:
 
     def seq_contains(self, v) -> bool:
         validate_key(v)
-        tr = traverse(self.root, v)
-        return tr.curr is not None and tr.curr.state == DATA
+        curr = traverse(self.root, v)[2]
+        return curr is not None and curr.state == DATA
 
     def seq_insert(self, v) -> bool:
         validate_key(v)
-        tr = traverse(self.root, v)
-        curr, prev = tr.curr, tr.prev
+        _, prev, curr = traverse(self.root, v)
         if curr is not None:
             if curr.state == DATA:
                 return False
@@ -194,8 +158,7 @@ class SequentialBst:
 
     def seq_delete(self, v) -> bool:
         validate_key(v)
-        tr = traverse(self.root, v)
-        curr, prev, gprev = tr.curr, tr.prev, tr.gprev
+        gprev, prev, curr = traverse(self.root, v)
         if curr is None or curr.state != DATA:
             return False
         left, right = curr.left, curr.right

@@ -1,0 +1,50 @@
+"""The benchmark's traced run patches cobst functions by name; this
+guards those names, so a rename fails here instead of in ``--trace 1``."""
+
+import importlib.util
+from pathlib import Path
+
+import cobst.harness
+from cobst.concurrent_set import ConcurrentSet
+
+TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_patches_existing_names_and_restores_them():
+    tracing = load_tracing()
+    targets = [(owner, attr) for owner, attr, _, _ in tracing._TARGETS]
+    missing = [(owner.__name__, attr) for owner, attr in targets
+               if not hasattr(owner, attr)]
+    assert missing == []
+    before = [getattr(owner, attr) for owner, attr in targets]
+
+    tr = tracing.Tracer()
+    tr.install()
+    try:
+        s = ConcurrentSet()
+        for k in (5, 3, 7):
+            s.insert(k)
+        s.contains(3)
+        s.delete(3)
+        s.reclaimer.drain()
+        # through the module, as the benchmark calls it
+        cobst.harness.run_script(cobst.harness.script_parallel_inserts())
+    finally:
+        tr.uninstall()
+    tr.flush(1.0)
+
+    assert [getattr(owner, attr) for owner, attr in targets] == before
+    for name in ("concurrent_set.contains", "concurrent_set.insert",
+                 "concurrent_set.delete", "rwlock.acquire", "rwlock.attempt",
+                 "rwlock.unlock", "tree_core.node_init", "tree_core.validate",
+                 "reclaim.pin", "reclaim.unpin", "reclaim.retire",
+                 "reclaim.try_advance", "history.record",
+                 "harness.run_script"):
+        assert tr.count(name) > 0, name

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cobst.concurrent_set import (ConcurrentSet, K_CREATE, K_LOCK, K_READ,
-                                  K_WRITE, try_lock_edge, try_lock_edge_ref,
+                                  K_WRITE, try_lock_edge_ref,
                                   try_lock_edge_val, try_lock_state)
 from cobst.reclaim import POISON, EpochReclaimer
-from cobst.rwlock import LockMode, LockOutcome, SpinPolicy
+from cobst.rwlock import LockMode, LockOutcome
 from cobst.tree_core import (DATA, LEFT, RIGHT, ROUTING, Node, SequentialBst,
                              dump_tree, validate_structure)
 
@@ -121,28 +121,6 @@ def test_state_lock_read_is_shared():
     assert try_lock_state(parent, LockMode.READ, DATA) is LockOutcome.ACQUIRED
     assert parent.state_lock.word == 4
     assert try_lock_state(parent, LockMode.WRITE, DATA) is LockOutcome.CONTENDED
-
-
-# -- edge dispatch ------------------------------------------------------------------
-
-def test_edge_dispatch_picks_side_by_key_order():
-    _, parent, left, right = two_level_tree()
-    assert try_lock_edge(parent, left) is LockOutcome.ACQUIRED
-    assert parent.left_lock.word == 1 and parent.right_lock.word == 0
-    assert try_lock_edge(parent, right, by="val") is LockOutcome.ACQUIRED
-    assert parent.right_lock.word == 1
-
-
-def test_edge_dispatch_equal_keys_assert():
-    _, parent, _, _ = two_level_tree()
-    with pytest.raises(AssertionError):
-        try_lock_edge(parent, Node(parent.val))
-
-
-def test_edge_dispatch_rejects_unknown_variant():
-    _, parent, left, _ = two_level_tree()
-    with pytest.raises(ValueError):
-        try_lock_edge(parent, left, by="stamp")
 
 
 # -- single-threaded equivalence -------------------------------------------------
@@ -266,18 +244,6 @@ def test_unlinked_nodes_reclaimed_after_drain():
     assert all(g.reclaimed for g in ghosts)
     assert all(g.left is POISON and g.right is POISON for g in ghosts)
     assert validate_structure(s).ok
-
-
-def test_arena_mode_never_reclaims():
-    s = ConcurrentSet(track_unlinked=True, reclaim="arena")
-    for k in (10, 5):
-        s.insert(k)
-    s.delete(5)
-    s.reclaimer.drain()
-    assert s.reclaimer.pending() == len(s.unlinked) == 1
-    ghost = s.unlinked[0]
-    assert not ghost.reclaimed
-    assert ghost.left is not POISON
 
 
 def test_retired_node_stays_intact_while_a_reader_is_pinned():
@@ -416,16 +382,10 @@ def test_lock_order_tracker_rejects_upward_then_downward():
     s._release_all(ctx)
 
 
-def test_custom_spin_policy_accepted():
-    s = ConcurrentSet(spin=SpinPolicy(attempts=1))
-    assert s.insert(5) and s.contains(5)
-
-
 # -- short real-thread smoke -----------------------------------------------------------
 
-@pytest.mark.parametrize("reclaim", ["epoch", "arena"])
-def test_concurrent_smoke(reclaim):
-    s = ConcurrentSet(track_unlinked=True, reclaim=reclaim)
+def test_concurrent_smoke():
+    s = ConcurrentSet(track_unlinked=True)
     errors = []
     barrier = threading.Barrier(4)
 

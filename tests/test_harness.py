@@ -1,6 +1,8 @@
 """Deterministic replay, script parsing, the named scenarios, and the
 bounded exhaustive explorer."""
 
+import random
+
 import pytest
 
 from cobst.harness import (SETUP_THREAD, ExplorationBoundError, ScheduleBlockedError,
@@ -8,7 +10,9 @@ from cobst.harness import (SETUP_THREAD, ExplorationBoundError, ScheduleBlockedE
                            parse_script, random_schedule, run_script,
                            script_edge_conflict_restart, script_parallel_inserts,
                            script_twin_replacement)
-from cobst.history import check_observable_correctness, is_linearizable
+from cobst.history import History, check_observable_correctness, is_linearizable
+from cobst.reclaim import EpochReclaimer
+from cobst.tree_core import SequentialBst
 
 
 # -- script validation ------------------------------------------------------
@@ -131,6 +135,64 @@ def test_mutual_sibling_block_resolves_by_forced_abort():
     assert rep.structure.ok and rep.locks_clean
     assert is_linearizable(rep.history, max_ops=40).ok
     assert check_observable_correctness(rep.trace).ok
+
+
+# -- reclamation ---------------------------------------------------------------
+
+def test_scheduled_run_reclaims_nothing_under_a_pinned_reader(monkeypatch):
+    # thread 0 stops three child reads into contains(deepest key); thread
+    # 1 then deletes 300 of the 400 keys, those on thread 0's path first,
+    # unlinking over 200 nodes.  The epoch can advance only once past
+    # thread 0's pin, so what is unlinked under it may be reclaimed only
+    # after its contains has finished; the last 100 deletes sweep it
+    keys = random.Random(7).sample(range(1000), 400)
+    bst = SequentialBst()
+    for k in keys:
+        bst.seq_insert(k)
+
+    def path_to(k):
+        out, node = [], bst.root.left
+        while node.val != k:
+            out.append(node.val)
+            node = node.left if k < node.val else node.right
+        return out + [k]
+
+    path = path_to(max(keys, key=lambda k: len(path_to(k))))
+    assert len(path) > 4
+    rest = [k for k in keys if k not in path]
+    deletes = [("delete", k) for k in path + rest]
+    paused = len(run_script(ScheduleScript(
+        setup=keys, programs={1: deletes[:300]})).realized)
+
+    retired, reclaimed = [], []   # (key, thread 0 pinned at the time)
+    orig_retire, orig_reclaim = EpochReclaimer.retire, EpochReclaimer._reclaim
+
+    def retire(self, node):
+        retired.append((node.val, 0 in self._pins))
+        orig_retire(self, node)
+
+    def reclaim(self, node):
+        reclaimed.append((node.val, 0 in self._pins))
+        orig_reclaim(self, node)
+
+    monkeypatch.setattr(EpochReclaimer, "retire", retire)
+    monkeypatch.setattr(EpochReclaimer, "_reclaim", reclaim)
+    rep = run_script(ScheduleScript(
+        setup=keys, programs={0: [("contains", path[-1])], 1: deletes},
+        steps=[(0, 3), (1, paused)]))
+
+    unlinked_under = {k for k, pinned in retired if pinned}
+    assert len(unlinked_under) >= 200
+    assert set(path) & unlinked_under
+    assert len(reclaimed) >= 128            # at least two sweeps
+    assert not any(pinned for _, pinned in reclaimed)
+    assert set(path) & unlinked_under <= {k for k, _ in reclaimed}
+    assert all(o.result for o in rep.outcomes[1])
+    assert rep.final_keys == []
+    assert rep.structure.ok and rep.locks_clean
+    for k in keys:   # linearizability is local: check each key on its own
+        assert is_linearizable(
+            History([e for e in rep.history.events if e.key == k])).ok
 
 
 # -- named scenarios ---------------------------------------------------------

@@ -351,7 +351,7 @@ def test_parse_rejects_malformed_lines(line):
 
 def run_traced(ops):
     trace = []
-    s = ConcurrentSet(trace=trace, track_unlinked=True, reclaim="arena")
+    s = ConcurrentSet(trace=trace, track_unlinked=True)
     for op, k in ops:
         getattr(s, op)(k)
     return trace

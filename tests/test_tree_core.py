@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cobst.tree_core import (DATA, LEFT, MAX_KEY, MIN_KEY, PLUS_INF, RIGHT,
-                             ROUTING, Node, SequentialBst, TraversalResult,
-                             dump_tree, parse_tree, traverse, validate_key,
+                             ROUTING, Node, SequentialBst, dump_tree,
+                             parse_tree, traverse, validate_key,
                              validate_structure)
 
 
@@ -59,29 +59,29 @@ def test_fresh_tree_shape():
 def test_traverse_finds_direct_child():
     bst = SequentialBst()
     bst.seq_insert(5)
-    tr = traverse(bst.root, 5)
-    assert tr.gprev is None
-    assert tr.prev is bst.root
-    assert tr.curr is bst.root.left
+    gprev, prev, curr = traverse(bst.root, 5)
+    assert gprev is None
+    assert prev is bst.root
+    assert curr is bst.root.left
 
 
 def test_traverse_miss_on_fresh_tree():
     bst = SequentialBst()
-    tr = traverse(bst.root, 5)
-    assert tr.gprev is None
-    assert tr.prev is bst.root
-    assert tr.curr is None
+    gprev, prev, curr = traverse(bst.root, 5)
+    assert gprev is None
+    assert prev is bst.root
+    assert curr is None
 
 
 def test_traverse_two_levels():
     bst = SequentialBst()
     bst.seq_insert(5)
     bst.seq_insert(3)
-    tr = traverse(bst.root, 3)
-    assert tr.gprev is bst.root
-    assert tr.prev is bst.root.left
-    assert tr.curr is bst.root.left.left
-    assert tr.curr.val == 3
+    gprev, prev, curr = traverse(bst.root, 3)
+    assert gprev is bst.root
+    assert prev is bst.root.left
+    assert curr is bst.root.left.left
+    assert curr.val == 3
 
 
 def test_traverse_descends_by_order():
@@ -107,15 +107,6 @@ def test_traverse_takes_no_locks():
         assert n.right_lock.acquire_count == 0
         assert n.state_lock.acquire_count == 0
         stack.extend((n.left, n.right))
-
-
-def test_traversal_snapshot_is_write_once():
-    tr = TraversalResult(None, None, None)
-    assert not tr.is_cached("curr_state")
-    assert tr.set_once("curr_state", DATA) == DATA
-    assert tr.is_cached("curr_state")
-    with pytest.raises(AssertionError):
-        tr.set_once("curr_state", ROUTING)
 
 
 # -- contains ---------------------------------------------------------------
