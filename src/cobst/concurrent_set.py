@@ -15,8 +15,8 @@ Edge locks come in two conditional flavours: by reference (the child
 pointer must still be the expected object) and by value (the child must
 hold the expected key, tolerating replacement of the node by an equal
 one).  Within one attempt locks are acquired from deeper nodes towards
-the root, which rules out deadlock; an optional debug tracker asserts
-that ordering.
+the root, which rules out deadlock; the stepping form asserts that
+ordering.
 
 Deletion is two-stage: a node is first marked ``deleted`` (the logical
 point of no return) and then unlinked, both under the same locks.
@@ -24,18 +24,18 @@ Readers that already hold a reference may still observe the node as
 DATA afterwards; that is deliberate and linearizable, because such
 reads overlap the deletion.  Unlinked nodes go to the epoch reclaimer.
 
-The operation bodies are written once, as generators.  A set built with
-``instrumented=True`` runs them as written: they yield a checkpoint
-descriptor before every shared read, committed write, node creation and
-lock attempt, which is what the deterministic schedule harness steps
-on.  Post-lock re-verification reads do not yield: no other thread can
-run between a lock grant and its re-check in any schedule, so
-suspending there would only inflate the interleaving space without
-adding behaviours.  The public methods of an uninstrumented set call
-plain functions instead, which ``compile_plain`` derives from the same
-generator source at import: the instrumentation is folded away and each
-``yield from`` becomes a direct call, so real threads pay for no
-generator frames.  Both forms keep every check, counter and lock call.
+The operation bodies are written once, as generators.  ``op_gen`` runs
+them as written, the stepping form: they yield a checkpoint descriptor
+before every shared read, committed write, node creation and lock
+attempt, which is what the deterministic schedule harness steps on.
+Post-lock re-verification reads do not yield: no other thread can run
+between a lock grant and its re-check in any schedule, so suspending
+there would only inflate the interleaving space without adding
+behaviours.  The public methods run plain functions instead, which
+``compile_plain`` derives from the same generator source at import:
+every ``if self._instr:`` block is folded away and each ``yield from``
+becomes a direct call, so real threads pay for no generator frames and
+no observation.  Both forms keep every check, counter and lock call.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ from dataclasses import dataclass
 
 from .reclaim import EpochReclaimer
 from .rwlock import CondRwLock, LockMode, LockOutcome, DEFAULT_SPIN
-from .tree_core import DATA, LEFT, PLUS_INF, RIGHT, ROUTING, Node, validate_key
+from .tree_core import (DATA, LEFT, PLUS_INF, RIGHT, ROUTING, Node,
+                        snapshot_keys, validate_key)
 
 __all__ = [
     "ConcurrentSet", "OpOutcome", "ThreadStats",
@@ -70,7 +71,7 @@ K_CREATE = "create"
 
 
 class Site:
-    """Constant descriptor of one instrumented program point."""
+    """Constant descriptor of one checkpoint of the stepping form."""
 
     __slots__ = ("kind", "name")
 
@@ -235,7 +236,8 @@ class OpOutcome:
 
 class _AttemptCtx:
     """Per-attempt lock bookkeeping: what we hold (for the all-or-nothing
-    release) and the last lock level (for the deadlock-order assert)."""
+    release) and, in the stepping form, the last lock level (for the
+    deadlock-order assert)."""
 
     __slots__ = ("tkey", "held", "last_level")
 
@@ -245,42 +247,39 @@ class _AttemptCtx:
         self.last_level = None
 
 
+def _op_args(op: str, v, tkey) -> tuple:
+    if op not in _OPS:
+        raise ValueError("unknown operation %r" % (op,))
+    return op, v, threading.get_ident() if tkey is None else tkey
+
+
 class ConcurrentSet:
     """Linearizable set of integer keys with wait-free membership tests.
 
     Thread safe without any external locking.  ``contains`` never takes
     a lock and never restarts; ``insert`` and ``delete`` lock only the
-    couple of nodes they modify.  Construction options:
+    couple of nodes they modify.  Operations stepped through ``op_gen``
+    make single-shot lock attempts, assert the lock order and keep three
+    records; the public methods and ``run_op`` observe nothing:
 
-    instrumented    operations yield checkpoint descriptors for the
-                    deterministic schedule harness; lock attempts become
-                    single-shot (no spinning) so schedules stay exact
-    trace           a list to append structural trace events to
-                    (created/state/mark/edge tuples, commit order)
-    recorder        invocation/response recorder with ``invoke``/``respond``
-    on_lock_event   callback (tkey, point, outcome) after each attempt
-    track_unlinked  keep every unlinked node in ``self.unlinked`` so
-                    validation can prove they stay unreachable
-    debug_checks    assert the child-before-parent lock ordering
+    trace     structural events (created/state/mark/edge tuples) in
+              commit order
+    unlinked  every node unlinked, so validation can prove that none
+              becomes reachable again
+    attempts  thread key -> its current ``_AttemptCtx``, whose ``held``
+              list is what that thread holds
     """
 
-    def __init__(self, *, instrumented: bool = False, trace: list | None = None,
-                 recorder=None, on_lock_event=None,
-                 track_unlinked: bool = False, debug_checks: bool = False):
+    _instr = True   # the stepping form; ``compile_plain`` folds it to False
+
+    def __init__(self):
         self._ids = itertools.count()
         self.root = Node(PLUS_INF, DATA, next(self._ids))
-        self._instr = instrumented
-        self._trace = trace
-        self._recorder = recorder
-        self._on_lock_event = on_lock_event
         self.reclaimer = EpochReclaimer()
-        self.track_unlinked = track_unlinked
-        self.unlinked: list[Node] = []
-        self._debug = debug_checks
         self._stats: dict = {}
-        # who currently holds which lock, for the harness's wait-for
-        # diagnostics; only maintained when instrumented
-        self.lock_holders: dict | None = {} if instrumented else None
+        self.trace: list = []
+        self.unlinked: list[Node] = []
+        self.attempts: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -289,44 +288,25 @@ class ConcurrentSet:
     # -- public set interface -------------------------------------------
 
     def contains(self, v) -> bool:
-        tkey = threading.get_ident()
-        if self._instr:
-            return self._drain(self._op("contains", v, tkey)).result
-        return self._op_plain("contains", v, tkey).result
+        return self._op_plain("contains", v, threading.get_ident()).result
 
     def insert(self, v) -> bool:
-        tkey = threading.get_ident()
-        if self._instr:
-            return self._drain(self._op("insert", v, tkey)).result
-        return self._op_plain("insert", v, tkey).result
+        return self._op_plain("insert", v, threading.get_ident()).result
 
     def delete(self, v) -> bool:
-        tkey = threading.get_ident()
-        if self._instr:
-            return self._drain(self._op("delete", v, tkey)).result
-        return self._op_plain("delete", v, tkey).result
+        return self._op_plain("delete", v, threading.get_ident()).result
 
     def run_op(self, op: str, v, tkey=None) -> OpOutcome:
         """Run one operation to completion and return the full outcome,
         including how many times it had to restart."""
-        if self._instr:
-            return self._drain(self.op_gen(op, v, tkey))
-        if op not in _OPS:
-            raise ValueError("unknown operation %r" % (op,))
-        if tkey is None:
-            tkey = threading.get_ident()
-        return self._op_plain(op, v, tkey)
+        return self._op_plain(*_op_args(op, v, tkey))
 
     def op_gen(self, op: str, v, tkey=None):
         """The stepping form used by the schedule harness: a generator
-        that yields at every checkpoint when the set is instrumented.
-        ``tkey`` identifies the logical thread for stats and epoch
-        pinning; it defaults to the real thread id."""
-        if op not in _OPS:
-            raise ValueError("unknown operation %r" % (op,))
-        if tkey is None:
-            tkey = threading.get_ident()
-        return self._op(op, v, tkey)
+        that yields at every checkpoint.  ``tkey`` identifies the
+        logical thread for stats and epoch pinning; it defaults to the
+        real thread id."""
+        return self._op(*_op_args(op, v, tkey))
 
     @staticmethod
     def _drain(gen) -> OpOutcome:
@@ -338,19 +318,7 @@ class ConcurrentSet:
 
     # -- introspection (quiescent callers only) ---------------------------
 
-    def snapshot_keys(self) -> list[int]:
-        out = []
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            if n is None:
-                continue
-            if n.state == DATA and n.val != PLUS_INF:
-                out.append(n.val)
-            stack.append(n.left)
-            stack.append(n.right)
-        out.sort()
-        return out
+    snapshot_keys = snapshot_keys
 
     def stats(self, tkey=None) -> ThreadStats:
         if tkey is None:
@@ -390,81 +358,46 @@ class ConcurrentSet:
             st = self._stats[tkey] = ThreadStats()
         return st
 
-    def _make_node(self, v: int) -> Node:
-        node = Node(v, DATA, next(self._ids))
-        if self._trace is not None:
-            self._trace.append(("create", node.id, v, DATA))
-        return node
-
-    def _trace_state(self, node: Node, new_state: str) -> None:
-        if self._trace is not None:
-            self._trace.append(("state", node.id, new_state))
-
-    def _trace_mark(self, node: Node) -> None:
-        if self._trace is not None:
-            self._trace.append(("mark", node.id))
-
-    def _trace_edge(self, parent: Node, side: int, child) -> None:
-        if self._trace is not None:
-            self._trace.append(("edge", parent.id, side,
-                                None if child is None else child.id))
-
-    def _note_unlinked(self, node: Node) -> None:
-        if self.track_unlinked:
-            self.unlinked.append(node)
-        self.reclaimer.retire(node)
-
     def _backoff(self, n: int) -> None:
         """Sleep a random, exponentially growing amount after the n-th
-        restart of one operation.  Called with no locks held.  A
-        scheduled run never sleeps: the schedule picks who runs next."""
-        if self._instr:
-            return
+        restart of one operation.  Called with no locks held."""
         limit = min(_BACKOFF_BASE_S * (1 << min(n - 1, _BACKOFF_MAX_EXP)),
                     _BACKOFF_CAP_S)
         time.sleep(random.uniform(0.0, limit))
 
     def _release_all(self, ctx: _AttemptCtx) -> None:
         held = ctx.held
-        holders = self.lock_holders
         while held:
             lock, mode = held.pop()
             lock.unlock(mode)
-            if holders is not None:
-                holders[id(lock)].remove(ctx.tkey)
 
     def _lock(self, ctx: _AttemptCtx, tkey, st: ThreadStats, optag: str,
               lock: CondRwLock, mode: LockMode, cond, family: str,
               name: str, level: int):
         """One bounded-attempt conditional acquisition (generator).
 
-        Yields a single LockPoint checkpoint when instrumented; spinning
-        on contention happens inside one checkpoint because a failed CAS
+        The stepping form yields one LockPoint checkpoint and makes a
+        single attempt; the plain form spins on contention, all of it
+        inside what would be one checkpoint, because a failed CAS
         re-attempt reads nothing new about the tree.
         """
-        if self._debug:
+        if self._instr:
             assert ctx.last_level is None or level <= ctx.last_level, \
                 "lock order violated: level %d after %d at %s" % (
                     level, ctx.last_level, name)
             ctx.last_level = level
-        if self._instr:
-            point = LockPoint(family, name, lock, mode, cond)
-            yield point
+            self.attempts[ctx.tkey] = ctx
+            yield LockPoint(family, name, lock, mode, cond)
             out = lock.try_lock_with_condition(mode, cond)
         else:
-            point = None
             out = lock.lock_with_spin(mode, cond, DEFAULT_SPIN)
         if out is LockOutcome.ACQUIRED:
             ctx.held.append((lock, mode))
             st.acquisitions[optag] += 1
-            if self.lock_holders is not None:
-                self.lock_holders.setdefault(id(lock), []).append(tkey)
         elif out is LockOutcome.CONDITION_VIOLATED:
             st.cond_violations[family] = st.cond_violations.get(family, 0) + 1
         else:
             st.contended_aborts[family] = st.contended_aborts.get(family, 0) + 1
-        if self._on_lock_event is not None:
-            self._on_lock_event(tkey, point if point is not None else name, out)
         return out
 
     def _traverse(self, v: int):
@@ -493,17 +426,14 @@ class ConcurrentSet:
     # -- one operation: the wrapper shared by all three -------------------
 
     def _op(self, op, v, tkey):
-        """Run ``op`` on ``v``: epoch pin, recorder events and stats
-        around the wait-free read or the restart loop of an update."""
+        """Run ``op`` on ``v``: epoch pin and stats around the wait-free
+        read or the restart loop of an update."""
         validate_key(v)
         st = self._thread_stats(tkey)
         st.ops[op] += 1
-        rec = self._recorder
         restarts = 0
         self.reclaimer.pin(tkey)
         try:
-            if rec is not None:
-                rec.invoke(tkey, op, v)
             if op == "contains":
                 curr = (yield from self._traverse(v))[2]
                 if curr is None:
@@ -522,11 +452,11 @@ class ConcurrentSet:
                         break
                     restarts += 1
                     st.restarts += 1
+                    if self._instr:
+                        continue   # stepped: the schedule picks who runs next
                     self._backoff(restarts)
         finally:
             self.reclaimer.unpin(tkey)
-        if rec is not None:
-            rec.respond(tkey, op, v, result)
         st.completed += 1
         return OpOutcome(op, v, result, restarts)
 
@@ -553,8 +483,8 @@ class ConcurrentSet:
                     return RESTART
                 if self._instr:
                     yield W_INS_PROMOTE
+                    self.trace.append(("state", curr.id, DATA))
                 curr.state = DATA
-                self._trace_state(curr, DATA)
                 return True
             # key absent: hang a fresh leaf off prev, guarded by the edge
             # still being empty and prev still being live
@@ -576,11 +506,12 @@ class ConcurrentSet:
                 return RESTART
             if self._instr:
                 yield C_INS_NODE
-            node = self._make_node(v)
+            node = Node(v, DATA, next(self._ids))
             if self._instr:
+                self.trace.append(("create", node.id, v, DATA))
                 yield W_INS_LINK
+                self.trace.append(("edge", prev.id, side, node.id))
             prev.set_child(side, node)
-            self._trace_edge(prev, side, node)
             return True
         finally:
             self._release_all(ctx)
@@ -640,8 +571,8 @@ class ConcurrentSet:
             return RESTART
         if self._instr:
             yield W_DEL_DEMOTE
+            self.trace.append(("state", curr.id, ROUTING))
         curr.state = ROUTING
-        self._trace_state(curr, ROUTING)
         return True
 
     def _delete_one_child(self, ctx, tkey, st, v, prev, curr, child, child_side):
@@ -676,13 +607,14 @@ class ConcurrentSet:
             return RESTART
         if self._instr:
             yield W_DEL_MARK
+            self.trace.append(("mark", curr.id))
         curr.deleted = True
-        self._trace_mark(curr)
         if self._instr:
             yield W_DEL_SPLICE
+            self.trace.append(("edge", prev.id, side, child.id))
+            self.unlinked.append(curr)
         prev.set_child(side, child)
-        self._trace_edge(prev, side, child)
-        self._note_unlinked(curr)
+        self.reclaimer.retire(curr)
         return True
 
     def _delete_leaf_data_parent(self, ctx, tkey, st, v, prev):
@@ -716,13 +648,14 @@ class ConcurrentSet:
             return RESTART
         if self._instr:
             yield W_DEL_MARK
+            self.trace.append(("mark", curr.id))
         curr.deleted = True
-        self._trace_mark(curr)
         if self._instr:
             yield W_DEL_UNLINK_LEAF
+            self.trace.append(("edge", prev.id, side, None))
+            self.unlinked.append(curr)
         prev.set_child(side, None)
-        self._trace_edge(prev, side, None)
-        self._note_unlinked(curr)
+        self.reclaimer.retire(curr)
         return True
 
     def _delete_leaf_routing_parent(self, ctx, tkey, st, v, gprev, prev, sibling):
@@ -768,18 +701,19 @@ class ConcurrentSet:
             return RESTART
         if self._instr:
             yield W_DEL_MARK_PARENT
+            self.trace.append(("mark", prev.id))
         prev.deleted = True
-        self._trace_mark(prev)
         if self._instr:
             yield W_DEL_MARK
+            self.trace.append(("mark", curr.id))
         curr.deleted = True
-        self._trace_mark(curr)
         if self._instr:
             yield W_DEL_UNLINK_PAIR
+            self.trace.append(("edge", gprev.id, pside, sibling.id))
+            self.unlinked += (prev, curr)
         gprev.set_child(pside, sibling)
-        self._trace_edge(gprev, pside, sibling)
-        self._note_unlinked(prev)
-        self._note_unlinked(curr)
+        self.reclaimer.retire(prev)
+        self.reclaimer.retire(curr)
         return True
 
 
@@ -788,8 +722,8 @@ class ConcurrentSet:
 # Each generator method ``_m`` is recompiled from its own source into a
 # plain function installed beside it as ``_m_plain``.  ``self._instr``
 # reads as False, every ``if`` that this decides keeps only the branch
-# taken, which drops each ``yield SITE`` and the instrumented half of
-# ``_lock``, and ``yield from self._m(...)`` becomes a call of
+# taken, which drops each ``yield SITE``, every record the stepping form
+# keeps and the stepping half of ``_lock``, and ``yield from self._m(...)`` becomes a call of
 # ``self._m_plain``.  The twins are compiled with the source's own file
 # name and line numbers, so a traceback through one points at the
 # generator body it came from.

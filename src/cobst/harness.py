@@ -1,11 +1,12 @@
 """Deterministic schedule replay and bounded interleaving exploration.
 
-An instrumented set yields a checkpoint descriptor before every shared
-read, committed write, node creation and lock attempt.  The harness
-holds one operation-pipeline generator per logical thread and advances
-exactly one of them at a time, so a schedule (a sequence of thread ids)
-fully determines the execution: same script in, same history, trace and
-final tree out.
+The stepping form of the set (``ConcurrentSet.op_gen``) yields a
+checkpoint descriptor before every shared read, committed write, node
+creation and lock attempt.  The harness holds one operation-pipeline
+generator per logical thread, which records each operation's
+invocation and response around it, and advances exactly one of them
+at a time, so a schedule (a sequence of thread ids) fully determines
+the execution: same script in, same history, trace and final tree out.
 
 Checkpoint granularity matters.  Suspension happens before the access
 the checkpoint announces; granting a thread one step performs that
@@ -121,16 +122,19 @@ class _Worker:
 
     __slots__ = ("tid", "gen", "pending", "finished", "outcomes")
 
-    def __init__(self, tid: int, set_: ConcurrentSet, ops):
+    def __init__(self, tid: int, set_: ConcurrentSet, ops,
+                 recorder: HistoryRecorder):
         self.tid = tid
         self.outcomes: list[OpOutcome] = []
-        self.gen = self._pipeline(set_, ops)
+        self.gen = self._pipeline(set_, ops, recorder)
         self.pending = _UNPRIMED
         self.finished = False
 
-    def _pipeline(self, set_, ops):
+    def _pipeline(self, set_, ops, recorder):
         for op, key in ops:
+            recorder.invoke(self.tid, op, key)
             out = yield from set_.op_gen(op, key, tkey=self.tid)
+            recorder.respond(self.tid, op, key, out.result)
             self.outcomes.append(out)
 
     def grant(self):
@@ -152,6 +156,14 @@ class _Worker:
             performed = None if self.pending is _UNPRIMED else self.pending
             self.pending = None
         return performed
+
+    def finish(self) -> int:
+        """Grant until the thread finishes; returns the grant count."""
+        n = 0
+        while not self.finished:
+            self.grant()
+            n += 1
+        return n
 
     def blocked(self) -> bool:
         p = self.pending
@@ -208,23 +220,26 @@ class RunReport:
         return "\n".join(out)
 
 
-def _prepared_run(script: ScheduleScript, trace: list | None = None,
-                  recorder: HistoryRecorder | None = None):
-    """The instrumented set every scheduled run steps, with the setup
-    inserts done, and one unstarted worker per thread.
+def _prepared_run(script: ScheduleScript):
+    """The set every scheduled run steps, with the setup inserts done,
+    the recorder of its history, and one unstarted worker per thread.
 
     It reclaims through epochs like a production set: every operation
     stays pinned while its generator sits suspended at a checkpoint, so
-    no node it can still reach is reclaimed under it.
+    no node it can still reach is reclaimed under it.  The setup inserts
+    run through the same pipeline, as thread ``SETUP_THREAD``.
     """
-    set_ = ConcurrentSet(instrumented=True, trace=trace, recorder=recorder,
-                         track_unlinked=True, debug_checks=True)
-    for k in script.setup:
-        if not set_.run_op("insert", k, tkey=SETUP_THREAD).result:
-            raise ScriptError("setup insert(%d) returned false" % k)
-    workers = {tid: _Worker(tid, set_, ops)
+    set_ = ConcurrentSet()
+    recorder = HistoryRecorder()
+    setup = _Worker(SETUP_THREAD, set_, [("insert", k) for k in script.setup],
+                    recorder)
+    setup.finish()
+    for out in setup.outcomes:
+        if not out.result:
+            raise ScriptError("setup insert(%d) returned false" % out.key)
+    workers = {tid: _Worker(tid, set_, ops, recorder)
                for tid, ops in sorted(script.programs.items())}
-    return set_, workers
+    return set_, recorder, workers
 
 
 def _collect_locks_free(set_: ConcurrentSet) -> bool:
@@ -248,8 +263,8 @@ def _wait_chain(set_: ConcurrentSet, workers: dict, start_tid: int) -> str:
     for _ in range(len(workers) + 1):
         w = workers[tid]
         p = w.pending
-        holders = set_.lock_holders.get(id(p.lock), []) if set_.lock_holders else []
-        holders = [h for h in holders if h != tid]
+        holders = [t for t, ctx in set_.attempts.items() if t != tid
+                   and any(lock is p.lock for lock, _ in ctx.held)]
         if not holders:
             hops.append("thread %d waits on %r (holder unknown)" % (tid, p))
             break
@@ -278,9 +293,7 @@ def run_script(script: ScheduleScript, *, on_blocked: str = "error",
     if on_blocked not in ("error", "reassign"):
         raise ValueError("on_blocked must be 'error' or 'reassign'")
     script.validate()
-    trace: list = []
-    recorder = HistoryRecorder()
-    set_, workers = _prepared_run(script, trace, recorder)
+    set_, recorder, workers = _prepared_run(script)
     realized: list[int] = []
     total_ops = len(script.setup) + sum(len(p) for p in script.programs.values())
     grant_cap = 10_000 + 1_000 * total_ops
@@ -349,7 +362,7 @@ def run_script(script: ScheduleScript, *, on_blocked: str = "error",
     return RunReport(
         script=script,
         history=recorder.history(),
-        trace=trace,
+        trace=set_.trace,
         outcomes={tid: w.outcomes for tid, w in workers.items()},
         realized=realized,
         cv_by_family=stats["cond_violations"],
@@ -416,12 +429,7 @@ class ExplorationReport:
 def _solo_steps(script, tid) -> int:
     """Checkpoint count of one thread running alone: the basis for the
     interleaving estimate."""
-    w = _prepared_run(script)[1][tid]
-    n = 0
-    while not w.finished:
-        w.grant()
-        n += 1
-    return n
+    return _prepared_run(script)[2][tid].finish()
 
 
 def _interleaving_estimate(counts) -> int:
@@ -466,9 +474,7 @@ def explore_small(setup, programs, *, bound: int = 10 ** 6,
         """Replay forcing ``prefix`` at the choice points, then always
         taking the first runnable thread.  Returns the decision log and
         the run artifacts."""
-        trace: list = []
-        recorder = HistoryRecorder()
-        set_, workers = _prepared_run(script, trace, recorder)
+        set_, recorder, workers = _prepared_run(script)
         decisions = []   # (runnable tuple, chosen index) where len > 1
         realized = []
         depth = 0
@@ -512,7 +518,7 @@ def explore_small(setup, programs, *, bound: int = 10 ** 6,
             if point is not None:
                 rep.checkpoint_coverage.add((point.kind, point.name))
             realized.append(tid)
-        return decisions, realized, recorder.history(), trace, set_, workers
+        return decisions, realized, recorder.history(), set_.trace, set_, workers
 
     prefix: list = []
     while True:

@@ -152,6 +152,8 @@ class History:
 class HistoryRecorder:
     """Thread-safe event sink.
 
+    Callers record each operation's interval: ``invoke`` just before
+    calling the set, ``respond`` with its result just after.
     Sequence numbers come from ``itertools.count``, whose increment is a
     single C call and therefore atomic under the interpreter lock; list
     appends are atomic the same way.  Events may land in the list
@@ -449,7 +451,7 @@ def check_observable_correctness(trace, *, root_id: int = 0,
                                  root_key: int = PLUS_INF) -> ObservabilityReport:
     """Replay a structural trace and validate every prefix.
 
-    ``trace`` is the event list an instrumented set produced:
+    ``trace`` is the event list a set's stepping form produced:
 
     * ``("create", id, key, state)``
     * ``("state", id, new_state)``

@@ -41,7 +41,6 @@ class EpochReclaimer:
         self._buckets: dict = {}       # retirement epoch -> [nodes]
         self._since_sweep = 0
         self._advance_guard = threading.Lock()
-        self.retired_count = 0
         self.reclaimed_count = 0
 
     # -- per-operation protocol -----------------------------------------
@@ -59,7 +58,6 @@ class EpochReclaimer:
         is pinned, so the node cannot age out before the caller finishes.
         """
         assert node.deleted, "retire() on a node not marked deleted"
-        self.retired_count += 1
         self._buckets.setdefault(self.epoch, []).append(node)
         self._since_sweep += 1
         if self._since_sweep >= _SWEEP_INTERVAL:

@@ -25,7 +25,8 @@ from .rwlock import CondRwLock
 __all__ = [
     "PLUS_INF", "MAX_KEY", "MIN_KEY", "LEFT", "RIGHT",
     "DATA", "ROUTING", "Node", "validate_key",
-    "traverse", "SequentialBst", "StructureReport", "validate_structure",
+    "traverse", "snapshot_keys", "SequentialBst", "StructureReport",
+    "validate_structure",
     "dump_tree", "parse_tree",
 ]
 
@@ -113,6 +114,23 @@ def traverse(root: Node, v: int) -> tuple:
     return gprev, prev, curr
 
 
+def snapshot_keys(tree) -> list[int]:
+    """Sorted keys of a quiescent tree (DATA nodes, sentinel excluded).
+    Both sets use it as their ``snapshot_keys`` method."""
+    out = []
+    stack = [tree.root]
+    while stack:
+        n = stack.pop()
+        if n is None:
+            continue
+        if n.state == DATA and n.val != PLUS_INF:
+            out.append(n.val)
+        stack.append(n.left)
+        stack.append(n.right)
+    out.sort()
+    return out
+
+
 class SequentialBst:
     """Single-threaded partially-external BST set.
 
@@ -122,19 +140,12 @@ class SequentialBst:
     apply to both.
     """
 
-    def __init__(self, track_unlinked: bool = False):
+    def __init__(self):
         self._ids = itertools.count()
         self.root = Node(PLUS_INF, DATA, next(self._ids))
-        self.track_unlinked = track_unlinked
-        self.unlinked: list[Node] = []
 
     def _new_node(self, v: int) -> Node:
         return Node(v, DATA, next(self._ids))
-
-    def _unlink(self, node: Node) -> None:
-        node.deleted = True
-        if self.track_unlinked:
-            self.unlinked.append(node)
 
     @staticmethod
     def _side(parent: Node, v: int) -> int:
@@ -170,19 +181,19 @@ class SequentialBst:
             # exactly one child: splice it into our parent's slot
             child = left if left is not None else right
             prev.set_child(self._side(prev, v), child)
-            self._unlink(curr)
+            curr.deleted = True
             return True
         # leaf
         if prev.state == DATA or prev is self.root:
             prev.set_child(self._side(prev, v), None)
-            self._unlink(curr)
+            curr.deleted = True
             return True
         # leaf under a routing parent: the parent would be left with one
         # child, so both go and the sibling moves up to the grandparent
         sibling = prev.right if self._side(prev, v) == LEFT else prev.left
         gprev.set_child(self._side(gprev, prev.val), sibling)
-        self._unlink(prev)
-        self._unlink(curr)
+        prev.deleted = True
+        curr.deleted = True
         return True
 
     # convenience aliases so the sequential tree satisfies the same
@@ -191,20 +202,7 @@ class SequentialBst:
     insert = seq_insert
     delete = seq_delete
 
-    def snapshot_keys(self) -> list[int]:
-        """Sorted keys currently in the set (DATA nodes, sentinel excluded)."""
-        out = []
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            if n is None:
-                continue
-            if n.state == DATA and n.val != PLUS_INF:
-                out.append(n.val)
-            stack.append(n.left)
-            stack.append(n.right)
-        out.sort()
-        return out
+    snapshot_keys = snapshot_keys
 
 
 @dataclass
@@ -231,8 +229,8 @@ def validate_structure(tree) -> StructureReport:
     with an empty right subtree; reachable nodes form a tree (no sharing,
     no cycles); the value property holds with strict bounds; routing
     nodes have exactly two children; no reachable node is marked deleted
-    or reclaimed; and, when the tree tracks unlinked nodes, none of them
-    is reachable.
+    or reclaimed; and none of the nodes in ``tree.unlinked``, if it
+    exists, is reachable.
     """
     rep = StructureReport()
     root = tree.root

@@ -144,7 +144,7 @@ def test_criterion_06_exhaustive_exploration():
 
 def test_criterion_07_structural_invariants_under_stress():
     nthreads, key_range, duration_s = 8, 2 ** 10, 10.0
-    s = ConcurrentSet(track_unlinked=True)
+    s = ConcurrentSet()
     prefill(s, key_range, seed=4)
 
     pause = threading.Event()

@@ -131,23 +131,32 @@ ops_strategy = st.lists(
     max_size=100)
 
 
+def both_forms():
+    """A set driven by the plain public methods and one driven by
+    draining the stepping form, which also asserts the lock order and
+    lists every unlinked node for ``validate_structure``."""
+    plain = ConcurrentSet()
+    stepped = ConcurrentSet()
+    return ((plain, lambda op, k: getattr(plain, op)(k)),
+            (stepped, lambda op, k: stepped._drain(stepped.op_gen(op, k)).result))
+
+
 @settings(max_examples=150, deadline=None)
 @given(ops_strategy)
 def test_single_thread_matches_oracle(ops):
-    s = ConcurrentSet(track_unlinked=True, debug_checks=True)
-    oracle = set()
-    for op, k in ops:
-        if op == "insert":
-            assert s.insert(k) == (k not in oracle)
-            oracle.add(k)
-        elif op == "delete":
-            assert s.delete(k) == (k in oracle)
-            oracle.discard(k)
-        else:
-            assert s.contains(k) == (k in oracle)
-    assert s.snapshot_keys() == sorted(oracle)
-    rep = validate_structure(s)
-    assert rep.ok, rep.problems
+    for s, run in both_forms():
+        oracle = set()
+        for op, k in ops:
+            assert run(op, k) == {"insert": k not in oracle,
+                                  "delete": k in oracle,
+                                  "contains": k in oracle}[op]
+            if op == "insert":
+                oracle.add(k)
+            elif op == "delete":
+                oracle.discard(k)
+        assert s.snapshot_keys() == sorted(oracle)
+        rep = validate_structure(s)
+        assert rep.ok, rep.problems
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,11 +164,11 @@ def test_single_thread_matches_oracle(ops):
 def test_single_thread_builds_same_shape_as_sequential(ops):
     # driven by one thread the concurrent code must perform the exact
     # structural steps of the sequential algorithm
-    con = ConcurrentSet(debug_checks=True)
-    seq = SequentialBst()
-    for op, k in ops:
-        assert getattr(con, op)(k) == getattr(seq, op)(k)
-    assert dump_tree(con) == dump_tree(seq)
+    for con, run in both_forms():
+        seq = SequentialBst()
+        for op, k in ops:
+            assert run(op, k) == getattr(seq, op)(k)
+        assert dump_tree(con) == dump_tree(seq)
 
 
 def test_run_op_reports_outcome():
@@ -230,12 +239,17 @@ def test_stats_track_per_thread_and_merge():
 
 # -- reclamation ----------------------------------------------------------------------
 
+def stepped_delete(s, k):
+    """Delete through the stepping form, which lists what it unlinks."""
+    return s._drain(s.op_gen("delete", k)).result
+
+
 def test_unlinked_nodes_reclaimed_after_drain():
-    s = ConcurrentSet(track_unlinked=True)
+    s = ConcurrentSet()
     for k in (10, 5, 15):
         s.insert(k)
-    s.delete(5)
-    s.delete(15)                        # unlinks leaf 15 and demoted parents
+    stepped_delete(s, 5)
+    stepped_delete(s, 15)               # unlinks leaf 15 and demoted parents
     ghosts = list(s.unlinked)
     assert ghosts and all(g.deleted for g in ghosts)
     assert all(not g.reclaimed for g in ghosts) or s.reclaimer.pending() == 0
@@ -247,11 +261,11 @@ def test_unlinked_nodes_reclaimed_after_drain():
 
 
 def test_retired_node_stays_intact_while_a_reader_is_pinned():
-    s = ConcurrentSet(track_unlinked=True)
+    s = ConcurrentSet()
     for k in (10, 5):
         s.insert(k)
     s.reclaimer.pin("slow-reader")
-    s.delete(5)
+    stepped_delete(s, 5)
     ghost = s.unlinked[0]
     for _ in range(10):
         s.reclaimer.try_advance()       # cannot advance past the pin
@@ -285,10 +299,12 @@ def test_sweep_survives_a_retire_into_the_new_epoch():
     r = EpochReclaimer()
     late = Node(7)
     late.deleted = True
+    injected = []
 
     class Epoch(int):
         def __le__(self, other):
-            if r.retired_count == 1:     # once, on the first comparison
+            if not injected:            # once, on the first comparison
+                injected.append(late)
                 r.retire(late)
             return int(self) <= other
 
@@ -299,22 +315,15 @@ def test_sweep_survives_a_retire_into_the_new_epoch():
     r.epoch = 2                         # bucket 0 is now old enough
     assert r.try_advance()              # sweeps at epoch 3, horizon 1
     assert old.reclaimed and not late.reclaimed
-    assert r.retired_count == 2
+    assert injected == [late]
+    assert r.reclaimed_count == 1
     assert r.pending() == 1             # the late node waits in bucket 3
 
 
-# -- instrumentation ---------------------------------------------------------------
-
-def test_real_mode_generators_never_yield():
-    s = ConcurrentSet()
-    g = s.op_gen("insert", 5)
-    with pytest.raises(StopIteration) as stop:
-        next(g)
-    assert stop.value.value.result is True
-
+# -- the stepping form ------------------------------------------------------------
 
 def test_instrumented_insert_yields_frozen_checkpoint_sequence():
-    s = ConcurrentSet(instrumented=True)
+    s = ConcurrentSet()
     points = []
     g = s.op_gen("insert", 5, tkey=0)
     try:
@@ -333,7 +342,7 @@ def test_instrumented_insert_yields_frozen_checkpoint_sequence():
 
 
 def test_instrumented_contains_yields_reads_only():
-    s = ConcurrentSet(instrumented=True)
+    s = ConcurrentSet()
     s.run_op("insert", 5, tkey=0)
     points = []
     g = s.op_gen("contains", 5, tkey=1)
@@ -348,18 +357,20 @@ def test_instrumented_contains_yields_reads_only():
 
 
 def test_lock_event_hook_sees_outcomes():
-    events = []
-    s = ConcurrentSet(on_lock_event=lambda tkey, point, out: events.append(out))
+    s = ConcurrentSet()
     s.insert(5)
-    assert events.count(LockOutcome.ACQUIRED) == 2   # edge + parent state
+    snap = s.stats_snapshot()
+    assert snap["acquisitions"]["insert"] == 2       # edge + parent state
     s.insert(5)                                      # present: no locking
-    assert len(events) == 2
+    assert s.stats_snapshot() == dict(snap, completed=2,
+                                      ops={"contains": 0, "insert": 2,
+                                           "delete": 0})
 
 
 def test_lock_order_tracker_rejects_upward_then_downward():
-    # white-box: feed the order tracker a shallower-then-deeper pair,
-    # which the algorithm never produces
-    s = ConcurrentSet(debug_checks=True)
+    # white-box: feed the stepping form's order assert a
+    # shallower-then-deeper pair, which the algorithm never produces
+    s = ConcurrentSet()
     s.insert(10)
     node = s.root.left
     from cobst.concurrent_set import _ALWAYS, _AttemptCtx
@@ -385,7 +396,7 @@ def test_lock_order_tracker_rejects_upward_then_downward():
 # -- short real-thread smoke -----------------------------------------------------------
 
 def test_concurrent_smoke():
-    s = ConcurrentSet(track_unlinked=True)
+    s = ConcurrentSet()
     errors = []
     barrier = threading.Barrier(4)
 

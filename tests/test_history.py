@@ -293,12 +293,14 @@ def test_prefixes_of_linearizable_histories_stay_linearizable():
 # -- recorded end-to-end ---------------------------------------------------------
 
 def test_single_threaded_recording_always_linearizes():
+    # the caller records the interval around each call
     rec = HistoryRecorder()
-    s = ConcurrentSet(recorder=rec)
+    s = ConcurrentSet()
     rng = random.Random(9)
     for _ in range(10):
-        op = rng.choice(("insert", "delete", "contains"))
-        s.run_op(op, rng.randrange(4), tkey=0)
+        op, k = rng.choice(("insert", "delete", "contains")), rng.randrange(4)
+        rec.invoke(0, op, k)
+        rec.respond(0, op, k, s.run_op(op, k, tkey=0).result)
     r = is_linearizable(rec.history())
     assert r.ok
     assert len(r.witness) == 10
@@ -350,11 +352,10 @@ def test_parse_rejects_malformed_lines(line):
 # -- structural trace checking -------------------------------------------------------
 
 def run_traced(ops):
-    trace = []
-    s = ConcurrentSet(trace=trace, track_unlinked=True)
+    s = ConcurrentSet()
     for op, k in ops:
-        getattr(s, op)(k)
-    return trace
+        s._drain(s.op_gen(op, k))
+    return s.trace
 
 
 def test_clean_sequential_trace_passes():

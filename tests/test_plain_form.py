@@ -1,5 +1,6 @@
-"""The plain-call form of the set operations: compiled from the generator
-bodies, it must behave exactly like draining them."""
+"""The two forms of the set operations: the plain form, compiled from the
+generator bodies, must behave exactly like the stepping form the
+harness explores, and observe nothing."""
 
 import inspect
 import random
@@ -9,56 +10,56 @@ import pytest
 
 import cobst.concurrent_set as cs
 from cobst.concurrent_set import ConcurrentSet, OpOutcome, W_DEL_DEMOTE
-from cobst.history import HistoryRecorder
+from cobst.rwlock import CondRwLock
 from cobst.tree_core import dump_tree
 
 
-def observed_set():
-    events = []
-    s = ConcurrentSet(trace=[], recorder=HistoryRecorder(), debug_checks=True,
-                      track_unlinked=True,
-                      on_lock_event=lambda tkey, point, out: events.append(
-                          (point, out)))
-    return s, events
+def twin_names():
+    names = [name for name, fn in vars(ConcurrentSet).items()
+             if inspect.isgeneratorfunction(fn)]
+    assert "_op" in names and "_lock" in names
+    return names
 
 
 def test_plain_form_matches_drained_generators():
     rng = random.Random(20)
-    gen_set, gen_events = observed_set()
-    plain_set, plain_events = observed_set()
+    stepped, plain = ConcurrentSet(), ConcurrentSet()
     for i in range(12_000):
         op = rng.choice(("insert", "delete", "contains"))
         k = rng.randrange(256)
-        want = gen_set._drain(gen_set.op_gen(op, k))
+        want = stepped._drain(stepped.op_gen(op, k))
         if i % 2:
-            got = plain_set.run_op(op, k)
+            got = plain.run_op(op, k)
         else:
-            got = OpOutcome(op, k, getattr(plain_set, op)(k), 0)
+            got = OpOutcome(op, k, getattr(plain, op)(k), 0)
         assert got == want, "op %d: %s(%d)" % (i, op, k)
-    assert plain_set.stats_snapshot() == gen_set.stats_snapshot()
-    assert dump_tree(plain_set) == dump_tree(gen_set)
-    assert plain_set._trace == gen_set._trace
-    assert plain_events == gen_events
-    assert plain_set._recorder.events == gen_set._recorder.events
-    assert ([n.id for n in plain_set.unlinked]
-            == [n.id for n in gen_set.unlinked])
+    assert plain.stats_snapshot() == stepped.stats_snapshot()
+    assert dump_tree(plain) == dump_tree(stepped)
+    assert stepped.trace and stepped.unlinked and stepped.attempts
+    assert (plain.trace, plain.unlinked, plain.attempts) == ([], [], {})
 
 
 def test_every_twin_is_a_plain_function_from_the_module_source():
-    names = [name for name, fn in vars(ConcurrentSet).items()
-             if inspect.isgeneratorfunction(fn)]
-    assert "_op" in names and "_lock" in names
-    for name in names:
+    for name in twin_names():
         twin = getattr(ConcurrentSet, name + "_plain")
         assert not inspect.isgeneratorfunction(twin), name
         assert twin.__code__.co_filename == cs.__file__
 
 
-def test_twin_traceback_points_into_the_generator_source():
-    def boom(tkey, point, out):
-        raise RuntimeError("from the lock hook")
+def test_plain_form_observes_nothing_and_the_set_takes_no_options():
+    observed = ("trace", "unlinked", "attempts", "_instr")
+    for name in twin_names():
+        names = getattr(ConcurrentSet, name + "_plain").__code__.co_names
+        assert not [n for n in names if any(o in n for o in observed)], name
+    assert not inspect.signature(ConcurrentSet).parameters
 
-    s = ConcurrentSet(on_lock_event=boom)
+
+def test_twin_traceback_points_into_the_generator_source(monkeypatch):
+    def boom(self, mode, cond, spin):
+        raise RuntimeError("from the lock")
+
+    monkeypatch.setattr(CondRwLock, "lock_with_spin", boom)
+    s = ConcurrentSet()
     with pytest.raises(RuntimeError) as info:
         s.insert(5)
     frames = {f.name: f for f in traceback.extract_tb(info.value.__traceback__)}
@@ -80,16 +81,20 @@ class RefusesDemotion(ConcurrentSet):
         return False
 
 
-@pytest.mark.parametrize("instrumented", [False, True])
-def test_subclass_generator_gets_its_own_twin(instrumented):
+@pytest.mark.parametrize("stepped", [False, True])
+def test_subclass_generator_gets_its_own_twin(stepped):
     assert (RefusesDemotion._delete_two_children_plain
             is not ConcurrentSet._delete_two_children_plain)
-    s = RefusesDemotion(instrumented=instrumented)
+    s = RefusesDemotion()
+
+    def run(op, k):
+        return s._drain(s.op_gen(op, k)).result if stepped else getattr(s, op)(k)
+
     for k in (10, 5, 15):
-        s.insert(k)
-    assert s.delete(10) is False
-    assert s.contains(10)
-    assert s.delete(5) is True          # the other shapes are inherited
+        run("insert", k)
+    assert run("delete", 10) is False
+    assert run("contains", 10)
+    assert run("delete", 5) is True          # the other shapes are inherited
 
 
 def test_closure_methods_are_refused():

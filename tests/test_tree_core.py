@@ -89,7 +89,16 @@ def test_traverse_descends_by_order():
     for k in (50, 20, 80):
         bst.seq_insert(k)
     n50 = bst.root.left
-    assert n50.left.val == 20 and n50.right.val == 80
+    n20, n80 = n50.left, n50.right
+    assert (n20.val, n80.val) == (20, 80)
+    for v, want in ((20, (bst.root, n50, n20)),    # hit, left
+                    (80, (bst.root, n50, n80)),    # hit, right
+                    (10, (n50, n20, None)),        # miss below 20's left
+                    (30, (n50, n20, None)),        # miss below 20's right
+                    (70, (n50, n80, None)),        # miss below 80's left
+                    (90, (n50, n80, None))):       # miss below 80's right
+        got = traverse(bst.root, v)
+        assert all(g is w for g, w in zip(got, want)), (v, got)
 
 
 def test_traverse_takes_no_locks():
@@ -185,16 +194,16 @@ def test_delete_leaf_with_data_parent():
 
 
 def test_delete_leaf_with_routing_parent_removes_pair():
-    bst = SequentialBst(track_unlinked=True)
+    bst = SequentialBst()
     for k in (2, 1, 3):
         bst.seq_insert(k)
     bst.seq_delete(2)                   # 2 becomes ROUTING
-    node1 = bst.root.left.left
+    node2 = bst.root.left
+    node1, node3 = node2.left, node2.right
     assert bst.seq_delete(3)
     assert bst.root.left is node1       # sibling moved up two levels
     assert bst.snapshot_keys() == [1]
-    assert sorted(n.val for n in bst.unlinked) == [2, 3]
-    assert all(n.deleted for n in bst.unlinked)
+    assert node2.deleted and node3.deleted and not node1.deleted
 
 
 def test_delete_absent_or_routing_returns_false():
@@ -227,7 +236,7 @@ ops_strategy = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(ops_strategy)
 def test_matches_set_oracle(ops):
-    bst = SequentialBst(track_unlinked=True)
+    bst = SequentialBst()
     oracle = set()
     for op, k in ops:
         if op == "insert":
@@ -311,14 +320,14 @@ def test_validator_flags_reclaimed_node():
 
 
 def test_validator_flags_resurrected_node():
-    bst = SequentialBst(track_unlinked=True)
+    bst = SequentialBst()
     bst.seq_insert(5)
     bst.seq_insert(3)
+    ghost = bst.root.left.left
     bst.seq_delete(3)
-    ghost = bst.unlinked[0]
     ghost.deleted = False                # simulate a buggy re-link
     bst.root.left.left = ghost
-    rep = validate_structure(bst)
+    rep = validate_structure(SimpleNamespace(root=bst.root, unlinked=[ghost]))
     assert any("reachable again" in p for p in rep.problems)
 
 
