@@ -7,8 +7,7 @@ checks linearizability, ``harness`` replays deterministic schedules and
 exhaustively explores tiny scenarios, and ``bench`` measures throughput.
 """
 
-from .concurrent_set import (ConcurrentSet, OpOutcome, try_lock_edge_ref,
-                             try_lock_edge_val, try_lock_state)
+from .concurrent_set import ConcurrentSet, OpOutcome
 from .history import (History, HistoryEvent, HistoryRecorder,
                       HistoryTooLargeError, check_observable_correctness,
                       complete_history, emit_history, is_linearizable,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConcurrentSet", "OpOutcome", "SequentialBst", "Node",
     "CondRwLock", "LockMode", "LockOutcome", "SpinPolicy",
-    "try_lock_edge_ref", "try_lock_edge_val", "try_lock_state",
     "History", "HistoryEvent", "HistoryRecorder", "HistoryTooLargeError",
     "is_linearizable", "linearizable_by_enumeration", "complete_history",
     "set_type_step", "check_observable_correctness",

@@ -50,13 +50,12 @@ import time
 from dataclasses import dataclass
 
 from .reclaim import EpochReclaimer
-from .rwlock import CondRwLock, LockMode, LockOutcome, DEFAULT_SPIN
+from .rwlock import CondRwLock, LockMode, LockOutcome
 from .tree_core import (DATA, LEFT, PLUS_INF, RIGHT, ROUTING, Node,
                         snapshot_keys, validate_key)
 
 __all__ = [
     "ConcurrentSet", "OpOutcome", "ThreadStats",
-    "try_lock_edge_ref", "try_lock_edge_val", "try_lock_state",
     "Site", "LockPoint", "compile_plain",
     "K_READ", "K_WRITE", "K_LOCK", "K_CREATE",
 ]
@@ -158,12 +157,11 @@ _BACKOFF_CAP_S = 2e-3
 _BACKOFF_MAX_EXP = 5
 
 
-# -- conditional lock helpers ------------------------------------------
+# -- lock conditions -----------------------------------------------------
 #
-# Single-attempt public forms.  The guard predicates re-read the node
-# fields on every call, which is the whole point: they run once before
-# the CAS and once after, and only the post-acquire evaluation is
-# authoritative.
+# The guard predicates re-read the node fields on every call, which is
+# the whole point: they run once before the CAS and once after, and only
+# the post-acquire evaluation is authoritative.
 
 def _edge_ref_cond(node: Node, side: int, expected):
     if side == LEFT:
@@ -185,29 +183,6 @@ def _edge_val_cond(node: Node, side: int, expected_key: int):
 
 def _state_cond(node: Node, expected_state: str):
     return lambda: node.state == expected_state and not node.deleted
-
-
-def try_lock_edge_ref(node: Node, side: int, expected) -> LockOutcome:
-    """One attempt at the edge lock, valid only while the child pointer
-    is still ``expected`` (identity) and the node is not deleted."""
-    return node.edge_lock(side).try_lock_with_condition(
-        LockMode.WRITE, _edge_ref_cond(node, side, expected))
-
-
-def try_lock_edge_val(node: Node, side: int, expected_key: int) -> LockOutcome:
-    """One attempt at the edge lock, valid while the child holds
-    ``expected_key``.  Tolerates the child node being swapped for a
-    different node carrying the same key, which a reference lock would
-    spuriously reject."""
-    return node.edge_lock(side).try_lock_with_condition(
-        LockMode.WRITE, _edge_val_cond(node, side, expected_key))
-
-
-def try_lock_state(node: Node, mode: LockMode, expected_state: str) -> LockOutcome:
-    """One attempt at the node's state lock, valid while the state is
-    still ``expected_state`` and the node is not deleted."""
-    return node.state_lock.try_lock_with_condition(
-        mode, _state_cond(node, expected_state))
 
 
 class ThreadStats:
@@ -390,7 +365,7 @@ class ConcurrentSet:
             yield LockPoint(family, name, lock, mode, cond)
             out = lock.try_lock_with_condition(mode, cond)
         else:
-            out = lock.lock_with_spin(mode, cond, DEFAULT_SPIN)
+            out = lock.lock_with_spin(mode, cond)
         if out is LockOutcome.ACQUIRED:
             ctx.held.append((lock, mode))
             st.acquisitions[optag] += 1

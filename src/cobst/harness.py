@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from .concurrent_set import ConcurrentSet, K_LOCK, OpOutcome
 from .history import History, HistoryRecorder, check_observable_correctness, \
     is_linearizable
-from .tree_core import StructureReport, validate_structure
+from .tree_core import StructureReport, validate_key, validate_structure
 
 __all__ = [
     "ScheduleScript", "RunReport", "ScriptError", "ScheduleBlockedError",
@@ -94,6 +94,8 @@ class ScheduleScript:
     steps: list = field(default_factory=list)
 
     def validate(self) -> None:
+        for key in self.setup:
+            _check_key(key, "setup")
         if len(set(self.setup)) != len(self.setup):
             raise ScriptError("setup keys must be distinct")
         if not self.programs:
@@ -104,13 +106,21 @@ class ScheduleScript:
             for op, key in ops:
                 if op not in ("insert", "delete", "contains"):
                     raise ScriptError("unknown op %r in thread %d" % (op, tid))
-                if not isinstance(key, int):
-                    raise ScriptError("non-integer key %r in thread %d" % (key, tid))
+                _check_key(key, "thread %d" % tid)
         for tid, n in self.steps:
             if tid not in self.programs:
                 raise ScriptError("schedule step for unknown thread %r" % (tid,))
             if n < 1:
                 raise ScriptError("schedule grants must be positive")
+
+
+def _check_key(key, where: str) -> None:
+    try:
+        validate_key(key)
+    except TypeError:
+        raise ScriptError("non-integer key %r in %s" % (key, where)) from None
+    except ValueError as e:
+        raise ScriptError("%s, in %s" % (e, where)) from None
 
 
 _UNPRIMED = object()
@@ -280,8 +290,7 @@ def _wait_chain(set_: ConcurrentSet, workers: dict, start_tid: int) -> str:
     return "; ".join(hops)
 
 
-def run_script(script: ScheduleScript, *, on_blocked: str = "error",
-               check_structure: bool = True) -> RunReport:
+def run_script(script: ScheduleScript, *, on_blocked: str = "error") -> RunReport:
     """Execute a script deterministically and report everything.
 
     ``on_blocked`` decides what a scripted grant to a blocked or
@@ -357,8 +366,6 @@ def run_script(script: ScheduleScript, *, on_blocked: str = "error",
             force_one_blocked()
 
     stats = set_.stats_snapshot()
-    structure = (validate_structure(set_) if check_structure
-                 else StructureReport())
     return RunReport(
         script=script,
         history=recorder.history(),
@@ -369,7 +376,7 @@ def run_script(script: ScheduleScript, *, on_blocked: str = "error",
         contended_by_family=stats["contended_aborts"],
         acquisitions_by_op=stats["acquisitions"],
         final_keys=set_.snapshot_keys(),
-        structure=structure,
+        structure=validate_structure(set_),
         locks_clean=_collect_locks_free(set_),
     )
 
@@ -440,8 +447,7 @@ def _interleaving_estimate(counts) -> int:
     return est
 
 
-def explore_small(setup, programs, *, bound: int = 10 ** 6,
-                  check: bool = True) -> ExplorationReport:
+def explore_small(setup, programs, *, bound: int = 10 ** 6) -> ExplorationReport:
     """Run every schedule of the given tiny scenario and check each
     distinct outcome.
 
@@ -534,24 +540,22 @@ def explore_small(setup, programs, *, bound: int = 10 ** 6,
         if hkey not in seen_histories:
             seen_histories.add(hkey)
             rep.unique_histories += 1
-            if check:
-                res = is_linearizable(hist)
-                if not res.ok:
-                    rep.lin_failures.append((list(realized), str(res)))
+            res = is_linearizable(hist)
+            if not res.ok:
+                rep.lin_failures.append((list(realized), str(res)))
         tkey = tuple(trace)
         if tkey not in seen_traces:
             seen_traces.add(tkey)
             rep.unique_traces += 1
-            if check:
-                obs = check_observable_correctness(trace)
-                if not obs.ok:
-                    rep.obs_failures.append((list(realized), str(obs)))
-                st = validate_structure(set_)
-                if not st.ok:
-                    rep.structure_failures.append((list(realized), str(st)))
-                if not _collect_locks_free(set_):
-                    rep.structure_failures.append(
-                        (list(realized), "locks left held at quiescence"))
+            obs = check_observable_correctness(trace)
+            if not obs.ok:
+                rep.obs_failures.append((list(realized), str(obs)))
+            st = validate_structure(set_)
+            if not st.ok:
+                rep.structure_failures.append((list(realized), str(st)))
+            if not _collect_locks_free(set_):
+                rep.structure_failures.append(
+                    (list(realized), "locks left held at quiescence"))
 
         # backtrack to the deepest decision with an untried alternative
         nxt = None

@@ -447,11 +447,12 @@ class ObservabilityReport:
         return "\n".join(lines)
 
 
-def check_observable_correctness(trace, *, root_id: int = 0,
-                                 root_key: int = PLUS_INF) -> ObservabilityReport:
+def check_observable_correctness(trace) -> ObservabilityReport:
     """Replay a structural trace and validate every prefix.
 
-    ``trace`` is the event list a set's stepping form produced:
+    ``trace`` is the event list a set's stepping form produced, on a
+    tree whose root is node 0 holding ``PLUS_INF``, as ``ConcurrentSet``
+    builds it:
 
     * ``("create", id, key, state)``
     * ``("state", id, new_state)``
@@ -467,7 +468,8 @@ def check_observable_correctness(trace, *, root_id: int = 0,
     resurrection check catches.
     """
     rep = ObservabilityReport()
-    nodes = {root_id: _ShadowNode(root_key, DATA)}
+    root_id = 0
+    nodes = {root_id: _ShadowNode(PLUS_INF, DATA)}
     was_reachable = {root_id}
     exited: set = set()
 

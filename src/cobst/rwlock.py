@@ -6,19 +6,32 @@ The lock state lives in one integer word:
 * ``1``      held by a writer
 * ``2 * k``  held by ``k`` readers
 
-All transitions are compare-and-swap steps on that word (0 -> 1 for a
-write acquire, even w -> w + 2 for a read acquire, and the reverse for
-releases).  CPython has no user-level CAS, so each lock carries a tiny
-guard mutex and the compare+store runs under it.  The guard is never
-held across user code, only for the few instructions of the transition,
-so the observable behaviour is that of the CAS word.  One deliberate
-consequence: reader/reader CAS races cannot spuriously fail here, which
-only removes Contended outcomes, never adds behaviours.
+Acquisitions are compare-and-swap steps on that word (0 -> 1 for a
+write, even w -> w + 2 for a read).  CPython has no user-level CAS, so
+one module-wide guard mutex emulates it for every lock: the compare and
+the store run under the guard, and nothing else does.  Conditions run
+before and after it, spin pauses between attempts, so the guard is
+never held across user code and a guard holder never waits for
+anything, which rules out deadlock through it.
 
-On top of the raw word the lock offers conditional acquisition: a
-predicate is evaluated before and after the acquire, and the lock is
-released again if the second evaluation fails.  Callers use this to
-take a lock only while some observed field value still holds.
+Releases need less.  A write release is a plain store of 0: while the
+word is 1 every CAS fails its compare and stores nothing, so no other
+thread writes the word until that store lands.  A read release must
+not lose a concurrent reader's increment, so it decrements under the
+guard.
+
+The emulation is stronger than a hardware CAS in one way: the load of
+the expected value and the swap are one guarded step, so two readers
+racing on the same word both succeed, one after the other, where a
+hardware CAS would fail one of them spuriously.  That only removes
+CONTENDED outcomes, never adds behaviours.  The shared guard
+serialises the CAS steps of different locks too; it is held for a few
+bytecodes, so that costs waiting time, not outcomes.
+
+On top of the word the lock offers conditional acquisition: a predicate
+is evaluated before and after the CAS, and the lock is released again
+if the second evaluation fails.  Callers use this to take a lock only
+while some observed field value still holds.
 """
 
 from __future__ import annotations
@@ -28,6 +41,9 @@ import time
 from enum import Enum
 
 __all__ = ["LockMode", "LockOutcome", "CondRwLock", "SpinPolicy"]
+
+# held only for the compare and the store of one CAS
+_GUARD = threading.Lock()
 
 
 class LockMode(Enum):
@@ -54,7 +70,7 @@ class LockOutcome(Enum):
 class SpinPolicy:
     """Bounded retry policy for Contended outcomes.
 
-    ``attempts`` caps how many CAS attempts are made before the caller
+    ``ATTEMPTS`` caps how many CAS attempts are made before the caller
     gives up and restarts from scratch.  Between attempts we pause with
     a short pass-loop plus ``sleep(0)``.  The pause must stay cheap and
     must never be a timed sleep: the caller may already hold other
@@ -64,83 +80,31 @@ class SpinPolicy:
     held.  Condition violations are never retried.
     """
 
-    __slots__ = ("attempts", "max_pause")
+    ATTEMPTS = 8
+    MAX_PAUSE = 64
 
-    def __init__(self, attempts: int = 8, max_pause: int = 64):
-        assert attempts >= 1
-        self.attempts = attempts
-        self.max_pause = max_pause
-
-    def pause(self, round_: int) -> None:
-        for _ in range(min(1 << round_, self.max_pause)):
+    @staticmethod
+    def pause(round_: int) -> None:
+        for _ in range(min(1 << round_, SpinPolicy.MAX_PAUSE)):
             pass
         time.sleep(0)
 
 
-DEFAULT_SPIN = SpinPolicy()
-SINGLE_ATTEMPT = SpinPolicy(attempts=1)
-
-
 class CondRwLock:
-    __slots__ = ("_word", "_guard", "acquire_count")
+    __slots__ = ("word",)
 
     def __init__(self):
-        self._word = 0
-        self._guard = threading.Lock()
-        # successful acquisitions, read or write; cheap because it is
-        # bumped while the guard is already held
-        self.acquire_count = 0
-
-    # -- raw word transitions -------------------------------------------
-
-    @property
-    def word(self) -> int:
-        return self._word
-
-    def is_write_locked(self) -> bool:
-        return self._word == 1
-
-    def reader_count(self) -> int:
-        w = self._word
-        return 0 if w & 1 else w >> 1
-
-    def try_write_lock(self) -> bool:
-        """CAS 0 -> 1.  Single attempt, False on any contention."""
-        with self._guard:
-            if self._word != 0:
-                return False
-            self._word = 1
-            self.acquire_count += 1
-            return True
-
-    def try_read_lock(self) -> bool:
-        """CAS even w -> w + 2.  Single attempt, False while a writer holds."""
-        with self._guard:
-            w = self._word
-            if w & 1:
-                return False
-            self._word = w + 2
-            self.acquire_count += 1
-            return True
-
-    def unlock_write(self) -> None:
-        with self._guard:
-            assert self._word == 1, "unlock_write without a held write lock"
-            self._word = 0
-
-    def unlock_read(self) -> None:
-        with self._guard:
-            w = self._word
-            assert w >= 2 and not w & 1, "unlock_read without a held read lock"
-            self._word = w - 2
+        self.word = 0
 
     def unlock(self, mode: LockMode) -> None:
         if mode is LockMode.WRITE:
-            self.unlock_write()
-        else:
-            self.unlock_read()
-
-    # -- conditional acquisition ----------------------------------------
+            assert self.word == 1, "write unlock without a held write lock"
+            self.word = 0
+            return
+        with _GUARD:
+            w = self.word
+            assert w >= 2 and not w & 1, "read unlock without a held read lock"
+            self.word = w - 2
 
     def try_lock_with_condition(self, mode: LockMode, condition) -> LockOutcome:
         """One conditional acquire attempt.
@@ -156,17 +120,18 @@ class CondRwLock:
         """
         if not condition():
             return LockOutcome.CONDITION_VIOLATED
-        ok = self.try_write_lock() if mode is LockMode.WRITE else self.try_read_lock()
-        if not ok:
-            return LockOutcome.CONTENDED
+        with _GUARD:
+            w = self.word
+            if w == 1 or (w and mode is LockMode.WRITE):
+                return LockOutcome.CONTENDED
+            self.word = 1 if mode is LockMode.WRITE else w + 2
         if not condition():
             self.unlock(mode)
             return LockOutcome.CONDITION_VIOLATED
         return LockOutcome.ACQUIRED
 
-    def lock_with_spin(self, mode: LockMode, condition,
-                       policy: SpinPolicy = DEFAULT_SPIN) -> LockOutcome:
-        """Retry CONTENDED outcomes up to ``policy.attempts`` times.
+    def lock_with_spin(self, mode: LockMode, condition) -> LockOutcome:
+        """Retry CONTENDED outcomes up to ``SpinPolicy.ATTEMPTS`` times.
 
         Returns the first non-contended outcome, or CONTENDED once the
         attempt budget is spent.  The caller is expected to restart its
@@ -174,14 +139,14 @@ class CondRwLock:
         """
         out = self.try_lock_with_condition(mode, condition)
         round_ = 0
-        while out is LockOutcome.CONTENDED and round_ + 1 < policy.attempts:
-            policy.pause(round_)
+        while out is LockOutcome.CONTENDED and round_ + 1 < SpinPolicy.ATTEMPTS:
+            SpinPolicy.pause(round_)
             round_ += 1
             out = self.try_lock_with_condition(mode, condition)
         return out
 
     def __repr__(self):
-        w = self._word
+        w = self.word
         if w == 0:
             state = "free"
         elif w == 1:

@@ -55,8 +55,9 @@ def validate_key(v) -> int:
 class Node:
     """One tree node.  ``val`` is immutable; everything else may change
     under the node's locks.  Each node carries three conditional
-    read-write locks: one per outgoing child edge and one for the
-    state/deleted pair."""
+    read-write locks, one per outgoing child edge and one for the
+    state/deleted pair; each lock is a single word, changed by CAS
+    steps under the one guard that ``rwlock`` shares among all locks."""
 
     __slots__ = ("val", "state", "left", "right", "deleted",
                  "left_lock", "right_lock", "state_lock", "id", "reclaimed")

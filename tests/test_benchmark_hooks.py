@@ -2,6 +2,7 @@
 guards those names, so a rename fails here instead of in ``--trace 1``."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import cobst.harness
@@ -48,3 +49,31 @@ def test_tracer_patches_existing_names_and_restores_them():
                  "reclaim.try_advance", "history.record",
                  "harness.run_script"):
         assert tr.count(name) > 0, name
+
+
+# ``benchmark/selftest.py`` subclasses ConcurrentSet and drives its
+# ``_lock`` on ``root.state_lock`` directly; guard those names too.
+
+SELFTEST = TRACING.parent / "selftest.py"
+
+
+def test_selftest_locking_contains_takes_one_root_read_lock(monkeypatch):
+    # selftest.py imports its sibling modules by plain name
+    monkeypatch.syspath_prepend(str(SELFTEST.parent))
+    fresh = [m for m in ("workloads", "checks", "refclock")
+             if m not in sys.modules]
+    spec = importlib.util.spec_from_file_location("benchmark_selftest",
+                                                  SELFTEST)
+    selftest = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(selftest)
+    finally:
+        for m in fresh:
+            sys.modules.pop(m, None)
+    s = selftest.LockingContains()
+    for k in (5, 3, 7):
+        s.insert(k)
+    keys = (3, 4, 5, 7, 9)
+    assert [s.contains(k) for k in keys] == [True, False, True, True, False]
+    assert s.stats_snapshot()["acquisitions"]["contains"] == len(keys)
+    assert s.root.state_lock.word == 0

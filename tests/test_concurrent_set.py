@@ -1,4 +1,4 @@
-"""Conditional lock helpers, single-threaded equivalence, stats, and
+"""Lock conditions, single-threaded equivalence, stats, and
 reclamation behaviour of the concurrent set."""
 
 import threading
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cobst.concurrent_set import (ConcurrentSet, K_CREATE, K_LOCK, K_READ,
-                                  K_WRITE, try_lock_edge_ref,
-                                  try_lock_edge_val, try_lock_state)
+                                  K_WRITE, _edge_ref_cond, _edge_val_cond,
+                                  _state_cond)
 from cobst.reclaim import POISON, EpochReclaimer
 from cobst.rwlock import LockMode, LockOutcome
 from cobst.tree_core import (DATA, LEFT, RIGHT, ROUTING, Node, SequentialBst,
@@ -22,6 +22,23 @@ def two_level_tree():
         s.insert(k)
     parent = s.root.left
     return s, parent, parent.left, parent.right
+
+
+# One attempt at a lock under each condition the set's operations use.
+
+def try_lock_edge_ref(node, side, expected):
+    return node.edge_lock(side).try_lock_with_condition(
+        LockMode.WRITE, _edge_ref_cond(node, side, expected))
+
+
+def try_lock_edge_val(node, side, expected_key):
+    return node.edge_lock(side).try_lock_with_condition(
+        LockMode.WRITE, _edge_val_cond(node, side, expected_key))
+
+
+def try_lock_state(node, mode, expected_state):
+    return node.state_lock.try_lock_with_condition(
+        mode, _state_cond(node, expected_state))
 
 
 # -- edge lock by reference ------------------------------------------------
@@ -50,14 +67,14 @@ def test_edge_ref_expected_null():
     s.insert(10)
     parent = s.root.left
     assert try_lock_edge_ref(parent, RIGHT, None) is LockOutcome.ACQUIRED
-    parent.right_lock.unlock_write()
+    parent.right_lock.unlock(LockMode.WRITE)
     parent.right = Node(15)
     assert try_lock_edge_ref(parent, RIGHT, None) is LockOutcome.CONDITION_VIOLATED
 
 
 def test_edge_ref_contended_when_held():
     _, parent, child, _ = two_level_tree()
-    parent.left_lock.try_write_lock()
+    parent.left_lock.try_lock_with_condition(LockMode.WRITE, lambda: True)
     assert try_lock_edge_ref(parent, LEFT, child) is LockOutcome.CONTENDED
 
 

@@ -12,7 +12,7 @@ from cobst.harness import (SETUP_THREAD, ExplorationBoundError, ScheduleBlockedE
                            script_twin_replacement)
 from cobst.history import History, check_observable_correctness, is_linearizable
 from cobst.reclaim import EpochReclaimer
-from cobst.tree_core import SequentialBst
+from cobst.tree_core import PLUS_INF, SequentialBst
 
 
 # -- script validation ------------------------------------------------------
@@ -40,6 +40,12 @@ def test_validate_rejects_bad_ops_and_keys():
         ScheduleScript(programs={0: [("upsert", 2)]}).validate()
     with pytest.raises(ScriptError, match="non-integer key"):
         ScheduleScript(programs={0: [("insert", "x")]}).validate()
+    with pytest.raises(ScriptError, match="64-bit signed range, in thread 0"):
+        ScheduleScript(
+            programs={0: [("insert", 99999999999999999999)]}).validate()
+    with pytest.raises(ScriptError, match="sentinel.*, in setup"):
+        ScheduleScript(setup=[PLUS_INF],
+                       programs={0: [("insert", 2)]}).validate()
 
 
 def test_validate_rejects_bad_steps():

@@ -2,116 +2,113 @@
 CondRwLock."""
 
 import itertools
+import random
+import sys
 import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cobst.rwlock import (CondRwLock, LockMode, LockOutcome, SpinPolicy,
-                          SINGLE_ATTEMPT)
+from cobst import rwlock
+from cobst.rwlock import CondRwLock, LockMode, LockOutcome, SpinPolicy
 
 
 TRUE = lambda: True  # noqa: E731
 FALSE = lambda: False  # noqa: E731
+
+R, W = LockMode.READ, LockMode.WRITE
+
+
+def acquire(lk, mode) -> bool:
+    """One unconditional CAS attempt."""
+    return lk.try_lock_with_condition(mode, TRUE) is LockOutcome.ACQUIRED
 
 
 # -- frozen word-encoding examples ---------------------------------------
 
 def test_write_acquire_from_free():
     lk = CondRwLock()
-    assert lk.try_write_lock()
+    assert acquire(lk, W)
     assert lk.word == 1
-    assert lk.is_write_locked()
 
 
 def test_write_contended_on_writer():
     lk = CondRwLock()
-    assert lk.try_write_lock()
-    assert not lk.try_write_lock()
+    assert acquire(lk, W)
+    assert not acquire(lk, W)
     assert lk.word == 1
 
 
 def test_write_contended_on_readers():
     lk = CondRwLock()
-    assert lk.try_read_lock()
-    assert lk.try_read_lock()
+    assert acquire(lk, R)
+    assert acquire(lk, R)
     assert lk.word == 4
-    assert not lk.try_write_lock()
+    assert not acquire(lk, W)
     assert lk.word == 4
 
 
 def test_read_acquire_encoding():
     lk = CondRwLock()
-    assert lk.try_read_lock()
+    assert acquire(lk, R)
     assert lk.word == 2
-    assert lk.try_read_lock()
+    assert acquire(lk, R)
     assert lk.word == 4
-    assert lk.reader_count() == 2
 
 
 def test_read_contended_on_writer():
     lk = CondRwLock()
-    assert lk.try_write_lock()
-    assert not lk.try_read_lock()
+    assert acquire(lk, W)
+    assert not acquire(lk, R)
     assert lk.word == 1
-    assert lk.reader_count() == 0
 
 
 def test_unlock_write_transition():
     lk = CondRwLock()
-    lk.try_write_lock()
-    lk.unlock_write()
+    acquire(lk, W)
+    lk.unlock(W)
     assert lk.word == 0
 
 
 def test_unlock_read_transitions():
     lk = CondRwLock()
-    lk.try_read_lock()
-    lk.try_read_lock()
-    lk.unlock_read()
+    acquire(lk, R)
+    acquire(lk, R)
+    lk.unlock(R)
     assert lk.word == 2
-    lk.unlock_read()
+    lk.unlock(R)
+    assert lk.word == 0
+
+
+def test_unlock_dispatches_by_mode():
+    lk = CondRwLock()
+    acquire(lk, W)
+    lk.unlock(LockMode.WRITE)
+    acquire(lk, R)
+    lk.unlock(LockMode.READ)
     assert lk.word == 0
 
 
 def test_unlock_write_without_hold_asserts():
     lk = CondRwLock()
     with pytest.raises(AssertionError):
-        lk.unlock_write()
+        lk.unlock(W)
 
 
 def test_unlock_write_mode_mismatch_asserts():
     lk = CondRwLock()
-    lk.try_read_lock()
+    acquire(lk, R)
     with pytest.raises(AssertionError):
-        lk.unlock_write()
+        lk.unlock(W)
 
 
 def test_unlock_read_without_hold_asserts():
     lk = CondRwLock()
     with pytest.raises(AssertionError):
-        lk.unlock_read()
-    lk.try_write_lock()
+        lk.unlock(R)
+    acquire(lk, W)
     with pytest.raises(AssertionError):
-        lk.unlock_read()
-
-
-def test_unlock_dispatches_by_mode():
-    lk = CondRwLock()
-    lk.try_write_lock()
-    lk.unlock(LockMode.WRITE)
-    lk.try_read_lock()
-    lk.unlock(LockMode.READ)
-    assert lk.word == 0
-
-
-def test_acquire_count_tracks_successes_only():
-    lk = CondRwLock()
-    lk.try_write_lock()
-    lk.try_write_lock()          # contended, not counted
-    lk.unlock_write()
-    lk.try_read_lock()
-    assert lk.acquire_count == 2
+        lk.unlock(R)
 
 
 # -- conditional acquisition ----------------------------------------------
@@ -145,7 +142,7 @@ def test_cond_fails_after_acquire_releases():
 
 def test_cond_contended_checks_before_cas():
     lk = CondRwLock()
-    lk.try_write_lock()
+    acquire(lk, W)
     out = lk.try_lock_with_condition(LockMode.READ, TRUE)
     assert out is LockOutcome.CONTENDED
     assert lk.word == 1
@@ -157,7 +154,7 @@ def test_cond_contended_checks_before_cas():
 
 def test_failed_outcomes_leave_word_unchanged():
     lk = CondRwLock()
-    lk.try_read_lock()
+    acquire(lk, R)
     before = lk.word
     assert lk.try_lock_with_condition(LockMode.WRITE, TRUE) is LockOutcome.CONTENDED
     assert lk.word == before
@@ -167,30 +164,27 @@ def test_failed_outcomes_leave_word_unchanged():
 
 # -- bounded spin -----------------------------------------------------------
 
-def test_spin_gives_up_after_budget():
+def test_spin_gives_up_after_budget(monkeypatch):
     lk = CondRwLock()
-    lk.try_write_lock()
+    acquire(lk, W)
     pauses = []
-
-    class Counting(SpinPolicy):
-        def pause(self, round_):
-            pauses.append(round_)
-
-    out = lk.lock_with_spin(LockMode.WRITE, TRUE, Counting(attempts=5))
+    monkeypatch.setattr(SpinPolicy, "pause", pauses.append)
+    out = lk.lock_with_spin(LockMode.WRITE, TRUE)
     assert out is LockOutcome.CONTENDED
-    assert pauses == [0, 1, 2, 3]   # attempts - 1 pauses between 5 tries
+    # ATTEMPTS - 1 pauses between ATTEMPTS tries
+    assert pauses == list(range(SpinPolicy.ATTEMPTS - 1))
 
 
-def test_spin_succeeds_when_freed_mid_way():
+def test_spin_succeeds_when_freed_mid_way(monkeypatch):
     lk = CondRwLock()
-    lk.try_write_lock()
+    acquire(lk, W)
 
-    class Freeing(SpinPolicy):
-        def pause(self, round_):
-            if round_ == 1:
-                lk.unlock_write()
+    def freeing(round_):
+        if round_ == 1:
+            lk.unlock(W)
 
-    out = lk.lock_with_spin(LockMode.WRITE, TRUE, Freeing(attempts=8))
+    monkeypatch.setattr(SpinPolicy, "pause", freeing)
+    out = lk.lock_with_spin(LockMode.WRITE, TRUE)
     assert out is LockOutcome.ACQUIRED
     assert lk.word == 1
 
@@ -203,16 +197,46 @@ def test_spin_never_retries_condition_violation():
         calls.append(1)
         return False
 
-    out = lk.lock_with_spin(LockMode.WRITE, cond, SpinPolicy(attempts=50))
+    out = lk.lock_with_spin(LockMode.WRITE, cond)
     assert out is LockOutcome.CONDITION_VIOLATED
     assert len(calls) == 1
 
 
-def test_single_attempt_policy():
+# -- the shared CAS guard -----------------------------------------------------
+
+def test_guard_is_free_while_conditions_and_pauses_run(monkeypatch):
+    """The guard covers the compare and the store only: a condition that
+    ran under it, or a spin pause taken under it, would find it held
+    (and one that took a lock itself would deadlock)."""
+    seen = []
+
+    def guard_free():
+        seen.append(rwlock._GUARD.locked())
+        return True
+
+    def flipping(answers):
+        return lambda: guard_free() and answers.pop(0)
+
+    monkeypatch.setattr(SpinPolicy, "pause", lambda round_: guard_free())
     lk = CondRwLock()
-    lk.try_read_lock()
-    assert lk.lock_with_spin(LockMode.WRITE, TRUE, SINGLE_ATTEMPT) \
-        is LockOutcome.CONTENDED
+    for mode in (W, R):
+        assert lk.try_lock_with_condition(mode, guard_free) is LockOutcome.ACQUIRED
+        lk.unlock(mode)
+        # post-check fails: the release runs after the second condition
+        assert lk.try_lock_with_condition(mode, flipping([True, False])) \
+            is LockOutcome.CONDITION_VIOLATED
+    acquire(lk, W)
+    assert lk.lock_with_spin(R, guard_free) is LockOutcome.CONTENDED
+    assert lk.lock_with_spin(W, guard_free) is LockOutcome.CONTENDED
+    assert len(seen) == 4 * 2 + 2 * (2 * SpinPolicy.ATTEMPTS - 1)
+    assert not any(seen)
+    assert not rwlock._GUARD.locked()
+
+
+def test_lock_has_only_its_word():
+    lk = CondRwLock()
+    assert CondRwLock.__slots__ == ("word",)
+    assert not hasattr(lk, "__dict__")
 
 
 # -- encoding round-trip property -------------------------------------------
@@ -223,15 +247,14 @@ def test_reader_word_is_twice_net_acquires(flags):
     # held); afterwards word == 2 * (acquires - releases)
     lk = CondRwLock()
     held = 0
-    for acquire in flags:
-        if acquire:
-            assert lk.try_read_lock()
+    for up in flags:
+        if up:
+            assert acquire(lk, R)
             held += 1
         elif held:
-            lk.unlock_read()
+            lk.unlock(R)
             held -= 1
     assert lk.word == 2 * held
-    assert lk.reader_count() == held
 
 
 @given(st.lists(st.sampled_from(["w+", "w-", "r+", "r-"]), max_size=40))
@@ -242,18 +265,18 @@ def test_word_matches_reference_automaton(ops):
     word = 0
     for op in ops:
         if op == "w+":
-            assert lk.try_write_lock() == (word == 0)
+            assert acquire(lk, W) == (word == 0)
             if word == 0:
                 word = 1
         elif op == "r+":
-            assert lk.try_read_lock() == (word != 1)
+            assert acquire(lk, R) == (word != 1)
             if word != 1:
                 word += 2
         elif op == "w-" and word == 1:
-            lk.unlock_write()
+            lk.unlock(W)
             word = 0
         elif op == "r-" and word >= 2:
-            lk.unlock_read()
+            lk.unlock(R)
             word -= 2
         assert lk.word == word
 
@@ -290,13 +313,13 @@ def test_two_thread_model_check():
                 held = {"A": [], "B": []}
                 for tid, op in order:
                     if op == "tw":
-                        got = lk.try_write_lock()
+                        got = acquire(lk, W)
                         assert got == (word == 0)
                         if got:
                             word = 1
                             held[tid].append("w")
                     elif op == "tr":
-                        got = lk.try_read_lock()
+                        got = acquire(lk, R)
                         assert got == (word != 1)
                         if got:
                             word += 2
@@ -315,38 +338,55 @@ def test_two_thread_model_check():
 # -- real threads -------------------------------------------------------------
 
 def test_mutual_exclusion_under_real_threads():
-    """Writers bump a shared counter by two in two steps under the write
-    lock; readers snapshot it under the read lock.  Any exclusion bug
-    shows up as an odd snapshot."""
-    lk = CondRwLock()
-    counter = [0]
-    odd_seen = []
-    rounds = 4000
+    """Several locks share the one CAS guard.  Each thread mixes READ and
+    WRITE holds over all of them.  Writers bump their lock's counter by
+    two in two steps and count themselves in and out; readers snapshot
+    the counter.  An exclusion bug on any lock shows up as an odd
+    snapshot or a second writer inside."""
+    locks = [CondRwLock() for _ in range(3)]
+    counters = [0] * len(locks)
+    inside = [0] * len(locks)
+    errors = []
+    writes = []
+    rounds = 3000
 
-    def writer():
-        done = 0
+    def worker(seed):
+        rng = random.Random(seed)
+        done = wrote = 0
         while done < rounds:
-            if lk.try_write_lock():
-                counter[0] += 1
-                counter[0] += 1
-                lk.unlock_write()
-                done += 1
+            i = rng.randrange(len(locks))
+            lk = locks[i]
+            if rng.random() < 0.5:
+                if not acquire(lk, W):
+                    continue
+                inside[i] += 1
+                if inside[i] != 1:
+                    errors.append(("two writers", i))
+                counters[i] += 1
+                counters[i] += 1
+                inside[i] -= 1
+                lk.unlock(W)
+                wrote += 1
+            else:
+                if not acquire(lk, R):
+                    continue
+                if counters[i] % 2 or inside[i]:
+                    errors.append(("reader saw a writer", i))
+                lk.unlock(R)
+            done += 1
+        writes.append(wrote)
 
-    def reader():
-        done = 0
-        while done < rounds:
-            if lk.try_read_lock():
-                if counter[0] % 2:
-                    odd_seen.append(counter[0])
-                lk.unlock_read()
-                done += 1
-
-    threads = [threading.Thread(target=writer) for _ in range(2)]
-    threads += [threading.Thread(target=reader) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert odd_seen == []
-    assert counter[0] == 2 * 2 * rounds
-    assert lk.word == 0
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # switch threads inside the holds
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []
+    assert sum(counters) == 2 * sum(writes)
+    assert [lk.word for lk in locks] == [0] * len(locks)
+    assert not rwlock._GUARD.locked()

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cobst.rwlock import CondRwLock
 from cobst.tree_core import (DATA, LEFT, MAX_KEY, MIN_KEY, PLUS_INF, RIGHT,
                              ROUTING, Node, SequentialBst, dump_tree,
                              parse_tree, traverse, validate_key,
@@ -101,21 +102,21 @@ def test_traverse_descends_by_order():
         assert all(g is w for g, w in zip(got, want)), (v, got)
 
 
-def test_traverse_takes_no_locks():
+def test_traverse_takes_no_locks(monkeypatch):
     bst = SequentialBst()
     for k in (5, 3, 7):
         bst.seq_insert(k)
+    attempts = []
+    real = CondRwLock.try_lock_with_condition
+
+    def counting(lock, mode, cond):
+        attempts.append(lock)
+        return real(lock, mode, cond)
+
+    monkeypatch.setattr(CondRwLock, "try_lock_with_condition", counting)
     for k in (3, 5, 7, 9):
         traverse(bst.root, k)
-    stack = [bst.root]
-    while stack:
-        n = stack.pop()
-        if n is None:
-            continue
-        assert n.left_lock.acquire_count == 0
-        assert n.right_lock.acquire_count == 0
-        assert n.state_lock.acquire_count == 0
-        stack.extend((n.left, n.right))
+    assert attempts == []
 
 
 # -- contains ---------------------------------------------------------------
