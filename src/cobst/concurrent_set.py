@@ -33,14 +33,17 @@ between a lock grant and its re-check in any schedule, so suspending
 there would only inflate the interleaving space without adding
 behaviours.  The public methods run plain functions instead, which
 ``compile_plain`` derives from the same generator source at import:
-every ``if self._instr:`` block is folded away and each ``yield from``
-becomes a direct call, so real threads pay for no generator frames and
-no observation.  Both forms keep every check, counter and lock call.
+every ``if self._instr:`` block is folded away, each ``yield from``
+becomes a direct call and ``_op`` becomes one twin per operation, so
+real threads pay for no generator frames, no dispatch on the operation
+and no observation.  The twins return bare bools; only ``run_op`` builds
+an ``OpOutcome``.  Both forms keep every check, counter and lock call.
 """
 
 from __future__ import annotations
 
 import ast
+import copy
 import inspect
 import itertools
 import linecache
@@ -60,7 +63,8 @@ __all__ = [
     "K_READ", "K_WRITE", "K_LOCK", "K_CREATE",
 ]
 
-_OPS = ("contains", "insert", "delete")
+# operation -> name of its plain twin, ``_op`` compiled with ``op`` bound
+_PLAIN_TWINS = {op: "_%s_plain" % op for op in ("contains", "insert", "delete")}
 
 # checkpoint kinds, as seen by the schedule harness
 K_READ = "read"
@@ -223,7 +227,7 @@ class _AttemptCtx:
 
 
 def _op_args(op: str, v, tkey) -> tuple:
-    if op not in _OPS:
+    if op not in _PLAIN_TWINS:
         raise ValueError("unknown operation %r" % (op,))
     return op, v, threading.get_ident() if tkey is None else tkey
 
@@ -263,18 +267,23 @@ class ConcurrentSet:
     # -- public set interface -------------------------------------------
 
     def contains(self, v) -> bool:
-        return self._op_plain("contains", v, threading.get_ident()).result
+        return self._contains_plain(v, threading.get_ident())
 
     def insert(self, v) -> bool:
-        return self._op_plain("insert", v, threading.get_ident()).result
+        return self._insert_plain(v, threading.get_ident())
 
     def delete(self, v) -> bool:
-        return self._op_plain("delete", v, threading.get_ident()).result
+        return self._delete_plain(v, threading.get_ident())
 
     def run_op(self, op: str, v, tkey=None) -> OpOutcome:
         """Run one operation to completion and return the full outcome,
-        including how many times it had to restart."""
-        return self._op_plain(*_op_args(op, v, tkey))
+        including how many times it had to restart (exact: only the
+        thread owning ``tkey`` touches its stats)."""
+        op, v, tkey = _op_args(op, v, tkey)
+        st = self._thread_stats(tkey)
+        before = st.restarts
+        result = getattr(self, _PLAIN_TWINS[op])(v, tkey)
+        return OpOutcome(op, v, result, st.restarts - before)
 
     def op_gen(self, op: str, v, tkey=None):
         """The stepping form used by the schedule harness: a generator
@@ -294,11 +303,6 @@ class ConcurrentSet:
     # -- introspection (quiescent callers only) ---------------------------
 
     snapshot_keys = snapshot_keys
-
-    def stats(self, tkey=None) -> ThreadStats:
-        if tkey is None:
-            tkey = threading.get_ident()
-        return self._thread_stats(tkey)
 
     def stats_snapshot(self) -> dict:
         """Merged per-thread counters."""
@@ -321,9 +325,6 @@ class ConcurrentSet:
             "cond_violations": total.cond_violations,
             "contended_aborts": total.contended_aborts,
         }
-
-    def total_completed(self) -> int:
-        return sum(st.completed for st in list(self._stats.values()))
 
     # -- internals ---------------------------------------------------------
 
@@ -402,7 +403,8 @@ class ConcurrentSet:
 
     def _op(self, op, v, tkey):
         """Run ``op`` on ``v``: epoch pin and stats around the wait-free
-        read or the restart loop of an update."""
+        read or the restart loop of an update.  The stepping form returns
+        an ``OpOutcome``, the plain twins the bare result."""
         validate_key(v)
         st = self._thread_stats(tkey)
         st.ops[op] += 1
@@ -410,13 +412,24 @@ class ConcurrentSet:
         self.reclaimer.pin(tkey)
         try:
             if op == "contains":
-                curr = (yield from self._traverse(v))[2]
-                if curr is None:
-                    result = False
-                else:
-                    if self._instr:
-                        yield S_CONT_STATE
-                    result = curr.state == DATA
+                # ``_traverse``'s descent and checkpoints, keeping only curr
+                result = False
+                curr = self.root
+                while curr is not None:
+                    cv = curr.val
+                    if cv == v:
+                        if self._instr:
+                            yield S_CONT_STATE
+                        result = curr.state == DATA
+                        break
+                    if v < cv:
+                        if self._instr:
+                            yield S_TRAV_LEFT
+                        curr = curr.left
+                    else:
+                        if self._instr:
+                            yield S_TRAV_RIGHT
+                        curr = curr.right
             else:
                 while True:
                     if op == "insert":
@@ -433,7 +446,9 @@ class ConcurrentSet:
         finally:
             self.reclaimer.unpin(tkey)
         st.completed += 1
-        return OpOutcome(op, v, result, restarts)
+        if self._instr:
+            return OpOutcome(op, v, result, restarts)
+        return result
 
     # -- insert ------------------------------------------------------------
 
@@ -695,21 +710,46 @@ class ConcurrentSet:
 # -- the plain-call form ---------------------------------------------------
 #
 # Each generator method ``_m`` is recompiled from its own source into a
-# plain function installed beside it as ``_m_plain``.  ``self._instr``
-# reads as False, every ``if`` that this decides keeps only the branch
-# taken, which drops each ``yield SITE``, every record the stepping form
-# keeps and the stepping half of ``_lock``, and ``yield from self._m(...)`` becomes a call of
-# ``self._m_plain``.  The twins are compiled with the source's own file
-# name and line numbers, so a traceback through one points at the
-# generator body it came from.
+# plain function installed beside it as ``_m_plain``, except ``_op``,
+# which becomes ``_contains_plain``, ``_insert_plain`` and
+# ``_delete_plain``: its ``op`` parameter is dropped and each read of it
+# becomes that operation's name.  ``self._instr`` reads as False and
+# comparisons of two constants fold, so each ``if`` keeps only the branch
+# taken.  That drops each ``yield SITE``, every record the stepping form
+# keeps, the stepping half of ``_lock``, the other operations and the
+# ``OpOutcome``: the twins return bare results.  ``yield from
+# self._m(...)`` becomes a call of ``self._m_plain``.  The twins keep the
+# source's file name and line numbers, so a traceback through one points
+# at the generator body it came from.
 
 class _FoldInstrumentation(ast.NodeTransformer):
+
+    def __init__(self, op=None):
+        self.op = op     # the value bound to the ``op`` parameter, if any
+
+    def visit_arg(self, node):
+        return None if self.op is not None and node.arg == "op" else node
+
+    def visit_Name(self, node):
+        if self.op is not None and node.id == "op":
+            return ast.copy_location(ast.Constant(self.op), node)
+        return node
 
     def visit_Attribute(self, node):
         if (node.attr == "_instr" and isinstance(node.value, ast.Name)
                 and node.value.id == "self"):
             return ast.copy_location(ast.Constant(False), node)
         return self.generic_visit(node)
+
+    def visit_Compare(self, node):
+        self.generic_visit(node)
+        if (len(node.ops) == 1 and isinstance(node.ops[0], (ast.Eq, ast.NotEq))
+                and isinstance(node.left, ast.Constant)
+                and isinstance(node.comparators[0], ast.Constant)):
+            equal = node.left.value == node.comparators[0].value
+            return ast.copy_location(
+                ast.Constant(equal == isinstance(node.ops[0], ast.Eq)), node)
+        return node
 
     def visit_If(self, node):
         self.generic_visit(node)
@@ -729,7 +769,7 @@ class _FoldInstrumentation(ast.NodeTransformer):
 
 
 def compile_plain(cls) -> None:
-    """Install on ``cls`` the plain twin of every generator method that
+    """Install on ``cls`` the plain twins of every generator method that
     ``cls`` itself defines (inherited ones already have theirs).
 
     Each source file is parsed once.  Subclasses are compiled when they
@@ -750,17 +790,23 @@ def compile_plain(cls) -> None:
             raise TypeError("%s.%s uses enclosing variables %s; only plain "
                             "methods can be compiled"
                             % (cls.__name__, name, code.co_freevars))
-        node = _FoldInstrumentation().visit(
-            defs[code.co_filename, code.co_firstlineno])
-        node.name = name + "_plain"
-        for sub in ast.walk(node):
-            if isinstance(sub, (ast.Yield, ast.YieldFrom)):
-                raise TypeError("%s.%s: yield left at line %d after folding"
-                                % (cls.__name__, name, sub.lineno))
-        module = ast.Module([node], [])
-        ns: dict = {}
-        exec(compile(module, code.co_filename, "exec"), fn.__globals__, ns)
-        setattr(cls, node.name, ns[node.name])
+        source = defs[code.co_filename, code.co_firstlineno]
+        if name == "_op":   # each operation folds a copy of its own
+            twins = [(op, twin, copy.deepcopy(source))
+                     for op, twin in _PLAIN_TWINS.items()]
+        else:
+            twins = [(None, name + "_plain", source)]
+        for op, twin, node in twins:
+            node = _FoldInstrumentation(op).visit(node)
+            node.name = twin
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.Yield, ast.YieldFrom)):
+                    raise TypeError("%s.%s: yield left at line %d after "
+                                    "folding" % (cls.__name__, name, sub.lineno))
+            ns: dict = {}
+            exec(compile(ast.Module([node], []), code.co_filename, "exec"),
+                 fn.__globals__, ns)
+            setattr(cls, twin, ns[twin])
 
 
 compile_plain(ConcurrentSet)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cobst.concurrent_set import (ConcurrentSet, K_CREATE, K_LOCK, K_READ,
-                                  K_WRITE, _edge_ref_cond, _edge_val_cond,
+                                  K_WRITE, S_CONT_STATE, S_TRAV_LEFT,
+                                  S_TRAV_RIGHT, _edge_ref_cond, _edge_val_cond,
                                   _state_cond)
 from cobst.reclaim import POISON, EpochReclaimer
 from cobst.rwlock import LockMode, LockOutcome
 from cobst.tree_core import (DATA, LEFT, RIGHT, ROUTING, Node, SequentialBst,
-                             dump_tree, validate_structure)
+                             dump_tree, traverse, validate_structure)
 
 
 def two_level_tree():
@@ -246,12 +247,11 @@ def test_stats_track_per_thread_and_merge():
     s.run_op("insert", 1, tkey="a")
     s.run_op("insert", 2, tkey="b")
     s.run_op("delete", 1, tkey="b")
-    assert s.stats("a").ops["insert"] == 1
-    assert s.stats("b").completed == 2
+    assert s._thread_stats("a").ops["insert"] == 1
+    assert s._thread_stats("b").completed == 2
     snap = s.stats_snapshot()
     assert snap["completed"] == 3
     assert snap["ops"] == {"contains": 0, "insert": 2, "delete": 1}
-    assert s.total_completed() == 3
 
 
 # -- reclamation ----------------------------------------------------------------------
@@ -373,6 +373,39 @@ def test_instrumented_contains_yields_reads_only():
     assert s.stats_snapshot()["acquisitions"]["contains"] == 0
 
 
+# under the root: 50, with children 20 and 80; deleting 50 leaves it routing
+@pytest.mark.parametrize("deleted,k,path", [
+    ((), 20, "LL"),               # hit on the left
+    ((), 80, "LR"),               # hit on the right
+    ((), 10, "LLL"),              # miss under the left leaf
+    ((), 90, "LRR"),              # miss under the right leaf
+    ((50, 20, 80), 5, "L"),       # miss on the empty set
+    ((50,), 50, "L"),             # routing node: found, not a member
+])
+def test_contains_checkpoints_follow_the_traverse_path(deleted, k, path):
+    s = ConcurrentSet()
+    for key in (50, 20, 80):
+        s.insert(key)
+    for key in deleted:
+        s.delete(key)
+    _, prev, curr = traverse(s.root, k)
+    last, node = None, s.root
+    for step in path:
+        last, node = node, node.left if step == "L" else node.right
+    assert (last, node) == (prev, curr)          # path is traverse's path
+    sites = []
+    g = s.op_gen("contains", k)
+    try:
+        while True:
+            sites.append(next(g))
+    except StopIteration as stop:
+        out = stop.value
+    want = [S_TRAV_LEFT if step == "L" else S_TRAV_RIGHT for step in path]
+    assert sites == want + ([S_CONT_STATE] if curr is not None else [])
+    assert list(s._traverse(k)) == want          # the updates' descent
+    assert out.result == (curr is not None and curr.state == DATA)
+
+
 def test_lock_event_hook_sees_outcomes():
     s = ConcurrentSet()
     s.insert(5)
@@ -392,7 +425,7 @@ def test_lock_order_tracker_rejects_upward_then_downward():
     node = s.root.left
     from cobst.concurrent_set import _ALWAYS, _AttemptCtx
     ctx = _AttemptCtx("t")
-    st = s.stats("t")
+    st = s._thread_stats("t")
 
     def run(gen):
         while True:

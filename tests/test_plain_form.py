@@ -3,22 +3,31 @@ generator bodies, must behave exactly like the stepping form the
 harness explores, and observe nothing."""
 
 import inspect
+import itertools
 import random
 import traceback
 
 import pytest
 
 import cobst.concurrent_set as cs
-from cobst.concurrent_set import ConcurrentSet, OpOutcome, W_DEL_DEMOTE
+from cobst.concurrent_set import (RESTART, S_CONT_STATE, ConcurrentSet,
+                                  OpOutcome, W_DEL_DEMOTE)
 from cobst.rwlock import CondRwLock
 from cobst.tree_core import dump_tree
 
 
+OP_TWINS = ("_contains_plain", "_insert_plain", "_delete_plain")
+
+
 def twin_names():
+    """Each generator method -> its plain twins: ``_op`` has one per
+    operation, every other method one."""
     names = [name for name, fn in vars(ConcurrentSet).items()
              if inspect.isgeneratorfunction(fn)]
     assert "_op" in names and "_lock" in names
-    return names
+    assert not hasattr(ConcurrentSet, "_op_plain")
+    return {name: OP_TWINS if name == "_op" else (name + "_plain",)
+            for name in names}
 
 
 def test_plain_form_matches_drained_generators():
@@ -40,17 +49,32 @@ def test_plain_form_matches_drained_generators():
 
 
 def test_every_twin_is_a_plain_function_from_the_module_source():
-    for name in twin_names():
-        twin = getattr(ConcurrentSet, name + "_plain")
-        assert not inspect.isgeneratorfunction(twin), name
-        assert twin.__code__.co_filename == cs.__file__
+    for name, twins in twin_names().items():
+        for twin in twins:
+            fn = getattr(ConcurrentSet, twin)
+            assert not inspect.isgeneratorfunction(fn), twin
+            assert fn.__code__.co_filename == cs.__file__
+    for twin in OP_TWINS:
+        params = inspect.signature(getattr(ConcurrentSet, twin)).parameters
+        assert list(params) == ["self", "v", "tkey"], twin
+
+
+def test_op_twins_keep_only_their_own_operation():
+    other = {"_contains_plain": ("_traverse_plain", "_insert_attempt_plain",
+                                 "_delete_attempt_plain", "_backoff"),
+             "_insert_plain": ("_delete_attempt_plain",),
+             "_delete_plain": ("_insert_attempt_plain",)}
+    for twin, absent in other.items():
+        names = getattr(ConcurrentSet, twin).__code__.co_names
+        assert "OpOutcome" not in names, twin
+        assert not set(absent) & set(names), twin
 
 
 def test_plain_form_observes_nothing_and_the_set_takes_no_options():
     observed = ("trace", "unlinked", "attempts", "_instr")
-    for name in twin_names():
-        names = getattr(ConcurrentSet, name + "_plain").__code__.co_names
-        assert not [n for n in names if any(o in n for o in observed)], name
+    for twin in itertools.chain(*twin_names().values()):
+        names = getattr(ConcurrentSet, twin).__code__.co_names
+        assert not [n for n in names if any(o in n for o in observed)], twin
     assert not inspect.signature(ConcurrentSet).parameters
 
 
@@ -63,7 +87,7 @@ def test_twin_traceback_points_into_the_generator_source(monkeypatch):
     with pytest.raises(RuntimeError) as info:
         s.insert(5)
     frames = {f.name: f for f in traceback.extract_tb(info.value.__traceback__)}
-    for twin, name in (("_op_plain", "_op"),
+    for twin, name in (("_insert_plain", "_op"),
                        ("_insert_attempt_plain", "_insert_attempt"),
                        ("_lock_plain", "_lock")):
         lines, first = inspect.getsourcelines(getattr(ConcurrentSet, name))
@@ -104,3 +128,46 @@ def test_closure_methods_are_refused():
             def _delete_two_children(self, ctx, tkey, st, curr):
                 yield site
                 return False
+
+
+class RestartsEachInsertOnce(ConcurrentSet):
+    """Every insert's first attempt restarts; the second runs the real one."""
+
+    _base_insert_attempt = ConcurrentSet._insert_attempt
+
+    def _insert_attempt(self, v, tkey, st):
+        if st.restarts < st.ops["insert"]:
+            return RESTART
+        return (yield from self._base_insert_attempt(v, tkey, st))
+
+
+def test_run_op_reports_restarts_like_the_stepping_form():
+    assert (RestartsEachInsertOnce._insert_attempt_plain
+            is not ConcurrentSet._insert_attempt_plain)
+    plain, stepped = RestartsEachInsertOnce(), RestartsEachInsertOnce()
+    for k in (5, 3, 5):
+        want = stepped._drain(stepped.op_gen("insert", k))
+        got = plain.run_op("insert", k)
+        assert got == want and got.restarts == 1, k
+    assert plain.stats_snapshot() == stepped.stats_snapshot()
+    assert plain.run_op("contains", 5) == OpOutcome("contains", 5, True, 0)
+    with pytest.raises(ValueError):
+        plain.run_op("pop", 1)
+
+
+class AnswersByOperation(ConcurrentSet):
+    """Mutant ``_op``: contains answers True, updates False, nothing runs."""
+
+    def _op(self, op, v, tkey):
+        if self._instr:
+            yield S_CONT_STATE
+        return op == "contains"
+
+
+def test_subclass_op_gets_fresh_per_op_twins():
+    for twin in OP_TWINS:
+        assert getattr(AnswersByOperation, twin) is not getattr(ConcurrentSet, twin)
+    s = AnswersByOperation()
+    assert (s.contains(5), s.insert(5), s.delete(5)) == (True, False, False)
+    assert s.run_op("insert", 5) == OpOutcome("insert", 5, False, 0)
+    assert s.snapshot_keys() == []
