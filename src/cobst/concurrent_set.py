@@ -3,9 +3,10 @@
 Every operation is optimistic: an unsynchronized traversal finds the
 relevant nodes, then the operation takes the smallest possible set of
 conditional locks, re-verifies that the world still looks the way the
-traversal saw it, and commits.  Any lock outcome other than ACQUIRED
-aborts the attempt, releases everything, and restarts from a fresh
-traversal.  Reads (``contains``) take no locks at all and never restart.
+traversal saw it, and commits.  A lock that is not granted, or a
+re-check that fails, raises ``Restart``; the restart loop in ``_op``
+catches it, releases everything the attempt holds and traverses again.
+Reads (``contains``) take no locks at all and never restart.
 
 Lock granularity is per-field: each node has one lock per outgoing
 child edge and one for its state/deleted pair.  Edge locks are only
@@ -150,7 +151,10 @@ C_INS_NODE = Site(K_CREATE, "insert.node")
 
 _ALWAYS = lambda: True  # noqa: E731  (plain, unconditional acquisition)
 
-RESTART = object()       # attempt verdict: release everything, traverse again
+
+class Restart(Exception):
+    """Aborts an update attempt: release everything, traverse again."""
+
 
 # Randomized backoff between restarts, while no locks are held.  Timed
 # sleeps are safe here precisely because the attempt released everything;
@@ -216,7 +220,8 @@ class OpOutcome:
 class _AttemptCtx:
     """Per-attempt lock bookkeeping: what we hold (for the all-or-nothing
     release) and, in the stepping form, the last lock level (for the
-    deadlock-order assert)."""
+    deadlock-order assert).  ``_op`` creates one per attempt and releases
+    it when the attempt ends, before any backoff."""
 
     __slots__ = ("tkey", "held", "last_level")
 
@@ -355,7 +360,9 @@ class ConcurrentSet:
         The stepping form yields one LockPoint checkpoint and makes a
         single attempt; the plain form spins on contention, all of it
         inside what would be one checkpoint, because a failed CAS
-        re-attempt reads nothing new about the tree.
+        re-attempt reads nothing new about the tree.  A granted lock
+        goes on ``ctx.held``, which ``_op`` owns and releases; any other
+        outcome is counted and raises ``Restart``.
         """
         if self._instr:
             assert ctx.last_level is None or level <= ctx.last_level, \
@@ -370,11 +377,12 @@ class ConcurrentSet:
         if out is LockOutcome.ACQUIRED:
             ctx.held.append((lock, mode))
             st.acquisitions[optag] += 1
-        elif out is LockOutcome.CONDITION_VIOLATED:
+            return
+        if out is LockOutcome.CONDITION_VIOLATED:
             st.cond_violations[family] = st.cond_violations.get(family, 0) + 1
         else:
             st.contended_aborts[family] = st.contended_aborts.get(family, 0) + 1
-        return out
+        raise Restart
 
     def _traverse(self, v: int):
         """Unsynchronized descent to ``(gprev, prev, curr)`` as in
@@ -432,14 +440,20 @@ class ConcurrentSet:
                         curr = curr.right
             else:
                 while True:
-                    if op == "insert":
-                        result = yield from self._insert_attempt(v, tkey, st)
-                    else:
-                        result = yield from self._delete_attempt(v, tkey, st)
-                    if result is not RESTART:
+                    ctx = _AttemptCtx(tkey)
+                    try:
+                        if op == "insert":
+                            result = yield from self._insert_attempt(
+                                ctx, tkey, st, v)
+                        else:
+                            result = yield from self._delete_attempt(
+                                ctx, tkey, st, v)
                         break
-                    restarts += 1
-                    st.restarts += 1
+                    except Restart:
+                        restarts += 1
+                        st.restarts += 1
+                    finally:
+                        self._release_all(ctx)
                     if self._instr:
                         continue   # stepped: the schedule picks who runs next
                     self._backoff(restarts)
@@ -452,113 +466,97 @@ class ConcurrentSet:
 
     # -- insert ------------------------------------------------------------
 
-    def _insert_attempt(self, v, tkey, st):
-        ctx = _AttemptCtx(tkey)
-        try:
-            _, prev, curr = yield from self._traverse(v)
-            if curr is not None:
-                if self._instr:
-                    yield S_INS_STATE
-                if curr.state == DATA:
-                    # present already; lock-free and final even if the
-                    # node is concurrently being deleted, the read just
-                    # linearizes before that deletion
-                    return False
-                # routing node holds the key structurally: claim it
-                out = yield from self._lock(
-                    ctx, tkey, st, "insert", curr.state_lock, LockMode.WRITE,
-                    _state_cond(curr, ROUTING), "state", "insert.promote_state",
-                    level=0)
-                if out is not LockOutcome.ACQUIRED:
-                    return RESTART
-                if self._instr:
-                    yield W_INS_PROMOTE
-                    self.trace.append(("state", curr.id, DATA))
-                curr.state = DATA
-                return True
-            # key absent: hang a fresh leaf off prev, guarded by the edge
-            # still being empty and prev still being live
-            side = LEFT if v < prev.val else RIGHT
-            out = yield from self._lock(
-                ctx, tkey, st, "insert", prev.edge_lock(side), LockMode.WRITE,
-                _edge_ref_cond(prev, side, None), "edge_ref", "insert.edge",
+    def _insert_attempt(self, ctx, tkey, st, v):
+        _, prev, curr = yield from self._traverse(v)
+        if curr is not None:
+            if self._instr:
+                yield S_INS_STATE
+            if curr.state == DATA:
+                # present already; lock-free and final even if the
+                # node is concurrently being deleted, the read just
+                # linearizes before that deletion
+                return False
+            # routing node holds the key structurally: claim it
+            yield from self._lock(
+                ctx, tkey, st, "insert", curr.state_lock, LockMode.WRITE,
+                _state_cond(curr, ROUTING), "state", "insert.promote_state",
                 level=0)
-            if out is not LockOutcome.ACQUIRED:
-                return RESTART
-            # shared hold on prev's state: blocks a concurrent demotion or
-            # deletion of prev between our deleted re-check and the link
-            out = yield from self._lock(
-                ctx, tkey, st, "insert", prev.state_lock, LockMode.READ,
-                _ALWAYS, "state_plain", "insert.parent_state", level=-1)
-            if out is not LockOutcome.ACQUIRED:
-                return RESTART
-            if prev.deleted:   # fresh read under the lock
-                return RESTART
             if self._instr:
-                yield C_INS_NODE
-            node = Node(v, DATA, next(self._ids))
-            if self._instr:
-                self.trace.append(("create", node.id, v, DATA))
-                yield W_INS_LINK
-                self.trace.append(("edge", prev.id, side, node.id))
-            prev.set_child(side, node)
+                yield W_INS_PROMOTE
+                self.trace.append(("state", curr.id, DATA))
+            curr.state = DATA
             return True
-        finally:
-            self._release_all(ctx)
+        # key absent: hang a fresh leaf off prev, guarded by the edge
+        # still being empty and prev still being live
+        side = LEFT if v < prev.val else RIGHT
+        yield from self._lock(
+            ctx, tkey, st, "insert", prev.edge_lock(side), LockMode.WRITE,
+            _edge_ref_cond(prev, side, None), "edge_ref", "insert.edge",
+            level=0)
+        # shared hold on prev's state: blocks a concurrent demotion or
+        # deletion of prev between our deleted re-check and the link
+        yield from self._lock(
+            ctx, tkey, st, "insert", prev.state_lock, LockMode.READ,
+            _ALWAYS, "state_plain", "insert.parent_state", level=-1)
+        if prev.deleted:   # fresh read under the lock
+            raise Restart
+        if self._instr:
+            yield C_INS_NODE
+        node = Node(v, DATA, next(self._ids))
+        if self._instr:
+            self.trace.append(("create", node.id, v, DATA))
+            yield W_INS_LINK
+            self.trace.append(("edge", prev.id, side, node.id))
+        prev.set_child(side, node)
+        return True
 
     # -- delete ------------------------------------------------------------
 
-    def _delete_attempt(self, v, tkey, st):
-        ctx = _AttemptCtx(tkey)
-        try:
-            gprev, prev, curr = yield from self._traverse(v)
-            if curr is None:
-                return False
-            if self._instr:
-                yield S_DEL_STATE
-            if curr.state != DATA:
-                return False
-            if self._instr:
-                yield S_DEL_LEFT
-            left = curr.left
-            if self._instr:
-                yield S_DEL_RIGHT
-            right = curr.right
+    def _delete_attempt(self, ctx, tkey, st, v):
+        gprev, prev, curr = yield from self._traverse(v)
+        if curr is None:
+            return False
+        if self._instr:
+            yield S_DEL_STATE
+        if curr.state != DATA:
+            return False
+        if self._instr:
+            yield S_DEL_LEFT
+        left = curr.left
+        if self._instr:
+            yield S_DEL_RIGHT
+        right = curr.right
 
-            if left is not None and right is not None:
-                return (yield from self._delete_two_children(ctx, tkey, st, curr))
-            if left is not None or right is not None:
-                child = left if left is not None else right
-                return (yield from self._delete_one_child(
-                    ctx, tkey, st, v, prev, curr, child,
-                    LEFT if left is not None else RIGHT))
-            # leaf: which unlink shape applies depends on the parent kind
-            if self._instr:
-                yield S_DEL_PSTATE
-            if prev.state == DATA:
-                return (yield from self._delete_leaf_data_parent(
-                    ctx, tkey, st, v, prev))
-            side = LEFT if v < prev.val else RIGHT
-            if self._instr:
-                yield S_DEL_SIBLING
-            sibling = prev.right if side == LEFT else prev.left
-            return (yield from self._delete_leaf_routing_parent(
-                ctx, tkey, st, v, gprev, prev, sibling))
-        finally:
-            self._release_all(ctx)
+        if left is not None and right is not None:
+            return (yield from self._delete_two_children(ctx, tkey, st, curr))
+        if left is not None or right is not None:
+            child = left if left is not None else right
+            return (yield from self._delete_one_child(
+                ctx, tkey, st, v, prev, curr, child,
+                LEFT if left is not None else RIGHT))
+        # leaf: which unlink shape applies depends on the parent kind
+        if self._instr:
+            yield S_DEL_PSTATE
+        if prev.state == DATA:
+            return (yield from self._delete_leaf_data_parent(
+                ctx, tkey, st, v, prev))
+        side = LEFT if v < prev.val else RIGHT
+        if self._instr:
+            yield S_DEL_SIBLING
+        sibling = prev.right if side == LEFT else prev.left
+        return (yield from self._delete_leaf_routing_parent(
+            ctx, tkey, st, v, gprev, prev, sibling))
 
     def _delete_two_children(self, ctx, tkey, st, curr):
         """Both children present: the node only loses its membership and
         stays as routing structure."""
-        out = yield from self._lock(
+        yield from self._lock(
             ctx, tkey, st, "delete", curr.state_lock, LockMode.WRITE,
             _state_cond(curr, DATA), "state", "delete.demote_state", level=0)
-        if out is not LockOutcome.ACQUIRED:
-            return RESTART
         # the state lock keeps leaf deletions below us out, but a child
         # may have been spliced away before we got the lock; re-check
         if curr.left is None or curr.right is None:
-            return RESTART
+            raise Restart
         if self._instr:
             yield W_DEL_DEMOTE
             self.trace.append(("state", curr.id, ROUTING))
@@ -572,29 +570,23 @@ class ConcurrentSet:
         edge above curr, then curr's state.
         """
         side = LEFT if v < prev.val else RIGHT
-        out = yield from self._lock(
+        yield from self._lock(
             ctx, tkey, st, "delete", curr.edge_lock(child_side), LockMode.WRITE,
             _edge_ref_cond(curr, child_side, child), "edge_ref",
             "delete.splice_child_edge", level=1)
-        if out is not LockOutcome.ACQUIRED:
-            return RESTART
-        out = yield from self._lock(
+        yield from self._lock(
             ctx, tkey, st, "delete", prev.edge_lock(side), LockMode.WRITE,
             _edge_ref_cond(prev, side, curr), "edge_ref",
             "delete.splice_parent_edge", level=0)
-        if out is not LockOutcome.ACQUIRED:
-            return RESTART
-        out = yield from self._lock(
+        yield from self._lock(
             ctx, tkey, st, "delete", curr.state_lock, LockMode.WRITE,
             _state_cond(curr, DATA), "state", "delete.splice_state", level=0)
-        if out is not LockOutcome.ACQUIRED:
-            return RESTART
         # fresh re-check that curr still has exactly this one child: the
         # other slot may have been filled by an insert before our state
         # lock landed
         other = curr.right if child_side == LEFT else curr.left
         if other is not None:
-            return RESTART
+            raise Restart
         if self._instr:
             yield W_DEL_MARK
             self.trace.append(("mark", curr.id))
@@ -616,26 +608,20 @@ class ConcurrentSet:
         lock and delete that one.
         """
         side = LEFT if v < prev.val else RIGHT
-        out = yield from self._lock(
+        yield from self._lock(
             ctx, tkey, st, "delete", prev.edge_lock(side), LockMode.WRITE,
             _edge_val_cond(prev, side, v), "edge_val", "delete.leaf_edge",
             level=0)
-        if out is not LockOutcome.ACQUIRED:
-            return RESTART
         curr = prev.child(side)   # fresh: the locked occupant, maybe a twin
-        out = yield from self._lock(
+        yield from self._lock(
             ctx, tkey, st, "delete", curr.state_lock, LockMode.WRITE,
             _state_cond(curr, DATA), "state", "delete.leaf_state", level=0)
-        if out is not LockOutcome.ACQUIRED:
-            return RESTART
         if curr.left is not None or curr.right is not None:
-            return RESTART     # grew children since the traversal
-        out = yield from self._lock(
+            raise Restart     # grew children since the traversal
+        yield from self._lock(
             ctx, tkey, st, "delete", prev.state_lock, LockMode.READ,
             _state_cond(prev, DATA), "state", "delete.leaf_parent_state",
             level=-1)
-        if out is not LockOutcome.ACQUIRED:
-            return RESTART
         if self._instr:
             yield W_DEL_MARK
             self.trace.append(("mark", curr.id))
@@ -656,39 +642,29 @@ class ConcurrentSet:
         assert gprev is not None, "routing parent cannot be the root"
         side = LEFT if v < prev.val else RIGHT
         pside = LEFT if prev.val < gprev.val else RIGHT
-        out = yield from self._lock(
+        yield from self._lock(
             ctx, tkey, st, "delete", prev.edge_lock(side), LockMode.WRITE,
             _edge_val_cond(prev, side, v), "edge_val", "delete.pair_edge",
             level=0)
-        if out is not LockOutcome.ACQUIRED:
-            return RESTART
         curr = prev.child(side)   # fresh occupant under the value lock
-        out = yield from self._lock(
+        yield from self._lock(
             ctx, tkey, st, "delete", curr.state_lock, LockMode.WRITE,
             _state_cond(curr, DATA), "state", "delete.pair_state", level=0)
-        if out is not LockOutcome.ACQUIRED:
-            return RESTART
         if curr.left is not None or curr.right is not None:
-            return RESTART
-        out = yield from self._lock(
+            raise Restart
+        yield from self._lock(
             ctx, tkey, st, "delete",
             prev.edge_lock(LEFT if side == RIGHT else RIGHT), LockMode.WRITE,
             _edge_ref_cond(prev, LEFT if side == RIGHT else RIGHT, sibling),
             "edge_ref", "delete.pair_sibling_edge", level=0)
-        if out is not LockOutcome.ACQUIRED:
-            return RESTART
-        out = yield from self._lock(
+        yield from self._lock(
             ctx, tkey, st, "delete", gprev.edge_lock(pside), LockMode.WRITE,
             _edge_ref_cond(gprev, pside, prev), "edge_ref",
             "delete.pair_parent_edge", level=-1)
-        if out is not LockOutcome.ACQUIRED:
-            return RESTART
-        out = yield from self._lock(
+        yield from self._lock(
             ctx, tkey, st, "delete", prev.state_lock, LockMode.WRITE,
             _state_cond(prev, ROUTING), "state", "delete.pair_parent_state",
             level=-1)
-        if out is not LockOutcome.ACQUIRED:
-            return RESTART
         if self._instr:
             yield W_DEL_MARK_PARENT
             self.trace.append(("mark", prev.id))

@@ -202,12 +202,12 @@ class RunReport:
 
     def kv_lines(self) -> list[str]:
         lines = ["steps=%d" % len(self.realized)]
+        restarts = self.restarts
         for tid in sorted(self.outcomes):
             for i, o in enumerate(self.outcomes[tid]):
                 lines.append("thread.%d.result.%d=%s"
                              % (tid, i, "true" if o.result else "false"))
-            lines.append("thread.%d.restarts=%d"
-                         % (tid, sum(o.restarts for o in self.outcomes[tid])))
+            lines.append("thread.%d.restarts=%d" % (tid, restarts[tid]))
         for fam in sorted(self.cv_by_family):
             lines.append("cv.%s=%d" % (fam, self.cv_by_family[fam]))
         for fam in sorted(self.contended_by_family):
@@ -220,11 +220,12 @@ class RunReport:
     def __str__(self):
         out = ["run of %d thread(s), %d grants"
                % (len(self.outcomes), len(self.realized))]
+        restarts = self.restarts
         for tid in sorted(self.outcomes):
             ops = ", ".join("%s(%d) -> %s" % (o.op, o.key, str(o.result).lower())
                             for o in self.outcomes[tid])
             out.append("  thread %d: %s  [restarts %d]"
-                       % (tid, ops, sum(o.restarts for o in self.outcomes[tid])))
+                       % (tid, ops, restarts[tid]))
         out.append("  final keys: {%s}" % ", ".join(str(k) for k in self.final_keys))
         out.append("  " + str(self.structure))
         return "\n".join(out)
@@ -382,15 +383,13 @@ def run_script(script: ScheduleScript, *, on_blocked: str = "error") -> RunRepor
 
 
 def random_schedule(thread_count: int, ops_per_thread: int, key_range: int,
-                    seed: int, *, setup_size: int | None = None) -> ScheduleScript:
+                    seed: int) -> ScheduleScript:
     """Seeded random script: setup keys, per-thread programs and a step
     sequence.  Deterministic in the seed.  Run it with
     ``on_blocked="reassign"`` since random steps cannot know about
     blocking."""
     rng = random.Random(seed)
-    if setup_size is None:
-        setup_size = key_range // 2
-    setup = rng.sample(range(key_range), min(setup_size, key_range))
+    setup = rng.sample(range(key_range), key_range // 2)
     programs = {}
     for tid in range(thread_count):
         programs[tid] = [

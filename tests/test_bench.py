@@ -372,11 +372,13 @@ def test_cli_replay_bad_inputs(tmp_path, capsys):
     for text, msg in (("thread 0: insert(99999999999999999999)\n",
                        "outside the 64-bit signed range"),
                       ("setup: 9223372036854775807\nthread 0: insert(1)\n",
-                       "internal sentinel")):
+                       "internal sentinel"),
+                      ("thread 0: insert(1)\nschedule: 3:1\n",
+                       "unknown thread 3")):
         bad.write_text(text)
         assert main(["replay", "--script", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert msg in err and "Traceback" not in err
+        assert "bad script" in err and msg in err and "Traceback" not in err
 
 
 def test_cli_replay_blocked_schedule(tmp_path, capsys):

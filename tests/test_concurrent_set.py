@@ -11,7 +11,7 @@ from cobst.concurrent_set import (ConcurrentSet, K_CREATE, K_LOCK, K_READ,
                                   S_TRAV_RIGHT, _edge_ref_cond, _edge_val_cond,
                                   _state_cond)
 from cobst.reclaim import POISON, EpochReclaimer
-from cobst.rwlock import LockMode, LockOutcome
+from cobst.rwlock import LockMode, LockOutcome, SpinPolicy
 from cobst.tree_core import (DATA, LEFT, RIGHT, ROUTING, Node, SequentialBst,
                              dump_tree, traverse, validate_structure)
 
@@ -434,13 +434,73 @@ def test_lock_order_tracker_rejects_upward_then_downward():
             except StopIteration as stop:
                 return stop.value
 
-    out = run(s._lock(ctx, "t", st, "delete", node.state_lock, LockMode.READ,
-                      _ALWAYS, "state", "x", level=-1))
-    assert out is LockOutcome.ACQUIRED
+    run(s._lock(ctx, "t", st, "delete", node.state_lock, LockMode.READ,
+                _ALWAYS, "state", "x", level=-1))
+    assert ctx.held == [(node.state_lock, LockMode.READ)]
     with pytest.raises(AssertionError):
         run(s._lock(ctx, "t", st, "delete", node.left_lock, LockMode.WRITE,
                     _ALWAYS, "edge_ref", "y", level=0))
     s._release_all(ctx)
+
+
+def busy_locks(s, but=None):
+    """The tree's locks, other than ``but``, whose word is not 0."""
+    busy, stack = [], [s.root]
+    while stack:
+        node = stack.pop()
+        locks = (node.left_lock, node.right_lock, node.state_lock)
+        busy += [lk for lk in locks if lk.word and lk is not but]
+        stack += [c for c in (node.left, node.right) if c is not None]
+    return busy
+
+
+class ChecksReleaseBeforeBackoff(ConcurrentSet):
+    """Backs off only once the aborted attempt has released every lock
+    but the hand-held one, then frees that one."""
+
+    hand_held = None
+    backoffs = 0
+
+    def _backoff(self, n):
+        assert busy_locks(self, but=self.hand_held) == []
+        self.hand_held.word = 0
+        self.backoffs += 1
+
+
+def test_plain_contended_abort_releases_before_backoff(monkeypatch):
+    monkeypatch.setattr(SpinPolicy, "pause", staticmethod(lambda round_: None))
+    s = ChecksReleaseBeforeBackoff()
+    s.insert(10)
+    parent = s.root.left
+    s.hand_held = parent.state_lock
+    parent.state_lock.word = 1   # a writer holds the parent's state
+    before = s.stats_snapshot()
+    assert s.insert(5) is True
+    after = s.stats_snapshot()
+    assert s.backoffs == 1
+    assert after["restarts"] == before["restarts"] + 1
+    assert after["contended_aborts"] == {"state_plain": 1}
+    assert busy_locks(s) == []
+
+
+def test_stepped_contended_abort_holds_nothing_at_the_next_traversal():
+    s = ConcurrentSet()
+    s.insert(10)
+    parent = s.root.left
+    parent.state_lock.word = 1
+    gen = s.op_gen("insert", 5, "t")
+    point = next(gen)
+    while getattr(point, "name", None) != "insert.parent_state":
+        point = next(gen)
+    assert point.would_block()
+    point = next(gen)           # the attempt fails and the insert retraverses
+    assert point in (S_TRAV_LEFT, S_TRAV_RIGHT)
+    assert s.attempts["t"].held == []
+    assert busy_locks(s, but=parent.state_lock) == []
+    parent.state_lock.word = 0
+    assert s._drain(gen).restarts == 1
+    assert s.stats_snapshot()["contended_aborts"] == {"state_plain": 1}
+    assert s.contains(5)
 
 
 # -- short real-thread smoke -----------------------------------------------------------

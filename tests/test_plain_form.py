@@ -10,8 +10,8 @@ import traceback
 import pytest
 
 import cobst.concurrent_set as cs
-from cobst.concurrent_set import (RESTART, S_CONT_STATE, ConcurrentSet,
-                                  OpOutcome, W_DEL_DEMOTE)
+from cobst.concurrent_set import (S_CONT_STATE, ConcurrentSet, OpOutcome,
+                                  Restart, W_DEL_DEMOTE)
 from cobst.rwlock import CondRwLock
 from cobst.tree_core import dump_tree
 
@@ -60,7 +60,8 @@ def test_every_twin_is_a_plain_function_from_the_module_source():
 
 
 def test_op_twins_keep_only_their_own_operation():
-    other = {"_contains_plain": ("_traverse_plain", "_insert_attempt_plain",
+    other = {"_contains_plain": ("_traverse_plain", "_AttemptCtx",
+                                 "_insert_attempt_plain",
                                  "_delete_attempt_plain", "_backoff"),
              "_insert_plain": ("_delete_attempt_plain",),
              "_delete_plain": ("_insert_attempt_plain",)}
@@ -135,10 +136,10 @@ class RestartsEachInsertOnce(ConcurrentSet):
 
     _base_insert_attempt = ConcurrentSet._insert_attempt
 
-    def _insert_attempt(self, v, tkey, st):
+    def _insert_attempt(self, ctx, tkey, st, v):
         if st.restarts < st.ops["insert"]:
-            return RESTART
-        return (yield from self._base_insert_attempt(v, tkey, st))
+            raise Restart
+        return (yield from self._base_insert_attempt(ctx, tkey, st, v))
 
 
 def test_run_op_reports_restarts_like_the_stepping_form():
