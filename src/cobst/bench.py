@@ -31,7 +31,7 @@ from .concurrent_set import ConcurrentSet, OpOutcome
 from .tree_core import SequentialBst
 
 __all__ = ["WorkloadConfig", "BenchResult", "CoarseLockedSet", "run_bench",
-           "emit_csv", "CSV_HEADER", "RANGE_PRESETS", "thread_seed", "draw_op"]
+           "CSV_HEADER", "RANGE_PRESETS", "thread_seed", "draw_op"]
 
 IMPLS = ("co-bst", "coarse-bst")
 
@@ -263,10 +263,3 @@ def run_bench(cfg: WorkloadConfig) -> BenchResult:
         update_pct=cfg.update_pct, duration_ms=int(elapsed * 1000),
         throughput_ops_s=total / elapsed if elapsed > 0 else 0.0,
         inserts=ins, deletes=dele, contains=ctn, restarts=rst, update_ok=ok)
-
-
-def emit_csv(results, fh) -> None:
-    """Write results with the fixed header to an open text file."""
-    fh.write(CSV_HEADER + "\n")
-    for r in results:
-        fh.write(r.csv_row() + "\n")

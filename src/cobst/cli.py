@@ -4,7 +4,8 @@ Three subcommands:
 
 * ``bench``   run one throughput measurement and print or append CSV
 * ``check``   decide linearizability of a recorded history file
-* ``replay``  execute a schedule script deterministically and report
+* ``replay``  execute a schedule script deterministically, report it and
+              verify its structure, held locks, trace and linearizability
 
 Exit codes: 0 on success (for ``check``: linearizable), 1 when the
 verdict is negative (not linearizable, replay hit a violation), 2 on
@@ -17,10 +18,10 @@ import argparse
 import os
 import sys
 
-from .bench import (CSV_HEADER, RANGE_PRESETS, WorkloadConfig, emit_csv,
-                    run_bench)
+from .bench import CSV_HEADER, RANGE_PRESETS, WorkloadConfig, run_bench
 from .harness import ScheduleBlockedError, ScriptError, parse_script, run_script
-from .history import (HistoryTooLargeError, is_linearizable, parse_history)
+from .history import (HistoryTooLargeError, check_observable_correctness,
+                      is_linearizable, parse_history)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,8 +133,13 @@ def _cmd_replay(args) -> int:
         print("replay failed: %s" % e, file=sys.stderr)
         return 2
     print(report)
-    rc = 0
-    if not report.structure.ok or not report.locks_clean:
+    rc = 0 if report.structure.ok else 1
+    if not report.locks_clean:
+        print("locks left held: %d" % report.structure.held_locks)
+        rc = 1
+    obs = check_observable_correctness(report.trace)
+    if not obs.ok:
+        print(obs)
         rc = 1
     if not args.no_check:
         try:

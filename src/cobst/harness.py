@@ -34,8 +34,13 @@ release everything, and the randomized backoff lets one of them win
 the next round.  The harness models the same resolution: when nobody
 is runnable it grants one blocked thread (rotating fairly so no single
 thread aborts forever), whose single-shot attempt fails CONTENDED and
-restarts, unblocking the rest.  A generous per-run grant cap guards
-against pathological schedules that keep recreating the stand-off.
+restarts, unblocking the rest.
+
+Replay (``run_script``) and exploration (``explore_small``) both step a
+``_Run``, so they share one grant cap: a run of a script with n
+operations, setup inserts included, may take at most 10 000 + 1 000·n
+grants, which guards against pathological schedules that keep
+recreating the stand-off.
 """
 
 from __future__ import annotations
@@ -193,7 +198,10 @@ class RunReport:
     acquisitions_by_op: dict       # op type -> successful lock acquisitions
     final_keys: list
     structure: StructureReport
-    locks_clean: bool
+
+    @property
+    def locks_clean(self) -> bool:
+        return not self.structure.held_locks
 
     @property
     def restarts(self) -> dict:
@@ -231,41 +239,78 @@ class RunReport:
         return "\n".join(out)
 
 
-def _prepared_run(script: ScheduleScript):
-    """The set every scheduled run steps, with the setup inserts done,
-    the recorder of its history, and one unstarted worker per thread.
+class _Run:
+    """One scheduled run: the set it steps, with the setup inserts done,
+    the recorder of its history, one unstarted worker per thread (in
+    thread id order), and the log of realized grants.
 
-    It reclaims through epochs like a production set: every operation
-    stays pinned while its generator sits suspended at a checkpoint, so
-    no node it can still reach is reclaimed under it.  The setup inserts
-    run through the same pipeline, as thread ``SETUP_THREAD``.
+    The set reclaims through epochs like a production set: every
+    operation stays pinned while its generator sits suspended at a
+    checkpoint, so no node it can still reach is reclaimed under it.
+    The setup inserts run through the same pipeline, as thread
+    ``SETUP_THREAD``.
     """
-    set_ = ConcurrentSet()
-    recorder = HistoryRecorder()
-    setup = _Worker(SETUP_THREAD, set_, [("insert", k) for k in script.setup],
-                    recorder)
-    setup.finish()
-    for out in setup.outcomes:
-        if not out.result:
-            raise ScriptError("setup insert(%d) returned false" % out.key)
-    workers = {tid: _Worker(tid, set_, ops, recorder)
-               for tid, ops in sorted(script.programs.items())}
-    return set_, recorder, workers
 
+    def __init__(self, script: ScheduleScript):
+        self.script = script
+        self.set = ConcurrentSet()
+        self.recorder = HistoryRecorder()
+        setup = _Worker(SETUP_THREAD, self.set,
+                        [("insert", k) for k in script.setup], self.recorder)
+        setup.finish()
+        for out in setup.outcomes:
+            if not out.result:
+                raise ScriptError("setup insert(%d) returned false" % out.key)
+        self.workers = {tid: _Worker(tid, self.set, ops, self.recorder)
+                        for tid, ops in sorted(script.programs.items())}
+        self.realized: list[int] = []
+        self._forced = 0   # mutual-block resolutions so far, for rotation
+        self._cap = 10_000 + 1_000 * (
+            len(script.setup) + sum(len(p) for p in script.programs.values()))
 
-def _collect_locks_free(set_: ConcurrentSet) -> bool:
-    nodes = []
-    stack = [set_.root]
-    while stack:
-        n = stack.pop()
-        if n is None or not hasattr(n, "left_lock"):
-            continue
-        nodes.append(n)
-        stack.append(n.left)
-        stack.append(n.right)
-    nodes.extend(set_.unlinked)
-    return all(n.left_lock.word == 0 and n.right_lock.word == 0
-               and n.state_lock.word == 0 for n in nodes)
+    def unfinished(self) -> list:
+        return [t for t, w in self.workers.items() if not w.finished]
+
+    def runnable(self) -> list:
+        return [t for t, w in self.workers.items()
+                if not w.finished and not w.blocked()]
+
+    def grant(self, tid: int):
+        """Grant ``tid`` one step; returns the checkpoint it performed."""
+        point = self.workers[tid].grant()
+        self.realized.append(tid)
+        if len(self.realized) > self._cap:
+            raise RuntimeError(
+                "run exceeded %d grants without finishing; the schedule "
+                "keeps recreating contention" % self._cap)
+        return point
+
+    def forced(self):
+        """The thread to grant when every unfinished thread is blocked,
+        or None once all have finished.  Its bounded lock attempt fails
+        CONTENDED and restarts it, releasing its locks; the choice
+        rotates so no thread aborts forever."""
+        stuck = self.unfinished()
+        if not stuck:
+            return None
+        tid = stuck[self._forced % len(stuck)]
+        self._forced += 1
+        return tid
+
+    def report(self) -> RunReport:
+        stats = self.set.stats_snapshot()
+        return RunReport(
+            script=self.script,
+            history=self.recorder.history(),
+            trace=self.set.trace,
+            outcomes={tid: w.outcomes for tid, w in self.workers.items()},
+            realized=self.realized,
+            cv_by_family=stats["cond_violations"],
+            contended_by_family=stats["contended_aborts"],
+            acquisitions_by_op=stats["acquisitions"],
+            final_keys=self.set.snapshot_keys(),
+            structure=validate_structure(self.set),
+        )
 
 
 def _wait_chain(set_: ConcurrentSet, workers: dict, start_tid: int) -> str:
@@ -303,83 +348,40 @@ def run_script(script: ScheduleScript, *, on_blocked: str = "error") -> RunRepor
     if on_blocked not in ("error", "reassign"):
         raise ValueError("on_blocked must be 'error' or 'reassign'")
     script.validate()
-    set_, recorder, workers = _prepared_run(script)
-    realized: list[int] = []
-    total_ops = len(script.setup) + sum(len(p) for p in script.programs.values())
-    grant_cap = 10_000 + 1_000 * total_ops
-    forced = 0   # mutual-block resolutions so far, for fair rotation
-
-    def runnable_unblocked():
-        return [t for t, w in sorted(workers.items())
-                if not w.finished and not w.blocked()]
-
-    def grant(tid):
-        workers[tid].grant()
-        realized.append(tid)
-        if len(realized) > grant_cap:
-            raise RuntimeError(
-                "run exceeded %d grants without finishing; the schedule "
-                "keeps recreating contention" % grant_cap)
-
-    def force_one_blocked():
-        # everyone unfinished is blocked: perform one bounded lock
-        # attempt, which fails CONTENDED and restarts that thread,
-        # releasing its locks; rotate so no thread aborts forever
-        nonlocal forced
-        stuck = [t for t, w in sorted(workers.items()) if not w.finished]
-        grant(stuck[forced % len(stuck)])
-        forced += 1
+    run = _Run(script)
+    workers = run.workers
 
     for tid, n in script.steps:
         for _ in range(n):
             w = workers[tid]
-            problem = ("finished" if w.finished
-                       else "blocked" if w.blocked() else None)
-            if problem is None:
-                grant(tid)
+            if not w.finished and not w.blocked():
+                run.grant(tid)
                 continue
             if on_blocked == "error":
-                if problem == "finished":
+                if w.finished:
                     raise ScriptError(
                         "schedule grants a step to finished thread %d" % tid)
-                raise ScheduleBlockedError(_wait_chain(set_, workers, tid))
-            others = [t for t in runnable_unblocked() if t != tid]
-            if others:
-                grant(others[0])
-            elif any(not w2.finished for w2 in workers.values()):
-                force_one_blocked()
-            else:
+                raise ScheduleBlockedError(_wait_chain(run.set, workers, tid))
+            others = run.runnable()
+            other = others[0] if others else run.forced()
+            if other is None:
                 break
+            run.grant(other)
 
     # drain: round-robin by thread id, one grant per turn, skip blocked
     while True:
-        todo = [t for t, w in sorted(workers.items()) if not w.finished]
+        todo = run.unfinished()
         if not todo:
             break
         progressed = False
         for tid in todo:
             w = workers[tid]
-            if w.finished or w.blocked():
-                continue
-            grant(tid)
-            progressed = True
+            if not w.finished and not w.blocked():
+                run.grant(tid)
+                progressed = True
         if not progressed:
-            force_one_blocked()
-
-    stats = set_.stats_snapshot()
-    return RunReport(
-        script=script,
-        history=recorder.history(),
-        trace=set_.trace,
-        outcomes={tid: w.outcomes for tid, w in workers.items()},
-        realized=realized,
-        cv_by_family=stats["cond_violations"],
-        contended_by_family=stats["contended_aborts"],
-        acquisitions_by_op=stats["acquisitions"],
-        final_keys=set_.snapshot_keys(),
-        structure=validate_structure(set_),
-        locks_clean=_collect_locks_free(set_),
-    )
+            run.grant(run.forced())
+    return run.report()
 
 
 def random_schedule(thread_count: int, ops_per_thread: int, key_range: int,
@@ -403,7 +405,7 @@ def random_schedule(thread_count: int, ops_per_thread: int, key_range: int,
 
 # -- bounded exhaustive exploration --------------------------------------
 
-_EXPLORE_GRANT_CAP = 100_000
+_EXPLORE_BOUND = 10 ** 6
 
 
 @dataclass
@@ -432,12 +434,6 @@ class ExplorationReport:
                    len(self.obs_failures), len(self.structure_failures)))
 
 
-def _solo_steps(script, tid) -> int:
-    """Checkpoint count of one thread running alone: the basis for the
-    interleaving estimate."""
-    return _prepared_run(script)[2][tid].finish()
-
-
 def _interleaving_estimate(counts) -> int:
     # ways to interleave the threads' solo checkpoint sequences
     est = math.factorial(sum(counts))
@@ -446,7 +442,7 @@ def _interleaving_estimate(counts) -> int:
     return est
 
 
-def explore_small(setup, programs, *, bound: int = 10 ** 6) -> ExplorationReport:
+def explore_small(setup, programs) -> ExplorationReport:
     """Run every schedule of the given tiny scenario and check each
     distinct outcome.
 
@@ -459,102 +455,77 @@ def explore_small(setup, programs, *, bound: int = 10 ** 6) -> ExplorationReport
 
     Before starting, the interleaving count is estimated from each
     thread's solo checkpoint count (a multinomial coefficient); if the
-    estimate exceeds ``bound`` the exploration refuses to start rather
-    than run for hours.  The same bound also caps the actual walk.
+    estimate exceeds ``_EXPLORE_BOUND`` (10^6) the exploration refuses to
+    start rather than run for hours.  The same bound caps the actual walk.
     """
     script = ScheduleScript(setup=list(setup), programs=dict(programs))
     script.validate()
-    counts = [_solo_steps(script, tid)
-              for tid in sorted(script.programs)]
-    est = _interleaving_estimate(counts)
+    # each thread's checkpoint count when it runs alone
+    est = _interleaving_estimate([_Run(script).workers[tid].finish()
+                                  for tid in sorted(script.programs)])
     rep = ExplorationReport(estimate=est)
-    if est > bound:
+    if est > _EXPLORE_BOUND:
         raise ExplorationBoundError(
-            "estimated %d interleavings exceeds the bound %d" % (est, bound))
+            "estimated %d interleavings exceeds the bound %d" % (est, _EXPLORE_BOUND))
 
     seen_histories: set = set()
     seen_traces: set = set()
-
-    def one_run(prefix):
-        """Replay forcing ``prefix`` at the choice points, then always
-        taking the first runnable thread.  Returns the decision log and
-        the run artifacts."""
-        set_, recorder, workers = _prepared_run(script)
-        decisions = []   # (runnable tuple, chosen index) where len > 1
-        realized = []
-        depth = 0
-        forced = 0
-        while True:
-            runnable = tuple(t for t, w in sorted(workers.items())
-                             if not w.finished and not w.blocked())
-            if not runnable:
-                stuck = tuple(t for t, w in sorted(workers.items())
-                              if not w.finished)
-                if not stuck:
-                    break
-                # mutual blocking: resolve it the way a real run would,
-                # one bounded attempt fails CONTENDED and restarts.  The
-                # rotation is deterministic, not a decision point: which
-                # thread aborts first only reorders restarts, and the
-                # grant cap below bounds schedules that keep colliding.
-                tid = stuck[forced % len(stuck)]
-                forced += 1
-                point = workers[tid].grant()
-                if point is not None:
-                    rep.checkpoint_coverage.add((point.kind, point.name))
-                realized.append(tid)
-                if len(realized) > _EXPLORE_GRANT_CAP:
-                    raise RuntimeError(
-                        "one interleaving exceeded %d grants; the scenario "
-                        "keeps recreating contention" % _EXPLORE_GRANT_CAP)
-                continue
-            if len(runnable) == 1:
-                chosen = 0
-            elif depth < len(prefix):
-                chosen = runnable.index(prefix[depth])
-                depth += 1
-            else:
-                chosen = 0
-                depth += 1
-            if len(runnable) > 1:
-                decisions.append((runnable, chosen))
-            tid = runnable[chosen]
-            point = workers[tid].grant()
-            if point is not None:
-                rep.checkpoint_coverage.add((point.kind, point.name))
-            realized.append(tid)
-        return decisions, realized, recorder.history(), set_.trace, set_, workers
-
     prefix: list = []
     while True:
-        decisions, realized, hist, trace, set_, workers = one_run(prefix)
-        rep.interleavings += 1
-        for op, n in set_.stats_snapshot()["acquisitions"].items():
-            rep.acquisitions_by_op[op] = rep.acquisitions_by_op.get(op, 0) + n
-        if rep.interleavings > bound:
-            raise ExplorationBoundError(
-                "actual interleavings exceeded the bound %d" % bound)
+        # replay forcing ``prefix`` at the choice points, then always
+        # taking the first runnable thread
+        run = _Run(script)
+        decisions = []   # (runnable threads, chosen index) where more than one
+        while True:
+            runnable = run.runnable()
+            if len(runnable) > 1:
+                depth = len(decisions)
+                chosen = (runnable.index(prefix[depth])
+                          if depth < len(prefix) else 0)
+                decisions.append((runnable, chosen))
+                tid = runnable[chosen]
+            elif runnable:
+                tid = runnable[0]
+            else:
+                # mutual blocking, resolved the way a real run would.  The
+                # rotation is not a decision point: which thread aborts
+                # first only reorders restarts, and the grant cap bounds
+                # schedules that keep colliding.
+                tid = run.forced()
+                if tid is None:
+                    break
+            point = run.grant(tid)
+            if point is not None:
+                rep.checkpoint_coverage.add((point.kind, point.name))
 
+        rep.interleavings += 1
+        for op, n in run.set.stats_snapshot()["acquisitions"].items():
+            rep.acquisitions_by_op[op] = rep.acquisitions_by_op.get(op, 0) + n
+        if rep.interleavings > _EXPLORE_BOUND:
+            raise ExplorationBoundError(
+                "actual interleavings exceeded the bound %d" % _EXPLORE_BOUND)
+
+        hist = run.recorder.history()
         hkey = hist._key()
         if hkey not in seen_histories:
             seen_histories.add(hkey)
             rep.unique_histories += 1
             res = is_linearizable(hist)
             if not res.ok:
-                rep.lin_failures.append((list(realized), str(res)))
-        tkey = tuple(trace)
+                rep.lin_failures.append((run.realized, str(res)))
+        tkey = tuple(run.set.trace)
         if tkey not in seen_traces:
             seen_traces.add(tkey)
             rep.unique_traces += 1
-            obs = check_observable_correctness(trace)
+            obs = check_observable_correctness(run.set.trace)
             if not obs.ok:
-                rep.obs_failures.append((list(realized), str(obs)))
-            st = validate_structure(set_)
+                rep.obs_failures.append((run.realized, str(obs)))
+            st = validate_structure(run.set)
             if not st.ok:
-                rep.structure_failures.append((list(realized), str(st)))
-            if not _collect_locks_free(set_):
+                rep.structure_failures.append((run.realized, str(st)))
+            if st.held_locks:
                 rep.structure_failures.append(
-                    (list(realized), "locks left held at quiescence"))
+                    (run.realized, "locks left held at quiescence"))
 
         # backtrack to the deepest decision with an untried alternative
         nxt = None

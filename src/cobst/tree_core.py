@@ -211,6 +211,7 @@ class StructureReport:
     problems: list[str] = field(default_factory=list)
     node_count: int = 0
     data_count: int = 0
+    held_locks: int = 0     # set lock words; ``ok`` does not count them
 
     @property
     def ok(self) -> bool:
@@ -231,7 +232,8 @@ def validate_structure(tree) -> StructureReport:
     no cycles); the value property holds with strict bounds; routing
     nodes have exactly two children; no reachable node is marked deleted
     or reclaimed; and none of the nodes in ``tree.unlinked``, if it
-    exists, is reachable.
+    exists, is reachable.  The same walk counts, in ``held_locks``, the
+    lock words left set on reachable and unlinked nodes.
     """
     rep = StructureReport()
     root = tree.root
@@ -255,6 +257,7 @@ def validate_structure(tree) -> StructureReport:
             return
         seen.add(nid)
         rep.node_count += 1
+        rep.held_locks += _held(node)
         if node.reclaimed:
             rep.problems.append("reclaimed node %r still reachable" % (node,))
             return
@@ -279,7 +282,14 @@ def validate_structure(tree) -> StructureReport:
     for node in getattr(tree, "unlinked", ()):
         if id(node) in seen:
             rep.problems.append("unlinked node %r became reachable again" % (node,))
+        else:
+            rep.held_locks += _held(node)
     return rep
+
+
+def _held(node) -> int:
+    return ((node.left_lock.word != 0) + (node.right_lock.word != 0)
+            + (node.state_lock.word != 0))
 
 
 # -- text format -------------------------------------------------------

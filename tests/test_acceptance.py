@@ -206,6 +206,8 @@ def test_criterion_07_structural_invariants_under_stress():
     final = validate_structure(s)
     bad = [str(r) for r in reports + [final] if not r.ok]
     assert bad == [], bad
+    # every thread is parked between operations: no lock may be held
+    assert [r.held_locks for r in reports + [final]] == [0] * (len(reports) + 1)
     assert len(reports) >= 15, "only %d stop-the-world validations" % len(reports)
 
     STRESS["samples"] = samples

@@ -7,9 +7,9 @@ import threading
 
 import pytest
 
-from cobst import bench
+from cobst import bench, harness
 from cobst.bench import (CSV_HEADER, RANGE_PRESETS, BenchResult, CoarseLockedSet,
-                         WorkloadConfig, draw_op, emit_csv, make_set, prefill,
+                         WorkloadConfig, draw_op, make_set, prefill,
                          run_bench, thread_seed)
 from cobst.cli import main
 from cobst.concurrent_set import ConcurrentSet
@@ -215,16 +215,8 @@ def test_csv_row_matches_header_shape():
     assert r.csv_row() == "co-bst,4,1024,20,10000,123456.8,100,90,810,7"
     assert r.csv_row().count(",") == CSV_HEADER.count(",")
     assert r.total_ops == 1000
-
-
-def test_emit_csv_round_trips_the_numbers(tmp_path):
-    p = tmp_path / "out.csv"
-    r = sample_result()
-    with open(p, "w", encoding="utf-8") as fh:
-        emit_csv([r, r], fh)
-    with open(p, encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 2
+    rows = list(csv.DictReader([CSV_HEADER, r.csv_row()]))
+    assert len(rows) == 1
     got = rows[0]
     assert got["impl"] == r.impl
     assert int(got["threads"]) == r.threads
@@ -236,13 +228,6 @@ def test_emit_csv_round_trips_the_numbers(tmp_path):
     assert int(got["deletes"]) == r.deletes
     assert int(got["contains"]) == r.contains
     assert int(got["restarts"]) == r.restarts
-
-
-def test_emit_csv_no_results_is_header_only(tmp_path):
-    p = tmp_path / "empty.csv"
-    with open(p, "w", encoding="utf-8") as fh:
-        emit_csv([], fh)
-    assert p.read_text() == CSV_HEADER + "\n"
 
 
 def test_result_str_mentions_the_figures():
@@ -360,6 +345,22 @@ def test_cli_replay_no_check_skips_the_verdict(tmp_path, capsys):
     p.write_text(emit_script(script_parallel_inserts()))
     assert main(["replay", "--script", str(p), "--no-check"]) == 0
     assert "LINEARIZABLE" not in capsys.readouterr().out
+
+
+class MarkingSet(ConcurrentSet):
+    """Starts its trace with a mark of a node that never existed."""
+
+    def __init__(self):
+        super().__init__()
+        self.trace.append(("mark", 99))
+
+
+def test_cli_replay_audits_the_trace(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "ConcurrentSet", MarkingSet)
+    p = tmp_path / "par.script"
+    p.write_text(emit_script(script_parallel_inserts()))
+    assert main(["replay", "--script", str(p), "--no-check"]) == 1
+    assert "trace BROKEN" in capsys.readouterr().out
 
 
 def test_cli_replay_bad_inputs(tmp_path, capsys):

@@ -5,6 +5,9 @@ import random
 
 import pytest
 
+from cobst import harness
+from cobst.cli import main
+from cobst.concurrent_set import ConcurrentSet
 from cobst.harness import (SETUP_THREAD, ExplorationBoundError, ScheduleBlockedError,
                            ScheduleScript, ScriptError, emit_script, explore_small,
                            parse_script, random_schedule, run_script,
@@ -305,10 +308,35 @@ def test_contended_exploration_covers_both_winners():
     assert rep.interleavings >= 2
 
 
+class LeakingSet(ConcurrentSet):
+    """Forgets to release the last lock each attempt took."""
+
+    def _release_all(self, ctx):
+        if ctx.held:
+            ctx.held.pop()
+        super()._release_all(ctx)
+
+
+def test_a_lock_left_held_fails_replay_and_exploration(monkeypatch, tmp_path,
+                                                       capsys):
+    monkeypatch.setattr(harness, "ConcurrentSet", LeakingSet)
+    rep = run_script(ScheduleScript(programs={0: [("insert", 1)]}))
+    assert rep.structure.ok and not rep.locks_clean
+    assert "locks=HELD" in rep.kv_lines()
+    ex = explore_small([], {0: [("insert", 1)]})
+    assert not ex.ok
+    assert [msg for _, msg in ex.structure_failures] == [
+        "locks left held at quiescence"]
+    p = tmp_path / "one.script"
+    p.write_text("thread 0: insert(1)\n")
+    assert main(["replay", "--script", str(p)]) == 1
+    assert "locks left held: 1" in capsys.readouterr().out
+
+
 def test_exploration_refuses_oversized_scenarios():
     with pytest.raises(ExplorationBoundError, match="exceeds the bound"):
-        explore_small([5], {0: [("insert", 5)], 1: [("delete", 5)],
-                            2: [("contains", 5)]}, bound=100)
+        explore_small([2], {0: [("insert", 1)], 1: [("insert", 3)],
+                            2: [("contains", 2)], 3: [("contains", 1)]})
 
 
 # -- text format --------------------------------------------------------------

@@ -338,6 +338,19 @@ def test_validator_flags_wrong_root():
     assert any("sentinel" in p for p in rep.problems)
 
 
+def test_validator_counts_held_lock_words_without_failing():
+    bst = SequentialBst()
+    bst.seq_insert(5)
+    bst.seq_insert(3)
+    gone = bst.root.left.left
+    bst.seq_delete(3)
+    bst.root.left.state_lock.word = 1       # reachable: write-held
+    gone.right_lock.word = 2                # unlinked: one reader
+    rep = validate_structure(SimpleNamespace(root=bst.root, unlinked=[gone]))
+    assert rep.held_locks == 2
+    assert rep.ok, rep.problems
+
+
 def test_validator_counts_nodes():
     bst = parse_tree("(∞ D (5 R (3 D _ _) (7 D _ _)) _)")
     rep = validate_structure(bst)
