@@ -215,8 +215,14 @@ def test_csv_row_matches_header_shape():
     assert r.csv_row() == "co-bst,4,1024,20,10000,123456.8,100,90,810,7"
     assert r.csv_row().count(",") == CSV_HEADER.count(",")
     assert r.total_ops == 1000
-    rows = list(csv.DictReader([CSV_HEADER, r.csv_row()]))
-    assert len(rows) == 1
+
+
+def test_emit_csv_round_trips_the_numbers():
+    # The CSV that `cobst bench --csv` emits is CSV_HEADER once, then one
+    # csv_row() per result.
+    r = sample_result()
+    rows = list(csv.DictReader([CSV_HEADER, r.csv_row(), r.csv_row()]))
+    assert len(rows) == 2
     got = rows[0]
     assert got["impl"] == r.impl
     assert int(got["threads"]) == r.threads
