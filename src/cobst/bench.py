@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 
 from .concurrent_set import ConcurrentSet, OpOutcome
-from .tree_core import SequentialBst
+from .tree_core import MAX_KEY, SequentialBst
 
 __all__ = ["WorkloadConfig", "BenchResult", "CoarseLockedSet", "run_bench",
            "CSV_HEADER", "RANGE_PRESETS", "thread_seed", "draw_op"]
@@ -107,8 +107,8 @@ class WorkloadConfig:
             raise ValueError("impl must be one of %s, got %r" % (IMPLS, self.impl))
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.key_range < 2:
-            raise ValueError("key range must be >= 2")
+        if not 2 <= self.key_range <= MAX_KEY + 1:
+            raise ValueError("key range must be within 2..%d" % (MAX_KEY + 1))
         if not 0 <= self.update_pct <= 100:
             raise ValueError("update percentage must be within 0..100")
         if self.duration_ms <= 0:

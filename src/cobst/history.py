@@ -8,17 +8,20 @@ that respects real time (an operation that responded before another was
 invoked must come first) and replays correctly against the sequential
 set semantics.
 
-Incomplete operations (invoked, never responded) are handled by
-completion enumeration before the search: a pending ``contains`` can
-simply be dropped (a read that never took effect), while a pending
-``insert`` or ``delete`` may or may not have taken effect, so both the
-dropped and the took-effect-returning-true variants are tried.
+Incomplete operations (invoked, never responded) are handled inside
+the one search, after Herlihy & Wing: a pending ``contains`` is dropped,
+a read that never took effect; a pending ``insert`` or ``delete`` may or
+may not have taken effect, so the search may place it as returning true,
+with its response at infinity, or leave it out (returning false would
+leave the set as unchanged as leaving it out does).
 
-The search itself is exponential in the worst case, so the checker
-refuses histories beyond a configurable operation count instead of
-silently burning CPU.  A brute-force permutation checker over tiny
-histories is also provided; it exists to cross-validate the real
-checker, not for production use.
+The search is exponential in the worst case, so the checker refuses
+histories whose searched operations exceed a configurable count
+instead of silently burning CPU.  A brute-force oracle, which completes
+the pending operations every possible way up front and tries every
+permutation of each completion, is also provided; it exists to
+cross-validate the real checker on tiny histories, not for production
+use.
 
 Separately, ``check_observable_correctness`` replays a structural trace
 (node creations, state changes, deleted marks, child-pointer swings)
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .tree_core import LEFT, MIN_KEY, PLUS_INF, RIGHT, DATA, ROUTING
 
@@ -181,7 +184,7 @@ _MAX_PENDING_UPDATES = 12
 
 
 def complete_history(h: History) -> list[History]:
-    """All ways to resolve the pending operations of ``h``.
+    """All ways to resolve the pending operations of ``h``, for the oracle.
 
     Pending reads are dropped.  Each pending update contributes two
     variants: dropped (it never took effect) and completed with a true
@@ -240,23 +243,24 @@ def set_type_step(state: frozenset, op: str, key: int, ret: bool):
 @dataclass
 class LinResult:
     ok: bool
-    # a legal sequential order of the (completed) operations, when ok
+    # a legal sequential order of the completed operations, when ok,
+    # with the pending updates that took effect (their ret is true)
     witness: list | None = None
-    # on failure: the pending ops at the deepest frontier the search
-    # reached, with the abstract state there; the smallest point where
-    # every continuation is inconsistent
+    # on failure: the completed ops still unplaced at the deepest
+    # frontier the search reached, with the abstract state there; the
+    # smallest point where every continuation is inconsistent
     stuck_ops: list | None = None
     stuck_state: frozenset | None = None
-    completions_tried: int = 0
 
     def __str__(self):
         if self.ok:
             lines = ["LINEARIZABLE"]
             for o in self.witness or ():
-                lines.append("  %s(%d) -> %s  [thread %s]"
-                             % (o.op, o.key, str(o.ret).lower(), o.thread))
+                lines.append("  %s(%d) -> %s  [thread %s%s]"
+                             % (o.op, o.key, str(o.ret).lower(), o.thread,
+                                ", pending" if o.pending else ""))
             return "\n".join(lines)
-        lines = ["NOT LINEARIZABLE (%d completion(s) tried)" % self.completions_tried]
+        lines = ["NOT LINEARIZABLE"]
         if self.stuck_state is not None:
             lines.append("  reachable state before the failure: {%s}"
                          % ", ".join(str(k) for k in sorted(self.stuck_state)))
@@ -273,72 +277,67 @@ def is_linearizable(h: History, initial=frozenset(), *,
                     max_ops: int = DEFAULT_MAX_OPS) -> LinResult:
     """Decide linearizability of ``h`` against set semantics.
 
-    Backtracking search over operation orders with two prunings: only
-    operations whose invocation precedes every unfinished operation's
-    response are eligible next (real-time order), and (done-set,
-    abstract-state) pairs already proven dead are memoized.  Histories
-    with more than ``max_ops`` operations raise HistoryTooLargeError.
+    One depth-first search, on an explicit stack, over orders of the
+    completed operations and the pending updates.  A pending update is
+    placed as returning true or never placed; pending reads are left out.
+    The search succeeds once every completed operation is placed.  Two
+    prunings: an operation is eligible next only if its invocation
+    precedes the response of every unplaced operation (real-time order),
+    and (placed-set, abstract-state) pairs already proven dead are
+    memoized.  Histories whose searched operations outnumber ``max_ops``
+    raise HistoryTooLargeError.
     """
     initial = frozenset(initial)
-    completions = complete_history(h)
-    best_depth = -1
-    best_frontier: tuple = ((), initial)
-    for tried, comp in enumerate(completions, start=1):
-        ops = comp.complete_ops()
-        if len(ops) > max_ops:
-            raise HistoryTooLargeError(
-                "history has %d operations, checker bound is %d"
-                % (len(ops), max_ops))
-        ok, witness, depth, frontier = _search(ops, initial)
-        if ok:
-            return LinResult(True, witness=witness, completions_tried=tried)
-        if depth > best_depth:
-            best_depth = depth
-            best_frontier = frontier
-    return LinResult(False, stuck_ops=list(best_frontier[0]),
-                     stuck_state=best_frontier[1],
-                     completions_tried=len(completions))
-
-
-def _search(ops, initial):
+    ops = [replace(o, ret=True) if o.pending else o
+           for o in h.ops() if not (o.pending and o.op == "contains")]
     n = len(ops)
-    if n == 0:
-        return True, [], 0, ((), initial)
+    if n > max_ops:
+        raise HistoryTooLargeError(
+            "history has %d operations, checker bound is %d" % (n, max_ops))
     inv = [o.inv_seq for o in ops]
     res = [o.res_seq if o.res_seq is not None else math.inf for o in ops]
-    full = (1 << n) - 1
+    required = sum(1 << i for i, o in enumerate(ops) if not o.pending)
+
+    def successors(mask, state):
+        # ops are in invocation order, so the eligible ones are the
+        # unplaced ops invoked before the earliest unplaced response
+        min_res = math.inf
+        for i in range((~mask & (mask + 1)).bit_length() - 1, n):
+            if inv[i] > min_res:
+                break
+            if not mask >> i & 1:
+                min_res = min(min_res, res[i])
+                nxt = set_type_step(state, ops[i].op, ops[i].key, ops[i].ret)
+                if nxt is not None:
+                    yield i, mask | 1 << i, nxt
+
+    if not required:
+        return LinResult(True, witness=[])
+    # frames are (op placed last, placed mask, state, successor iterator);
+    # the ops of the frames above the root are the order so far
+    stack = [(None, 0, initial, successors(0, initial))]
     dead: set = set()
-    path: list = []
-    best = {"depth": -1, "frontier": ((), initial)}
-
-    def dfs(mask, state):
-        if mask == full:
-            return True
-        key = (mask, state)
-        if key in dead:
-            return False
-        depth = mask.bit_count()
-        if depth > best["depth"]:
-            pending = tuple(ops[i] for i in range(n) if not mask & (1 << i))
-            best["depth"] = depth
-            best["frontier"] = (pending, state)
-        min_res = min(res[i] for i in range(n) if not mask & (1 << i))
-        for i in range(n):
-            bit = 1 << i
-            if mask & bit or inv[i] > min_res:
-                continue
-            nxt = set_type_step(state, ops[i].op, ops[i].key, ops[i].ret)
-            if nxt is None:
-                continue
-            path.append(ops[i])
-            if dfs(mask | bit, nxt):
-                return True
-            path.pop()
-        dead.add(key)
-        return False
-
-    ok = dfs(0, initial)
-    return ok, list(path), best["depth"], best["frontier"]
+    best_placed, best = 0, (0, initial)
+    while stack:
+        _, mask, state, succ = stack[-1]
+        step = next(succ, None)
+        if step is None:
+            dead.add((mask, state))
+            stack.pop()
+            continue
+        i, mask, state = step
+        if mask & required == required:
+            return LinResult(True, witness=[ops[f[0]] for f in stack[1:]] + [ops[i]])
+        if (mask, state) in dead:
+            continue
+        placed = (mask & required).bit_count()
+        if placed > best_placed:
+            best_placed, best = placed, (mask, state)
+        stack.append((i, mask, state, successors(mask, state)))
+    mask, state = best
+    return LinResult(False, stuck_ops=[o for i, o in enumerate(ops)
+                                       if required >> i & 1 and not mask >> i & 1],
+                     stuck_state=state)
 
 
 def linearizable_by_enumeration(h: History, initial=frozenset(), *,
@@ -473,32 +472,31 @@ def check_observable_correctness(trace) -> ObservabilityReport:
     was_reachable = {root_id}
     exited: set = set()
 
-    def reachable():
-        seen_set = set()
-        stack = [root_id]
+    def walk():
+        """One preorder walk from the root: the reachable ids and the
+        first value-property or routing violation.  A node reached twice
+        or an edge to an unknown node ends the walk with reach None."""
+        reach = set()
+        err = None
+        stack = [(root_id, MIN_KEY - 1, PLUS_INF + 1)]
         while stack:
-            nid = stack.pop()
-            if nid is None:
-                continue
-            if nid in seen_set:
+            nid, lo, hi = stack.pop()
+            if nid in reach:
                 return None, "node %d reachable along two paths" % nid
-            if nid not in nodes:
+            sh = nodes.get(nid)
+            if sh is None:
                 return None, "edge points at unknown node %d" % nid
-            seen_set.add(nid)
-            sh = nodes[nid]
-            stack.append(sh.left)
-            stack.append(sh.right)
-        return seen_set, None
-
-    def value_ok(nid, lo, hi):
-        if nid is None:
-            return None
-        sh = nodes[nid]
-        if not lo < sh.key < hi:
-            return "key %d at node %d outside (%s, %s)" % (sh.key, nid, lo, hi)
-        if sh.state == ROUTING and (sh.left is None or sh.right is None):
-            return "routing node %d with fewer than two children" % nid
-        return value_ok(sh.left, lo, sh.key) or value_ok(sh.right, sh.key, hi)
+            reach.add(nid)
+            if err is None:
+                if not lo < sh.key < hi:
+                    err = "key %d at node %d outside (%s, %s)" % (sh.key, nid, lo, hi)
+                elif sh.state == ROUTING and (sh.left is None or sh.right is None):
+                    err = "routing node %d with fewer than two children" % nid
+            if sh.right is not None:
+                stack.append((sh.right, sh.key, hi))
+            if sh.left is not None:
+                stack.append((sh.left, lo, sh.key))
+        return reach, err
 
     for idx, ev in enumerate(trace):
         tag = ev[0]
@@ -536,14 +534,12 @@ def check_observable_correctness(trace) -> ObservabilityReport:
             rep.violations.append((idx, "unknown trace event %r" % (tag,)))
             continue
 
-        reach, err = reachable()
+        reach, err = walk()
         if err is not None:
             rep.violations.append((idx, err))
+        if reach is None:
             rep.events_checked = idx + 1
             return rep
-        err = value_ok(root_id, MIN_KEY - 1, PLUS_INF + 1)
-        if err:
-            rep.violations.append((idx, err))
         back = reach & exited
         if back:
             rep.violations.append(

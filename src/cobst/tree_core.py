@@ -247,20 +247,19 @@ def validate_structure(tree) -> StructureReport:
         rep.problems.append("root has a right child; all client keys sort below the sentinel")
 
     seen = set()
-
-    def walk(node, lo, hi):
-        if node is None:
-            return
+    stack = [(root, MIN_KEY - 1, PLUS_INF + 1)]     # preorder, left first
+    while stack:
+        node, lo, hi = stack.pop()
         nid = id(node)
         if nid in seen:
             rep.problems.append("node %r reachable twice (cycle or shared child)" % (node,))
-            return
+            continue
         seen.add(nid)
         rep.node_count += 1
         rep.held_locks += _held(node)
         if node.reclaimed:
             rep.problems.append("reclaimed node %r still reachable" % (node,))
-            return
+            continue
         if not lo < node.val < hi:
             rep.problems.append(
                 "value property violated at %r: %d not in (%d, %d)"
@@ -274,10 +273,10 @@ def validate_structure(tree) -> StructureReport:
                 rep.problems.append("routing node %r has fewer than two children" % (node,))
         else:
             rep.problems.append("node %r has unknown state %r" % (node, node.state))
-        walk(node.left, lo, node.val)
-        walk(node.right, node.val, hi)
-
-    walk(root, MIN_KEY - 1, PLUS_INF + 1)
+        if node.right is not None:
+            stack.append((node.right, node.val, hi))
+        if node.left is not None:
+            stack.append((node.left, lo, node.val))
 
     for node in getattr(tree, "unlinked", ()):
         if id(node) in seen:

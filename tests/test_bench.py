@@ -15,18 +15,21 @@ from cobst.cli import main
 from cobst.concurrent_set import ConcurrentSet
 from cobst.harness import emit_script, script_parallel_inserts
 from cobst.history import HistoryRecorder, is_linearizable
+from cobst.tree_core import MAX_KEY
 
 
 # -- configuration ------------------------------------------------------------
 
 def test_default_config_is_valid():
     WorkloadConfig().validate()
+    WorkloadConfig(key_range=MAX_KEY + 1).validate()     # keys 0..MAX_KEY
 
 
 @pytest.mark.parametrize("kw,msg", [
     (dict(impl="avl"), "impl"),
     (dict(threads=0), "threads"),
     (dict(key_range=1), "key range"),
+    (dict(key_range=MAX_KEY + 2), "key range"),      # largest key past MAX_KEY
     (dict(update_pct=-1), "update percentage"),
     (dict(update_pct=101), "update percentage"),
     (dict(duration_ms=0), "duration"),
@@ -268,6 +271,9 @@ def test_cli_bench_accepts_presets(capsys):
 def test_cli_bench_rejects_bad_range(capsys):
     assert main(bench_args()[:3] + ["--range", "tiny"]) == 2
     assert "bad --range" in capsys.readouterr().err
+    # refused before anything is allocated or any thread starts
+    assert main(bench_args("--range", str(2 ** 64), "--no-prefill")) == 2
+    assert "key range" in capsys.readouterr().err
 
 
 def test_cli_bench_rejects_bad_config(capsys):
@@ -320,6 +326,26 @@ def test_cli_check_bad_inputs(tmp_path, capsys):
     mangled.write_text("0 0 INV INSERT\n")
     assert main(["check", "--history", str(mangled)]) == 2
     assert "bad history" in capsys.readouterr().err
+
+
+def test_cli_check_long_sequential_history(tmp_path, capsys):
+    lines, present = [], set()
+    for i in range(1500):
+        op, key = ("insert", "contains", "delete")[i % 3], i % 7
+        if op == "insert":
+            ret = key not in present
+            present.add(key)
+        elif op == "delete":
+            ret = key in present
+            present.discard(key)
+        else:
+            ret = key in present
+        lines.append("%d 0 INV %s %d" % (2 * i, op.upper(), key))
+        lines.append("%d 0 RES %s %d %s" % (2 * i + 1, op.upper(), key, str(ret).lower()))
+    long = tmp_path / "long.hist"
+    long.write_text("\n".join(lines) + "\n")
+    assert main(["check", "--history", str(long), "--max-ops", "5000"]) == 0
+    assert capsys.readouterr().out.startswith("LINEARIZABLE")
 
 
 def test_cli_check_size_refusal(tmp_path, capsys):

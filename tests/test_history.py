@@ -248,6 +248,29 @@ def test_size_bound_raises_instead_of_guessing():
     assert is_linearizable(seq_history(*ops), max_ops=25).ok
 
 
+def test_bound_counts_the_pending_updates_the_search_may_place():
+    ops = [(0, "insert", i, True) for i in range(24)]
+    events = list(seq_history(*ops).events) + [ev(48, 1, INV, "insert", 99)]
+    with pytest.raises(HistoryTooLargeError):
+        is_linearizable(History(events))
+    assert is_linearizable(History(events), max_ops=25).ok
+
+
+def test_thirteen_pending_inserts_are_decided():
+    pending = [ev(i, i, INV, "insert", i) for i in range(13)]
+    seen = History(pending + [ev(13, 13, INV, "contains", 5),
+                              ev(14, 13, RES, "contains", 5, True)])
+    r = is_linearizable(seen)
+    assert r.ok
+    assert [(o.op, o.key) for o in r.witness if not o.pending] == [("contains", 5)]
+    assert ("insert", 5) in [(o.op, o.key) for o in r.witness if o.pending]
+    never = History(pending + [ev(13, 13, INV, "contains", 13),
+                               ev(14, 13, RES, "contains", 13, True)])
+    r = is_linearizable(never)
+    assert not r.ok
+    assert [(o.op, o.key) for o in r.stuck_ops] == [("contains", 13)]
+
+
 def test_enumeration_oracle_bound():
     ops = [(0, "insert", i, True) for i in range(9)]
     with pytest.raises(HistoryTooLargeError):
@@ -276,6 +299,28 @@ def test_corrupted_histories_are_all_detected():
         r = is_linearizable(h)
         assert not r.ok, "corruption escaped:\n" + emit_history(h)
         assert not linearizable_by_enumeration(h)
+
+
+def test_checker_agrees_with_oracle_on_mixed_verdicts():
+    # one flipped return makes most histories non-linearizable; cutting
+    # half of them at a random event leaves operations pending, which the
+    # search handles inline and the oracle by completion enumeration
+    rng = random.Random(7)
+    verdicts = []
+    for _ in range(1000):
+        events = list(make_linearizable_history(rng, threads=3, max_ops=7).events)
+        responses = [i for i, e in enumerate(events) if e.kind == RES]
+        if responses:
+            j = rng.choice(responses)
+            e = events[j]
+            events[j] = ev(e.seq, e.thread, RES, e.op, e.key, not e.ret)
+        if rng.random() < 0.5:
+            events = events[:rng.randrange(len(events) + 1)]
+        h = History(events)
+        fast = is_linearizable(h).ok
+        assert fast == linearizable_by_enumeration(h), emit_history(h)
+        verdicts.append(fast)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_prefixes_of_linearizable_histories_stay_linearizable():
@@ -394,6 +439,22 @@ def test_value_property_violation_is_flagged():
              ("edge", 0, LEFT, 1), ("edge", 1, LEFT, 2)]   # 9 under 5's left
     rep = check_observable_correctness(trace)
     assert any("outside" in msg for _, msg in rep.violations)
+
+
+def test_trace_of_a_path_deeper_than_the_recursion_limit():
+    # link a 1 200-node path bottom up, then hang it under the root
+    depth = 1200
+    trace = [("create", i, i, DATA) for i in range(1, depth + 1)]
+    trace += [("edge", i, RIGHT, i + 1) for i in range(1, depth)]
+    trace.append(("edge", 0, LEFT, 1))
+    rep = check_observable_correctness(trace)
+    assert rep.ok, str(rep)
+    assert rep.events_checked == len(trace)
+    # the deepest key out of order is still found
+    trace[depth - 1] = ("create", depth, 0, DATA)
+    rep = check_observable_correctness(trace)
+    assert [idx for idx, _ in rep.violations] == [len(trace) - 1]
+    assert "key 0 at node %d outside" % depth in rep.violations[0][1]
 
 
 def test_two_paths_to_one_node_is_flagged():

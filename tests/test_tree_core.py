@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cobst.concurrent_set import ConcurrentSet
 from cobst.rwlock import CondRwLock
 from cobst.tree_core import (DATA, LEFT, MAX_KEY, MIN_KEY, PLUS_INF, RIGHT,
                              ROUTING, Node, SequentialBst, dump_tree,
@@ -357,6 +358,15 @@ def test_validator_counts_nodes():
     assert rep.ok
     assert rep.node_count == 4          # sentinel + 3
     assert rep.data_count == 3          # sentinel, 3, 7
+
+
+def test_validator_walks_a_path_deeper_than_the_recursion_limit():
+    s = ConcurrentSet()
+    for k in range(1200):               # in order: one right-leaning path
+        s.insert(k)
+    rep = validate_structure(s)
+    assert rep.ok, rep.problems
+    assert rep.node_count == 1201
 
 
 # -- dump / parse ------------------------------------------------------------------
