@@ -29,11 +29,11 @@ def test_default_config_is_valid():
     (dict(impl="avl"), "impl"),
     (dict(threads=0), "threads"),
     (dict(key_range=1), "key range"),
-    (dict(key_range=MAX_KEY + 2), "key range"),      # largest key past MAX_KEY
     (dict(update_pct=-1), "update percentage"),
     (dict(update_pct=101), "update percentage"),
     (dict(duration_ms=0), "duration"),
     (dict(warmup_ms=-5), "warmup"),
+    (dict(key_range=MAX_KEY + 2), "key range"),      # largest key past MAX_KEY
 ])
 def test_config_validation_errors(kw, msg):
     with pytest.raises(ValueError, match=msg):
