@@ -34,6 +34,7 @@ __all__ = ["WorkloadConfig", "BenchResult", "CoarseLockedSet", "run_bench",
            "CSV_HEADER", "RANGE_PRESETS", "thread_seed", "draw_op"]
 
 IMPLS = ("co-bst", "coarse-bst")
+MAX_THREADS = 64    # each is an OS thread, and the GIL runs one at a time
 
 # the standard experiment sizes; pass any other range explicitly
 RANGE_PRESETS = {"small": 2 ** 15, "medium": 2 ** 19, "large": 2 ** 21}
@@ -105,8 +106,8 @@ class WorkloadConfig:
     def validate(self) -> None:
         if self.impl not in IMPLS:
             raise ValueError("impl must be one of %s, got %r" % (IMPLS, self.impl))
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ValueError("threads must be within 1..%d" % MAX_THREADS)
         if not 2 <= self.key_range <= MAX_KEY + 1:
             raise ValueError("key range must be within 2..%d" % (MAX_KEY + 1))
         if not 0 <= self.update_pct <= 100:

@@ -124,7 +124,7 @@ def _cmd_replay(args) -> int:
     except OSError as e:
         print("cannot read script: %s" % e, file=sys.stderr)
         return 2
-    except ScriptError as e:
+    except (ScriptError, UnicodeDecodeError) as e:
         print("bad script: %s" % e, file=sys.stderr)
         return 2
     try:

@@ -54,8 +54,9 @@ import time
 from dataclasses import dataclass
 
 from .reclaim import EpochReclaimer
-from .rwlock import CondRwLock, LockMode, LockOutcome
-from .tree_core import (DATA, LEFT, PLUS_INF, RIGHT, ROUTING, Node,
+from .rwlock import (ACQUIRED, CONDITION_VIOLATED, READ, WRITE, CondRwLock,
+                     LockMode)
+from .tree_core import (DATA, LEFT, MIN_KEY, PLUS_INF, RIGHT, ROUTING, Node,
                         snapshot_keys, validate_key)
 
 __all__ = [
@@ -118,7 +119,7 @@ class LockPoint:
         if not self.cond():
             return False
         w = self.lock.word
-        return w == 1 if self.mode is LockMode.READ else w != 0
+        return w == 1 if self.mode is READ else w != 0
 
     def __repr__(self):
         return "<lock %s %s %s>" % (self.name, self.mode.value, self.lock)
@@ -218,10 +219,10 @@ class OpOutcome:
 
 
 class _AttemptCtx:
-    """Per-attempt lock bookkeeping: what we hold (for the all-or-nothing
-    release) and, in the stepping form, the last lock level (for the
-    deadlock-order assert).  ``_op`` creates one per attempt and releases
-    it when the attempt ends, before any backoff."""
+    """Lock bookkeeping of one update: what its current attempt holds
+    (for the all-or-nothing release) and, in the stepping form, the last
+    lock level (for the deadlock-order assert).  ``_op`` makes one per
+    update and resets both between attempts, ``held`` before any backoff."""
 
     __slots__ = ("tkey", "held", "last_level")
 
@@ -374,14 +375,13 @@ class ConcurrentSet:
             out = lock.try_lock_with_condition(mode, cond)
         else:
             out = lock.lock_with_spin(mode, cond)
-        if out is LockOutcome.ACQUIRED:
+        if out is ACQUIRED:
             ctx.held.append((lock, mode))
             st.acquisitions[optag] += 1
             return
-        if out is LockOutcome.CONDITION_VIOLATED:
-            st.cond_violations[family] = st.cond_violations.get(family, 0) + 1
-        else:
-            st.contended_aborts[family] = st.contended_aborts.get(family, 0) + 1
+        counts = (st.cond_violations if out is CONDITION_VIOLATED
+                  else st.contended_aborts)
+        counts[family] = counts.get(family, 0) + 1
         raise Restart
 
     def _traverse(self, v: int):
@@ -413,7 +413,8 @@ class ConcurrentSet:
         """Run ``op`` on ``v``: epoch pin and stats around the wait-free
         read or the restart loop of an update.  The stepping form returns
         an ``OpOutcome``, the plain twins the bare result."""
-        validate_key(v)
+        if not (type(v) is int and MIN_KEY <= v < PLUS_INF):
+            validate_key(v)   # int subclasses pass; anything else raises
         st = self._thread_stats(tkey)
         st.ops[op] += 1
         restarts = 0
@@ -439,8 +440,10 @@ class ConcurrentSet:
                             yield S_TRAV_RIGHT
                         curr = curr.right
             else:
+                ctx = _AttemptCtx(tkey)
                 while True:
-                    ctx = _AttemptCtx(tkey)
+                    if self._instr:
+                        ctx.last_level = None
                     try:
                         if op == "insert":
                             result = yield from self._insert_attempt(
@@ -453,7 +456,8 @@ class ConcurrentSet:
                         restarts += 1
                         st.restarts += 1
                     finally:
-                        self._release_all(ctx)
+                        if ctx.held:   # empty if the attempt took no lock
+                            self._release_all(ctx)
                     if self._instr:
                         continue   # stepped: the schedule picks who runs next
                     self._backoff(restarts)
@@ -478,7 +482,7 @@ class ConcurrentSet:
                 return False
             # routing node holds the key structurally: claim it
             yield from self._lock(
-                ctx, tkey, st, "insert", curr.state_lock, LockMode.WRITE,
+                ctx, tkey, st, "insert", curr.state_lock, WRITE,
                 _state_cond(curr, ROUTING), "state", "insert.promote_state",
                 level=0)
             if self._instr:
@@ -490,13 +494,13 @@ class ConcurrentSet:
         # still being empty and prev still being live
         side = LEFT if v < prev.val else RIGHT
         yield from self._lock(
-            ctx, tkey, st, "insert", prev.edge_lock(side), LockMode.WRITE,
+            ctx, tkey, st, "insert", prev.edge_lock(side), WRITE,
             _edge_ref_cond(prev, side, None), "edge_ref", "insert.edge",
             level=0)
         # shared hold on prev's state: blocks a concurrent demotion or
         # deletion of prev between our deleted re-check and the link
         yield from self._lock(
-            ctx, tkey, st, "insert", prev.state_lock, LockMode.READ,
+            ctx, tkey, st, "insert", prev.state_lock, READ,
             _ALWAYS, "state_plain", "insert.parent_state", level=-1)
         if prev.deleted:   # fresh read under the lock
             raise Restart
@@ -551,7 +555,7 @@ class ConcurrentSet:
         """Both children present: the node only loses its membership and
         stays as routing structure."""
         yield from self._lock(
-            ctx, tkey, st, "delete", curr.state_lock, LockMode.WRITE,
+            ctx, tkey, st, "delete", curr.state_lock, WRITE,
             _state_cond(curr, DATA), "state", "delete.demote_state", level=0)
         # the state lock keeps leaf deletions below us out, but a child
         # may have been spliced away before we got the lock; re-check
@@ -571,15 +575,15 @@ class ConcurrentSet:
         """
         side = LEFT if v < prev.val else RIGHT
         yield from self._lock(
-            ctx, tkey, st, "delete", curr.edge_lock(child_side), LockMode.WRITE,
+            ctx, tkey, st, "delete", curr.edge_lock(child_side), WRITE,
             _edge_ref_cond(curr, child_side, child), "edge_ref",
             "delete.splice_child_edge", level=1)
         yield from self._lock(
-            ctx, tkey, st, "delete", prev.edge_lock(side), LockMode.WRITE,
+            ctx, tkey, st, "delete", prev.edge_lock(side), WRITE,
             _edge_ref_cond(prev, side, curr), "edge_ref",
             "delete.splice_parent_edge", level=0)
         yield from self._lock(
-            ctx, tkey, st, "delete", curr.state_lock, LockMode.WRITE,
+            ctx, tkey, st, "delete", curr.state_lock, WRITE,
             _state_cond(curr, DATA), "state", "delete.splice_state", level=0)
         # fresh re-check that curr still has exactly this one child: the
         # other slot may have been filled by an insert before our state
@@ -609,17 +613,17 @@ class ConcurrentSet:
         """
         side = LEFT if v < prev.val else RIGHT
         yield from self._lock(
-            ctx, tkey, st, "delete", prev.edge_lock(side), LockMode.WRITE,
+            ctx, tkey, st, "delete", prev.edge_lock(side), WRITE,
             _edge_val_cond(prev, side, v), "edge_val", "delete.leaf_edge",
             level=0)
         curr = prev.child(side)   # fresh: the locked occupant, maybe a twin
         yield from self._lock(
-            ctx, tkey, st, "delete", curr.state_lock, LockMode.WRITE,
+            ctx, tkey, st, "delete", curr.state_lock, WRITE,
             _state_cond(curr, DATA), "state", "delete.leaf_state", level=0)
         if curr.left is not None or curr.right is not None:
             raise Restart     # grew children since the traversal
         yield from self._lock(
-            ctx, tkey, st, "delete", prev.state_lock, LockMode.READ,
+            ctx, tkey, st, "delete", prev.state_lock, READ,
             _state_cond(prev, DATA), "state", "delete.leaf_parent_state",
             level=-1)
         if self._instr:
@@ -643,26 +647,26 @@ class ConcurrentSet:
         side = LEFT if v < prev.val else RIGHT
         pside = LEFT if prev.val < gprev.val else RIGHT
         yield from self._lock(
-            ctx, tkey, st, "delete", prev.edge_lock(side), LockMode.WRITE,
+            ctx, tkey, st, "delete", prev.edge_lock(side), WRITE,
             _edge_val_cond(prev, side, v), "edge_val", "delete.pair_edge",
             level=0)
         curr = prev.child(side)   # fresh occupant under the value lock
         yield from self._lock(
-            ctx, tkey, st, "delete", curr.state_lock, LockMode.WRITE,
+            ctx, tkey, st, "delete", curr.state_lock, WRITE,
             _state_cond(curr, DATA), "state", "delete.pair_state", level=0)
         if curr.left is not None or curr.right is not None:
             raise Restart
         yield from self._lock(
             ctx, tkey, st, "delete",
-            prev.edge_lock(LEFT if side == RIGHT else RIGHT), LockMode.WRITE,
+            prev.edge_lock(LEFT if side == RIGHT else RIGHT), WRITE,
             _edge_ref_cond(prev, LEFT if side == RIGHT else RIGHT, sibling),
             "edge_ref", "delete.pair_sibling_edge", level=0)
         yield from self._lock(
-            ctx, tkey, st, "delete", gprev.edge_lock(pside), LockMode.WRITE,
+            ctx, tkey, st, "delete", gprev.edge_lock(pside), WRITE,
             _edge_ref_cond(gprev, pside, prev), "edge_ref",
             "delete.pair_parent_edge", level=-1)
         yield from self._lock(
-            ctx, tkey, st, "delete", prev.state_lock, LockMode.WRITE,
+            ctx, tkey, st, "delete", prev.state_lock, WRITE,
             _state_cond(prev, ROUTING), "state", "delete.pair_parent_state",
             level=-1)
         if self._instr:

@@ -32,6 +32,11 @@ On top of the word the lock offers conditional acquisition: a predicate
 is evaluated before and after the CAS, and the lock is released again
 if the second evaluation fails.  Callers use this to take a lock only
 while some observed field value still holds.
+
+The hot path reads the enum members as module constants (``READ``,
+``WRITE``, ``ACQUIRED``, ``CONTENDED``, ``CONDITION_VIOLATED``), a
+fraction of the cost of ``LockMode.WRITE`` on CPython 3.11, and takes
+the guard by ``acquire``/``release`` calls, half the cost of ``with``.
 """
 
 from __future__ import annotations
@@ -67,6 +72,10 @@ class LockOutcome(Enum):
     CONDITION_VIOLATED = "condition_violated"
 
 
+READ, WRITE = LockMode                      # members in definition order
+ACQUIRED, CONTENDED, CONDITION_VIOLATED = LockOutcome
+
+
 class SpinPolicy:
     """Bounded retry policy for Contended outcomes.
 
@@ -97,14 +106,17 @@ class CondRwLock:
         self.word = 0
 
     def unlock(self, mode: LockMode) -> None:
-        if mode is LockMode.WRITE:
+        if mode is WRITE:
             assert self.word == 1, "write unlock without a held write lock"
             self.word = 0
             return
-        with _GUARD:
+        _GUARD.acquire()
+        try:
             w = self.word
             assert w >= 2 and not w & 1, "read unlock without a held read lock"
             self.word = w - 2
+        finally:
+            _GUARD.release()
 
     def try_lock_with_condition(self, mode: LockMode, condition) -> LockOutcome:
         """One conditional acquire attempt.
@@ -119,16 +131,19 @@ class CondRwLock:
         held.
         """
         if not condition():
-            return LockOutcome.CONDITION_VIOLATED
-        with _GUARD:
+            return CONDITION_VIOLATED
+        _GUARD.acquire()
+        try:
             w = self.word
-            if w == 1 or (w and mode is LockMode.WRITE):
-                return LockOutcome.CONTENDED
-            self.word = 1 if mode is LockMode.WRITE else w + 2
+            if w == 1 or (w and mode is WRITE):
+                return CONTENDED
+            self.word = 1 if mode is WRITE else w + 2
+        finally:
+            _GUARD.release()
         if not condition():
             self.unlock(mode)
-            return LockOutcome.CONDITION_VIOLATED
-        return LockOutcome.ACQUIRED
+            return CONDITION_VIOLATED
+        return ACQUIRED
 
     def lock_with_spin(self, mode: LockMode, condition) -> LockOutcome:
         """Retry CONTENDED outcomes up to ``SpinPolicy.ATTEMPTS`` times.
@@ -139,7 +154,7 @@ class CondRwLock:
         """
         out = self.try_lock_with_condition(mode, condition)
         round_ = 0
-        while out is LockOutcome.CONTENDED and round_ + 1 < SpinPolicy.ATTEMPTS:
+        while out is CONTENDED and round_ + 1 < SpinPolicy.ATTEMPTS:
             SpinPolicy.pause(round_)
             round_ += 1
             out = self.try_lock_with_condition(mode, condition)

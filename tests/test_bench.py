@@ -34,6 +34,7 @@ def test_default_config_is_valid():
     (dict(duration_ms=0), "duration"),
     (dict(warmup_ms=-5), "warmup"),
     (dict(key_range=MAX_KEY + 2), "key range"),      # largest key past MAX_KEY
+    (dict(threads=bench.MAX_THREADS + 1), "threads must be within 1..64"),
 ])
 def test_config_validation_errors(kw, msg):
     with pytest.raises(ValueError, match=msg):
@@ -281,6 +282,17 @@ def test_cli_bench_rejects_bad_config(capsys):
     assert "update percentage" in capsys.readouterr().err
 
 
+def test_thread_count_is_capped_before_any_thread_starts(monkeypatch, capsys):
+    WorkloadConfig(threads=bench.MAX_THREADS).validate()
+
+    def no_run(cfg):
+        raise AssertionError("run_bench reached with %d threads" % cfg.threads)
+
+    monkeypatch.setattr("cobst.cli.run_bench", no_run)
+    assert main(bench_args("--threads", "100000")) == 2
+    assert "threads must be within 1..64" in capsys.readouterr().err
+
+
 # -- CLI: check --------------------------------------------------------------------
 
 GOOD_HISTORY = """\
@@ -402,6 +414,10 @@ def test_cli_replay_bad_inputs(tmp_path, capsys):
     bad.write_text("thread 0: fly(1)\n")
     assert main(["replay", "--script", str(bad)]) == 2
     assert "bad script" in capsys.readouterr().err
+    bad.write_bytes(b"\xff\xfethread 0: insert(1)\n")     # not UTF-8
+    assert main(["replay", "--script", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "bad script" in err and "utf-8" in err and "Traceback" not in err
     for text, msg in (("thread 0: insert(99999999999999999999)\n",
                        "outside the 64-bit signed range"),
                       ("setup: 9223372036854775807\nthread 0: insert(1)\n",

@@ -12,8 +12,9 @@ from cobst.concurrent_set import (ConcurrentSet, K_CREATE, K_LOCK, K_READ,
                                   _state_cond)
 from cobst.reclaim import POISON, EpochReclaimer
 from cobst.rwlock import LockMode, LockOutcome, SpinPolicy
-from cobst.tree_core import (DATA, LEFT, RIGHT, ROUTING, Node, SequentialBst,
-                             dump_tree, traverse, validate_structure)
+from cobst.tree_core import (DATA, LEFT, MAX_KEY, MIN_KEY, PLUS_INF, RIGHT,
+                             ROUTING, Node, SequentialBst, dump_tree, traverse,
+                             validate_key, validate_structure)
 
 
 def two_level_tree():
@@ -225,6 +226,95 @@ def test_key_validation_at_api_boundary():
         s.contains("x")
     with pytest.raises(TypeError):
         s.delete(1.5)
+
+
+class Key(int):
+    """An int subclass: accepted as a key, but off the ``type(v) is int``
+    fast path."""
+
+
+def key_entry_points(s):
+    """Every way a key enters the set, each run to completion, in the
+    order contains, insert, delete per form."""
+    ops = ("contains", "insert", "delete")
+    calls = {op: getattr(s, op) for op in ops}
+    calls.update({"run_op " + op: lambda k, op=op: s.run_op(op, k, "t").result
+                  for op in ops})
+    calls.update({"op_gen " + op:
+                  lambda k, op=op: s._drain(s.op_gen(op, k, "t")).result
+                  for op in ops})
+    return calls
+
+
+@pytest.mark.parametrize("key", [True, False, 1.5, "1", None, PLUS_INF,
+                                 MAX_KEY + 1, MIN_KEY - 1])
+def test_bad_keys_raise_exactly_what_validate_key_raises(key):
+    with pytest.raises((TypeError, ValueError)) as want:
+        validate_key(key)
+    s = ConcurrentSet()
+    for name, call in key_entry_points(s).items():
+        with pytest.raises(want.type) as got:
+            call(key)
+        assert str(got.value) == str(want.value), name
+    assert s.snapshot_keys() == []
+    assert s.stats_snapshot()["completed"] == 0
+
+
+@pytest.mark.parametrize("key", [MIN_KEY, MAX_KEY, Key(7)])
+def test_every_entry_point_accepts_the_edge_keys_and_int_subclasses(key):
+    s = ConcurrentSet()
+    want = {"contains": False, "insert": True, "delete": True}
+    for name, call in key_entry_points(s).items():
+        assert call(key) is want[name.split()[-1]], name
+    assert s.snapshot_keys() == []
+    assert validate_structure(s).ok
+
+
+# -- lock bookkeeping ---------------------------------------------------------------
+
+class CountsReleases(ConcurrentSet):
+    releases = 0
+
+    def _release_all(self, ctx):
+        self.releases += 1
+        super()._release_all(ctx)
+
+
+@pytest.mark.parametrize("stepped", [False, True])
+def test_updates_that_lock_nothing_do_no_lock_bookkeeping(stepped):
+    s = CountsReleases()
+    s.insert(10)
+    run = (lambda op, k: s._drain(s.op_gen(op, k, "t")).result) if stepped \
+        else (lambda op, k: getattr(s, op)(k))
+    s.releases = 0
+    assert run("insert", 10) is False            # present
+    assert run("delete", 3) is False             # absent: no node at all
+    s.root.left.state = ROUTING
+    assert run("delete", 10) is False            # absent: a routing node
+    assert s.releases == 0
+    assert run("insert", 5) is True              # locks the edge and the state
+    assert s.releases == 1
+    assert run("insert", 10) is True             # promotes the routing node
+    assert s.releases == 2
+    assert validate_structure(s).ok
+
+
+def test_one_context_serves_every_attempt_of_an_update():
+    s = ConcurrentSet()
+    s.insert(10)
+    parent = s.root.left
+    parent.state_lock.word = 1
+    gen = s.op_gen("insert", 5, "t")
+    point = next(gen)
+    while getattr(point, "name", None) != "insert.parent_state":
+        point = next(gen)
+    ctx = s.attempts["t"]
+    assert ctx.last_level == -1 and len(ctx.held) == 1   # the edge lock
+    assert next(gen) in (S_TRAV_LEFT, S_TRAV_RIGHT)      # contended: retraverse
+    assert ctx.held == [] and ctx.last_level is None
+    parent.state_lock.word = 0
+    assert s._drain(gen).restarts == 1
+    assert s.attempts["t"] is ctx and ctx.held == []
 
 
 # -- stats and wait-freedom ---------------------------------------------------------

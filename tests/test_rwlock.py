@@ -24,6 +24,14 @@ def acquire(lk, mode) -> bool:
     return lk.try_lock_with_condition(mode, TRUE) is LockOutcome.ACQUIRED
 
 
+def test_module_constants_are_the_enum_members():
+    assert rwlock.READ is LockMode.READ
+    assert rwlock.WRITE is LockMode.WRITE
+    assert rwlock.ACQUIRED is LockOutcome.ACQUIRED
+    assert rwlock.CONTENDED is LockOutcome.CONTENDED
+    assert rwlock.CONDITION_VIOLATED is LockOutcome.CONDITION_VIOLATED
+
+
 # -- frozen word-encoding examples ---------------------------------------
 
 def test_write_acquire_from_free():
