@@ -23,7 +23,9 @@ Deletion is two-stage: a node is first marked ``deleted`` (the logical
 point of no return) and then unlinked, both under the same locks.
 Readers that already hold a reference may still observe the node as
 DATA afterwards; that is deliberate and linearizable, because such
-reads overlap the deletion.  Unlinked nodes go to the epoch reclaimer.
+reads overlap the deletion.  Reference counting frees unlinked nodes
+(a node has no parent pointer, so they form no cycles); stepped deletes
+also retire them to the epoch reclaimer, whose poisoning checks schedules.
 
 The operation bodies are written once, as generators.  ``op_gen`` runs
 them as written, the stepping form: they yield a checkpoint descriptor
@@ -293,9 +295,9 @@ class ConcurrentSet:
 
     def op_gen(self, op: str, v, tkey=None):
         """The stepping form used by the schedule harness: a generator
-        that yields at every checkpoint.  ``tkey`` identifies the
-        logical thread for stats and epoch pinning; it defaults to the
-        real thread id."""
+        that yields at every checkpoint.  ``tkey`` keys the logical
+        thread's stats only (default: the real thread id); a caller that
+        steps it by hand pins ``reclaimer`` itself, as the harness does."""
         return self._op(*_op_args(op, v, tkey))
 
     @staticmethod
@@ -410,59 +412,56 @@ class ConcurrentSet:
     # -- one operation: the wrapper shared by all three -------------------
 
     def _op(self, op, v, tkey):
-        """Run ``op`` on ``v``: epoch pin and stats around the wait-free
-        read or the restart loop of an update.  The stepping form returns
-        an ``OpOutcome``, the plain twins the bare result."""
+        """Run ``op`` on ``v``: ``tkey``'s stats (no epoch pin: a stepping
+        caller pins) around the wait-free read or the restart loop of an
+        update.  The stepping form returns an ``OpOutcome``, the plain
+        twins the bare result."""
         if not (type(v) is int and MIN_KEY <= v < PLUS_INF):
             validate_key(v)   # int subclasses pass; anything else raises
         st = self._thread_stats(tkey)
         st.ops[op] += 1
         restarts = 0
-        self.reclaimer.pin(tkey)
-        try:
-            if op == "contains":
-                # ``_traverse``'s descent and checkpoints, keeping only curr
-                result = False
-                curr = self.root
-                while curr is not None:
-                    cv = curr.val
-                    if cv == v:
-                        if self._instr:
-                            yield S_CONT_STATE
-                        result = curr.state == DATA
-                        break
-                    if v < cv:
-                        if self._instr:
-                            yield S_TRAV_LEFT
-                        curr = curr.left
+        if op == "contains":
+            # ``_traverse``'s descent and checkpoints, keeping only curr
+            result = False
+            curr = self.root
+            while curr is not None:
+                cv = curr.val
+                if cv == v:
+                    if self._instr:
+                        yield S_CONT_STATE
+                    result = curr.state == DATA
+                    break
+                if v < cv:
+                    if self._instr:
+                        yield S_TRAV_LEFT
+                    curr = curr.left
+                else:
+                    if self._instr:
+                        yield S_TRAV_RIGHT
+                    curr = curr.right
+        else:
+            ctx = _AttemptCtx(tkey)
+            while True:
+                if self._instr:
+                    ctx.last_level = None
+                try:
+                    if op == "insert":
+                        result = yield from self._insert_attempt(
+                            ctx, tkey, st, v)
                     else:
-                        if self._instr:
-                            yield S_TRAV_RIGHT
-                        curr = curr.right
-            else:
-                ctx = _AttemptCtx(tkey)
-                while True:
-                    if self._instr:
-                        ctx.last_level = None
-                    try:
-                        if op == "insert":
-                            result = yield from self._insert_attempt(
-                                ctx, tkey, st, v)
-                        else:
-                            result = yield from self._delete_attempt(
-                                ctx, tkey, st, v)
-                        break
-                    except Restart:
-                        restarts += 1
-                        st.restarts += 1
-                    finally:
-                        if ctx.held:   # empty if the attempt took no lock
-                            self._release_all(ctx)
-                    if self._instr:
-                        continue   # stepped: the schedule picks who runs next
-                    self._backoff(restarts)
-        finally:
-            self.reclaimer.unpin(tkey)
+                        result = yield from self._delete_attempt(
+                            ctx, tkey, st, v)
+                    break
+                except Restart:
+                    restarts += 1
+                    st.restarts += 1
+                finally:
+                    if ctx.held:   # empty if the attempt took no lock
+                        self._release_all(ctx)
+                if self._instr:
+                    continue   # stepped: the schedule picks who runs next
+                self._backoff(restarts)
         st.completed += 1
         if self._instr:
             return OpOutcome(op, v, result, restarts)
@@ -599,8 +598,8 @@ class ConcurrentSet:
             yield W_DEL_SPLICE
             self.trace.append(("edge", prev.id, side, child.id))
             self.unlinked.append(curr)
+            self.reclaimer.retire(curr)
         prev.set_child(side, child)
-        self.reclaimer.retire(curr)
         return True
 
     def _delete_leaf_data_parent(self, ctx, tkey, st, v, prev):
@@ -634,8 +633,8 @@ class ConcurrentSet:
             yield W_DEL_UNLINK_LEAF
             self.trace.append(("edge", prev.id, side, None))
             self.unlinked.append(curr)
+            self.reclaimer.retire(curr)
         prev.set_child(side, None)
-        self.reclaimer.retire(curr)
         return True
 
     def _delete_leaf_routing_parent(self, ctx, tkey, st, v, gprev, prev, sibling):
@@ -681,9 +680,9 @@ class ConcurrentSet:
             yield W_DEL_UNLINK_PAIR
             self.trace.append(("edge", gprev.id, pside, sibling.id))
             self.unlinked += (prev, curr)
+            self.reclaimer.retire(prev)
+            self.reclaimer.retire(curr)
         gprev.set_child(pside, sibling)
-        self.reclaimer.retire(prev)
-        self.reclaimer.retire(curr)
         return True
 
 
@@ -695,9 +694,9 @@ class ConcurrentSet:
 # ``_delete_plain``: its ``op`` parameter is dropped and each read of it
 # becomes that operation's name.  ``self._instr`` reads as False and
 # comparisons of two constants fold, so each ``if`` keeps only the branch
-# taken.  That drops each ``yield SITE``, every record the stepping form
-# keeps, the stepping half of ``_lock``, the other operations and the
-# ``OpOutcome``: the twins return bare results.  ``yield from
+# taken.  That drops each ``yield SITE``, every record and retire of the
+# stepping form, the stepping half of ``_lock``, the other operations
+# and the ``OpOutcome``: the twins return bare results.  ``yield from
 # self._m(...)`` becomes a call of ``self._m_plain``.  The twins keep the
 # source's file name and line numbers, so a traceback through one points
 # at the generator body it came from.

@@ -4,9 +4,10 @@ The stepping form of the set (``ConcurrentSet.op_gen``) yields a
 checkpoint descriptor before every shared read, committed write, node
 creation and lock attempt.  The harness holds one operation-pipeline
 generator per logical thread, which records each operation's
-invocation and response around it, and advances exactly one of them
-at a time, so a schedule (a sequence of thread ids) fully determines
-the execution: same script in, same history, trace and final tree out.
+invocation and response and pins the epoch around it, and advances
+exactly one of them at a time, so a schedule (a sequence of thread
+ids) fully determines the execution: same script in, same history,
+trace and final tree out.
 
 Checkpoint granularity matters.  Suspension happens before the access
 the checkpoint announces; granting a thread one step performs that
@@ -40,7 +41,7 @@ Replay (``run_script``) and exploration (``explore_small``) both step a
 ``_Run``, so they share one grant cap: a run of a script with n
 operations, setup inserts included, may take at most 10 000 + 1 000·n
 grants, which guards against pathological schedules that keep
-recreating the stand-off.
+recreating the stand-off; going past it raises ``ScriptError``.
 """
 
 from __future__ import annotations
@@ -132,8 +133,8 @@ _UNPRIMED = object()
 
 
 class _Worker:
-    """One logical thread: a generator chaining its operations, plus the
-    checkpoint it is currently suspended at."""
+    """One logical thread: a generator chaining its operations, each
+    pinned from its first grant to its last, plus its pending checkpoint."""
 
     __slots__ = ("tid", "gen", "pending", "finished", "outcomes")
 
@@ -148,7 +149,9 @@ class _Worker:
     def _pipeline(self, set_, ops, recorder):
         for op, key in ops:
             recorder.invoke(self.tid, op, key)
+            set_.reclaimer.pin(self.tid)
             out = yield from set_.op_gen(op, key, tkey=self.tid)
+            set_.reclaimer.unpin(self.tid)
             recorder.respond(self.tid, op, key, out.result)
             self.outcomes.append(out)
 
@@ -244,11 +247,9 @@ class _Run:
     the recorder of its history, one unstarted worker per thread (in
     thread id order), and the log of realized grants.
 
-    The set reclaims through epochs like a production set: every
-    operation stays pinned while its generator sits suspended at a
-    checkpoint, so no node it can still reach is reclaimed under it.
-    The setup inserts run through the same pipeline, as thread
-    ``SETUP_THREAD``.
+    Every operation, the setup inserts (thread ``SETUP_THREAD``)
+    included, stays pinned while suspended at a checkpoint, so no node
+    that stepped deletes retire is reclaimed under a reader of it.
     """
 
     def __init__(self, script: ScheduleScript):
@@ -280,7 +281,7 @@ class _Run:
         point = self.workers[tid].grant()
         self.realized.append(tid)
         if len(self.realized) > self._cap:
-            raise RuntimeError(
+            raise ScriptError(
                 "run exceeded %d grants without finishing; the schedule "
                 "keeps recreating contention" % self._cap)
         return point

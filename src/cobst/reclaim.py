@@ -1,18 +1,18 @@
-"""Epoch-based reclamation for unlinked tree nodes.
+"""Epoch-based reclamation for unlinked tree nodes in stepped schedules.
 
 A node that has been marked deleted and physically unlinked may still be
 referenced by operations whose traversal started before the unlink.
-Threads therefore pin the current epoch for the duration of each
-operation, retired nodes are bucketed by the epoch of their retirement,
-and a bucket is reclaimed only once the global epoch has advanced twice
-past it, which implies every operation that could have seen the node has
-finished.  The epoch only advances when every pinned thread has caught
-up with it.
+The harness therefore pins the epoch for each operation it steps,
+stepped deletes retire what they unlink, nodes are bucketed by the
+epoch of their retirement, and a bucket is reclaimed only once the
+global epoch has advanced twice past it, which implies every operation
+that could have seen the node has finished.  The epoch only advances
+when every pinned thread has caught up with it.
 
 Reclaiming a node poisons its child pointers and flags it, so any buggy
 late access blows up loudly instead of silently wandering through freed
-structure.  The actual memory is returned by the garbage collector once
-the last reference drops; poisoning is what severs the reference chains.
+structure.  Memory is freed once the last reference drops; real-thread
+operations neither pin nor retire and rely on that alone.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class EpochReclaimer:
         del self._pins[tkey]
 
     def retire(self, node) -> None:
-        """Hand over a node that is marked deleted and already unlinked.
+        """Hand over a node marked deleted and unlinked in the same step.
 
         Safe to call while still holding the unlinking locks: the caller
         is pinned, so the node cannot age out before the caller finishes.

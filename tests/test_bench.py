@@ -438,3 +438,17 @@ def test_cli_replay_blocked_schedule(tmp_path, capsys):
                        "schedule: 0:3 1:3\n")
     assert main(["replay", "--script", str(blocked)]) == 2
     assert "replay failed" in capsys.readouterr().err
+
+
+def test_cli_replay_grant_cap_overrun(tmp_path, capsys):
+    # thread 1 keeps restarting while thread 0 sits between its mark and
+    # its unlink, until the run's grant cap (10 000 + 1 000 per op) ends it
+    p = tmp_path / "livelock.script"
+    p.write_text("setup: 1 3\n"
+                 "thread 0: delete(3)\n"
+                 "thread 1: insert(2)\n"
+                 "schedule: 0:10 1:30000\n")
+    assert main(["replay", "--script", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "replay failed: run exceeded 14000 grants" in err
+    assert "Traceback" not in err

@@ -37,6 +37,8 @@ def test_tracer_patches_existing_names_and_restores_them():
         s.reclaimer.drain()
         # through the module, as the benchmark calls it
         cobst.harness.run_script(cobst.harness.script_parallel_inserts())
+        # only stepped deletes retire what they unlink
+        cobst.harness.run_script(cobst.harness.script_twin_replacement())
     finally:
         tr.uninstall()
     tr.flush(1.0)

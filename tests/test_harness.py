@@ -95,6 +95,16 @@ def test_granting_a_finished_thread_is_a_script_error():
         run_script(s)
 
 
+def test_schedule_past_the_grant_cap_is_a_script_error():
+    # thread 0 marks 3 and stops before unlinking it; thread 1's insert
+    # then restarts on every attempt until the cap of 10 000 + 1 000 per op
+    s = ScheduleScript(setup=[1, 3],
+                       programs={0: [("delete", 3)], 1: [("insert", 2)]},
+                       steps=[(0, 10), (1, 30_000)])
+    with pytest.raises(ScriptError, match="14000 grants"):
+        run_script(s)
+
+
 def test_bad_on_blocked_value():
     with pytest.raises(ValueError):
         run_script(script_parallel_inserts(), on_blocked="panic")
@@ -293,19 +303,52 @@ def test_two_insert_exploration_is_exhaustive_and_clean():
     assert rep.interleavings == 924
     assert rep.estimate == 924
     assert rep.ok
-    assert rep.unique_histories >= 1
-    assert rep.unique_traces >= 2     # creation orders differ
+    assert rep.unique_histories == 6
+    assert rep.unique_traces == 6     # creation orders differ
     kinds = {k for k, _ in rep.checkpoint_coverage}
     assert "lock" in kinds and "write" in kinds and "create" in kinds
     assert "explored 924 interleavings" in str(rep)
+
+
+# scenario -> (estimate, interleavings, unique histories, unique traces,
+# lock acquisitions by op summed over all runs); any change to the
+# checkpoints or to the scheduling shows here first
+EXPLORATION_TABLE = [
+    pytest.param([2], {0: [("insert", 1), ("delete", 1)]},
+                 (1, 1, 1, 1, {"contains": 0, "insert": 4, "delete": 3}),
+                 id="insert-then-delete"),
+    pytest.param([2], {0: [("insert", 1)], 1: [("insert", 3)]},
+                 (924, 924, 6, 6, {"contains": 0, "insert": 5544, "delete": 0}),
+                 id="sibling-inserts"),
+    pytest.param([2], {0: [("insert", 0)], 1: [("insert", 1)]},
+                 (924, 56, 6, 2, {"contains": 0, "insert": 336, "delete": 0}),
+                 id="same-edge-inserts"),
+    pytest.param([5], {0: [("insert", 5)], 1: [("delete", 5)],
+                       2: [("contains", 5)]},
+                 (6006, 6026, 85, 2,
+                  {"contains": 0, "insert": 12294, "delete": 18078}),
+                 id="insert-delete-contains"),
+    pytest.param([], {0: [("insert", 1)], 1: [("insert", 2)],
+                      2: [("contains", 1)]},
+                 (2772, 486, 40, 2, {"contains": 0, "insert": 1944, "delete": 0}),
+                 id="two-inserts-and-contains"),
+]
+
+
+@pytest.mark.parametrize("setup,programs,want", EXPLORATION_TABLE)
+def test_exploration_table_is_pinned(setup, programs, want):
+    rep = explore_small(setup, programs)
+    assert rep.ok, str(rep)
+    assert (rep.estimate, rep.interleavings, rep.unique_histories,
+            rep.unique_traces, rep.acquisitions_by_op) == want
 
 
 def test_contended_exploration_covers_both_winners():
     # same-edge race: the explorer must reach both relink orders
     rep = explore_small([2], {0: [("insert", 0)], 1: [("insert", 1)]})
     assert rep.ok
-    assert rep.unique_traces >= 2
-    assert rep.interleavings >= 2
+    assert rep.unique_traces == 2
+    assert rep.interleavings == 56
 
 
 class LeakingSet(ConcurrentSet):

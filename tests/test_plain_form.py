@@ -46,6 +46,11 @@ def test_plain_form_matches_drained_generators():
     assert dump_tree(plain) == dump_tree(stepped)
     assert stepped.trace and stepped.unlinked and stepped.attempts
     assert (plain.trace, plain.unlinked, plain.attempts) == ([], [], {})
+    # only stepped deletes retire, each node they unlink
+    r = stepped.reclaimer
+    assert r.pending() + r.reclaimed_count == len(stepped.unlinked)
+    r = plain.reclaimer
+    assert (r.pending(), r.reclaimed_count, r._pins) == (0, 0, {})
 
 
 def test_every_twin_is_a_plain_function_from_the_module_source():
@@ -72,10 +77,10 @@ def test_op_twins_keep_only_their_own_operation():
 
 
 def test_plain_form_observes_nothing_and_the_set_takes_no_options():
-    observed = ("trace", "unlinked", "attempts", "_instr")
+    stepped_only = ("trace", "unlinked", "attempts", "_instr", "reclaimer")
     for twin in itertools.chain(*twin_names().values()):
         names = getattr(ConcurrentSet, twin).__code__.co_names
-        assert not [n for n in names if any(o in n for o in observed)], twin
+        assert not [n for n in names if any(o in n for o in stepped_only)], twin
     assert not inspect.signature(ConcurrentSet).parameters
 
 
