@@ -15,7 +15,7 @@ bad input.
 from __future__ import annotations
 
 import argparse
-import os
+import contextlib
 import sys
 
 from .bench import CSV_HEADER, RANGE_PRESETS, WorkloadConfig, run_bench
@@ -80,12 +80,17 @@ def _cmd_bench(args) -> int:
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return 2
-    result = run_bench(cfg)
-    print(result)
-    if args.csv:
-        new = not os.path.exists(args.csv) or os.path.getsize(args.csv) == 0
-        with open(args.csv, "a", encoding="utf-8") as fh:
-            if new:
+    try:   # before the run, so a bad path costs no benchmark
+        fh = (open(args.csv, "a", encoding="utf-8") if args.csv
+              else contextlib.nullcontext())
+    except OSError as e:
+        print("cannot write --csv: %s" % e, file=sys.stderr)
+        return 2
+    with fh:
+        result = run_bench(cfg)
+        print(result)
+        if args.csv:
+            if fh.tell() == 0:
                 fh.write(CSV_HEADER + "\n")
             fh.write(result.csv_row() + "\n")
     return 0

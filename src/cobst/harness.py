@@ -344,7 +344,7 @@ def run_script(script: ScheduleScript, *, on_blocked: str = "error") -> RunRepor
     finished thread means: "error" raises (the script is wrong),
     "reassign" deterministically hands the grant to the lowest-id
     runnable unblocked thread instead, which is what randomly generated
-    schedules use.
+    schedules use, and ends the schedule once every thread has finished.
     """
     if on_blocked not in ("error", "reassign"):
         raise ValueError("on_blocked must be 'error' or 'reassign'")
@@ -352,22 +352,20 @@ def run_script(script: ScheduleScript, *, on_blocked: str = "error") -> RunRepor
     run = _Run(script)
     workers = run.workers
 
-    for tid, n in script.steps:
-        for _ in range(n):
-            w = workers[tid]
-            if not w.finished and not w.blocked():
-                run.grant(tid)
-                continue
-            if on_blocked == "error":
-                if w.finished:
-                    raise ScriptError(
-                        "schedule grants a step to finished thread %d" % tid)
-                raise ScheduleBlockedError(_wait_chain(run.set, workers, tid))
-            others = run.runnable()
-            other = others[0] if others else run.forced()
-            if other is None:
-                break
-            run.grant(other)
+    for tid in (t for t, n in script.steps for _ in range(n)):
+        w = workers[tid]
+        if not w.finished and not w.blocked():
+            run.grant(tid)
+            continue
+        if on_blocked == "error":
+            if w.finished:
+                raise ScriptError(
+                    "schedule grants a step to finished thread %d" % tid)
+            raise ScheduleBlockedError(_wait_chain(run.set, workers, tid))
+        if not run.unfinished():   # the steps left over grant nothing
+            break
+        others = run.runnable()
+        run.grant(others[0] if others else run.forced())
 
     # drain: round-robin by thread id, one grant per turn, skip blocked
     while True:

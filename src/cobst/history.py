@@ -463,8 +463,8 @@ def check_observable_correctness(trace) -> ObservabilityReport:
     must have two children, and no node that was reachable once and then
     unreachable may be reachable again.  A node marked deleted may
     legally stay reachable for a while, the mark happens under lock
-    before the unlink; what must never happen is the reverse, which the
-    resurrection check catches.
+    before the unlink; what must never happen is an edge event that
+    hangs it anew, or the reverse, which the resurrection check catches.
     """
     rep = ObservabilityReport()
     root_id = 0
@@ -523,6 +523,8 @@ def check_observable_correctness(trace) -> ObservabilityReport:
             if pid not in nodes or (cid is not None and cid not in nodes):
                 rep.violations.append((idx, "edge event on unknown node"))
                 continue
+            if cid is not None and nodes[cid].deleted:
+                rep.violations.append((idx, "edge to node %d marked deleted" % cid))
             if side == LEFT:
                 nodes[pid].left = cid
             elif side == RIGHT:

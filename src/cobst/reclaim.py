@@ -6,8 +6,8 @@ The harness therefore pins the epoch for each operation it steps,
 stepped deletes retire what they unlink, nodes are bucketed by the
 epoch of their retirement, and a bucket is reclaimed only once the
 global epoch has advanced twice past it, which implies every operation
-that could have seen the node has finished.  The epoch only advances
-when every pinned thread has caught up with it.
+that could have seen the node has finished.  An ``unpin`` while a node
+waits advances the epoch if every pinned thread has caught up with it.
 
 Reclaiming a node poisons its child pointers and flags it, so any buggy
 late access blows up loudly instead of silently wandering through freed
@@ -30,7 +30,6 @@ class _Poison:
 POISON = _Poison()
 
 _GRACE = 2  # epochs a retired node must age before reclamation
-_SWEEP_INTERVAL = 64  # retirements between attempts to advance the epoch
 
 
 class EpochReclaimer:
@@ -39,7 +38,6 @@ class EpochReclaimer:
         self.epoch = 0
         self._pins: dict = {}          # thread key -> epoch pinned at
         self._buckets: dict = {}       # retirement epoch -> [nodes]
-        self._since_sweep = 0
         self._advance_guard = threading.Lock()
         self.reclaimed_count = 0
 
@@ -50,31 +48,30 @@ class EpochReclaimer:
 
     def unpin(self, tkey) -> None:
         del self._pins[tkey]
+        if self._buckets:
+            self.try_advance()
 
     def retire(self, node) -> None:
-        """Hand over a node marked deleted and unlinked in the same step.
+        """File a node marked deleted and unlinked in the same step under
+        the current epoch; advancing is left to the caller's ``unpin``.
 
         Safe to call while still holding the unlinking locks: the caller
         is pinned, so the node cannot age out before the caller finishes.
         """
         assert node.deleted, "retire() on a node not marked deleted"
         self._buckets.setdefault(self.epoch, []).append(node)
-        self._since_sweep += 1
-        if self._since_sweep >= _SWEEP_INTERVAL:
-            self.try_advance()
 
     # -- epoch machinery --------------------------------------------------
 
     def try_advance(self) -> bool:
         """Advance the epoch if every pinned thread has caught up.
 
-        Non-blocking: if another thread is mid-advance we just skip, the
-        work is amortized anyway.
+        Non-blocking: if another thread is mid-advance we just skip; the
+        next ``unpin`` tries again.
         """
         if not self._advance_guard.acquire(blocking=False):
             return False
         try:
-            self._since_sweep = 0
             e = self.epoch
             # list() snapshots concurrently mutating pins; a pin that
             # appears mid-check pinned at e or later, never earlier

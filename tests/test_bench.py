@@ -262,6 +262,19 @@ def test_cli_bench_runs_and_appends_csv(tmp_path, capsys):
     assert len(lines) == 3          # header written once, two rows
 
 
+@pytest.mark.parametrize("where", ["dir", "missing/r.csv"])
+def test_cli_bench_unwritable_csv_exits_2_before_the_run(tmp_path, monkeypatch,
+                                                         capsys, where):
+    def no_run(cfg):
+        raise AssertionError("run_bench reached with an unwritable --csv")
+
+    monkeypatch.setattr("cobst.cli.run_bench", no_run)
+    (tmp_path / "dir").mkdir()
+    assert main(bench_args("--csv", str(tmp_path / where))) == 2
+    err = capsys.readouterr().err
+    assert "cannot write --csv" in err and "Traceback" not in err
+
+
 def test_cli_bench_accepts_presets(capsys):
     rc = main(["bench", "--range", "small", "--threads", "1", "--no-prefill",
                "--duration-ms", "60", "--warmup-ms", "5"])

@@ -1,6 +1,7 @@
 """Deterministic replay, script parsing, the named scenarios, and the
 bounded exhaustive explorer."""
 
+import hashlib
 import random
 
 import pytest
@@ -103,6 +104,21 @@ def test_schedule_past_the_grant_cap_is_a_script_error():
                        steps=[(0, 10), (1, 30_000)])
     with pytest.raises(ScriptError, match="14000 grants"):
         run_script(s)
+
+
+def test_reassign_stops_stepping_once_every_thread_finished(monkeypatch):
+    # random schedules carry six steps per op, most of them left over
+    # after the last thread finishes; none of those may cost a call
+    runnable = harness._Run.runnable
+
+    def checked(self):
+        assert self.unfinished(), "runnable() after every thread finished"
+        return runnable(self)
+
+    monkeypatch.setattr(harness._Run, "runnable", checked)
+    for seed in range(20):
+        run_script(random_schedule(2 + seed % 3, 4, 8, seed),
+                   on_blocked="reassign")
 
 
 def test_bad_on_blocked_value():
@@ -286,6 +302,41 @@ def test_random_runs_are_clean_and_linearizable(seed):
     assert rep.structure.ok and rep.locks_clean
     assert is_linearizable(rep.history, max_ops=40).ok
     assert check_observable_correctness(rep.trace).ok
+
+
+def replay_corpus():
+    """The 300 random schedules whose reports every change must keep."""
+    for s in range(300):
+        yield run_script(random_schedule(2 + s % 3, 4, 8, s),
+                         on_blocked="reassign")
+
+
+def test_replay_digest_of_the_random_corpus_is_pinned():
+    h = hashlib.sha256()
+    for rep in replay_corpus():
+        h.update(repr((rep.kv_lines(), rep.trace,
+                       rep.history.events)).encode())
+    assert h.hexdigest() == (
+        "67cd7dca207bfcbff971c0c5398512c9236e301899aeec3bce3a7d596cce8757")
+
+
+def test_small_stepped_runs_reclaim_most_of_what_they_retire(monkeypatch):
+    # the end of each stepped operation advances the epoch, so most
+    # nodes a run retires are poisoned before the run ends
+    reclaimers = []
+    report = harness._Run.report
+
+    def kept(self):
+        reclaimers.append(self.set.reclaimer)
+        return report(self)
+
+    monkeypatch.setattr(harness._Run, "report", kept)
+    for _ in replay_corpus():
+        pass
+    reclaimed = sum(r.reclaimed_count for r in reclaimers)
+    retired = reclaimed + sum(r.pending() for r in reclaimers)
+    assert retired > 200
+    assert reclaimed > retired / 2
 
 
 # -- exploration ------------------------------------------------------------

@@ -418,6 +418,16 @@ def test_mark_before_unlink_is_legal():
     assert rep.ok
 
 
+def test_edge_to_a_marked_node_is_flagged():
+    trace = [("create", 1, 5, DATA), ("create", 2, 3, DATA),
+             ("edge", 0, LEFT, 1), ("edge", 1, LEFT, 2),
+             ("mark", 2),
+             ("edge", 1, LEFT, None),       # node 2 unlinked
+             ("edge", 1, LEFT, 2)]          # and re-hung while marked
+    rep = check_observable_correctness(trace)
+    assert (6, "edge to node 2 marked deleted") in rep.violations
+
+
 def test_resurrection_is_flagged():
     trace = [("create", 1, 5, DATA), ("edge", 0, LEFT, 1),
              ("edge", 0, LEFT, None),       # node 1 leaves the tree
