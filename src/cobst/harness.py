@@ -54,7 +54,8 @@ from dataclasses import dataclass, field
 from .concurrent_set import ConcurrentSet, K_LOCK, OpOutcome
 from .history import History, HistoryRecorder, check_observable_correctness, \
     is_linearizable
-from .tree_core import StructureReport, validate_key, validate_structure
+from .tree_core import MIN_KEY, PLUS_INF, StructureReport, validate_key, \
+    validate_structure
 
 __all__ = [
     "ScheduleScript", "RunReport", "ScriptError", "ScheduleBlockedError",
@@ -121,6 +122,8 @@ class ScheduleScript:
 
 
 def _check_key(key, where: str) -> None:
+    if type(key) is int and MIN_KEY <= key < PLUS_INF:
+        return
     try:
         validate_key(key)
     except TypeError:
@@ -548,14 +551,17 @@ def explore_small(setup, programs) -> ExplorationReport:
 #   schedule: 0:3 1:2 0:1
 #
 # Blank lines and # comments are ignored; setup and schedule are
-# optional (no schedule means pure round-robin drain).
+# optional (no schedule means pure round-robin drain).  Each directive,
+# and each thread id, may appear once.
 
 _OP_RE = re.compile(r"(insert|delete|contains)\((-?\d+)\)")
 _STEP_RE = re.compile(r"(\d+):(\d+)")
+_THREAD_RE = re.compile(r"thread\s+(-?\d+)")
 
 
 def parse_script(text: str) -> ScheduleScript:
     script = ScheduleScript()
+    seen = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -563,16 +569,21 @@ def parse_script(text: str) -> ScheduleScript:
         head, _, rest = line.partition(":")
         head = head.strip()
         rest = rest.strip()
+        thread = _THREAD_RE.fullmatch(head)
+        if thread:
+            tid = int(thread.group(1))
+            head = "thread %d" % tid
+        elif head.startswith("thread"):
+            raise ScriptError("line %d: expected 'thread <id>:'" % ln)
+        if head in seen:
+            raise ScriptError("line %d: repeated directive %r" % (ln, head))
+        seen.add(head)
         if head == "setup":
             try:
                 script.setup = [int(t) for t in rest.split()]
             except ValueError:
                 raise ScriptError("line %d: setup keys must be integers" % ln) from None
-        elif head.startswith("thread"):
-            try:
-                tid = int(head.split()[1])
-            except (IndexError, ValueError):
-                raise ScriptError("line %d: expected 'thread <id>:'" % ln) from None
+        elif thread:
             ops = _OP_RE.findall(rest)
             joined = " ".join("%s(%s)" % p for p in ops)
             if not ops or joined.replace(" ", "") != rest.replace(" ", ""):

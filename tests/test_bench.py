@@ -436,7 +436,9 @@ def test_cli_replay_bad_inputs(tmp_path, capsys):
                       ("setup: 9223372036854775807\nthread 0: insert(1)\n",
                        "internal sentinel"),
                       ("thread 0: insert(1)\nschedule: 3:1\n",
-                       "unknown thread 3")):
+                       "unknown thread 3"),
+                      ("thread 0: insert(1)\nthread 0: insert(2)\n",
+                       "line 2: repeated directive 'thread 0'")):
         bad.write_text(text)
         assert main(["replay", "--script", str(bad)]) == 2
         err = capsys.readouterr().err

@@ -16,7 +16,7 @@ from cobst.harness import (SETUP_THREAD, ExplorationBoundError, ScheduleBlockedE
                            script_twin_replacement)
 from cobst.history import History, check_observable_correctness, is_linearizable
 from cobst.reclaim import EpochReclaimer
-from cobst.tree_core import PLUS_INF, SequentialBst
+from cobst.tree_core import MAX_KEY, MIN_KEY, PLUS_INF, SequentialBst
 
 
 # -- script validation ------------------------------------------------------
@@ -49,6 +49,20 @@ def test_validate_rejects_bad_ops_and_keys():
             programs={0: [("insert", 99999999999999999999)]}).validate()
     with pytest.raises(ScriptError, match="sentinel.*, in setup"):
         ScheduleScript(setup=[PLUS_INF],
+                       programs={0: [("insert", 2)]}).validate()
+
+
+def test_validate_key_check_edges():
+    ScheduleScript(setup=[MIN_KEY],
+                   programs={0: [("insert", MAX_KEY)]}).validate()
+    with pytest.raises(ScriptError, match="non-integer key True in thread 0"):
+        ScheduleScript(programs={0: [("insert", True)]}).validate()
+    with pytest.raises(ScriptError, match="non-integer key 1.0 in setup"):
+        ScheduleScript(setup=[1.0], programs={0: [("insert", 2)]}).validate()
+    with pytest.raises(ScriptError, match="sentinel.*, in thread 0"):
+        ScheduleScript(programs={0: [("insert", PLUS_INF)]}).validate()
+    with pytest.raises(ScriptError, match="64-bit signed range, in setup"):
+        ScheduleScript(setup=[MIN_KEY - 1],
                        programs={0: [("insert", 2)]}).validate()
 
 
@@ -478,6 +492,13 @@ def test_emit_format_is_exact():
     ("thread 0: insert(1)\nschedule: 0:1 nope", "cannot parse schedule"),
     ("prelude: insert(1)", "unknown directive"),
     ("thread 0: insert(1)\nschedule: 5:1", "unknown thread"),
+    ("thread 0: insert(1)\nthread 0: insert(2)", "line 2: repeated directive 'thread 0'"),
+    ("thread 0: insert(1)\nthread 00: insert(2)", "line 2: repeated directive 'thread 0'"),
+    ("setup: 1\nthread 0: insert(2)\nsetup: 3", "line 3: repeated directive 'setup'"),
+    ("thread 0: insert(1)\nschedule: 0:1\nschedule: 0:2",
+     "line 3: repeated directive 'schedule'"),
+    ("threadX 0 junk: insert(1)", "line 1: expected 'thread <id>:'"),
+    ("thread 0 junk: insert(1)", "line 1: expected 'thread <id>:'"),
 ])
 def test_parse_script_rejects_malformed_text(text, msg):
     with pytest.raises(ScriptError, match=msg):

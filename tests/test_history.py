@@ -2,12 +2,14 @@
 cross-check, the text format, and structural trace validation."""
 
 import random
+import sys
+import threading
 
 import pytest
 
 from cobst.concurrent_set import ConcurrentSet
 from cobst.history import (INV, RES, History, HistoryEvent, HistoryRecorder,
-                           HistoryTooLargeError, check_observable_correctness,
+                           HistoryTooLargeError, OpRecord, check_observable_correctness,
                            complete_history, emit_history, is_linearizable,
                            linearizable_by_enumeration, parse_history,
                            set_type_step)
@@ -96,6 +98,72 @@ def test_history_equality_ignores_seq_values():
     b = History([ev(10, 0, INV, "insert", 5), ev(20, 0, RES, "insert", 5, True)])
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_record_contract():
+    e = HistoryEvent(3, 1, INV, "insert", 5, None)
+    o = OpRecord(0, 1, "insert", 5, True, 3, 4)
+    assert repr(e) == ("HistoryEvent(seq=3, thread=1, kind='inv', op='insert', "
+                       "key=5, ret=None)")
+    assert repr(o) == ("OpRecord(index=0, thread=1, op='insert', key=5, ret=True, "
+                       "inv_seq=3, res_seq=4)")
+    for rec, name in ((e, "seq"), (e, "ret"), (o, "ret"), (o, "res_seq")):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0)
+    assert {e, HistoryEvent(3, 1, INV, "insert", 5, None)} == {e}
+    assert {o, OpRecord(0, 1, "insert", 5, True, 3, 4)} == {o}
+    assert not o.pending
+
+    # an operation without a response: pending, no return value; the
+    # checker may list it in its witness as an update that took effect
+    h = History([e, ev(4, 2, INV, "contains", 5), ev(5, 2, RES, "contains", 5, True)])
+    pend, read = h.ops()
+    assert pend == OpRecord(0, 1, "insert", 5, None, 3, None)
+    assert pend.pending and pend.ret is None
+    assert not read.pending and read.ret is True
+    r = is_linearizable(h)
+    assert r.ok
+    assert [(w.op, w.ret, w.pending) for w in r.witness] == [
+        ("insert", True, True), ("contains", True, False)]
+
+    # equality and hashing see the events, not their seq values
+    b = History([ev(30, 1, INV, "insert", 5), ev(41, 2, INV, "contains", 5),
+                 ev(52, 2, RES, "contains", 5, True)])
+    assert h == b and hash(h) == hash(b)
+    assert h != History([ev(3, 2, INV, "insert", 5), ev(4, 1, INV, "contains", 5),
+                         ev(5, 1, RES, "contains", 5, True)])
+
+
+def test_recorder_is_thread_safe_without_a_lock():
+    threads, pairs = 4, 2000
+    rec = HistoryRecorder()
+    start = threading.Barrier(threads)
+
+    def worker(tid):
+        start.wait(timeout=30)
+        for k in range(pairs):
+            rec.invoke(tid, "insert", k)
+            rec.respond(tid, "insert", k, k % 2 == 0)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)      # switch threads often
+    try:
+        ts = [threading.Thread(target=worker, args=(t,)) for t in range(threads)]
+        for t in ts:
+            t.start()
+        for t in ts:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    n = 2 * threads * pairs
+    assert sorted(e.seq for e in rec.events) == list(range(n))
+    h = rec.history()
+    assert len(h) == n and not h.pending_ops()
+    for tid in range(threads):
+        mine = [o for o in h.ops() if o.thread == tid]
+        assert [o.key for o in mine] == list(range(pairs))
+        assert [o.ret for o in mine] == [k % 2 == 0 for k in range(pairs)]
 
 
 # -- completion enumeration ----------------------------------------------------
