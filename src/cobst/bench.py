@@ -35,6 +35,8 @@ __all__ = ["WorkloadConfig", "BenchResult", "CoarseLockedSet", "run_bench",
 
 IMPLS = ("co-bst", "coarse-bst")
 MAX_THREADS = 64    # each is an OS thread, and the GIL runs one at a time
+# prefill inserts half the range: 2^22 nodes, about 1.1 GiB at 272 B a node
+MAX_PREFILL_RANGE = 2 ** 23
 
 # the standard experiment sizes; pass any other range explicitly
 RANGE_PRESETS = {"small": 2 ** 15, "medium": 2 ** 19, "large": 2 ** 21}
@@ -110,6 +112,9 @@ class WorkloadConfig:
             raise ValueError("threads must be within 1..%d" % MAX_THREADS)
         if not 2 <= self.key_range <= MAX_KEY + 1:
             raise ValueError("key range must be within 2..%d" % (MAX_KEY + 1))
+        if self.prefill and self.key_range > MAX_PREFILL_RANGE:
+            raise ValueError("key range %d is too large to prefill (at most %d); "
+                             "use --no-prefill" % (self.key_range, MAX_PREFILL_RANGE))
         if not 0 <= self.update_pct <= 100:
             raise ValueError("update percentage must be within 0..100")
         if self.duration_ms <= 0:

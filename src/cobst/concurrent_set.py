@@ -41,6 +41,12 @@ becomes a direct call and ``_op`` becomes one twin per operation, so
 real threads pay for no generator frames, no dispatch on the operation
 and no observation.  The twins return bare bools; only ``run_op`` builds
 an ``OpOutcome``.  Both forms keep every check, counter and lock call.
+
+Every descent tests ``v < curr.val`` first and ``curr.val < v`` second,
+so a left step costs one comparison and only the node holding ``v`` pays
+two; ``val`` never changes, so reading it twice needs no checkpoint.
+The wrapper reads a thread's stats with one dict lookup and creates
+them on its first operation only.
 """
 
 from __future__ import annotations
@@ -69,6 +75,8 @@ __all__ = [
 
 # operation -> name of its plain twin, ``_op`` compiled with ``op`` bound
 _PLAIN_TWINS = {op: "_%s_plain" % op for op in ("contains", "insert", "delete")}
+
+_get_ident = threading.get_ident   # one global read, not a global and an attribute
 
 # checkpoint kinds, as seen by the schedule harness
 K_READ = "read"
@@ -237,7 +245,7 @@ class _AttemptCtx:
 def _op_args(op: str, v, tkey) -> tuple:
     if op not in _PLAIN_TWINS:
         raise ValueError("unknown operation %r" % (op,))
-    return op, v, threading.get_ident() if tkey is None else tkey
+    return op, v, _get_ident() if tkey is None else tkey
 
 
 class ConcurrentSet:
@@ -275,13 +283,13 @@ class ConcurrentSet:
     # -- public set interface -------------------------------------------
 
     def contains(self, v) -> bool:
-        return self._contains_plain(v, threading.get_ident())
+        return self._contains_plain(v, _get_ident())
 
     def insert(self, v) -> bool:
-        return self._insert_plain(v, threading.get_ident())
+        return self._insert_plain(v, _get_ident())
 
     def delete(self, v) -> bool:
-        return self._delete_plain(v, threading.get_ident())
+        return self._delete_plain(v, _get_ident())
 
     def run_op(self, op: str, v, tkey=None) -> OpOutcome:
         """Run one operation to completion and return the full outcome,
@@ -388,25 +396,26 @@ class ConcurrentSet:
 
     def _traverse(self, v: int):
         """Unsynchronized descent to ``(gprev, prev, curr)`` as in
-        ``tree_core.traverse``; the only checkpoints are the child
-        pointer reads, one per step down."""
+        ``tree_core.traverse``, with the same comparison order; the only
+        checkpoints are the child pointer reads, one per step down."""
         gprev = None
         prev = None
         curr = self.root
         while curr is not None:
-            cv = curr.val
-            if cv == v:
-                break
-            gprev = prev
-            prev = curr
-            if v < cv:
+            if v < curr.val:
+                gprev = prev
+                prev = curr
                 if self._instr:
                     yield S_TRAV_LEFT
                 curr = curr.left
-            else:
+            elif curr.val < v:
+                gprev = prev
+                prev = curr
                 if self._instr:
                     yield S_TRAV_RIGHT
                 curr = curr.right
+            else:
+                break
         return gprev, prev, curr
 
     # -- one operation: the wrapper shared by all three -------------------
@@ -418,7 +427,9 @@ class ConcurrentSet:
         twins the bare result."""
         if not (type(v) is int and MIN_KEY <= v < PLUS_INF):
             validate_key(v)   # int subclasses pass; anything else raises
-        st = self._thread_stats(tkey)
+        st = self._stats.get(tkey)
+        if st is None:   # the thread's first operation
+            st = self._thread_stats(tkey)
         st.ops[op] += 1
         restarts = 0
         if op == "contains":
@@ -426,20 +437,19 @@ class ConcurrentSet:
             result = False
             curr = self.root
             while curr is not None:
-                cv = curr.val
-                if cv == v:
+                if v < curr.val:
+                    if self._instr:
+                        yield S_TRAV_LEFT
+                    curr = curr.left
+                elif curr.val < v:
+                    if self._instr:
+                        yield S_TRAV_RIGHT
+                    curr = curr.right
+                else:
                     if self._instr:
                         yield S_CONT_STATE
                     result = curr.state == DATA
                     break
-                if v < cv:
-                    if self._instr:
-                        yield S_TRAV_LEFT
-                    curr = curr.left
-                else:
-                    if self._instr:
-                        yield S_TRAV_RIGHT
-                    curr = curr.right
         else:
             ctx = _AttemptCtx(tkey)
             while True:

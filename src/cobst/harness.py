@@ -555,7 +555,10 @@ def explore_small(setup, programs) -> ExplorationReport:
 # and each thread id, may appear once.
 
 _OP_RE = re.compile(r"(insert|delete|contains)\((-?\d+)\)")
-_STEP_RE = re.compile(r"(\d+):(\d+)")
+# whole lines: ops with optional spaces between them, steps with at
+# least one space between them
+_OPS_RE = re.compile(r"%s(?: *%s)*" % ((_OP_RE.pattern,) * 2))
+_STEPS_RE = re.compile(r"(?:\d+:\d+(?: +\d+:\d+)*)?")
 _THREAD_RE = re.compile(r"thread\s+(-?\d+)")
 
 
@@ -584,17 +587,14 @@ def parse_script(text: str) -> ScheduleScript:
             except ValueError:
                 raise ScriptError("line %d: setup keys must be integers" % ln) from None
         elif thread:
-            ops = _OP_RE.findall(rest)
-            joined = " ".join("%s(%s)" % p for p in ops)
-            if not ops or joined.replace(" ", "") != rest.replace(" ", ""):
+            if not _OPS_RE.fullmatch(rest):
                 raise ScriptError("line %d: cannot parse ops %r" % (ln, rest))
-            script.programs[tid] = [(op, int(k)) for op, k in ops]
+            script.programs[tid] = [(op, int(k)) for op, k in _OP_RE.findall(rest)]
         elif head == "schedule":
-            steps = _STEP_RE.findall(rest)
-            joined = " ".join("%s:%s" % s for s in steps)
-            if joined.replace(" ", "") != rest.replace(" ", ""):
+            if not _STEPS_RE.fullmatch(rest):
                 raise ScriptError("line %d: cannot parse schedule %r" % (ln, rest))
-            script.steps = [(int(t), int(n)) for t, n in steps]
+            nums = map(int, rest.replace(":", " ").split())
+            script.steps = list(zip(nums, nums))
         else:
             raise ScriptError("line %d: unknown directive %r" % (ln, head))
     script.validate()

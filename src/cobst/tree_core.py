@@ -98,6 +98,7 @@ def traverse(root: Node, v: int) -> tuple:
 
     Descends left when v is smaller than the current key and right when
     larger, stopping at the first node holding v or at a null child.
+    Testing ``v < curr.val`` first makes a left step cost one comparison.
     ``curr`` is that node, or None if the key is absent (then ``prev``
     is the would-be parent).  ``prev`` is never null: the root compares
     greater than every client key, so at least one descent happens.
@@ -106,12 +107,16 @@ def traverse(root: Node, v: int) -> tuple:
     prev = None
     curr = root
     while curr is not None:
-        cv = curr.val
-        if cv == v:
+        if v < curr.val:
+            gprev = prev
+            prev = curr
+            curr = curr.left
+        elif curr.val < v:
+            gprev = prev
+            prev = curr
+            curr = curr.right
+        else:
             break
-        gprev = prev
-        prev = curr
-        curr = curr.left if v < cv else curr.right
     return gprev, prev, curr
 
 

@@ -22,7 +22,7 @@ from cobst.tree_core import MAX_KEY
 
 def test_default_config_is_valid():
     WorkloadConfig().validate()
-    WorkloadConfig(key_range=MAX_KEY + 1).validate()     # keys 0..MAX_KEY
+    WorkloadConfig(key_range=MAX_KEY + 1, prefill=False).validate()  # keys 0..MAX_KEY
 
 
 @pytest.mark.parametrize("kw,msg", [
@@ -35,6 +35,7 @@ def test_default_config_is_valid():
     (dict(warmup_ms=-5), "warmup"),
     (dict(key_range=MAX_KEY + 2), "key range"),      # largest key past MAX_KEY
     (dict(threads=bench.MAX_THREADS + 1), "threads must be within 1..64"),
+    (dict(key_range=bench.MAX_PREFILL_RANGE + 1), "no-prefill"),
 ])
 def test_config_validation_errors(kw, msg):
     with pytest.raises(ValueError, match=msg):
@@ -288,6 +289,19 @@ def test_cli_bench_rejects_bad_range(capsys):
     # refused before anything is allocated or any thread starts
     assert main(bench_args("--range", str(2 ** 64), "--no-prefill")) == 2
     assert "key range" in capsys.readouterr().err
+
+
+def test_cli_bench_refuses_a_prefill_that_cannot_fit(monkeypatch, capsys):
+    def no_run(cfg):
+        raise AssertionError("run_bench reached with range %d" % cfg.key_range)
+
+    monkeypatch.setattr("cobst.cli.run_bench", no_run)
+    WorkloadConfig(key_range=bench.MAX_PREFILL_RANGE).validate()
+    for key_range in (bench.MAX_PREFILL_RANGE + 1, 2 ** 62):
+        assert main(bench_args("--range", str(key_range))) == 2
+        err = capsys.readouterr().err
+        assert "too large to prefill" in err and "--no-prefill" in err
+    WorkloadConfig(key_range=2 ** 62, prefill=False).validate()
 
 
 def test_cli_bench_rejects_bad_config(capsys):

@@ -1,6 +1,7 @@
 """Lock conditions, single-threaded equivalence, stats, and
 reclamation behaviour of the concurrent set."""
 
+import random
 import threading
 
 import pytest
@@ -623,3 +624,77 @@ def test_concurrent_smoke():
     snap = s.stats_snapshot()
     assert snap["completed"] == 4 * 800
     assert snap["acquisitions"]["contains"] == 0
+
+
+# -- one descent, four copies ------------------------------------------------
+
+def _stepped(gen):
+    """Drain a stepping-form generator: (checkpoints, return value)."""
+    points = []
+    try:
+        while True:
+            points.append(next(gen))
+    except StopIteration as stop:
+        return points, stop.value
+
+
+def test_every_descent_finds_the_same_nodes_on_trees_with_routing_nodes():
+    # tree_core.traverse (the sequential oracle's and coarse-bst's
+    # descent), the updates' descent in both forms and contains in both
+    # forms must agree on every key: present, absent and routing
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(40):
+        s = ConcurrentSet()
+        keys = rng.sample(range(64), rng.randint(8, 40))
+        for k in keys:
+            s.insert(k)
+        for k in rng.sample(keys, len(keys) // 2):
+            s.delete(k)
+        assert validate_structure(s).ok
+        for k in range(-1, 66):
+            want = traverse(s.root, k)
+            curr = want[2]
+            seen.add("absent" if curr is None else curr.state)
+            # the path by the textbook rule: stop on an equal key,
+            # otherwise go left on smaller
+            path, node = [], s.root
+            while node is not None and node.val != k:
+                path.append(S_TRAV_LEFT if k < node.val else S_TRAV_RIGHT)
+                node = node.left if k < node.val else node.right
+            assert node is curr
+            got = s._traverse_plain(k)
+            assert len(got) == 3 and all(g is w for g, w in zip(got, want)), k
+            sites, got = _stepped(s._traverse(k))
+            assert sites == path and all(g is w for g, w in zip(got, want)), k
+            member = curr is not None and curr.state == DATA
+            assert s._contains_plain(k, "t") is member
+            sites, out = _stepped(s.op_gen("contains", k, tkey="t"))
+            assert sites == path + ([S_CONT_STATE] if curr is not None else [])
+            assert out.result is member
+    assert seen == {"absent", DATA, ROUTING}
+
+
+def test_stepped_contains_and_insert_checkpoints_are_exact():
+    s = ConcurrentSet()
+    for k in (50, 20, 80, 10, 30):
+        s.insert(k)
+    s.delete(20)                     # two children: 20 stays, routing
+    assert s.root.left.left.state == ROUTING
+
+    def names(op, k):
+        points, out = _stepped(s.op_gen(op, k, tkey=1))
+        return [p.name for p in points], out.result
+
+    assert names("contains", 30) == (
+        ["traverse.left", "traverse.left", "traverse.right",
+         "contains.state"], True)
+    assert names("contains", 20) == (
+        ["traverse.left", "traverse.left", "contains.state"], False)
+    assert names("insert", 25) == (
+        ["traverse.left", "traverse.left", "traverse.right", "traverse.left",
+         "insert.edge", "insert.parent_state", "insert.node", "insert.link"],
+        True)
+    assert names("insert", 20) == (
+        ["traverse.left", "traverse.left", "insert.state",
+         "insert.promote_state", "insert.promote"], True)

@@ -503,3 +503,57 @@ def test_emit_format_is_exact():
 def test_parse_script_rejects_malformed_text(text, msg):
     with pytest.raises(ScriptError, match=msg):
         parse_script(text)
+
+
+# -- the parser against its reference ---------------------------------------
+
+def _parsed(parse, text):
+    try:
+        s = parse(text)
+    except Exception as e:   # the type and the message must match
+        return type(e).__name__, str(e)
+    return "ok", repr((s.setup, s.programs, s.steps))
+
+
+# hand-picked line variants on top of the emitted ones: separators the
+# format does and does not allow, glued tokens, odd digits
+_PARSER_EDGE_LINES = [
+    "schedule:", "schedule:   ", "schedule: 0:1\t1:1", "schedule: 0:1  1:1",
+    "schedule: 0:1:2", "schedule: 0:11:1", "schedule: 00:01 0:007",
+    "schedule: ٠:١", "schedule: 0:１", "schedule: 0 :1",
+    "schedule: 0: 1", "schedule: :1", "schedule: 0:1 ", "schedule: -0:1",
+    "thread 0: insert(1)delete(2)", "thread 0: insert(1)  delete(2)",
+    "thread 0: insert(1)\tdelete(2)", "thread 0: insert(007)",
+    "thread 0: insert(-0)", "thread 0: insert(١٢)",
+    "thread 0: insert( 1)", "thread 0: insert(1) ", "thread 0:",
+    "thread 0: insert(1)x", "thread 0: insert(1):", "thread 0: insert(--1)",
+]
+
+
+def _mutants(text, rng):
+    lines = text.splitlines()
+    yield text
+    for edge in _PARSER_EDGE_LINES:
+        head = edge.split(":", 1)[0]
+        yield "\n".join([ln for ln in lines if not ln.startswith(head)] + [edge])
+    for _ in range(6):
+        pos = rng.randrange(len(text))
+        ch = rng.choice([" ", "  ", "\t", ":", "(", ")", "-", "0", "7",
+                         "٣", "x", "#", ""])
+        yield text[:pos] + ch + text[pos + rng.choice((0, 1)):]
+    yield text.replace(" ", "  ")
+    yield text.replace(") ", ")")
+    yield text.replace(" 0:", " 00:")
+
+
+def test_parse_script_matches_the_reference_parser():
+    from script_oracle import reference_parse_script
+    rng = random.Random(11)
+    verdicts = set()
+    for seed in range(120):
+        script = random_schedule(1 + seed % 4, 1 + seed % 5, 8, seed=seed)
+        for text in _mutants(emit_script(script), rng):
+            want = _parsed(reference_parse_script, text)
+            assert _parsed(parse_script, text) == want, text
+            verdicts.add(want[0])
+    assert verdicts == {"ok", "ScriptError"}
