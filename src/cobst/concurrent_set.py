@@ -103,21 +103,24 @@ class LockPoint:
 
     Unlike the constant Sites this is allocated per attempt because the
     harness needs the concrete lock, the requested mode and the guard
-    predicate to decide whether the attempt could even succeed right
-    now (the predicate only performs reads, so peeking is free of side
-    effects).
+    predicate with its arguments to decide whether the attempt could
+    even succeed right now (the predicate only performs reads, so
+    peeking is free of side effects).
     """
 
-    __slots__ = ("kind", "family", "name", "lock", "mode", "cond")
+    __slots__ = ("kind", "family", "name", "lock", "mode", "cond", "node",
+                 "expected")
 
     def __init__(self, family: str, name: str, lock: CondRwLock,
-                 mode: LockMode, cond):
+                 mode: LockMode, cond, node=None, expected=None):
         self.kind = K_LOCK
         self.family = family
         self.name = name
         self.lock = lock
         self.mode = mode
         self.cond = cond
+        self.node = node
+        self.expected = expected
 
     def would_block(self) -> bool:
         """True if attempting now could only end in CONTENDED.
@@ -126,7 +129,8 @@ class LockPoint:
         such attempts are never blocked, they fail fast with
         CONDITION_VIOLATED.
         """
-        if not self.cond():
+        node = self.node
+        if not (self.cond() if node is None else self.cond(node, self.expected)):
             return False
         w = self.lock.word
         return w == 1 if self.mode is READ else w != 0
@@ -180,33 +184,36 @@ _BACKOFF_MAX_EXP = 5
 #
 # The guard predicates re-read the node fields on every call, which is
 # the whole point: they run once before the CAS and once after, and only
-# the post-acquire evaluation is authoritative.
+# the post-acquire evaluation is authoritative.  ``rwlock`` calls them
+# with the node and the expected value, so an attempt builds no closure.
 
-def _edge_ref_cond(node: Node, side: int, expected):
-    if side == LEFT:
-        return lambda: node.left is expected and not node.deleted
-    return lambda: node.right is expected and not node.deleted
-
-
-def _edge_val_cond(node: Node, side: int, expected_key: int):
-    if side == LEFT:
-        def cond():
-            c = node.left
-            return c is not None and c.val == expected_key and not node.deleted
-    else:
-        def cond():
-            c = node.right
-            return c is not None and c.val == expected_key and not node.deleted
-    return cond
+def _left_is(node: Node, expected) -> bool:
+    return node.left is expected and not node.deleted
 
 
-def _state_cond(node: Node, expected_state: str):
-    return lambda: node.state == expected_state and not node.deleted
+def _right_is(node: Node, expected) -> bool:
+    return node.right is expected and not node.deleted
+
+
+def _left_holds(node: Node, key) -> bool:
+    return (c := node.left) is not None and c.val == key and not node.deleted
+
+
+def _right_holds(node: Node, key) -> bool:
+    return (c := node.right) is not None and c.val == key and not node.deleted
+
+
+def _state_is(node: Node, state) -> bool:
+    return node.state == state and not node.deleted
+
+
+_EDGE_IS = (_left_is, _right_is)            # edge by reference, by side
+_EDGE_HOLDS = (_left_holds, _right_holds)   # edge by value, by side
 
 
 class ThreadStats:
     __slots__ = ("ops", "completed", "restarts", "acquisitions",
-                 "cond_violations", "contended_aborts")
+                 "cond_violations", "contended_aborts", "ctx")
 
     def __init__(self):
         self.ops = {"contains": 0, "insert": 0, "delete": 0}
@@ -229,10 +236,12 @@ class OpOutcome:
 
 
 class _AttemptCtx:
-    """Lock bookkeeping of one update: what its current attempt holds
-    (for the all-or-nothing release) and, in the stepping form, the last
-    lock level (for the deadlock-order assert).  ``_op`` makes one per
-    update and resets both between attempts, ``held`` before any backoff."""
+    """Lock bookkeeping of an update: what its current attempt holds (for
+    the all-or-nothing release) and, in the stepping form, the last lock
+    level (for the deadlock-order assert).  ``_op`` resets both between
+    attempts, ``held`` before any backoff.  A plain update reuses its
+    thread's, made with its stats; a stepped one makes its own, so that
+    closing an abandoned generator cannot release a later one's locks."""
 
     __slots__ = ("tkey", "held", "last_level")
 
@@ -348,6 +357,7 @@ class ConcurrentSet:
         st = self._stats.get(tkey)
         if st is None:
             st = self._stats[tkey] = ThreadStats()
+            st.ctx = _AttemptCtx(tkey)
         return st
 
     def _backoff(self, n: int) -> None:
@@ -365,8 +375,8 @@ class ConcurrentSet:
 
     def _lock(self, ctx: _AttemptCtx, tkey, st: ThreadStats, optag: str,
               lock: CondRwLock, mode: LockMode, cond, family: str,
-              name: str, level: int):
-        """One bounded-attempt conditional acquisition (generator).
+              name: str, level: int, node=None, expected=None):
+        """One bounded-attempt acquisition under ``cond(node, expected)``.
 
         The stepping form yields one LockPoint checkpoint and makes a
         single attempt; the plain form spins on contention, all of it
@@ -381,10 +391,10 @@ class ConcurrentSet:
                     level, ctx.last_level, name)
             ctx.last_level = level
             self.attempts[ctx.tkey] = ctx
-            yield LockPoint(family, name, lock, mode, cond)
-            out = lock.try_lock_with_condition(mode, cond)
+            yield LockPoint(family, name, lock, mode, cond, node, expected)
+            out = lock.try_lock_with_condition(mode, cond, node, expected)
         else:
-            out = lock.lock_with_spin(mode, cond)
+            out = lock.lock_with_spin(mode, cond, node, expected)
         if out is ACQUIRED:
             ctx.held.append((lock, mode))
             st.acquisitions[optag] += 1
@@ -451,7 +461,9 @@ class ConcurrentSet:
                     result = curr.state == DATA
                     break
         else:
-            ctx = _AttemptCtx(tkey)
+            ctx = st.ctx
+            if self._instr:
+                ctx = _AttemptCtx(tkey)   # see ``_AttemptCtx``
             while True:
                 if self._instr:
                     ctx.last_level = None
@@ -491,9 +503,8 @@ class ConcurrentSet:
                 return False
             # routing node holds the key structurally: claim it
             yield from self._lock(
-                ctx, tkey, st, "insert", curr.state_lock, WRITE,
-                _state_cond(curr, ROUTING), "state", "insert.promote_state",
-                level=0)
+                ctx, tkey, st, "insert", curr.state_lock, WRITE, _state_is,
+                "state", "insert.promote_state", 0, curr, ROUTING)
             if self._instr:
                 yield W_INS_PROMOTE
                 self.trace.append(("state", curr.id, DATA))
@@ -504,13 +515,12 @@ class ConcurrentSet:
         side = LEFT if v < prev.val else RIGHT
         yield from self._lock(
             ctx, tkey, st, "insert", prev.edge_lock(side), WRITE,
-            _edge_ref_cond(prev, side, None), "edge_ref", "insert.edge",
-            level=0)
+            _EDGE_IS[side], "edge_ref", "insert.edge", 0, prev, None)
         # shared hold on prev's state: blocks a concurrent demotion or
         # deletion of prev between our deleted re-check and the link
         yield from self._lock(
             ctx, tkey, st, "insert", prev.state_lock, READ,
-            _ALWAYS, "state_plain", "insert.parent_state", level=-1)
+            _ALWAYS, "state_plain", "insert.parent_state", -1)
         if prev.deleted:   # fresh read under the lock
             raise Restart
         if self._instr:
@@ -564,8 +574,8 @@ class ConcurrentSet:
         """Both children present: the node only loses its membership and
         stays as routing structure."""
         yield from self._lock(
-            ctx, tkey, st, "delete", curr.state_lock, WRITE,
-            _state_cond(curr, DATA), "state", "delete.demote_state", level=0)
+            ctx, tkey, st, "delete", curr.state_lock, WRITE, _state_is,
+            "state", "delete.demote_state", 0, curr, DATA)
         # the state lock keeps leaf deletions below us out, but a child
         # may have been spliced away before we got the lock; re-check
         if curr.left is None or curr.right is None:
@@ -585,15 +595,15 @@ class ConcurrentSet:
         side = LEFT if v < prev.val else RIGHT
         yield from self._lock(
             ctx, tkey, st, "delete", curr.edge_lock(child_side), WRITE,
-            _edge_ref_cond(curr, child_side, child), "edge_ref",
-            "delete.splice_child_edge", level=1)
+            _EDGE_IS[child_side], "edge_ref", "delete.splice_child_edge", 1,
+            curr, child)
         yield from self._lock(
             ctx, tkey, st, "delete", prev.edge_lock(side), WRITE,
-            _edge_ref_cond(prev, side, curr), "edge_ref",
-            "delete.splice_parent_edge", level=0)
+            _EDGE_IS[side], "edge_ref", "delete.splice_parent_edge", 0,
+            prev, curr)
         yield from self._lock(
-            ctx, tkey, st, "delete", curr.state_lock, WRITE,
-            _state_cond(curr, DATA), "state", "delete.splice_state", level=0)
+            ctx, tkey, st, "delete", curr.state_lock, WRITE, _state_is,
+            "state", "delete.splice_state", 0, curr, DATA)
         # fresh re-check that curr still has exactly this one child: the
         # other slot may have been filled by an insert before our state
         # lock landed
@@ -623,18 +633,16 @@ class ConcurrentSet:
         side = LEFT if v < prev.val else RIGHT
         yield from self._lock(
             ctx, tkey, st, "delete", prev.edge_lock(side), WRITE,
-            _edge_val_cond(prev, side, v), "edge_val", "delete.leaf_edge",
-            level=0)
+            _EDGE_HOLDS[side], "edge_val", "delete.leaf_edge", 0, prev, v)
         curr = prev.child(side)   # fresh: the locked occupant, maybe a twin
         yield from self._lock(
-            ctx, tkey, st, "delete", curr.state_lock, WRITE,
-            _state_cond(curr, DATA), "state", "delete.leaf_state", level=0)
+            ctx, tkey, st, "delete", curr.state_lock, WRITE, _state_is,
+            "state", "delete.leaf_state", 0, curr, DATA)
         if curr.left is not None or curr.right is not None:
             raise Restart     # grew children since the traversal
         yield from self._lock(
-            ctx, tkey, st, "delete", prev.state_lock, READ,
-            _state_cond(prev, DATA), "state", "delete.leaf_parent_state",
-            level=-1)
+            ctx, tkey, st, "delete", prev.state_lock, READ, _state_is,
+            "state", "delete.leaf_parent_state", -1, prev, DATA)
         if self._instr:
             yield W_DEL_MARK
             self.trace.append(("mark", curr.id))
@@ -653,31 +661,28 @@ class ConcurrentSet:
         the grandparent's slot, taking both nodes out in one pointer
         swing."""
         assert gprev is not None, "routing parent cannot be the root"
-        side = LEFT if v < prev.val else RIGHT
+        side, sside = (LEFT, RIGHT) if v < prev.val else (RIGHT, LEFT)
         pside = LEFT if prev.val < gprev.val else RIGHT
         yield from self._lock(
             ctx, tkey, st, "delete", prev.edge_lock(side), WRITE,
-            _edge_val_cond(prev, side, v), "edge_val", "delete.pair_edge",
-            level=0)
+            _EDGE_HOLDS[side], "edge_val", "delete.pair_edge", 0, prev, v)
         curr = prev.child(side)   # fresh occupant under the value lock
         yield from self._lock(
-            ctx, tkey, st, "delete", curr.state_lock, WRITE,
-            _state_cond(curr, DATA), "state", "delete.pair_state", level=0)
+            ctx, tkey, st, "delete", curr.state_lock, WRITE, _state_is,
+            "state", "delete.pair_state", 0, curr, DATA)
         if curr.left is not None or curr.right is not None:
             raise Restart
         yield from self._lock(
-            ctx, tkey, st, "delete",
-            prev.edge_lock(LEFT if side == RIGHT else RIGHT), WRITE,
-            _edge_ref_cond(prev, LEFT if side == RIGHT else RIGHT, sibling),
-            "edge_ref", "delete.pair_sibling_edge", level=0)
+            ctx, tkey, st, "delete", prev.edge_lock(sside), WRITE,
+            _EDGE_IS[sside], "edge_ref", "delete.pair_sibling_edge", 0,
+            prev, sibling)
         yield from self._lock(
             ctx, tkey, st, "delete", gprev.edge_lock(pside), WRITE,
-            _edge_ref_cond(gprev, pside, prev), "edge_ref",
-            "delete.pair_parent_edge", level=-1)
+            _EDGE_IS[pside], "edge_ref", "delete.pair_parent_edge", -1,
+            gprev, prev)
         yield from self._lock(
-            ctx, tkey, st, "delete", prev.state_lock, WRITE,
-            _state_cond(prev, ROUTING), "state", "delete.pair_parent_state",
-            level=-1)
+            ctx, tkey, st, "delete", prev.state_lock, WRITE, _state_is,
+            "state", "delete.pair_parent_state", -1, prev, ROUTING)
         if self._instr:
             yield W_DEL_MARK_PARENT
             self.trace.append(("mark", prev.id))

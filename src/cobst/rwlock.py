@@ -20,18 +20,20 @@ thread writes the word until that store lands.  A read release must
 not lose a concurrent reader's increment, so it decrements under the
 guard.
 
-The emulation is stronger than a hardware CAS in one way: the load of
-the expected value and the swap are one guarded step, so two readers
-racing on the same word both succeed, one after the other, where a
-hardware CAS would fail one of them spuriously.  That only removes
-CONTENDED outcomes, never adds behaviours.  The shared guard
-serialises the CAS steps of different locks too; it is held for a few
-bytecodes, so that costs waiting time, not outcomes.
+An acquisition never waits for the guard.  An attempt that finds it
+taken, by a CAS on any lock, returns CONTENDED: a spurious failure of
+the kind a weak hardware CAS reports (C++ ``compare_exchange_weak``).
+``lock_with_spin`` pauses, handing the GIL to the holder, and retries;
+a blocking wait would put the thread to sleep in the OS whenever the
+GIL moved while the guard was held.  A read release must not fail, so
+it waits for the guard.
 
 On top of the word the lock offers conditional acquisition: a predicate
 is evaluated before and after the CAS, and the lock is released again
 if the second evaluation fails.  Callers use this to take a lock only
-while some observed field value still holds.
+while some observed field value still holds.  It is called as
+``condition(node, expected)``, or ``condition()`` without a ``node``,
+so callers pass a module function and its arguments, not a closure.
 
 The hot path reads the enum members as module constants (``READ``,
 ``WRITE``, ``ACQUIRED``, ``CONTENDED``, ``CONDITION_VIOLATED``), a
@@ -60,8 +62,8 @@ class LockOutcome(Enum):
     """Result of a conditional lock attempt.
 
     ACQUIRED            lock is held and the condition held on both checks.
-    CONTENDED           the CAS failed or the current mode excludes us;
-                        nothing is held, the caller may retry or give up.
+    CONTENDED           the CAS guard was busy or the current mode excludes
+                        us; nothing is held, the caller may retry or give up.
     CONDITION_VIOLATED  the guarding predicate failed before or after the
                         acquire; nothing is held and retrying is pointless
                         until the caller re-reads the world.
@@ -118,7 +120,8 @@ class CondRwLock:
         finally:
             _GUARD.release()
 
-    def try_lock_with_condition(self, mode: LockMode, condition) -> LockOutcome:
+    def try_lock_with_condition(self, mode: LockMode, condition, node=None,
+                                expected=None) -> LockOutcome:
         """One conditional acquire attempt.
 
         The predicate runs before the CAS (cheap fast-out while the value
@@ -130,9 +133,10 @@ class CondRwLock:
         returning, so CONDITION_VIOLATED and CONTENDED both leave nothing
         held.
         """
-        if not condition():
+        if not (condition() if node is None else condition(node, expected)):
             return CONDITION_VIOLATED
-        _GUARD.acquire()
+        if not _GUARD.acquire(False):
+            return CONTENDED
         try:
             w = self.word
             if w == 1 or (w and mode is WRITE):
@@ -140,24 +144,25 @@ class CondRwLock:
             self.word = 1 if mode is WRITE else w + 2
         finally:
             _GUARD.release()
-        if not condition():
+        if not (condition() if node is None else condition(node, expected)):
             self.unlock(mode)
             return CONDITION_VIOLATED
         return ACQUIRED
 
-    def lock_with_spin(self, mode: LockMode, condition) -> LockOutcome:
+    def lock_with_spin(self, mode: LockMode, condition, node=None,
+                       expected=None) -> LockOutcome:
         """Retry CONTENDED outcomes up to ``SpinPolicy.ATTEMPTS`` times.
 
         Returns the first non-contended outcome, or CONTENDED once the
         attempt budget is spent.  The caller is expected to restart its
         whole operation in that case rather than block.
         """
-        out = self.try_lock_with_condition(mode, condition)
+        out = self.try_lock_with_condition(mode, condition, node, expected)
         round_ = 0
         while out is CONTENDED and round_ + 1 < SpinPolicy.ATTEMPTS:
             SpinPolicy.pause(round_)
             round_ += 1
-            out = self.try_lock_with_condition(mode, condition)
+            out = self.try_lock_with_condition(mode, condition, node, expected)
         return out
 
     def __repr__(self):

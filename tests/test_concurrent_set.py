@@ -1,16 +1,18 @@
 """Lock conditions, single-threaded equivalence, stats, and
 reclamation behaviour of the concurrent set."""
 
+import itertools
 import random
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cobst import rwlock
 from cobst.concurrent_set import (ConcurrentSet, K_CREATE, K_LOCK, K_READ,
                                   K_WRITE, S_CONT_STATE, S_TRAV_LEFT,
-                                  S_TRAV_RIGHT, _edge_ref_cond, _edge_val_cond,
-                                  _state_cond)
+                                  S_TRAV_RIGHT, _EDGE_HOLDS, _EDGE_IS,
+                                  _state_is)
 from cobst.reclaim import POISON, EpochReclaimer
 from cobst.rwlock import LockMode, LockOutcome, SpinPolicy
 from cobst.tree_core import (DATA, LEFT, MAX_KEY, MIN_KEY, PLUS_INF, RIGHT,
@@ -31,17 +33,17 @@ def two_level_tree():
 
 def try_lock_edge_ref(node, side, expected):
     return node.edge_lock(side).try_lock_with_condition(
-        LockMode.WRITE, _edge_ref_cond(node, side, expected))
+        LockMode.WRITE, _EDGE_IS[side], node, expected)
 
 
 def try_lock_edge_val(node, side, expected_key):
     return node.edge_lock(side).try_lock_with_condition(
-        LockMode.WRITE, _edge_val_cond(node, side, expected_key))
+        LockMode.WRITE, _EDGE_HOLDS[side], node, expected_key)
 
 
 def try_lock_state(node, mode, expected_state):
     return node.state_lock.try_lock_with_condition(
-        mode, _state_cond(node, expected_state))
+        mode, _state_is, node, expected_state)
 
 
 # -- edge lock by reference ------------------------------------------------
@@ -141,6 +143,32 @@ def test_state_lock_read_is_shared():
     assert try_lock_state(parent, LockMode.READ, DATA) is LockOutcome.ACQUIRED
     assert parent.state_lock.word == 4
     assert try_lock_state(parent, LockMode.WRITE, DATA) is LockOutcome.CONTENDED
+
+
+def test_lock_predicates_agree_with_the_closures_they_replaced():
+    from cond_oracle import edge_ref_cond, edge_val_cond, state_cond
+    child, twin, other = Node(5), Node(5), Node(7)
+    children = (None, child, twin, other)
+    seen = set()
+    for state, deleted, left, right in itertools.product(
+            (DATA, ROUTING), (False, True), children, children):
+        node = Node(10, state)
+        node.deleted, node.left, node.right = deleted, left, right
+        for side in (LEFT, RIGHT):
+            for expected in children:
+                got = _EDGE_IS[side](node, expected)
+                assert got == edge_ref_cond(node, side, expected)(), \
+                    (node, side, expected)
+                seen.add(("ref", got))
+            for key in (5, 7, 10):
+                got = _EDGE_HOLDS[side](node, key)
+                assert got == edge_val_cond(node, side, key)(), (node, side, key)
+                seen.add(("val", got))
+        for want in (DATA, ROUTING):
+            got = _state_is(node, want)
+            assert got == state_cond(node, want)(), (node, want)
+            seen.add(("state", got))
+    assert len(seen) == 6      # each predicate answered both ways
 
 
 # -- single-threaded equivalence -------------------------------------------------
@@ -572,6 +600,77 @@ def test_plain_contended_abort_releases_before_backoff(monkeypatch):
     assert after["restarts"] == before["restarts"] + 1
     assert after["contended_aborts"] == {"state_plain": 1}
     assert busy_locks(s) == []
+
+
+class FreesTheGuardOnBackoff(ConcurrentSet):
+    """Releases the CAS guard, which the test holds, at its first backoff."""
+
+    def _backoff(self, n):
+        rwlock._GUARD.release()
+
+
+def test_guard_collisions_end_in_a_counted_restart(monkeypatch):
+    pauses = []
+    monkeypatch.setattr(SpinPolicy, "pause", staticmethod(pauses.append))
+    s = FreesTheGuardOnBackoff()
+    s.insert(10)
+    before = s.stats_snapshot()
+    rwlock._GUARD.acquire()      # every CAS now finds its guard busy
+    try:
+        assert s.insert(5) is True
+    finally:
+        if rwlock._GUARD.locked():
+            rwlock._GUARD.release()
+    after = s.stats_snapshot()
+    assert pauses == list(range(SpinPolicy.ATTEMPTS - 1))
+    assert after["restarts"] == before["restarts"] + 1
+    assert after["contended_aborts"] == {"edge_ref": 1}
+    assert busy_locks(s) == [] and s.contains(5)
+
+
+class RaisesAtSecondLock(ConcurrentSet):
+    """The plain insert's second lock call raises, while the first lock
+    is held; later calls lock as usual."""
+
+    calls = 0
+
+    def _lock_plain(self, *args):
+        self.calls += 1
+        if self.calls == 2:
+            raise RuntimeError("after a granted lock")
+        return ConcurrentSet._lock_plain(self, *args)
+
+
+def test_an_exception_leaves_the_reused_context_empty():
+    s = RaisesAtSecondLock()
+    ctx = s._thread_stats(threading.get_ident()).ctx
+    with pytest.raises(RuntimeError):
+        s.insert(5)                      # edge lock granted, then the raise
+    assert s.calls == 2
+    assert ctx.held == [] and busy_locks(s) == []
+    assert s.insert(5) is True and s.delete(5) is True
+    assert s._thread_stats(threading.get_ident()).ctx is ctx
+    assert ctx.held == [] and busy_locks(s) == []
+
+
+def test_closing_an_abandoned_stepped_update_keeps_later_locks():
+    # both operations run under the same thread key; the first is left
+    # suspended inside its attempt and closed once the second holds a lock
+    s = ConcurrentSet()
+    s.insert(10)
+    abandoned = s.op_gen("insert", 5, "t")
+    assert next(abandoned) in (S_TRAV_LEFT, S_TRAV_RIGHT)
+    later = s.op_gen("insert", 15, "t")
+    point = next(later)
+    while getattr(point, "name", None) != "insert.parent_state":
+        point = next(later)
+    held = list(s.attempts["t"].held)
+    assert [lk for lk, _ in held] == [s.root.left.right_lock]
+    abandoned.close()
+    assert s.attempts["t"].held == held
+    assert busy_locks(s) == [s.root.left.right_lock]
+    assert s._drain(later).result is True
+    assert busy_locks(s) == [] and s.snapshot_keys() == [10, 15]
 
 
 def test_stepped_contended_abort_holds_nothing_at_the_next_traversal():

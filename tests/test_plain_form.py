@@ -76,6 +76,26 @@ def test_op_twins_keep_only_their_own_operation():
         assert not set(absent) & set(names), twin
 
 
+def test_plain_twins_build_no_closures_and_updates_no_context():
+    """Neither a twin nor a module function it names (alone or in a
+    tuple) holds a nested code object, so no lock attempt builds a
+    closure; the update twins reuse the thread's ``_AttemptCtx``."""
+    for twin in itertools.chain(*twin_names().values()):
+        code = getattr(ConcurrentSet, twin).__code__
+        codes = [code]
+        for name in code.co_names:
+            value = vars(cs).get(name)
+            for fn in value if isinstance(value, tuple) else (value,):
+                if inspect.isfunction(fn):
+                    codes.append(fn.__code__)
+        for c in codes:
+            assert not [k for k in c.co_consts if inspect.iscode(k)], \
+                (twin, c.co_name)
+    for twin in ("_insert_plain", "_delete_plain"):
+        names = getattr(ConcurrentSet, twin).__code__.co_names
+        assert "_AttemptCtx" not in names, twin
+
+
 def test_plain_form_observes_nothing_and_the_set_takes_no_options():
     stepped_only = ("trace", "unlinked", "attempts", "_instr", "reclaimer")
     for twin in itertools.chain(*twin_names().values()):
@@ -85,7 +105,7 @@ def test_plain_form_observes_nothing_and_the_set_takes_no_options():
 
 
 def test_twin_traceback_points_into_the_generator_source(monkeypatch):
-    def boom(self, mode, cond):
+    def boom(self, mode, cond, node=None, expected=None):
         raise RuntimeError("from the lock")
 
     monkeypatch.setattr(CondRwLock, "lock_with_spin", boom)

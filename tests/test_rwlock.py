@@ -241,6 +241,70 @@ def test_guard_is_free_while_conditions_and_pauses_run(monkeypatch):
     assert not rwlock._GUARD.locked()
 
 
+class GuardHeldElsewhere:
+    """Holds the CAS guard on another thread until ``release``."""
+
+    def __init__(self):
+        self._taken, self._free = threading.Event(), threading.Event()
+        self._thread = threading.Thread(target=self._hold)
+        self._thread.start()
+        assert self._taken.wait(5)
+
+    def _hold(self):
+        with rwlock._GUARD:
+            self._taken.set()
+            self._free.wait()
+
+    def release(self):
+        self._free.set()
+        self._thread.join(5)
+        assert not self._thread.is_alive()
+
+
+def test_a_busy_guard_fails_the_attempt_without_waiting():
+    lk = CondRwLock()
+    holder = GuardHeldElsewhere()
+    try:
+        for mode in (W, R):
+            assert lk.try_lock_with_condition(mode, TRUE) is LockOutcome.CONTENDED
+        assert lk.word == 0
+    finally:
+        holder.release()
+    assert lk.try_lock_with_condition(W, TRUE) is LockOutcome.ACQUIRED
+    assert lk.word == 1
+
+
+def test_a_read_release_waits_for_the_guard():
+    lk = CondRwLock()
+    assert acquire(lk, R)
+    holder = GuardHeldElsewhere()
+    releaser = threading.Thread(target=lk.unlock, args=(R,))
+    try:
+        releaser.start()
+        releaser.join(0.05)
+        assert releaser.is_alive() and lk.word == 2
+    finally:
+        holder.release()
+    releaser.join(5)
+    assert not releaser.is_alive() and lk.word == 0
+
+
+def test_condition_is_called_with_the_node_and_the_expected_value():
+    lk = CondRwLock()
+    calls = []
+
+    def cond(node, expected):
+        calls.append((node, expected))
+        return expected == 3
+
+    assert lk.lock_with_spin(W, cond, "node", 3) is LockOutcome.ACQUIRED
+    lk.unlock(W)
+    assert lk.try_lock_with_condition(R, cond, "node", 4) \
+        is LockOutcome.CONDITION_VIOLATED
+    assert calls == [("node", 3), ("node", 3), ("node", 4)]
+    assert lk.word == 0
+
+
 def test_lock_has_only_its_word():
     lk = CondRwLock()
     assert CondRwLock.__slots__ == ("word",)

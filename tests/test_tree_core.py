@@ -110,9 +110,9 @@ def test_traverse_takes_no_locks(monkeypatch):
     attempts = []
     real = CondRwLock.try_lock_with_condition
 
-    def counting(lock, mode, cond):
+    def counting(lock, mode, cond, node=None, expected=None):
         attempts.append(lock)
-        return real(lock, mode, cond)
+        return real(lock, mode, cond, node, expected)
 
     monkeypatch.setattr(CondRwLock, "try_lock_with_condition", counting)
     for k in (3, 5, 7, 9):
