@@ -59,7 +59,7 @@ import linecache
 import random
 import threading
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .reclaim import EpochReclaimer
 from .rwlock import (ACQUIRED, CONDITION_VIOLATED, READ, WRITE, CondRwLock,
@@ -77,6 +77,7 @@ __all__ = [
 _PLAIN_TWINS = {op: "_%s_plain" % op for op in ("contains", "insert", "delete")}
 
 _get_ident = threading.get_ident   # one global read, not a global and an attribute
+_new = tuple.__new__   # builds a stepping record without a constructor frame
 
 # checkpoint kinds, as seen by the schedule harness
 K_READ = "read"
@@ -98,29 +99,26 @@ class Site:
         return "<%s %s>" % (self.kind, self.name)
 
 
-class LockPoint:
+class LockPoint(NamedTuple):
     """Checkpoint for one pending lock attempt.
 
     Unlike the constant Sites this is allocated per attempt because the
     harness needs the concrete lock, the requested mode and the guard
     predicate with its arguments to decide whether the attempt could
     even succeed right now (the predicate only performs reads, so
-    peeking is free of side effects).
+    peeking is free of side effects).  The stepping form builds it with
+    ``tuple.__new__``, without the Python frame of a constructor;
+    ``kind`` is a class attribute, the same for every attempt.
     """
 
-    __slots__ = ("kind", "family", "name", "lock", "mode", "cond", "node",
-                 "expected")
-
-    def __init__(self, family: str, name: str, lock: CondRwLock,
-                 mode: LockMode, cond, node=None, expected=None):
-        self.kind = K_LOCK
-        self.family = family
-        self.name = name
-        self.lock = lock
-        self.mode = mode
-        self.cond = cond
-        self.node = node
-        self.expected = expected
+    family: str
+    name: str
+    lock: CondRwLock
+    mode: LockMode
+    cond: object
+    node: Node | None = None
+    expected: object = None
+    kind = K_LOCK
 
     def would_block(self) -> bool:
         """True if attempting now could only end in CONTENDED.
@@ -129,11 +127,11 @@ class LockPoint:
         such attempts are never blocked, they fail fast with
         CONDITION_VIOLATED.
         """
-        node = self.node
-        if not (self.cond() if node is None else self.cond(node, self.expected)):
+        _, _, lock, mode, cond, node, expected = self
+        if not (cond() if node is None else cond(node, expected)):
             return False
-        w = self.lock.word
-        return w == 1 if self.mode is READ else w != 0
+        w = lock.word
+        return w == 1 if mode is READ else w != 0
 
     def __repr__(self):
         return "<lock %s %s %s>" % (self.name, self.mode.value, self.lock)
@@ -227,8 +225,7 @@ class ThreadStats:
         self.contended_aborts = {}   # lock family -> count
 
 
-@dataclass
-class OpOutcome:
+class OpOutcome(NamedTuple):
     op: str
     key: int
     result: bool
@@ -391,7 +388,7 @@ class ConcurrentSet:
                     level, ctx.last_level, name)
             ctx.last_level = level
             self.attempts[ctx.tkey] = ctx
-            yield LockPoint(family, name, lock, mode, cond, node, expected)
+            yield _new(LockPoint, (family, name, lock, mode, cond, node, expected))
             out = lock.try_lock_with_condition(mode, cond, node, expected)
         else:
             out = lock.lock_with_spin(mode, cond, node, expected)
@@ -486,7 +483,7 @@ class ConcurrentSet:
                 self._backoff(restarts)
         st.completed += 1
         if self._instr:
-            return OpOutcome(op, v, result, restarts)
+            return _new(OpOutcome, (op, v, result, restarts))
         return result
 
     # -- insert ------------------------------------------------------------

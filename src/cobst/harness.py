@@ -10,8 +10,8 @@ ids) fully determines the execution: same script in, same history,
 trace and final tree out.
 
 Checkpoint granularity matters.  Suspension happens before the access
-the checkpoint announces; granting a thread one step performs that
-access and runs it up to the announcement of its next one.  Traversal
+the checkpoint announces; granting a thread one step, one resume of its
+generator, performs that access and runs it to its next one.  Traversal
 child-pointer reads, case-selection field reads, committed writes and
 node creations each get a checkpoint because interleavings genuinely
 differ there.  Lock attempts get exactly one checkpoint regardless of
@@ -50,8 +50,9 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
+from itertools import chain, repeat, starmap
 
-from .concurrent_set import ConcurrentSet, K_LOCK, OpOutcome
+from .concurrent_set import ConcurrentSet, K_LOCK, OpOutcome, Site
 from .history import History, HistoryRecorder, check_observable_correctness, \
     is_linearizable
 from .tree_core import MIN_KEY, PLUS_INF, StructureReport, validate_key, \
@@ -67,6 +68,7 @@ __all__ = [
 ]
 
 SETUP_THREAD = -1
+_OPS = {op: op for op in ("insert", "delete", "contains")}   # parsed ops share them
 
 
 class ScriptError(ValueError):
@@ -99,10 +101,23 @@ class ScheduleScript:
     setup: list = field(default_factory=list)
     programs: dict = field(default_factory=dict)
     steps: list = field(default_factory=list)
+    # the steps list ``validate`` last passed, and the hash of its length and
+    # thread ids (a tuple kept per script would slow the collector's scans)
+    _checked: list = field(default=None, init=False, repr=False, compare=False)
+    _shape: int = field(default=None, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
+        self._check_ops()
+        for tid, n in self.steps:
+            if tid not in self.programs:
+                raise ScriptError("schedule step for unknown thread %r" % (tid,))
+            if n < 1:
+                raise ScriptError("schedule grants must be positive")
+        self._checked, self._shape = self.steps, hash((len(self.steps), *self.programs))
+
+    def _check_ops(self) -> None:
         for key in self.setup:
-            _check_key(key, "setup")
+            _check_key(key)
         if len(set(self.setup)) != len(self.setup):
             raise ScriptError("setup keys must be distinct")
         if not self.programs:
@@ -111,19 +126,16 @@ class ScheduleScript:
             if not isinstance(tid, int) or tid < 0:
                 raise ScriptError("thread ids must be non-negative ints, got %r" % (tid,))
             for op, key in ops:
-                if op not in ("insert", "delete", "contains"):
+                if op not in _OPS:
                     raise ScriptError("unknown op %r in thread %d" % (op, tid))
-                _check_key(key, "thread %d" % tid)
-        for tid, n in self.steps:
-            if tid not in self.programs:
-                raise ScriptError("schedule step for unknown thread %r" % (tid,))
-            if n < 1:
-                raise ScriptError("schedule grants must be positive")
+                _check_key(key, tid)
 
 
-def _check_key(key, where: str) -> None:
+def _check_key(key, tid=None) -> None:
+    """Refuse a key of thread ``tid``'s program, or of the setup."""
     if type(key) is int and MIN_KEY <= key < PLUS_INF:
         return
+    where = "setup" if tid is None else "thread %d" % tid
     try:
         validate_key(key)
     except TypeError:
@@ -132,14 +144,15 @@ def _check_key(key, where: str) -> None:
         raise ScriptError("%s, in %s" % (e, where)) from None
 
 
-_UNPRIMED = object()
+_UNPRIMED = Site("start", "unprimed")   # a kind, but never a lock attempt
 
 
 class _Worker:
     """One logical thread: a generator chaining its operations, each
-    pinned from its first grant to its last, plus its pending checkpoint."""
+    pinned from its first grant to its last, plus its pending checkpoint
+    (``_UNPRIMED`` before the first grant, None once finished)."""
 
-    __slots__ = ("tid", "gen", "pending", "finished", "outcomes")
+    __slots__ = ("tid", "gen", "pending", "outcomes")
 
     def __init__(self, tid: int, set_: ConcurrentSet, ops,
                  recorder: HistoryRecorder):
@@ -147,7 +160,6 @@ class _Worker:
         self.outcomes: list[OpOutcome] = []
         self.gen = self._pipeline(set_, ops, recorder)
         self.pending = _UNPRIMED
-        self.finished = False
 
     def _pipeline(self, set_, ops, recorder):
         for op, key in ops:
@@ -158,38 +170,14 @@ class _Worker:
             recorder.respond(self.tid, op, key, out.result)
             self.outcomes.append(out)
 
-    def grant(self):
-        """Perform the announced access and run to the next checkpoint.
-
-        The first grant additionally runs the pipeline up to its first
-        checkpoint; nothing shared happens in that stretch (operations
-        announce their very first read before performing it), so one
-        grant still performs exactly one access.
-        """
-        assert not self.finished, "grant() on a finished worker"
-        try:
-            if self.pending is _UNPRIMED:
-                self.pending = next(self.gen)
-            performed = self.pending
-            self.pending = self.gen.send(None)
-        except StopIteration:
-            self.finished = True
-            performed = None if self.pending is _UNPRIMED else self.pending
-            self.pending = None
-        return performed
-
     def finish(self) -> int:
-        """Grant until the thread finishes; returns the grant count."""
-        n = 0
-        while not self.finished:
-            self.grant()
-            n += 1
-        return n
-
-    def blocked(self) -> bool:
-        p = self.pending
-        return (p is not _UNPRIMED and p is not None
-                and p.kind == K_LOCK and p.would_block())
+        """Run the thread to its end; returns the grants that took: one
+        per checkpoint left, and one for an empty program."""
+        if self.pending is None:
+            return 0
+        n = (self.pending is not _UNPRIMED) + sum(1 for _ in self.gen)
+        self.pending = None
+        return max(n, 1)
 
 
 @dataclass
@@ -261,7 +249,8 @@ class _Run:
         self.recorder = HistoryRecorder()
         setup = _Worker(SETUP_THREAD, self.set,
                         [("insert", k) for k in script.setup], self.recorder)
-        setup.finish()
+        for _ in setup.gen:
+            pass
         for out in setup.outcomes:
             if not out.result:
                 raise ScriptError("setup insert(%d) returned false" % out.key)
@@ -272,34 +261,39 @@ class _Run:
         self._cap = 10_000 + 1_000 * (
             len(script.setup) + sum(len(p) for p in script.programs.values()))
 
-    def unfinished(self) -> list:
-        return [t for t, w in self.workers.items() if not w.finished]
-
-    def runnable(self) -> list:
-        return [t for t, w in self.workers.items()
-                if not w.finished and not w.blocked()]
-
-    def grant(self, tid: int):
-        """Grant ``tid`` one step; returns the checkpoint it performed."""
-        point = self.workers[tid].grant()
-        self.realized.append(tid)
+    def grant(self, w: _Worker):
+        """Grant ``w`` one step, one resume of its generator, and return
+        the checkpoint performed.  The first grant also runs the pipeline
+        to its first checkpoint, where nothing shared happens (operations
+        announce their very first read before performing it), so it too
+        performs exactly one access."""
+        performed = w.pending
+        try:
+            if performed is _UNPRIMED:
+                performed = next(w.gen)
+            w.pending = next(w.gen)
+        except StopIteration:
+            w.pending = None
+            if performed is _UNPRIMED:   # an empty program
+                performed = None
+        self.realized.append(w.tid)
         if len(self.realized) > self._cap:
             raise ScriptError(
                 "run exceeded %d grants without finishing; the schedule "
                 "keeps recreating contention" % self._cap)
-        return point
+        return performed
 
     def forced(self):
-        """The thread to grant when every unfinished thread is blocked,
+        """The worker to grant when every unfinished thread is blocked,
         or None once all have finished.  Its bounded lock attempt fails
         CONTENDED and restarts it, releasing its locks; the choice
         rotates so no thread aborts forever."""
-        stuck = self.unfinished()
+        stuck = [w for w in self.workers.values() if w.pending is not None]
         if not stuck:
             return None
-        tid = stuck[self._forced % len(stuck)]
+        w = stuck[self._forced % len(stuck)]
         self._forced += 1
-        return tid
+        return w
 
     def report(self) -> RunReport:
         stats = self.set.stats_snapshot()
@@ -321,8 +315,7 @@ def _wait_chain(set_: ConcurrentSet, workers: dict, start_tid: int) -> str:
     hops = []
     tid = start_tid
     for _ in range(len(workers) + 1):
-        w = workers[tid]
-        p = w.pending
+        p = workers[tid].pending
         holders = [t for t, ctx in set_.attempts.items() if t != tid
                    and any(lock is p.lock for lock, _ in ctx.held)]
         if not holders:
@@ -330,7 +323,8 @@ def _wait_chain(set_: ConcurrentSet, workers: dict, start_tid: int) -> str:
             break
         holder = holders[0]
         hops.append("thread %d waits on %r held by thread %s" % (tid, p, holder))
-        if holder in workers and workers[holder].blocked():
+        q = workers[holder].pending if holder in workers else None
+        if q is not None and q.kind == K_LOCK and q.would_block():
             if holder == start_tid:
                 hops.append("(cycle)")
                 break
@@ -348,42 +342,55 @@ def run_script(script: ScheduleScript, *, on_blocked: str = "error") -> RunRepor
     "reassign" deterministically hands the grant to the lowest-id
     runnable unblocked thread instead, which is what randomly generated
     schedules use, and ends the schedule once every thread has finished.
+    Steps ``validate`` passed (same list and length, same thread ids),
+    as ``parse_script``'s are, are not checked again.
     """
     if on_blocked not in ("error", "reassign"):
         raise ValueError("on_blocked must be 'error' or 'reassign'")
-    script.validate()
+    if (script._checked is script.steps
+            and script._shape == hash((len(script.steps), *script.programs))):
+        script._check_ops()
+    else:
+        script.validate()
     run = _Run(script)
     workers = run.workers
+    grant = run.grant
 
-    for tid in (t for t, n in script.steps for _ in range(n)):
+    # a worker is free unless finished or pending on a lock that would block
+    for tid in chain.from_iterable(starmap(repeat, script.steps)):
         w = workers[tid]
-        if not w.finished and not w.blocked():
-            run.grant(tid)
+        p = w.pending
+        if p is not None and (p.kind != K_LOCK or not p.would_block()):
+            grant(w)
             continue
         if on_blocked == "error":
-            if w.finished:
+            if p is None:
                 raise ScriptError(
                     "schedule grants a step to finished thread %d" % tid)
             raise ScheduleBlockedError(_wait_chain(run.set, workers, tid))
-        if not run.unfinished():   # the steps left over grant nothing
-            break
-        others = run.runnable()
-        run.grant(others[0] if others else run.forced())
+        for w in workers.values():   # in thread id order
+            p = w.pending
+            if p is not None and (p.kind != K_LOCK or not p.would_block()):
+                break
+        else:
+            w = run.forced()
+            if w is None:   # every thread finished: the steps left grant nothing
+                return run.report()
+        grant(w)
 
     # drain: round-robin by thread id, one grant per turn, skip blocked
     while True:
-        todo = run.unfinished()
-        if not todo:
-            break
         progressed = False
-        for tid in todo:
-            w = workers[tid]
-            if not w.finished and not w.blocked():
-                run.grant(tid)
+        for w in workers.values():
+            p = w.pending
+            if p is not None and (p.kind != K_LOCK or not p.would_block()):
+                grant(w)
                 progressed = True
         if not progressed:
-            run.grant(run.forced())
-    return run.report()
+            w = run.forced()
+            if w is None:
+                return run.report()
+            grant(w)
 
 
 def random_schedule(thread_count: int, ops_per_thread: int, key_range: int,
@@ -477,26 +484,26 @@ def explore_small(setup, programs) -> ExplorationReport:
         # replay forcing ``prefix`` at the choice points, then always
         # taking the first runnable thread
         run = _Run(script)
-        decisions = []   # (runnable threads, chosen index) where more than one
+        decisions = []   # (runnable thread count, chosen index) where more than one
         while True:
-            runnable = run.runnable()
+            runnable = [w for w in run.workers.values() if (p := w.pending)
+                        is not None and (p.kind != K_LOCK or not p.would_block())]
             if len(runnable) > 1:
                 depth = len(decisions)
-                chosen = (runnable.index(prefix[depth])
-                          if depth < len(prefix) else 0)
-                decisions.append((runnable, chosen))
-                tid = runnable[chosen]
+                chosen = prefix[depth] if depth < len(prefix) else 0
+                decisions.append((len(runnable), chosen))
+                w = runnable[chosen]
             elif runnable:
-                tid = runnable[0]
+                w = runnable[0]
             else:
                 # mutual blocking, resolved the way a real run would.  The
                 # rotation is not a decision point: which thread aborts
                 # first only reorders restarts, and the grant cap bounds
                 # schedules that keep colliding.
-                tid = run.forced()
-                if tid is None:
+                w = run.forced()
+                if w is None:
                     break
-            point = run.grant(tid)
+            point = run.grant(w)
             if point is not None:
                 rep.checkpoint_coverage.add((point.kind, point.name))
 
@@ -507,12 +514,12 @@ def explore_small(setup, programs) -> ExplorationReport:
             raise ExplorationBoundError(
                 "actual interleavings exceeded the bound %d" % _EXPLORE_BOUND)
 
-        hist = run.recorder.history()
-        hkey = hist._key()
+        # ``History._key``: one real thread stepped, so events are in seq order
+        hkey = tuple([e[1:] for e in run.recorder.events])
         if hkey not in seen_histories:
             seen_histories.add(hkey)
             rep.unique_histories += 1
-            res = is_linearizable(hist)
+            res = is_linearizable(run.recorder.history())
             if not res.ok:
                 rep.lin_failures.append((run.realized, str(res)))
         tkey = tuple(run.set.trace)
@@ -529,17 +536,15 @@ def explore_small(setup, programs) -> ExplorationReport:
                 rep.structure_failures.append(
                     (run.realized, "locks left held at quiescence"))
 
-        # backtrack to the deepest decision with an untried alternative
-        nxt = None
+        # backtrack to the deepest decision with an untried alternative;
+        # replay is deterministic, so the same choices lead back to it
         for i in range(len(decisions) - 1, -1, -1):
-            options, chosen = decisions[i]
-            if chosen + 1 < len(options):
-                nxt = [opts[d] for opts, d in decisions[:i]]
-                nxt.append(options[chosen + 1])
+            count, chosen = decisions[i]
+            if chosen + 1 < count:
+                prefix = [d for _, d in decisions[:i]] + [chosen + 1]
                 break
-        if nxt is None:
+        else:
             break
-        prefix = nxt
     return rep
 
 
@@ -589,7 +594,7 @@ def parse_script(text: str) -> ScheduleScript:
         elif thread:
             if not _OPS_RE.fullmatch(rest):
                 raise ScriptError("line %d: cannot parse ops %r" % (ln, rest))
-            script.programs[tid] = [(op, int(k)) for op, k in _OP_RE.findall(rest)]
+            script.programs[tid] = [(_OPS[op], int(k)) for op, k in _OP_RE.findall(rest)]
         elif head == "schedule":
             if not _STEPS_RE.fullmatch(rest):
                 raise ScriptError("line %d: cannot parse schedule %r" % (ln, rest))

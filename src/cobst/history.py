@@ -489,6 +489,9 @@ def check_observable_correctness(trace) -> ObservabilityReport:
     legally stay reachable for a while, the mark happens under lock
     before the unlink; what must never happen is an edge event that
     hangs it anew, or the reverse, which the resurrection check catches.
+
+    An event that cannot change what a walk finds (``create``, ``mark``,
+    ``state`` on an unreached node) reuses the last walk's findings.
     """
     rep = ObservabilityReport()
     root_id = 0
@@ -522,6 +525,7 @@ def check_observable_correctness(trace) -> ObservabilityReport:
                 stack.append((sh.left, lo, sh.key))
         return reach, err
 
+    reach, err, back = {root_id}, None, ()   # what a walk of the bare root finds
     for idx, ev in enumerate(trace):
         tag = ev[0]
         if tag == "create":
@@ -560,18 +564,20 @@ def check_observable_correctness(trace) -> ObservabilityReport:
             rep.violations.append((idx, "unknown trace event %r" % (tag,)))
             continue
 
-        reach, err = walk()
+        if tag == "edge" or (tag == "state" and nid in reach):
+            reach, err = walk()
+            if reach is not None:
+                back = reach & exited
+                exited.update(was_reachable - reach)
+                was_reachable.update(reach)
         if err is not None:
             rep.violations.append((idx, err))
         if reach is None:
             rep.events_checked = idx + 1
             return rep
-        back = reach & exited
         if back:
             rep.violations.append(
                 (idx, "nodes resurrected after leaving the tree: %s"
                  % sorted(back)))
-        exited.update(was_reachable - reach)
-        was_reachable.update(reach)
         rep.events_checked = idx + 1
     return rep

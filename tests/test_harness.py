@@ -122,17 +122,24 @@ def test_schedule_past_the_grant_cap_is_a_script_error():
 
 def test_reassign_stops_stepping_once_every_thread_finished(monkeypatch):
     # random schedules carry six steps per op, most of them left over
-    # after the last thread finishes; none of those may cost a call
-    runnable = harness._Run.runnable
+    # after the last thread finishes; the first of those learns it from
+    # ``forced()`` returning None, and none after it may cost a call
+    forced = harness._Run.forced
+    finished = []   # runs whose forced() returned None
 
     def checked(self):
-        assert self.unfinished(), "runnable() after every thread finished"
-        return runnable(self)
+        assert not any(r is self for r in finished), \
+            "forced() after every thread finished"
+        w = forced(self)
+        if w is None:
+            finished.append(self)
+        return w
 
-    monkeypatch.setattr(harness._Run, "runnable", checked)
+    monkeypatch.setattr(harness._Run, "forced", checked)
     for seed in range(20):
         run_script(random_schedule(2 + seed % 3, 4, 8, seed),
                    on_blocked="reassign")
+    assert finished   # the schedules did run past their threads' ends
 
 
 def test_bad_on_blocked_value():
@@ -447,6 +454,73 @@ def test_exploration_refuses_oversized_scenarios():
                             2: [("contains", 2)], 3: [("contains", 1)]})
 
 
+# -- the loops against their former versions ------------------------------------
+
+def _replayed(run, script, mode):
+    try:
+        rep = run(script, on_blocked=mode)
+    except (ScriptError, ScheduleBlockedError) as e:
+        return type(e), str(e)
+    return (rep.realized, rep.kv_lines(), rep.trace, rep.history.events,
+            rep.outcomes)
+
+
+def test_replay_loops_match_the_reference_loops():
+    from loop_oracle import reference_run_script
+    scripts = [random_schedule(2 + s % 3, 4, 8, seed) for s, seed in
+               enumerate(range(1000, 1320))]
+    scripts.append(ScheduleScript(setup=[4, 2, 6],   # mutual sibling block
+                                  programs={0: [("delete", 2)], 1: [("delete", 6)],
+                                            2: [("delete", 4)]}))
+    forced = 0
+    for script in scripts:
+        want = _replayed(reference_run_script, script, "reassign")
+        assert _replayed(run_script, script, "reassign") == want, emit_script(script)
+        # only a forced grant attempts a lock that can only contend
+        forced += any(ln.startswith("contended.") for ln in want[1])
+    assert forced > 0
+
+
+def test_error_mode_matches_the_reference_loops():
+    from loop_oracle import reference_run_script
+    kinds = set()
+    scripts = [random_schedule(2 + s % 3, 4, 8, s) for s in range(150)]
+    scripts += [blocked_script(),
+                ScheduleScript(programs={0: [("insert", 1)]}, steps=[(0, 40)])]
+    for script in scripts:
+        want = _replayed(reference_run_script, script, "error")
+        assert _replayed(run_script, script, "error") == want, emit_script(script)
+        if want[0] is ScheduleBlockedError:
+            kinds.add("blocked")
+        elif want[0] is ScriptError:
+            kinds.add(want[1].split(" thread")[0])
+    assert kinds == {"blocked", "schedule grants a step to finished"}
+
+
+@pytest.mark.parametrize("setup,programs", [
+    ([2], {0: [("insert", 0)], 1: [("insert", 1)]}),
+    ([2], {0: [("insert", 1)], 1: [("insert", 3)]}),
+    ([], {0: [("insert", 1)], 1: [("insert", 2)], 2: [("contains", 1)]}),
+    ([], {0: [("insert", 1)], 1: [("insert", 1)]}),
+    ([1], {0: [("delete", 1)], 1: [("delete", 1)]}),
+])
+def test_exploration_matches_the_reference_loop(setup, programs):
+    from loop_oracle import reference_explore_small
+    assert explore_small(setup, programs) == reference_explore_small(setup,
+                                                                     programs)
+
+
+def test_finish_counts_one_grant_per_checkpoint_left():
+    script = ScheduleScript(programs={0: [("insert", 1)], 1: []})
+    run = harness._Run(script)
+    w = run.workers[0]
+    for _ in range(3):
+        run.grant(w)
+    assert w.finish() == harness._Run(script).workers[0].finish() - 3
+    assert w.finish() == 0
+    assert run.workers[1].finish() == 1   # an empty program takes one grant
+
+
 # -- text format --------------------------------------------------------------
 
 SCRIPT_TEXT = """\
@@ -465,6 +539,39 @@ def test_parse_script_reads_all_sections():
     assert s.programs == {0: [("insert", 1), ("delete", 1)],
                           1: [("contains", 2)]}
     assert s.steps == [(0, 3), (1, 2), (0, 1)]
+
+
+def test_run_script_does_not_check_parsed_steps_again(monkeypatch):
+    scripts = [parse_script(SCRIPT_TEXT),
+               parse_script(emit_script(random_schedule(3, 4, 8, seed=2)))]
+
+    def walked(self):
+        raise AssertionError("validate() again on a parsed script")
+
+    monkeypatch.setattr(ScheduleScript, "validate", walked)
+    for script in scripts:
+        run_script(script, on_blocked="reassign")
+
+
+def test_a_script_changed_after_parsing_is_still_refused():
+    text = "setup: 5\nthread 0: insert(1)\nthread 1: delete(1)\nschedule: 0:1 1:1\n"
+    edits = [
+        (lambda s: s.steps.append((7, 1)), "schedule step for unknown thread 7"),
+        (lambda s: s.steps.append((0, 0)), "schedule grants must be positive"),
+        (lambda s: s.programs[1].__setitem__(0, ("delete", "x")),
+         "non-integer key 'x' in thread 1"),
+        (lambda s: s.setup.__setitem__(0, "5"), "non-integer key '5' in setup"),
+        (lambda s: s.programs.pop(1), "schedule step for unknown thread 1"),
+        (lambda s: setattr(s, "steps", [(0, 1), (9, 1)]),
+         "schedule step for unknown thread 9"),
+    ]
+    for edit, msg in edits:
+        script = parse_script(text)
+        run_script(script)
+        edit(script)
+        with pytest.raises(ScriptError) as ei:
+            run_script(script)
+        assert str(ei.value) == msg
 
 
 def test_emit_parse_round_trip():

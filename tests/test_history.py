@@ -551,3 +551,59 @@ def test_malformed_trace_events_are_flagged():
                 [("teleport", 1)]):
         rep = check_observable_correctness(bad)
         assert not rep.ok, bad
+
+
+# every message the trace checker can give; "edge points at unknown
+# node" cannot arise from events, since an edge event naming an unknown
+# node is refused before it changes anything
+TRACE_MESSAGES = ("created twice", "state change on unknown",
+                  "deleted mark on unknown", "edge event on unknown",
+                  "marked deleted", "bad side", "unknown trace event",
+                  "two paths", "outside", "fewer than two children",
+                  "resurrected")
+
+
+def _corrupted(trace, rng):
+    """The trace, then variants each changed at one random place."""
+    yield trace
+    ids = [e[1] for e in trace if e[0] == "create"] + [0]
+    for _ in range(8):
+        t = list(trace)
+        i = rng.randrange(len(t) + 1)
+        kind = rng.randrange(7)
+        if kind == 0 and t:
+            del t[min(i, len(t) - 1)]
+        elif kind == 1 and t:
+            t.insert(i, t[rng.randrange(len(t))])       # a repeated event
+        elif kind == 2:
+            t.insert(i, ("edge", rng.choice(ids), rng.choice((LEFT, RIGHT, 7)),
+                         rng.choice(ids + [None, 999])))
+        elif kind == 3:
+            t.insert(i, ("state", rng.choice(ids + [999]),
+                         rng.choice((DATA, ROUTING))))
+        elif kind == 4:
+            t.insert(i, ("mark", rng.choice(ids + [999])))
+        elif kind == 5:
+            t.insert(i, ("create", rng.choice(ids + [999]), rng.randrange(-2, 10),
+                         DATA))
+        else:
+            t.insert(i, ("teleport", rng.choice(ids)))
+        yield t
+
+
+def test_trace_checker_matches_the_always_walk_reference():
+    from cobst.harness import random_schedule, run_script
+    from obs_oracle import reference_check_observable_correctness as ref
+    rng = random.Random(5)
+    seen = set()
+    for s in range(200):
+        trace = run_script(random_schedule(2 + s % 3, 4, 8, s),
+                           on_blocked="reassign").trace
+        for t in _corrupted(trace, rng):
+            want = ref(t)
+            got = check_observable_correctness(t)
+            assert (got.violations, got.events_checked) == (
+                want.violations, want.events_checked), t
+            seen.update(m for _, msg in want.violations
+                        for m in TRACE_MESSAGES if m in msg)
+    assert seen == set(TRACE_MESSAGES)
