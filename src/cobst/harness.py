@@ -356,8 +356,11 @@ def run_script(script: ScheduleScript, *, on_blocked: str = "error") -> RunRepor
     workers = run.workers
     grant = run.grant
 
+    steps, cap = script.steps, run._cap + 1
+    if any(n > cap for _, n in steps):   # ends the run as a step of cap + 1 does
+        steps = [(t, min(n, cap)) for t, n in steps]
     # a worker is free unless finished or pending on a lock that would block
-    for tid in chain.from_iterable(starmap(repeat, script.steps)):
+    for tid in chain.from_iterable(starmap(repeat, steps)):
         w = workers[tid]
         p = w.pending
         if p is not None and (p.kind != K_LOCK or not p.would_block()):
@@ -455,10 +458,13 @@ def explore_small(setup, programs) -> ExplorationReport:
     """Run every schedule of the given tiny scenario and check each
     distinct outcome.
 
-    The state space is walked depth-first by deterministic replay: a run
-    records, at every point where more than one unblocked thread could
-    go next, which thread went and which alternatives existed; the next
-    run forces the deepest untried alternative.  Histories and traces
+    The state space is walked depth-first by deterministic replay.  At
+    every point where more than one unblocked thread could go next, a
+    run records its grant count, the number of such threads, the index
+    of the one that went and the forced-grant count.  The next run
+    grants the last run's schedule up to the deepest point with an
+    untried alternative by thread id alone, restores the forced-grant
+    count and takes that alternative.  Histories and traces
     repeat heavily across interleavings, so they are deduplicated before
     the (comparatively expensive) linearizability and trace checks.
 
@@ -479,20 +485,24 @@ def explore_small(setup, programs) -> ExplorationReport:
 
     seen_histories: set = set()
     seen_traces: set = set()
-    prefix: list = []
+    acquired = rep.acquisitions_by_op = dict.fromkeys(("contains", "insert", "delete"), 0)
+    decisions = []   # (grant index, runnable count, chosen index, forced count)
+    realized, nxt = [], 0
     while True:
-        # replay forcing ``prefix`` at the choice points, then always
-        # taking the first runnable thread
         run = _Run(script)
-        decisions = []   # (runnable thread count, chosen index) where more than one
+        workers, grant = run.workers, run.grant
+        if decisions:   # replay the last run up to its branch point
+            g, _, chosen, run._forced = decisions.pop()
+            nxt = chosen + 1
+            for tid in realized[:g]:
+                grant(workers[tid])
         while True:
-            runnable = [w for w in run.workers.values() if (p := w.pending)
+            runnable = [w for w in workers.values() if (p := w.pending)
                         is not None and (p.kind != K_LOCK or not p.would_block())]
             if len(runnable) > 1:
-                depth = len(decisions)
-                chosen = prefix[depth] if depth < len(prefix) else 0
-                decisions.append((len(runnable), chosen))
-                w = runnable[chosen]
+                decisions.append((len(run.realized), len(runnable), nxt, run._forced))
+                w = runnable[nxt]
+                nxt = 0
             elif runnable:
                 w = runnable[0]
             else:
@@ -503,13 +513,14 @@ def explore_small(setup, programs) -> ExplorationReport:
                 w = run.forced()
                 if w is None:
                     break
-            point = run.grant(w)
+            point = grant(w)
             if point is not None:
                 rep.checkpoint_coverage.add((point.kind, point.name))
 
         rep.interleavings += 1
-        for op, n in run.set.stats_snapshot()["acquisitions"].items():
-            rep.acquisitions_by_op[op] = rep.acquisitions_by_op.get(op, 0) + n
+        for st in run.set._stats.values():
+            for op, n in st.acquisitions.items():
+                acquired[op] += n
         if rep.interleavings > _EXPLORE_BOUND:
             raise ExplorationBoundError(
                 "actual interleavings exceeded the bound %d" % _EXPLORE_BOUND)
@@ -536,14 +547,11 @@ def explore_small(setup, programs) -> ExplorationReport:
                 rep.structure_failures.append(
                     (run.realized, "locks left held at quiescence"))
 
-        # backtrack to the deepest decision with an untried alternative;
-        # replay is deterministic, so the same choices lead back to it
-        for i in range(len(decisions) - 1, -1, -1):
-            count, chosen = decisions[i]
-            if chosen + 1 < count:
-                prefix = [d for _, d in decisions[:i]] + [chosen + 1]
-                break
-        else:
+        # backtrack to the deepest decision with an untried alternative
+        realized = run.realized
+        while decisions and decisions[-1][2] + 1 == decisions[-1][1]:
+            decisions.pop()
+        if not decisions:
             break
     return rep
 
@@ -568,8 +576,11 @@ _THREAD_RE = re.compile(r"thread\s+(-?\d+)")
 
 
 def parse_script(text: str) -> ScheduleScript:
+    """Read and validate a script in the format above.  Equal steps and
+    equal ``(op, key)`` pairs of one script share one tuple; no call keeps any."""
     script = ScheduleScript()
     seen = set()
+    shared = {}   # each distinct tuple, and each step's text, -> the tuple
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -594,12 +605,16 @@ def parse_script(text: str) -> ScheduleScript:
         elif thread:
             if not _OPS_RE.fullmatch(rest):
                 raise ScriptError("line %d: cannot parse ops %r" % (ln, rest))
-            script.programs[tid] = [(_OPS[op], int(k)) for op, k in _OP_RE.findall(rest)]
+            script.programs[tid] = [shared.setdefault(p, p) for p in (
+                (_OPS[op], int(k)) for op, k in _OP_RE.findall(rest))]
         elif head == "schedule":
             if not _STEPS_RE.fullmatch(rest):
                 raise ScriptError("line %d: cannot parse schedule %r" % (ln, rest))
-            nums = map(int, rest.replace(":", " ").split())
-            script.steps = list(zip(nums, nums))
+            toks = rest.split()
+            for tok in set(toks):   # each distinct step once, by its text
+                t, _, n = tok.partition(":")
+                shared[tok] = shared.setdefault(p := (int(t), int(n)), p)
+            script.steps = list(map(shared.__getitem__, toks))
         else:
             raise ScriptError("line %d: unknown directive %r" % (ln, head))
     script.validate()

@@ -457,6 +457,11 @@ def test_cli_replay_bad_inputs(tmp_path, capsys):
         assert main(["replay", "--script", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "bad script" in err and msg in err and "Traceback" not in err
+    bad.write_text("thread 0: insert(1)\nschedule: 0:9223372036854775808\n")
+    assert main(["replay", "--script", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "replay failed: schedule grants a step to finished thread 0" in err
+    assert "Traceback" not in err
 
 
 def test_cli_replay_blocked_schedule(tmp_path, capsys):

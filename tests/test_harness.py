@@ -1,14 +1,16 @@
 """Deterministic replay, script parsing, the named scenarios, and the
 bounded exhaustive explorer."""
 
+import gc
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
 from cobst import harness
 from cobst.cli import main
-from cobst.concurrent_set import ConcurrentSet
+from cobst.concurrent_set import K_LOCK, ConcurrentSet
 from cobst.harness import (SETUP_THREAD, ExplorationBoundError, ScheduleBlockedError,
                            ScheduleScript, ScriptError, emit_script, explore_small,
                            parse_script, random_schedule, run_script,
@@ -118,6 +120,25 @@ def test_schedule_past_the_grant_cap_is_a_script_error():
                        steps=[(0, 10), (1, 30_000)])
     with pytest.raises(ScriptError, match="14000 grants"):
         run_script(s)
+
+
+def test_a_step_past_the_grant_cap_replays_as_one_of_cap_plus_one():
+    # a count past sys.maxsize cannot feed itertools.repeat; clipped at the
+    # cap + 1, it ends every run as the full count would
+    huge = 2 ** 63
+    for setup, programs, steps in (
+            ([], {0: [("insert", 1)]}, [(0, 2), (0, huge), (0, 1)]),
+            ([1, 3], {0: [("delete", 3)], 1: [("insert", 2)]}, [(0, 10), (1, huge)])):
+        cap = 10_000 + 1_000 * (len(setup) + len(programs))
+        clipped = [(t, min(n, cap + 1)) for t, n in steps]
+        for mode in ("error", "reassign"):
+            want = _replayed(run_script, ScheduleScript(setup, programs, clipped),
+                             mode)
+            script = ScheduleScript(setup, programs, steps)
+            assert _replayed(run_script, script, mode) == want
+            assert script.steps == steps
+    assert want == (ScriptError, "run exceeded 14000 grants without finishing; "
+                    "the schedule keeps recreating contention")
 
 
 def test_reassign_stops_stepping_once_every_thread_finished(monkeypatch):
@@ -503,11 +524,68 @@ def test_error_mode_matches_the_reference_loops():
     ([], {0: [("insert", 1)], 1: [("insert", 2)], 2: [("contains", 1)]}),
     ([], {0: [("insert", 1)], 1: [("insert", 1)]}),
     ([1], {0: [("delete", 1)], 1: [("delete", 1)]}),
+    ([5], {0: [("insert", 5)], 1: [("delete", 5)], 2: [("contains", 5)]}),
 ])
 def test_exploration_matches_the_reference_loop(setup, programs):
     from loop_oracle import reference_explore_small
     assert explore_small(setup, programs) == reference_explore_small(setup,
                                                                      programs)
+
+
+def _first_free_or_forced(run):
+    """Step ``run`` to its end as exploration does past its last branch
+    point: the first free thread goes, else the one ``forced()`` picks."""
+    while True:
+        w = next((w for w in run.workers.values() if (p := w.pending) is not None
+                  and (p.kind != K_LOCK or not p.would_block())), None)
+        if w is None and (w := run.forced()) is None:
+            return run
+        run.grant(w)
+
+
+def test_a_replayed_prefix_with_its_forced_count_continues_as_recorded(
+        monkeypatch):
+    # exploration grants the last run's prefix by thread id, with no call to
+    # forced(), and restores the forced-grant count.  No scenario under the
+    # exploration bound blocks every thread: a routing parent takes one
+    # delete, its sibling leaves two more, and such scenarios estimate over
+    # 10^8 interleavings.  So the mutual sibling block is stepped here, from
+    # the drain's first forced grant on
+    script = ScheduleScript(setup=[4, 2, 6], programs={
+        0: [("delete", 2)], 1: [("delete", 6)], 2: [("delete", 4)]})
+    forced_at = []   # grant index of each forced grant
+    forced = harness._Run.forced
+
+    def recording(self):
+        w = forced(self)
+        if w is not None:
+            forced_at.append((len(self.realized), w.tid))
+        return w
+
+    monkeypatch.setattr(harness._Run, "forced", recording)
+    start = run_script(script).realized[:forced_at[0][0]]
+    forced_at.clear()
+    whole = harness._Run(script)
+    for tid in start:
+        whole.grant(whole.workers[tid])
+    _first_free_or_forced(whole)
+    assert len({tid for _, tid in forced_at}) == 2   # the rotation mattered
+    forced_grants = [i for i, _ in forced_at]
+    diverged = 0
+    for g in range(len(start), len(whole.realized) + 1):
+        for restore in (True, False):
+            run = harness._Run(script)
+            for tid in whole.realized[:g]:
+                run.grant(run.workers[tid])
+            if restore:
+                run._forced = sum(1 for i in forced_grants if i < g)
+            _first_free_or_forced(run)
+            if restore:
+                assert (run.realized, run.set.trace) == (whole.realized,
+                                                         whole.set.trace)
+            else:
+                diverged += run.realized != whole.realized
+    assert diverged   # a count left at 0 would rotate wrongly
 
 
 def test_finish_counts_one_grant_per_checkpoint_left():
@@ -574,9 +652,40 @@ def test_a_script_changed_after_parsing_is_still_refused():
         assert str(ei.value) == msg
 
 
+def test_a_parsed_script_holds_each_distinct_tuple_once():
+    s = parse_script("thread 0: insert(5) delete(5) insert(5)\n"
+                     "thread 1: insert(5) contains(7) delete(5)\n"
+                     "schedule: 0:2 1:1 00:2 1:1 1:01 0:1\n")   # equal, not same text
+    a, b = s.programs[0], s.programs[1]
+    assert a[0] is a[2] is b[0] and a[1] is b[2]
+    assert s.steps[0] is s.steps[2] and s.steps[1] is s.steps[3] is s.steps[4]
+    assert s.steps[5] == (0, 1) and s.programs[1][1] == ("contains", 7)
+
+
+def test_parse_script_keeps_nothing_between_calls():
+    # fresh keys and counts per script: a cache kept across calls would grow
+    texts = ["thread 0: insert(%d) delete(%d)\nthread 1: contains(%d)\n"
+             "schedule: 0:%d 1:%d 0:1\n" % (k, k, k, k, k)
+             for k in range(10 ** 6, 10 ** 6 + 1000)]
+    parse_script(texts[0])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scripts = [parse_script(t) for t in texts]
+        held = tracemalloc.get_traced_memory()[0] - base
+        del scripts
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held > 500_000 and left < 4_096, (held, left)
+
+
 def test_emit_parse_round_trip():
     for script in (script_parallel_inserts(), script_twin_replacement(),
-                   script_edge_conflict_restart(), parse_script(SCRIPT_TEXT)):
+                   script_edge_conflict_restart(), parse_script(SCRIPT_TEXT),
+                   *(random_schedule(2 + s % 3, 6, 8, s) for s in range(20))):
         text = emit_script(script)
         again = parse_script(text)
         assert again == script
