@@ -32,11 +32,9 @@ def tree_left_as_found():
     test makes belongs under ``tmp_path``."""
     before = _tree_status()
     yield
-    if before is None:
-        return
-    after = _tree_status()
-    if after != before:
-        old, new = set(before.splitlines()), set((after or "").splitlines())
+    after = None if before is None else _tree_status()
+    if after is not None and after != before:
+        old, new = set(before.splitlines()), set(after.splitlines())
         pytest.fail("tests changed the work tree:\n" + "\n".join(
             ["+ " + ln for ln in sorted(new - old)]
             + ["- " + ln for ln in sorted(old - new)]), pytrace=False)
