@@ -8,16 +8,16 @@ re-check that fails, raises ``Restart``; the restart loop in ``_op``
 catches it, releases everything the attempt holds and traverses again.
 Reads (``contains``) take no locks at all and never restart.
 
-Lock granularity is per-field: each node has one lock per outgoing
-child edge and one for its state/deleted pair.  Edge locks are only
-ever taken exclusively; state locks are taken shared by operations that
-merely need the state pinned and exclusively by the ones changing it.
-Edge locks come in two conditional flavours: by reference (the child
-pointer must still be the expected object) and by value (the child must
-hold the expected key, tolerating replacement of the node by an equal
-one).  Within one attempt locks are acquired from deeper nodes towards
-the root, which rules out deadlock; the stepping form asserts that
-ordering.
+Lock granularity is per-field: each node holds one lock word per
+outgoing child edge (``left_word``, ``right_word``) and one for its
+state/deleted pair (``word``).  Edge locks are only ever taken
+exclusively; state locks are taken shared by operations that merely
+need the state pinned and exclusively by the ones changing it.  Edge
+locks come in two conditional flavours: by reference (the child pointer
+must still be the expected object) and by value (the child must hold
+the expected key, tolerating replacement of the node by an equal one).
+Within one attempt locks are acquired from deeper nodes towards the
+root, which rules out deadlock; the stepping form asserts that ordering.
 
 Deletion is two-stage: a node is first marked ``deleted`` (the logical
 point of no return) and then unlinked, both under the same locks.
@@ -52,7 +52,6 @@ them on its first operation only.
 from __future__ import annotations
 
 import ast
-import copy
 import inspect
 import itertools
 import linecache
@@ -103,8 +102,8 @@ class LockPoint(NamedTuple):
     """Checkpoint for one pending lock attempt.
 
     Unlike the constant Sites this is allocated per attempt because the
-    harness needs the concrete lock, the requested mode and the guard
-    predicate with its arguments to decide whether the attempt could
+    harness needs the concrete lock (holder and word), the requested mode
+    and the guard predicate with its arguments to decide whether it could
     even succeed right now (the predicate only performs reads, so
     peeking is free of side effects).  The stepping form builds it with
     ``tuple.__new__``, without the Python frame of a constructor;
@@ -118,6 +117,7 @@ class LockPoint(NamedTuple):
     cond: object
     node: Node | None = None
     expected: object = None
+    field: str = "word"
     kind = K_LOCK
 
     def would_block(self) -> bool:
@@ -127,14 +127,14 @@ class LockPoint(NamedTuple):
         such attempts are never blocked, they fail fast with
         CONDITION_VIOLATED.
         """
-        _, _, lock, mode, cond, node, expected = self
+        _, _, lock, mode, cond, node, expected, field = self
         if not (cond() if node is None else cond(node, expected)):
             return False
-        w = lock.word
+        w = getattr(lock, field)
         return w == 1 if mode is READ else w != 0
 
     def __repr__(self):
-        return "<lock %s %s %s>" % (self.name, self.mode.value, self.lock)
+        return "<lock %s %s %r %s>" % (self.name, self.mode.value, self.lock, self.field)
 
 
 # traversal and case-selection reads; these mirror the reads the
@@ -207,6 +207,7 @@ def _state_is(node: Node, state) -> bool:
 
 _EDGE_IS = (_left_is, _right_is)            # edge by reference, by side
 _EDGE_HOLDS = (_left_holds, _right_holds)   # edge by value, by side
+_EDGE_WORD = ("left_word", "right_word")    # a node's edge lock word, by side
 
 
 class ThreadStats:
@@ -367,13 +368,14 @@ class ConcurrentSet:
     def _release_all(self, ctx: _AttemptCtx) -> None:
         held = ctx.held
         while held:
-            lock, mode = held.pop()
-            lock.unlock(mode)
+            lock, mode, field = held.pop()
+            lock.unlock(mode, field)
 
     def _lock(self, ctx: _AttemptCtx, tkey, st: ThreadStats, optag: str,
               lock: CondRwLock, mode: LockMode, cond, family: str,
-              name: str, level: int, node=None, expected=None):
-        """One bounded-attempt acquisition under ``cond(node, expected)``.
+              name: str, level: int, node=None, expected=None, field="word"):
+        """One bounded-attempt acquisition of ``lock``'s word ``field``
+        under ``cond(node, expected)``.
 
         The stepping form yields one LockPoint checkpoint and makes a
         single attempt; the plain form spins on contention, all of it
@@ -388,12 +390,12 @@ class ConcurrentSet:
                     level, ctx.last_level, name)
             ctx.last_level = level
             self.attempts[ctx.tkey] = ctx
-            yield _new(LockPoint, (family, name, lock, mode, cond, node, expected))
-            out = lock.try_lock_with_condition(mode, cond, node, expected)
+            yield _new(LockPoint, (family, name, lock, mode, cond, node, expected, field))
+            out = lock.try_lock_with_condition(mode, cond, node, expected, field)
         else:
-            out = lock.lock_with_spin(mode, cond, node, expected)
+            out = lock.lock_with_spin(mode, cond, node, expected, field)
         if out is ACQUIRED:
-            ctx.held.append((lock, mode))
+            ctx.held.append((lock, mode, field))
             st.acquisitions[optag] += 1
             return
         counts = (st.cond_violations if out is CONDITION_VIOLATED
@@ -500,7 +502,7 @@ class ConcurrentSet:
                 return False
             # routing node holds the key structurally: claim it
             yield from self._lock(
-                ctx, tkey, st, "insert", curr.state_lock, WRITE, _state_is,
+                ctx, tkey, st, "insert", curr, WRITE, _state_is,
                 "state", "insert.promote_state", 0, curr, ROUTING)
             if self._instr:
                 yield W_INS_PROMOTE
@@ -511,12 +513,12 @@ class ConcurrentSet:
         # still being empty and prev still being live
         side = LEFT if v < prev.val else RIGHT
         yield from self._lock(
-            ctx, tkey, st, "insert", prev.edge_lock(side), WRITE,
-            _EDGE_IS[side], "edge_ref", "insert.edge", 0, prev, None)
+            ctx, tkey, st, "insert", prev, WRITE, _EDGE_IS[side], "edge_ref",
+            "insert.edge", 0, prev, None, _EDGE_WORD[side])
         # shared hold on prev's state: blocks a concurrent demotion or
         # deletion of prev between our deleted re-check and the link
         yield from self._lock(
-            ctx, tkey, st, "insert", prev.state_lock, READ,
+            ctx, tkey, st, "insert", prev, READ,
             _ALWAYS, "state_plain", "insert.parent_state", -1)
         if prev.deleted:   # fresh read under the lock
             raise Restart
@@ -571,7 +573,7 @@ class ConcurrentSet:
         """Both children present: the node only loses its membership and
         stays as routing structure."""
         yield from self._lock(
-            ctx, tkey, st, "delete", curr.state_lock, WRITE, _state_is,
+            ctx, tkey, st, "delete", curr, WRITE, _state_is,
             "state", "delete.demote_state", 0, curr, DATA)
         # the state lock keeps leaf deletions below us out, but a child
         # may have been spliced away before we got the lock; re-check
@@ -591,15 +593,14 @@ class ConcurrentSet:
         """
         side = LEFT if v < prev.val else RIGHT
         yield from self._lock(
-            ctx, tkey, st, "delete", curr.edge_lock(child_side), WRITE,
-            _EDGE_IS[child_side], "edge_ref", "delete.splice_child_edge", 1,
-            curr, child)
+            ctx, tkey, st, "delete", curr, WRITE, _EDGE_IS[child_side],
+            "edge_ref", "delete.splice_child_edge", 1, curr, child,
+            _EDGE_WORD[child_side])
         yield from self._lock(
-            ctx, tkey, st, "delete", prev.edge_lock(side), WRITE,
-            _EDGE_IS[side], "edge_ref", "delete.splice_parent_edge", 0,
-            prev, curr)
+            ctx, tkey, st, "delete", prev, WRITE, _EDGE_IS[side], "edge_ref",
+            "delete.splice_parent_edge", 0, prev, curr, _EDGE_WORD[side])
         yield from self._lock(
-            ctx, tkey, st, "delete", curr.state_lock, WRITE, _state_is,
+            ctx, tkey, st, "delete", curr, WRITE, _state_is,
             "state", "delete.splice_state", 0, curr, DATA)
         # fresh re-check that curr still has exactly this one child: the
         # other slot may have been filled by an insert before our state
@@ -629,16 +630,16 @@ class ConcurrentSet:
         """
         side = LEFT if v < prev.val else RIGHT
         yield from self._lock(
-            ctx, tkey, st, "delete", prev.edge_lock(side), WRITE,
-            _EDGE_HOLDS[side], "edge_val", "delete.leaf_edge", 0, prev, v)
+            ctx, tkey, st, "delete", prev, WRITE, _EDGE_HOLDS[side], "edge_val",
+            "delete.leaf_edge", 0, prev, v, _EDGE_WORD[side])
         curr = prev.child(side)   # fresh: the locked occupant, maybe a twin
         yield from self._lock(
-            ctx, tkey, st, "delete", curr.state_lock, WRITE, _state_is,
+            ctx, tkey, st, "delete", curr, WRITE, _state_is,
             "state", "delete.leaf_state", 0, curr, DATA)
         if curr.left is not None or curr.right is not None:
             raise Restart     # grew children since the traversal
         yield from self._lock(
-            ctx, tkey, st, "delete", prev.state_lock, READ, _state_is,
+            ctx, tkey, st, "delete", prev, READ, _state_is,
             "state", "delete.leaf_parent_state", -1, prev, DATA)
         if self._instr:
             yield W_DEL_MARK
@@ -661,24 +662,22 @@ class ConcurrentSet:
         side, sside = (LEFT, RIGHT) if v < prev.val else (RIGHT, LEFT)
         pside = LEFT if prev.val < gprev.val else RIGHT
         yield from self._lock(
-            ctx, tkey, st, "delete", prev.edge_lock(side), WRITE,
-            _EDGE_HOLDS[side], "edge_val", "delete.pair_edge", 0, prev, v)
+            ctx, tkey, st, "delete", prev, WRITE, _EDGE_HOLDS[side], "edge_val",
+            "delete.pair_edge", 0, prev, v, _EDGE_WORD[side])
         curr = prev.child(side)   # fresh occupant under the value lock
         yield from self._lock(
-            ctx, tkey, st, "delete", curr.state_lock, WRITE, _state_is,
+            ctx, tkey, st, "delete", curr, WRITE, _state_is,
             "state", "delete.pair_state", 0, curr, DATA)
         if curr.left is not None or curr.right is not None:
             raise Restart
         yield from self._lock(
-            ctx, tkey, st, "delete", prev.edge_lock(sside), WRITE,
-            _EDGE_IS[sside], "edge_ref", "delete.pair_sibling_edge", 0,
-            prev, sibling)
+            ctx, tkey, st, "delete", prev, WRITE, _EDGE_IS[sside], "edge_ref",
+            "delete.pair_sibling_edge", 0, prev, sibling, _EDGE_WORD[sside])
         yield from self._lock(
-            ctx, tkey, st, "delete", gprev.edge_lock(pside), WRITE,
-            _EDGE_IS[pside], "edge_ref", "delete.pair_parent_edge", -1,
-            gprev, prev)
+            ctx, tkey, st, "delete", gprev, WRITE, _EDGE_IS[pside], "edge_ref",
+            "delete.pair_parent_edge", -1, gprev, prev, _EDGE_WORD[pside])
         yield from self._lock(
-            ctx, tkey, st, "delete", prev.state_lock, WRITE, _state_is,
+            ctx, tkey, st, "delete", prev, WRITE, _state_is,
             "state", "delete.pair_parent_state", -1, prev, ROUTING)
         if self._instr:
             yield W_DEL_MARK_PARENT
@@ -763,31 +762,30 @@ def compile_plain(cls) -> None:
     """Install on ``cls`` the plain twins of every generator method that
     ``cls`` itself defines (inherited ones already have theirs).
 
-    Each source file is parsed once.  Subclasses are compiled when they
-    are created; call this again after replacing a generator method on
-    a class, or the plain form keeps running the old body.
+    Each twin parses its method's own lines, padded so that every line
+    and column number is the file's.  Subclasses are compiled when they
+    are created; call this again after replacing a generator method on a
+    class, or the plain form keeps running the old body.
     """
-    gens = [(name, fn) for name, fn in vars(cls).items()
-            if inspect.isgeneratorfunction(fn)]
-    defs = {}
-    for filename, fn in {fn.__code__.co_filename: fn for _, fn in gens}.items():
-        source = "".join(linecache.getlines(filename, fn.__globals__))
-        for node in ast.walk(ast.parse(source, filename)):
-            if isinstance(node, ast.FunctionDef):
-                defs[filename, node.lineno] = node
-    for name, fn in gens:
+    for name, fn in list(vars(cls).items()):
+        if not inspect.isgeneratorfunction(fn):
+            continue
         code = fn.__code__
         if code.co_freevars:
             raise TypeError("%s.%s uses enclosing variables %s; only plain "
                             "methods can be compiled"
                             % (cls.__name__, name, code.co_freevars))
-        source = defs[code.co_filename, code.co_firstlineno]
-        if name == "_op":   # each operation folds a copy of its own
-            twins = [(op, twin, copy.deepcopy(source))
-                     for op, twin in _PLAIN_TWINS.items()]
-        else:
-            twins = [(None, name + "_plain", source)]
-        for op, twin, node in twins:
+        # from the def to the last line any instruction spans
+        first = code.co_firstlineno
+        last = max(end for _, end, _, _ in code.co_positions() if end)
+        block = linecache.getlines(code.co_filename, fn.__globals__)[first - 1:last]
+        indented = block[0][:1].isspace()
+        source = ("\n" * (first - 1 - indented)
+                  + ("class _:\n" if indented else "") + "".join(block))
+        for op, twin in (_PLAIN_TWINS.items() if name == "_op"
+                         else [(None, name + "_plain")]):
+            node = next(n for n in ast.walk(ast.parse(source, code.co_filename))
+                        if isinstance(n, ast.FunctionDef))
             node = _FoldInstrumentation(op).visit(node)
             node.name = twin
             for sub in ast.walk(node):

@@ -101,19 +101,23 @@ class ScheduleScript:
     setup: list = field(default_factory=list)
     programs: dict = field(default_factory=dict)
     steps: list = field(default_factory=list)
-    # the steps list ``validate`` last passed, and the hash of its length and
-    # thread ids (a tuple kept per script would slow the collector's scans)
+    # the steps list ``validate`` last passed, the hash of its length and thread
+    # ids (a tuple kept per script would slow the collector's scans), its top step
     _checked: list = field(default=None, init=False, repr=False, compare=False)
     _shape: int = field(default=None, init=False, repr=False, compare=False)
+    _top: int = field(default=0, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
         self._check_ops()
+        top = 0
         for tid, n in self.steps:
             if tid not in self.programs:
                 raise ScriptError("schedule step for unknown thread %r" % (tid,))
             if n < 1:
                 raise ScriptError("schedule grants must be positive")
-        self._checked, self._shape = self.steps, hash((len(self.steps), *self.programs))
+            top = n if n > top else top
+        self._checked, self._top = self.steps, top
+        self._shape = hash((len(self.steps), *self.programs))
 
     def _check_ops(self) -> None:
         for key in self.setup:
@@ -317,7 +321,7 @@ def _wait_chain(set_: ConcurrentSet, workers: dict, start_tid: int) -> str:
     for _ in range(len(workers) + 1):
         p = workers[tid].pending
         holders = [t for t, ctx in set_.attempts.items() if t != tid
-                   and any(lock is p.lock for lock, _ in ctx.held)]
+                   and any(lock is p.lock and f == p.field for lock, _, f in ctx.held)]
         if not holders:
             hops.append("thread %d waits on %r (holder unknown)" % (tid, p))
             break
@@ -357,7 +361,7 @@ def run_script(script: ScheduleScript, *, on_blocked: str = "error") -> RunRepor
     grant = run.grant
 
     steps, cap = script.steps, run._cap + 1
-    if any(n > cap for _, n in steps):   # ends the run as a step of cap + 1 does
+    if script._top > cap:   # ends the run as a step of cap + 1 does
         steps = [(t, min(n, cap)) for t, n in steps]
     # a worker is free unless finished or pending on a lock that would block
     for tid in chain.from_iterable(starmap(repeat, steps)):

@@ -1,10 +1,15 @@
-"""Conditional read-write lock with a single-word state encoding.
+"""Conditional read-write locks, each a single int word.
 
-The lock state lives in one integer word:
+A lock's state lives in one integer word:
 
 * ``0``      free
 * ``1``      held by a writer
 * ``2 * k``  held by ``k`` readers
+
+A word is an int slot of the object it guards.  ``CondRwLock`` has one,
+``word``; a subclass such as ``tree_core.Node`` adds more, and each lock
+method names its slot in a trailing ``field`` argument, so a node's
+three locks are three slots, not three objects to allocate and track.
 
 Acquisitions are compare-and-swap steps on that word (0 -> 1 for a
 write, even w -> w + 2 for a read).  CPython has no user-level CAS, so
@@ -102,27 +107,29 @@ class SpinPolicy:
 
 
 class CondRwLock:
+    """The lock word ``word``, and the lock protocol on any int slot."""
+
     __slots__ = ("word",)
 
     def __init__(self):
         self.word = 0
 
-    def unlock(self, mode: LockMode) -> None:
+    def unlock(self, mode: LockMode, field: str = "word") -> None:
         if mode is WRITE:
-            assert self.word == 1, "write unlock without a held write lock"
-            self.word = 0
+            assert getattr(self, field) == 1, "write unlock without a held write lock"
+            setattr(self, field, 0)
             return
         _GUARD.acquire()
         try:
-            w = self.word
+            w = getattr(self, field)
             assert w >= 2 and not w & 1, "read unlock without a held read lock"
-            self.word = w - 2
+            setattr(self, field, w - 2)
         finally:
             _GUARD.release()
 
     def try_lock_with_condition(self, mode: LockMode, condition, node=None,
-                                expected=None) -> LockOutcome:
-        """One conditional acquire attempt.
+                                expected=None, field: str = "word") -> LockOutcome:
+        """One conditional acquire attempt on the word ``field``.
 
         The predicate runs before the CAS (cheap fast-out while the value
         has already moved on) and again after a successful CAS.  The
@@ -138,39 +145,30 @@ class CondRwLock:
         if not _GUARD.acquire(False):
             return CONTENDED
         try:
-            w = self.word
+            w = getattr(self, field)
             if w == 1 or (w and mode is WRITE):
                 return CONTENDED
-            self.word = 1 if mode is WRITE else w + 2
+            setattr(self, field, 1 if mode is WRITE else w + 2)
         finally:
             _GUARD.release()
         if not (condition() if node is None else condition(node, expected)):
-            self.unlock(mode)
+            self.unlock(mode, field)
             return CONDITION_VIOLATED
         return ACQUIRED
 
     def lock_with_spin(self, mode: LockMode, condition, node=None,
-                       expected=None) -> LockOutcome:
+                       expected=None, field: str = "word") -> LockOutcome:
         """Retry CONTENDED outcomes up to ``SpinPolicy.ATTEMPTS`` times.
 
         Returns the first non-contended outcome, or CONTENDED once the
         attempt budget is spent.  The caller is expected to restart its
         whole operation in that case rather than block.
         """
-        out = self.try_lock_with_condition(mode, condition, node, expected)
+        out = self.try_lock_with_condition(mode, condition, node, expected, field)
         round_ = 0
         while out is CONTENDED and round_ + 1 < SpinPolicy.ATTEMPTS:
             SpinPolicy.pause(round_)
             round_ += 1
-            out = self.try_lock_with_condition(mode, condition, node, expected)
+            out = self.try_lock_with_condition(mode, condition, node, expected,
+                                               field)
         return out
-
-    def __repr__(self):
-        w = self.word
-        if w == 0:
-            state = "free"
-        elif w == 1:
-            state = "write-held"
-        else:
-            state = "%d readers" % (w >> 1)
-        return "<CondRwLock %s>" % state

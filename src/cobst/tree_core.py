@@ -52,15 +52,14 @@ def validate_key(v) -> int:
     return v
 
 
-class Node:
+class Node(CondRwLock):
     """One tree node.  ``val`` is immutable; everything else may change
-    under the node's locks.  Each node carries three conditional
-    read-write locks, one per outgoing child edge and one for the
-    state/deleted pair; each lock is a single word, changed by CAS
-    steps under the one guard that ``rwlock`` shares among all locks."""
+    under the node's three lock words: ``left_word`` and ``right_word``
+    for its child edges and the inherited ``word`` for its state/deleted
+    pair, each changed by ``CondRwLock``'s methods, named by ``field``."""
 
     __slots__ = ("val", "state", "left", "right", "deleted",
-                 "left_lock", "right_lock", "state_lock", "id", "reclaimed")
+                 "left_word", "right_word", "id", "reclaimed")
 
     def __init__(self, val: int, state: str = DATA, node_id: int = -1):
         self.val = val
@@ -68,11 +67,15 @@ class Node:
         self.left = None
         self.right = None
         self.deleted = False
-        self.left_lock = CondRwLock()
-        self.right_lock = CondRwLock()
-        self.state_lock = CondRwLock()
+        self.word = 0
+        self.left_word = 0
+        self.right_word = 0
         self.id = node_id
         self.reclaimed = False
+
+    # the node, whose ``word`` is its state lock: ``benchmark/selftest.py``
+    # passes ``root.state_lock`` as a lock to ``ConcurrentSet._lock``
+    state_lock = property(lambda self: self)
 
     def child(self, side: int):
         return self.left if side == LEFT else self.right
@@ -82,9 +85,6 @@ class Node:
             self.left = node
         else:
             self.right = node
-
-    def edge_lock(self, side: int) -> CondRwLock:
-        return self.left_lock if side == LEFT else self.right_lock
 
     def __repr__(self):
         v = "inf" if self.val == PLUS_INF else str(self.val)
@@ -142,7 +142,7 @@ class SequentialBst:
 
     This is the reference implementation: the concurrent set must be
     indistinguishable from it when driven by one thread.  It shares the
-    Node type (locks included, unused here) so validation and dumps
+    Node type (lock words included, unused here) so validation and dumps
     apply to both.
     """
 
@@ -292,8 +292,7 @@ def validate_structure(tree) -> StructureReport:
 
 
 def _held(node) -> int:
-    return ((node.left_lock.word != 0) + (node.right_lock.word != 0)
-            + (node.state_lock.word != 0))
+    return (node.left_word != 0) + (node.right_word != 0) + (node.word != 0)
 
 
 # -- text format -------------------------------------------------------

@@ -79,3 +79,48 @@ def test_selftest_locking_contains_takes_one_root_read_lock(monkeypatch):
     assert [s.contains(k) for k in keys] == [True, False, True, True, False]
     assert s.stats_snapshot()["acquisitions"]["contains"] == len(keys)
     assert s.root.state_lock.word == 0
+
+
+def test_one_insert_traces_an_edge_word_and_a_state_word():
+    """Each traced lock method records its span whichever word it acts
+    on; an insert of a new leaf takes an edge word and a state word."""
+    import inspect
+
+    from cobst.rwlock import CondRwLock
+
+    tracing = load_tracing()
+    s = ConcurrentSet()
+    s.insert(5)
+    seen = []
+
+    def spy(attr, traced):
+        sig = inspect.signature(traced.__wrapped__)
+
+        def call(*args, **kwargs):
+            field = sig.bind(*args, **kwargs).arguments.get("field", "word")
+            result = traced(*args, **kwargs)
+            seen.append((tr.spans[-1][1], field))   # this call's own span
+            return result
+        return call
+
+    tr = tracing.Tracer()
+    tr.install()
+    attrs = ("lock_with_spin", "try_lock_with_condition", "unlock")
+    traced = {a: getattr(CondRwLock, a) for a in attrs}
+    try:
+        for a in attrs:
+            setattr(CondRwLock, a, spy(a, traced[a]))
+        assert s.insert(3)
+    finally:
+        for a in attrs:
+            setattr(CondRwLock, a, traced[a])
+        tr.uninstall()
+    tr.flush(1.0)
+    for field in ("left_word", "word"):
+        for name in ("rwlock.acquire", "rwlock.attempt", "rwlock.unlock"):
+            assert seen.count((name, field)) == 1, (name, field, seen)
+    assert len(seen) == 6
+    for name, parent in (("rwlock.acquire", "concurrent_set.insert"),
+                         ("rwlock.attempt", "rwlock.acquire"),
+                         ("rwlock.unlock", "concurrent_set.insert")):
+        assert tr.count(name, (parent,)) == 2, name

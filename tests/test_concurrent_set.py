@@ -1,6 +1,7 @@
 """Lock conditions, single-threaded equivalence, stats, and
 reclamation behaviour of the concurrent set."""
 
+import gc
 import itertools
 import random
 import threading
@@ -10,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from cobst import rwlock
 from cobst.concurrent_set import (ConcurrentSet, K_CREATE, K_LOCK, K_READ,
+                                  LockPoint,
                                   K_WRITE, S_CONT_STATE, S_TRAV_LEFT,
                                   S_TRAV_RIGHT, _EDGE_HOLDS, _EDGE_IS,
-                                  _state_is)
+                                  _EDGE_WORD, _state_is)
 from cobst.reclaim import POISON, EpochReclaimer
-from cobst.rwlock import LockMode, LockOutcome, SpinPolicy
+from cobst.rwlock import CondRwLock, LockMode, LockOutcome, SpinPolicy
 from cobst.tree_core import (DATA, LEFT, MAX_KEY, MIN_KEY, PLUS_INF, RIGHT,
                              ROUTING, Node, SequentialBst, dump_tree, traverse,
                              validate_key, validate_structure)
@@ -32,18 +34,17 @@ def two_level_tree():
 # One attempt at a lock under each condition the set's operations use.
 
 def try_lock_edge_ref(node, side, expected):
-    return node.edge_lock(side).try_lock_with_condition(
-        LockMode.WRITE, _EDGE_IS[side], node, expected)
+    return node.try_lock_with_condition(
+        LockMode.WRITE, _EDGE_IS[side], node, expected, _EDGE_WORD[side])
 
 
 def try_lock_edge_val(node, side, expected_key):
-    return node.edge_lock(side).try_lock_with_condition(
-        LockMode.WRITE, _EDGE_HOLDS[side], node, expected_key)
+    return node.try_lock_with_condition(
+        LockMode.WRITE, _EDGE_HOLDS[side], node, expected_key, _EDGE_WORD[side])
 
 
 def try_lock_state(node, mode, expected_state):
-    return node.state_lock.try_lock_with_condition(
-        mode, _state_is, node, expected_state)
+    return node.try_lock_with_condition(mode, _state_is, node, expected_state)
 
 
 # -- edge lock by reference ------------------------------------------------
@@ -51,14 +52,14 @@ def try_lock_state(node, mode, expected_state):
 def test_edge_ref_acquires_on_match():
     _, parent, child, _ = two_level_tree()
     assert try_lock_edge_ref(parent, LEFT, child) is LockOutcome.ACQUIRED
-    assert parent.left_lock.word == 1
+    assert parent.left_word == 1
 
 
 def test_edge_ref_rejects_deleted_node():
     _, parent, child, _ = two_level_tree()
     parent.deleted = True
     assert try_lock_edge_ref(parent, LEFT, child) is LockOutcome.CONDITION_VIOLATED
-    assert parent.left_lock.word == 0
+    assert parent.left_word == 0
 
 
 def test_edge_ref_rejects_swung_child():
@@ -72,14 +73,15 @@ def test_edge_ref_expected_null():
     s.insert(10)
     parent = s.root.left
     assert try_lock_edge_ref(parent, RIGHT, None) is LockOutcome.ACQUIRED
-    parent.right_lock.unlock(LockMode.WRITE)
+    parent.unlock(LockMode.WRITE, "right_word")
     parent.right = Node(15)
     assert try_lock_edge_ref(parent, RIGHT, None) is LockOutcome.CONDITION_VIOLATED
 
 
 def test_edge_ref_contended_when_held():
     _, parent, child, _ = two_level_tree()
-    parent.left_lock.try_lock_with_condition(LockMode.WRITE, lambda: True)
+    parent.try_lock_with_condition(LockMode.WRITE, lambda: True,
+                                   field="left_word")
     assert try_lock_edge_ref(parent, LEFT, child) is LockOutcome.CONTENDED
 
 
@@ -96,7 +98,7 @@ def test_edge_val_tolerates_node_replacement():
     _, parent, _, _ = two_level_tree()
     parent.left = Node(5)
     assert try_lock_edge_val(parent, LEFT, 5) is LockOutcome.ACQUIRED
-    assert parent.left_lock.word == 1
+    assert parent.left_word == 1
 
 
 def test_edge_val_rejects_null_child():
@@ -121,7 +123,7 @@ def test_edge_val_rejects_deleted_parent():
 def test_state_lock_write_on_expected_state():
     _, parent, _, _ = two_level_tree()
     assert try_lock_state(parent, LockMode.WRITE, DATA) is LockOutcome.ACQUIRED
-    assert parent.state_lock.word == 1
+    assert parent.word == 1
 
 
 def test_state_lock_rejects_state_mismatch():
@@ -141,8 +143,64 @@ def test_state_lock_read_is_shared():
     _, parent, _, _ = two_level_tree()
     assert try_lock_state(parent, LockMode.READ, DATA) is LockOutcome.ACQUIRED
     assert try_lock_state(parent, LockMode.READ, DATA) is LockOutcome.ACQUIRED
-    assert parent.state_lock.word == 4
+    assert parent.word == 4
     assert try_lock_state(parent, LockMode.WRITE, DATA) is LockOutcome.CONTENDED
+
+
+
+# -- the three words of a node --------------------------------------------------
+
+def words(node):
+    return node.left_word, node.right_word, node.word
+
+
+def test_a_nodes_three_words_are_independent():
+    n = Node(5)
+    R, W = LockMode.READ, LockMode.WRITE
+    ok = LockOutcome.ACQUIRED
+    attempt = n.try_lock_with_condition
+    assert attempt(W, lambda: True, field="left_word") is ok
+    assert words(n) == (1, 0, 0)
+    # a held left word blocks neither the right word nor the state word
+    assert attempt(W, lambda: True, field="right_word") is ok
+    assert attempt(R, lambda: True) is ok
+    assert attempt(R, lambda: True) is ok
+    assert words(n) == (1, 1, 4)
+    # the state word still shares READ and excludes WRITE
+    assert attempt(W, lambda: True) is LockOutcome.CONTENDED
+    assert attempt(W, lambda: True, field="left_word") is LockOutcome.CONTENDED
+    assert words(n) == (1, 1, 4)
+    n.unlock(R)
+    n.unlock(R)
+    # with the state word free, the held left word still excludes a writer
+    assert attempt(W, lambda: True, field="left_word") is LockOutcome.CONTENDED
+    assert words(n) == (1, 1, 0)
+    assert attempt(W, lambda: True) is ok
+    assert attempt(R, lambda: True) is LockOutcome.CONTENDED
+    n.unlock(W, "left_word")
+    assert words(n) == (0, 1, 1)
+    n.unlock(W, "right_word")
+    n.unlock(W)
+    assert words(n) == (0, 0, 0)
+
+
+def test_a_lock_point_reads_the_word_it_names():
+    n = Node(5)
+    n.left_word = 1
+    always = lambda: True  # noqa: E731
+    point = LockPoint("edge_ref", "x", n, LockMode.WRITE, always)
+    assert point.field == "word" and not point.would_block()
+    assert point._replace(field="left_word").would_block()
+    assert not point._replace(field="right_word").would_block()
+    assert repr(point._replace(field="left_word")).endswith("<Node 5 D> left_word>")
+
+
+def test_a_node_refers_to_no_lock_object():
+    _, parent, left, right = two_level_tree()
+    locks = [r for r in gc.get_referents(parent) if isinstance(r, CondRwLock)]
+    assert sorted(map(id, locks)) == sorted(map(id, (left, right)))  # children
+    assert [r for r in gc.get_referents(left) if isinstance(r, CondRwLock)] == []
+    assert not hasattr(left, "__dict__")
 
 
 def test_lock_predicates_agree_with_the_closures_they_replaced():
@@ -332,7 +390,7 @@ def test_one_context_serves_every_attempt_of_an_update():
     s = ConcurrentSet()
     s.insert(10)
     parent = s.root.left
-    parent.state_lock.word = 1
+    parent.word = 1
     gen = s.op_gen("insert", 5, "t")
     point = next(gen)
     while getattr(point, "name", None) != "insert.parent_state":
@@ -341,7 +399,7 @@ def test_one_context_serves_every_attempt_of_an_update():
     assert ctx.last_level == -1 and len(ctx.held) == 1   # the edge lock
     assert next(gen) in (S_TRAV_LEFT, S_TRAV_RIGHT)      # contended: retraverse
     assert ctx.held == [] and ctx.last_level is None
-    parent.state_lock.word = 0
+    parent.word = 0
     assert s._drain(gen).restarts == 1
     assert s.attempts["t"] is ctx and ctx.held == []
 
@@ -553,22 +611,23 @@ def test_lock_order_tracker_rejects_upward_then_downward():
             except StopIteration as stop:
                 return stop.value
 
-    run(s._lock(ctx, "t", st, "delete", node.state_lock, LockMode.READ,
+    run(s._lock(ctx, "t", st, "delete", node, LockMode.READ,
                 _ALWAYS, "state", "x", level=-1))
-    assert ctx.held == [(node.state_lock, LockMode.READ)]
+    assert ctx.held == [(node, LockMode.READ, "word")]
     with pytest.raises(AssertionError):
-        run(s._lock(ctx, "t", st, "delete", node.left_lock, LockMode.WRITE,
-                    _ALWAYS, "edge_ref", "y", level=0))
+        run(s._lock(ctx, "t", st, "delete", node, LockMode.WRITE,
+                    _ALWAYS, "edge_ref", "y", level=0, field="left_word"))
     s._release_all(ctx)
 
 
 def busy_locks(s, but=None):
-    """The tree's locks, other than ``but``, whose word is not 0."""
+    """The tree's lock words, as ``(node, field)`` other than ``but``,
+    that are not 0."""
     busy, stack = [], [s.root]
     while stack:
         node = stack.pop()
-        locks = (node.left_lock, node.right_lock, node.state_lock)
-        busy += [lk for lk in locks if lk.word and lk is not but]
+        busy += [(node, f) for f in ("left_word", "right_word", "word")
+                 if getattr(node, f) and (node, f) != but]
         stack += [c for c in (node.left, node.right) if c is not None]
     return busy
 
@@ -582,7 +641,7 @@ class ChecksReleaseBeforeBackoff(ConcurrentSet):
 
     def _backoff(self, n):
         assert busy_locks(self, but=self.hand_held) == []
-        self.hand_held.word = 0
+        setattr(*self.hand_held, 0)
         self.backoffs += 1
 
 
@@ -591,8 +650,8 @@ def test_plain_contended_abort_releases_before_backoff(monkeypatch):
     s = ChecksReleaseBeforeBackoff()
     s.insert(10)
     parent = s.root.left
-    s.hand_held = parent.state_lock
-    parent.state_lock.word = 1   # a writer holds the parent's state
+    s.hand_held = (parent, "word")
+    parent.word = 1   # a writer holds the parent's state
     before = s.stats_snapshot()
     assert s.insert(5) is True
     after = s.stats_snapshot()
@@ -665,10 +724,10 @@ def test_closing_an_abandoned_stepped_update_keeps_later_locks():
     while getattr(point, "name", None) != "insert.parent_state":
         point = next(later)
     held = list(s.attempts["t"].held)
-    assert [lk for lk, _ in held] == [s.root.left.right_lock]
+    assert [(lk, f) for lk, _, f in held] == [(s.root.left, "right_word")]
     abandoned.close()
     assert s.attempts["t"].held == held
-    assert busy_locks(s) == [s.root.left.right_lock]
+    assert busy_locks(s) == [(s.root.left, "right_word")]
     assert s._drain(later).result is True
     assert busy_locks(s) == [] and s.snapshot_keys() == [10, 15]
 
@@ -677,7 +736,7 @@ def test_stepped_contended_abort_holds_nothing_at_the_next_traversal():
     s = ConcurrentSet()
     s.insert(10)
     parent = s.root.left
-    parent.state_lock.word = 1
+    parent.word = 1
     gen = s.op_gen("insert", 5, "t")
     point = next(gen)
     while getattr(point, "name", None) != "insert.parent_state":
@@ -686,8 +745,8 @@ def test_stepped_contended_abort_holds_nothing_at_the_next_traversal():
     point = next(gen)           # the attempt fails and the insert retraverses
     assert point in (S_TRAV_LEFT, S_TRAV_RIGHT)
     assert s.attempts["t"].held == []
-    assert busy_locks(s, but=parent.state_lock) == []
-    parent.state_lock.word = 0
+    assert busy_locks(s, but=(parent, "word")) == []
+    parent.word = 0
     assert s._drain(gen).restarts == 1
     assert s.stats_snapshot()["contended_aborts"] == {"state_plain": 1}
     assert s.contains(5)

@@ -105,7 +105,7 @@ def test_plain_form_observes_nothing_and_the_set_takes_no_options():
 
 
 def test_twin_traceback_points_into_the_generator_source(monkeypatch):
-    def boom(self, mode, cond, node=None, expected=None):
+    def boom(self, mode, cond, node=None, expected=None, field="word"):
         raise RuntimeError("from the lock")
 
     monkeypatch.setattr(CondRwLock, "lock_with_spin", boom)
@@ -197,3 +197,52 @@ def test_subclass_op_gets_fresh_per_op_twins():
     assert (s.contains(5), s.insert(5), s.delete(5)) == (True, False, False)
     assert s.run_op("insert", 5) == OpOutcome("insert", 5, False, 0)
     assert s.snapshot_keys() == []
+
+
+def same_code(a, b) -> bool:
+    """Equal bytecode, constants (nested code compared the same way),
+    names, variables, line table and positions."""
+    if len(a.co_consts) != len(b.co_consts):
+        return False
+    for x, y in zip(a.co_consts, b.co_consts):
+        if inspect.iscode(x) or inspect.iscode(y):
+            if not (inspect.iscode(x) and inspect.iscode(y) and same_code(x, y)):
+                return False
+        elif type(x) is not type(y) or x != y:
+            return False
+    return all(getattr(a, f) == getattr(b, f) for f in (
+        "co_code", "co_names", "co_varnames", "co_name", "co_qualname",
+        "co_filename", "co_firstlineno", "co_flags", "co_linetable",
+        "co_argcount", "co_kwonlyargcount")) \
+        and list(a.co_positions()) == list(b.co_positions())
+
+
+def _unindented_demotion(self, ctx, tkey, st, curr):
+    if self._instr:
+        yield W_DEL_DEMOTE
+    return curr.left is None
+
+
+def test_twins_match_the_whole_file_compiler():
+    from plain_oracle import reference_twins
+
+    class Nested(ConcurrentSet):        # methods indented two levels
+        def _traverse(self, v):
+            if self._instr:
+                yield S_CONT_STATE
+            return None, self.root, None
+
+    class Unindented(ConcurrentSet):    # a method defined at column 0
+        pass
+
+    Unindented._delete_two_children = _unindented_demotion
+    cs.compile_plain(Unindented)
+    assert set(reference_twins(ConcurrentSet)) == set(
+        itertools.chain(*twin_names().values()))
+    for cls in (ConcurrentSet, RefusesDemotion, RestartsEachInsertOnce,
+                AnswersByOperation, Nested, Unindented):
+        want = reference_twins(cls)
+        assert want, cls.__name__
+        for twin, fn in want.items():
+            got = vars(cls)[twin]
+            assert same_code(got.__code__, fn.__code__), (cls.__name__, twin)

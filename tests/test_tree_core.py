@@ -110,9 +110,9 @@ def test_traverse_takes_no_locks(monkeypatch):
     attempts = []
     real = CondRwLock.try_lock_with_condition
 
-    def counting(lock, mode, cond, node=None, expected=None):
+    def counting(lock, mode, cond, node=None, expected=None, field="word"):
         attempts.append(lock)
-        return real(lock, mode, cond, node, expected)
+        return real(lock, mode, cond, node, expected, field)
 
     monkeypatch.setattr(CondRwLock, "try_lock_with_condition", counting)
     for k in (3, 5, 7, 9):
@@ -345,8 +345,8 @@ def test_validator_counts_held_lock_words_without_failing():
     bst.seq_insert(3)
     gone = bst.root.left.left
     bst.seq_delete(3)
-    bst.root.left.state_lock.word = 1       # reachable: write-held
-    gone.right_lock.word = 2                # unlinked: one reader
+    bst.root.left.word = 1                  # reachable: write-held
+    gone.right_word = 2                     # unlinked: one reader
     rep = validate_structure(SimpleNamespace(root=bst.root, unlinked=[gone]))
     assert rep.held_locks == 2
     assert rep.ok, rep.problems
