@@ -54,7 +54,6 @@ from __future__ import annotations
 import ast
 import inspect
 import itertools
-import linecache
 import random
 import threading
 import time
@@ -134,7 +133,10 @@ class LockPoint(NamedTuple):
         return w == 1 if mode is READ else w != 0
 
     def __repr__(self):
-        return "<lock %s %s %r %s>" % (self.name, self.mode.value, self.lock, self.field)
+        w = getattr(self.lock, self.field)
+        state = ("free", "write-held")[w] if w < 2 else "%d readers" % (w >> 1)
+        return "<lock %s %s %r %s %s>" % (self.name, self.mode.value, self.lock,
+                                          self.field, state)
 
 
 # traversal and case-selection reads; these mirror the reads the
@@ -775,10 +777,7 @@ def compile_plain(cls) -> None:
             raise TypeError("%s.%s uses enclosing variables %s; only plain "
                             "methods can be compiled"
                             % (cls.__name__, name, code.co_freevars))
-        # from the def to the last line any instruction spans
-        first = code.co_firstlineno
-        last = max(end for _, end, _, _ in code.co_positions() if end)
-        block = linecache.getlines(code.co_filename, fn.__globals__)[first - 1:last]
+        block, first = inspect.getsourcelines(fn)
         indented = block[0][:1].isspace()
         source = ("\n" * (first - 1 - indented)
                   + ("class _:\n" if indented else "") + "".join(block))

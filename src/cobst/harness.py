@@ -347,7 +347,8 @@ def run_script(script: ScheduleScript, *, on_blocked: str = "error") -> RunRepor
     runnable unblocked thread instead, which is what randomly generated
     schedules use, and ends the schedule once every thread has finished.
     Steps ``validate`` passed (same list and length, same thread ids),
-    as ``parse_script``'s are, are not checked again.
+    as ``parse_script``'s are, are not checked again, nor clipped at the
+    grant cap: call ``validate`` after replacing a step in place.
     """
     if on_blocked not in ("error", "reassign"):
         raise ValueError("on_blocked must be 'error' or 'reassign'")

@@ -192,7 +192,11 @@ def test_a_lock_point_reads_the_word_it_names():
     assert point.field == "word" and not point.would_block()
     assert point._replace(field="left_word").would_block()
     assert not point._replace(field="right_word").would_block()
-    assert repr(point._replace(field="left_word")).endswith("<Node 5 D> left_word>")
+    assert repr(point._replace(field="left_word")).endswith(
+        "<Node 5 D> left_word write-held>")
+    n.word = 4
+    assert repr(point).endswith("<Node 5 D> word 2 readers>")
+    assert repr(point._replace(field="right_word")).endswith("right_word free>")
 
 
 def test_a_node_refers_to_no_lock_object():

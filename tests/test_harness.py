@@ -141,6 +141,16 @@ def test_a_step_past_the_grant_cap_replays_as_one_of_cap_plus_one():
                     "the schedule keeps recreating contention")
 
 
+def test_a_step_replaced_in_place_is_clipped_once_validated_again():
+    script = ScheduleScript([1, 3], {0: [("delete", 3)], 1: [("insert", 2)]},
+                            [(0, 10), (1, 1)])
+    run_script(script)
+    script.steps[1] = (1, 2 ** 63)      # same list, same length and thread ids
+    script.validate()
+    with pytest.raises(ScriptError, match="14000 grants"):
+        run_script(script)
+
+
 def test_reassign_stops_stepping_once_every_thread_finished(monkeypatch):
     # random schedules carry six steps per op, most of them left over
     # after the last thread finishes; the first of those learns it from
@@ -185,6 +195,7 @@ def test_scripted_step_into_contention_raises_and_names_holder():
         run_script(blocked_script())
     assert "thread 1 waits on" in ei.value.chain
     assert "held by thread 0" in ei.value.chain
+    assert "left_word write-held>" in ei.value.chain     # the word's state
 
 
 def test_reassign_hands_the_grant_to_the_runnable_thread():

@@ -201,7 +201,8 @@ def test_subclass_op_gets_fresh_per_op_twins():
 
 def same_code(a, b) -> bool:
     """Equal bytecode, constants (nested code compared the same way),
-    names, variables, line table and positions."""
+    names, variables, line table and positions.  CPython 3.10 has no
+    ``co_qualname`` or ``co_positions``; its ``co_lines`` stand in."""
     if len(a.co_consts) != len(b.co_consts):
         return False
     for x, y in zip(a.co_consts, b.co_consts):
@@ -210,11 +211,11 @@ def same_code(a, b) -> bool:
                 return False
         elif type(x) is not type(y) or x != y:
             return False
-    return all(getattr(a, f) == getattr(b, f) for f in (
+    positions = lambda c: list(getattr(c, "co_positions", c.co_lines)())
+    return all(getattr(a, f, None) == getattr(b, f, None) for f in (
         "co_code", "co_names", "co_varnames", "co_name", "co_qualname",
         "co_filename", "co_firstlineno", "co_flags", "co_linetable",
-        "co_argcount", "co_kwonlyargcount")) \
-        and list(a.co_positions()) == list(b.co_positions())
+        "co_argcount", "co_kwonlyargcount")) and positions(a) == positions(b)
 
 
 def _unindented_demotion(self, ctx, tkey, st, curr):
