@@ -267,7 +267,7 @@ class ConcurrentSet:
     records; the public methods and ``run_op`` observe nothing:
 
     trace     structural events (created/state/mark/edge tuples) in
-              commit order
+              commit order, naming nodes by ids only this form draws
     unlinked  every node unlinked, so validation can prove that none
               becomes reachable again
     attempts  thread key -> its current ``_AttemptCtx``, whose ``held``
@@ -526,7 +526,7 @@ class ConcurrentSet:
             raise Restart
         if self._instr:
             yield C_INS_NODE
-        node = Node(v, DATA, next(self._ids))
+        node = Node(v, DATA, next(self._ids)) if self._instr else Node(v)
         if self._instr:
             self.trace.append(("create", node.id, v, DATA))
             yield W_INS_LINK

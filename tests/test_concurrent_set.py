@@ -207,6 +207,16 @@ def test_a_node_refers_to_no_lock_object():
     assert not hasattr(left, "__dict__")
 
 
+def test_only_the_stepping_form_draws_node_ids():
+    # the plain form records no trace, so its nodes need no id
+    s = ConcurrentSet()
+    assert s.insert(5) and s.root.left.id == -1
+    s._drain(s.op_gen("insert", 3, "t"))
+    s._drain(s.op_gen("insert", 7, "t"))
+    assert (s.root.left.left.id, s.root.left.right.id) == (1, 2)   # root is 0
+    assert [e[1] for e in s.trace if e[0] == "create"] == [1, 2]
+
+
 def test_lock_predicates_agree_with_the_closures_they_replaced():
     from cond_oracle import edge_ref_cond, edge_val_cond, state_cond
     child, twin, other = Node(5), Node(5), Node(7)
