@@ -10,17 +10,15 @@ exhaustively explores tiny scenarios, and ``bench`` measures throughput.
 from .concurrent_set import ConcurrentSet, OpOutcome
 from .history import (History, HistoryEvent, HistoryRecorder,
                       HistoryTooLargeError, check_observable_correctness,
-                      complete_history, emit_history, is_linearizable,
-                      linearizable_by_enumeration, parse_history,
+                      emit_history, is_linearizable, parse_history,
                       set_type_step)
 from .harness import (SETUP_THREAD, ExplorationBoundError, ExplorationReport,
                       RunReport, ScheduleBlockedError, ScheduleScript,
                       ScriptError, emit_script, explore_small, parse_script,
-                      random_schedule, run_script, script_edge_conflict_restart,
-                      script_parallel_inserts, script_twin_replacement)
+                      run_script)
 from .rwlock import CondRwLock, LockMode, LockOutcome, SpinPolicy
-from .tree_core import (PLUS_INF, Node, SequentialBst, dump_tree, parse_tree,
-                        traverse, validate_key, validate_structure)
+from .tree_core import (PLUS_INF, Node, SequentialBst, traverse, validate_key,
+                        validate_structure)
 
 __version__ = "0.1.0"
 
@@ -28,16 +26,11 @@ __all__ = [
     "ConcurrentSet", "OpOutcome", "SequentialBst", "Node",
     "CondRwLock", "LockMode", "LockOutcome", "SpinPolicy",
     "History", "HistoryEvent", "HistoryRecorder", "HistoryTooLargeError",
-    "is_linearizable", "linearizable_by_enumeration", "complete_history",
-    "set_type_step", "check_observable_correctness",
+    "is_linearizable", "set_type_step", "check_observable_correctness",
     "emit_history", "parse_history",
     "ScheduleScript", "ScriptError", "ScheduleBlockedError",
     "ExplorationBoundError", "RunReport", "ExplorationReport", "SETUP_THREAD",
-    "run_script", "random_schedule", "explore_small",
-    "parse_script", "emit_script",
-    "script_parallel_inserts", "script_twin_replacement",
-    "script_edge_conflict_restart",
+    "run_script", "explore_small", "parse_script", "emit_script",
     "PLUS_INF", "traverse", "validate_key", "validate_structure",
-    "dump_tree", "parse_tree",
     "__version__",
 ]

@@ -47,7 +47,6 @@ recreating the stand-off; going past it raises ``ScriptError``.
 from __future__ import annotations
 
 import math
-import random
 import re
 from dataclasses import dataclass, field
 from itertools import chain, repeat, starmap
@@ -60,11 +59,8 @@ from .tree_core import MIN_KEY, PLUS_INF, StructureReport, validate_key, \
 
 __all__ = [
     "ScheduleScript", "RunReport", "ScriptError", "ScheduleBlockedError",
-    "ExplorationBoundError", "ExplorationReport",
-    "run_script", "random_schedule", "explore_small",
+    "ExplorationBoundError", "ExplorationReport", "run_script", "explore_small",
     "parse_script", "emit_script",
-    "script_parallel_inserts", "script_twin_replacement",
-    "script_edge_conflict_restart",
 ]
 
 SETUP_THREAD = -1
@@ -401,25 +397,6 @@ def run_script(script: ScheduleScript, *, on_blocked: str = "error") -> RunRepor
             grant(w)
 
 
-def random_schedule(thread_count: int, ops_per_thread: int, key_range: int,
-                    seed: int) -> ScheduleScript:
-    """Seeded random script: setup keys, per-thread programs and a step
-    sequence.  Deterministic in the seed.  Run it with
-    ``on_blocked="reassign"`` since random steps cannot know about
-    blocking."""
-    rng = random.Random(seed)
-    setup = rng.sample(range(key_range), key_range // 2)
-    programs = {}
-    for tid in range(thread_count):
-        programs[tid] = [
-            (rng.choice(("insert", "delete", "contains")), rng.randrange(key_range))
-            for _ in range(rng.randint(1, ops_per_thread))]
-    total_ops = sum(len(p) for p in programs.values())
-    steps = [(rng.randrange(thread_count), rng.randint(1, 3))
-             for _ in range(total_ops * 6)]
-    return ScheduleScript(setup=setup, programs=programs, steps=steps)
-
-
 # -- bounded exhaustive exploration --------------------------------------
 
 _EXPLORE_BOUND = 10 ** 6
@@ -637,45 +614,3 @@ def emit_script(script: ScheduleScript) -> str:
         lines.append("schedule: " + " ".join(
             "%d:%d" % (t, n) for t, n in script.steps))
     return "\n".join(lines) + "\n"
-
-
-# -- named scenarios -------------------------------------------------------
-
-def script_parallel_inserts() -> ScheduleScript:
-    """Two inserts under different edges of the same parent, stepped in
-    lockstep.  Both must succeed with zero restarts: the per-edge locks
-    never collide."""
-    return ScheduleScript(
-        setup=[2],
-        programs={0: [("insert", 1)], 1: [("insert", 3)]},
-        steps=[(0, 1), (1, 1)] * 6,
-    )
-
-
-def script_twin_replacement() -> ScheduleScript:
-    """A delete pauses right before locking the edge to its victim; the
-    victim is deleted and re-inserted (a fresh node, same key) behind its
-    back; the paused delete then resumes and must still succeed without
-    restarting, because the edge lock validates by value, not identity."""
-    return ScheduleScript(
-        setup=[2, 1, 3],
-        programs={0: [("delete", 3)], 1: [("delete", 3)], 2: [("insert", 3)]},
-        # thread 0 walks to the leaf and its case reads (6 checkpoints),
-        # then thread 1 deletes outright (11) and thread 2 re-inserts (6);
-        # the drain lets thread 0 finish on the replacement node
-        steps=[(0, 6), (1, 11), (2, 6)],
-    )
-
-
-def script_edge_conflict_restart() -> ScheduleScript:
-    """Two inserts racing for the same empty edge.  The loser's
-    conditional edge lock must fail with exactly one condition violation
-    (the slot is no longer null) followed by one clean restart that
-    relinks below the winner."""
-    return ScheduleScript(
-        setup=[2],
-        programs={0: [("insert", 0)], 1: [("insert", 1)]},
-        # thread 1 stops at the edge lock attempt; thread 0 fills the
-        # edge completely; thread 1's attempt then condition-fails
-        steps=[(1, 2), (0, 6)],
-    )

@@ -26,11 +26,7 @@ leave the set as unchanged as leaving it out does).
 
 The search is exponential in the worst case, so the checker refuses
 histories whose searched operations exceed a configurable count
-instead of silently burning CPU.  A brute-force oracle, which completes
-the pending operations every possible way up front and tries every
-permutation of each completion, is also provided; it exists to
-cross-validate the real checker on tiny histories, not for production
-use.
+instead of silently burning CPU.
 
 Separately, ``check_observable_correctness`` replays a structural trace
 (node creations, state changes, deleted marks, child-pointer swings)
@@ -51,9 +47,7 @@ from .tree_core import LEFT, MIN_KEY, PLUS_INF, RIGHT, DATA, ROUTING
 
 __all__ = [
     "HistoryEvent", "History", "OpRecord", "HistoryRecorder",
-    "HistoryTooLargeError", "LinResult",
-    "complete_history", "set_type_step", "is_linearizable",
-    "linearizable_by_enumeration",
+    "HistoryTooLargeError", "LinResult", "set_type_step", "is_linearizable",
     "emit_history", "parse_history",
     "ObservabilityReport", "check_observable_correctness",
 ]
@@ -202,45 +196,6 @@ class HistoryRecorder:
         return History(list(self.events))
 
 
-# -- completion --------------------------------------------------------
-
-_MAX_PENDING_UPDATES = 12
-
-
-def complete_history(h: History) -> list[History]:
-    """All ways to resolve the pending operations of ``h``, for the oracle.
-
-    Pending reads are dropped.  Each pending update contributes two
-    variants: dropped (it never took effect) and completed with a true
-    response (it took effect but the response was never observed).  The
-    false-returning completion adds nothing a drop does not already
-    cover, since a false update leaves the set unchanged.
-    """
-    pend = h.pending_ops()
-    updates = [o for o in pend if o.op != "contains"]
-    if len(updates) > _MAX_PENDING_UPDATES:
-        raise HistoryTooLargeError(
-            "%d pending updates means %d completions; refusing"
-            % (len(updates), 2 ** len(updates)))
-    drop_seqs_base = {o.inv_seq for o in pend if o.op == "contains"}
-    out = []
-    next_seq = (h.events[-1].seq + 1) if h.events else 0
-    for mask in range(2 ** len(updates)):
-        drop = set(drop_seqs_base)
-        extra = []
-        seq = next_seq
-        for i, o in enumerate(updates):
-            if mask & (1 << i):
-                extra.append(HistoryEvent(seq, o.thread, RES, o.op, o.key, True))
-                seq += 1
-            else:
-                drop.add(o.inv_seq)
-        events = [e for e in h.events
-                  if not (e.kind == INV and e.seq in drop)] + extra
-        out.append(History(events))
-    return out
-
-
 # -- sequential set semantics ------------------------------------------
 
 def set_type_step(state: frozenset, op: str, key: int, ret: bool):
@@ -364,35 +319,6 @@ def is_linearizable(h: History, initial=frozenset(), *,
                      stuck_state=state)
 
 
-def linearizable_by_enumeration(h: History, initial=frozenset(), *,
-                                max_ops: int = 8) -> bool:
-    """Brute-force oracle: try every permutation of every completion.
-
-    Exists to cross-check ``is_linearizable`` on tiny histories.
-    """
-    initial = frozenset(initial)
-    for comp in complete_history(h):
-        ops = comp.complete_ops()
-        if len(ops) > max_ops:
-            raise HistoryTooLargeError(
-                "enumeration oracle refuses %d > %d operations"
-                % (len(ops), max_ops))
-        for perm in itertools.permutations(ops):
-            pos = {o.index: i for i, o in enumerate(perm)}
-            if any(a.res_seq is not None and a.res_seq < b.inv_seq
-                   and pos[a.index] > pos[b.index]
-                   for a in ops for b in ops):
-                continue
-            state = initial
-            for o in perm:
-                state = set_type_step(state, o.op, o.key, o.ret)
-                if state is None:
-                    break
-            else:
-                return True
-    return False
-
-
 # -- text format --------------------------------------------------------
 #
 #   <seq> <thread> <INV|RES> <INSERT|DELETE|CONTAINS> <key> [<true|false>]
@@ -502,7 +428,7 @@ def check_observable_correctness(trace) -> ObservabilityReport:
     def walk():
         """One preorder walk from the root: the reachable ids and the
         first value-property or routing violation.  A node reached twice
-        or an edge to an unknown node ends the walk with reach None."""
+        ends the walk with reach None (an edge to an unknown id is refused)."""
         reach = set()
         err = None
         stack = [(root_id, MIN_KEY - 1, PLUS_INF + 1)]
@@ -510,9 +436,7 @@ def check_observable_correctness(trace) -> ObservabilityReport:
             nid, lo, hi = stack.pop()
             if nid in reach:
                 return None, "node %d reachable along two paths" % nid
-            sh = nodes.get(nid)
-            if sh is None:
-                return None, "edge points at unknown node %d" % nid
+            sh = nodes[nid]
             reach.add(nid)
             if err is None:
                 if not lo < sh.key < hi:

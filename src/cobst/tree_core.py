@@ -9,15 +9,13 @@ deleted and compares greater than every client key, so client traffic
 always descends into the root's left subtree.
 
 This module keeps everything single-threaded: traversal, the sequential
-set operations used as the reference implementation, structural
-validation, and a small text format for dumping and parsing trees in
-tests.  The concurrent operations live in concurrent_set and reuse the
-same Node type.
+set operations used as the reference implementation, and structural
+validation.  The concurrent operations live in concurrent_set and reuse
+the same Node type.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .rwlock import CondRwLock
@@ -27,7 +25,6 @@ __all__ = [
     "DATA", "ROUTING", "Node", "validate_key",
     "traverse", "snapshot_keys", "SequentialBst", "StructureReport",
     "validate_structure",
-    "dump_tree", "parse_tree",
 ]
 
 PLUS_INF = 2 ** 63 - 1          # sentinel key of the root, never a client key
@@ -37,7 +34,7 @@ MIN_KEY = -(2 ** 63)
 LEFT = 0
 RIGHT = 1
 
-# Node states.  Strings keep dumps and traces readable.
+# Node states.  Strings keep traces readable.
 DATA = "data"
 ROUTING = "routing"
 
@@ -142,16 +139,11 @@ class SequentialBst:
 
     This is the reference implementation: the concurrent set must be
     indistinguishable from it when driven by one thread.  It shares the
-    Node type (lock words included, unused here) so validation and dumps
-    apply to both.
+    Node type (lock words included, unused here).
     """
 
     def __init__(self):
-        self._ids = itertools.count()
-        self.root = Node(PLUS_INF, DATA, next(self._ids))
-
-    def _new_node(self, v: int) -> Node:
-        return Node(v, DATA, next(self._ids))
+        self.root = Node(PLUS_INF)
 
     @staticmethod
     def _side(parent: Node, v: int) -> int:
@@ -170,7 +162,7 @@ class SequentialBst:
                 return False
             curr.state = DATA
             return True
-        prev.set_child(self._side(prev, v), self._new_node(v))
+        prev.set_child(self._side(prev, v), Node(v))
         return True
 
     def seq_delete(self, v) -> bool:
@@ -293,76 +285,3 @@ def validate_structure(tree) -> StructureReport:
 
 def _held(node) -> int:
     return (node.left_word != 0) + (node.right_word != 0) + (node.word != 0)
-
-
-# -- text format -------------------------------------------------------
-#
-#   tree  := node
-#   node  := "_" | "(" key state node node ")"
-#   state := "D" | "R"
-#   key   := integer |  the infinity sign for the sentinel
-#
-# Example: (∞ D (5 R (3 D _ _) (7 D _ _)) _)
-
-_INF_TOKEN = "∞"
-
-
-def dump_tree(tree) -> str:
-    def fmt(node) -> str:
-        if node is None:
-            return "_"
-        key = _INF_TOKEN if node.val == PLUS_INF else str(node.val)
-        tag = "D" if node.state == DATA else "R"
-        return "(%s %s %s %s)" % (key, tag, fmt(node.left), fmt(node.right))
-
-    return fmt(tree.root)
-
-
-def parse_tree(text: str) -> SequentialBst:
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def fail(msg):
-        raise ValueError("bad tree dump at token %d: %s" % (pos, msg))
-
-    def next_tok():
-        nonlocal pos
-        if pos >= len(tokens):
-            fail("unexpected end of input")
-        t = tokens[pos]
-        pos += 1
-        return t
-
-    bst = SequentialBst()
-
-    def parse_node():
-        t = next_tok()
-        if t == "_":
-            return None
-        if t != "(":
-            fail("expected '(' or '_', got %r" % t)
-        key_tok = next_tok()
-        if key_tok in (_INF_TOKEN, "inf"):
-            val = PLUS_INF
-        else:
-            try:
-                val = int(key_tok)
-            except ValueError:
-                fail("expected a key, got %r" % key_tok)
-        tag = next_tok()
-        if tag not in ("D", "R"):
-            fail("expected state D or R, got %r" % tag)
-        node = Node(val, DATA if tag == "D" else ROUTING, next(bst._ids))
-        node.left = parse_node()
-        node.right = parse_node()
-        if next_tok() != ")":
-            fail("expected ')'")
-        return node
-
-    root = parse_node()
-    if pos != len(tokens):
-        fail("trailing input")
-    if root is None or root.val != PLUS_INF:
-        raise ValueError("tree dump must be rooted at the sentinel")
-    bst.root = root
-    return bst

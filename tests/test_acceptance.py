@@ -13,14 +13,14 @@ import time
 
 from cobst.bench import WorkloadConfig, prefill, run_bench
 from cobst.concurrent_set import ConcurrentSet
-from cobst.harness import (explore_small, random_schedule, run_script,
-                           script_edge_conflict_restart, script_parallel_inserts,
-                           script_twin_replacement)
-from cobst.history import (check_observable_correctness, is_linearizable,
-                           linearizable_by_enumeration)
+from cobst.harness import explore_small, run_script
+from cobst.history import check_observable_correctness, is_linearizable
 from cobst.tree_core import validate_structure
 
 from histgen import corrupt_history, make_linearizable_history
+from lin_oracle import linearizable_by_enumeration
+from scenarios import (random_schedule, script_edge_conflict_restart,
+                       script_parallel_inserts, script_twin_replacement)
 
 # contains-attributed lock acquisitions observed per criterion; criterion 8
 # asserts they are all zero.  Criterion 3 never touches a tree, so it has

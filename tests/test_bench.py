@@ -13,9 +13,11 @@ from cobst.bench import (CSV_HEADER, RANGE_PRESETS, BenchResult, CoarseLockedSet
                          run_bench, thread_seed)
 from cobst.cli import main
 from cobst.concurrent_set import ConcurrentSet
-from cobst.harness import emit_script, script_parallel_inserts
+from cobst.harness import emit_script
 from cobst.history import HistoryRecorder, is_linearizable
 from cobst.tree_core import MAX_KEY
+
+from scenarios import script_parallel_inserts
 
 
 # -- configuration ------------------------------------------------------------

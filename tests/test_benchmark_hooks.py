@@ -8,6 +8,8 @@ from pathlib import Path
 import cobst.harness
 from cobst.concurrent_set import ConcurrentSet
 
+from scenarios import script_parallel_inserts, script_twin_replacement
+
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
 
@@ -36,9 +38,9 @@ def test_tracer_patches_existing_names_and_restores_them():
         s.delete(3)
         s.reclaimer.drain()
         # through the module, as the benchmark calls it
-        cobst.harness.run_script(cobst.harness.script_parallel_inserts())
+        cobst.harness.run_script(script_parallel_inserts())
         # only stepped deletes retire what they unlink
-        cobst.harness.run_script(cobst.harness.script_twin_replacement())
+        cobst.harness.run_script(script_twin_replacement())
     finally:
         tr.uninstall()
     tr.flush(1.0)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cobst import rwlock
+from cobst.bench import CoarseLockedSet
 from cobst.concurrent_set import (ConcurrentSet, K_CREATE, K_LOCK, K_READ,
                                   LockPoint,
                                   K_WRITE, S_CONT_STATE, S_TRAV_LEFT,
@@ -18,8 +19,10 @@ from cobst.concurrent_set import (ConcurrentSet, K_CREATE, K_LOCK, K_READ,
 from cobst.reclaim import POISON, EpochReclaimer
 from cobst.rwlock import CondRwLock, LockMode, LockOutcome, SpinPolicy
 from cobst.tree_core import (DATA, LEFT, MAX_KEY, MIN_KEY, PLUS_INF, RIGHT,
-                             ROUTING, Node, SequentialBst, dump_tree, traverse,
+                             ROUTING, Node, SequentialBst, traverse,
                              validate_key, validate_structure)
+
+from tree_text import dump_tree
 
 
 def two_level_tree():
@@ -215,6 +218,8 @@ def test_only_the_stepping_form_draws_node_ids():
     s._drain(s.op_gen("insert", 7, "t"))
     assert (s.root.left.left.id, s.root.left.right.id) == (1, 2)   # root is 0
     assert [e[1] for e in s.trace if e[0] == "create"] == [1, 2]
+    for tree in (SequentialBst(), CoarseLockedSet()):    # coarse-bst's tree
+        assert tree.insert(5) and (tree.root.id, tree.root.left.id) == (-1, -1)
 
 
 def test_lock_predicates_agree_with_the_closures_they_replaced():

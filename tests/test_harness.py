@@ -13,12 +13,13 @@ from cobst.cli import main
 from cobst.concurrent_set import K_LOCK, ConcurrentSet
 from cobst.harness import (SETUP_THREAD, ExplorationBoundError, ScheduleBlockedError,
                            ScheduleScript, ScriptError, emit_script, explore_small,
-                           parse_script, random_schedule, run_script,
-                           script_edge_conflict_restart, script_parallel_inserts,
-                           script_twin_replacement)
+                           parse_script, run_script)
 from cobst.history import History, check_observable_correctness, is_linearizable
 from cobst.reclaim import EpochReclaimer
 from cobst.tree_core import MAX_KEY, MIN_KEY, PLUS_INF, SequentialBst
+
+from scenarios import (random_schedule, script_edge_conflict_restart,
+                       script_parallel_inserts, script_twin_replacement)
 
 
 # -- script validation ------------------------------------------------------

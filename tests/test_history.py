@@ -10,12 +10,12 @@ import pytest
 from cobst.concurrent_set import ConcurrentSet
 from cobst.history import (INV, RES, History, HistoryEvent, HistoryRecorder,
                            HistoryTooLargeError, OpRecord, check_observable_correctness,
-                           complete_history, emit_history, is_linearizable,
-                           linearizable_by_enumeration, parse_history,
+                           emit_history, is_linearizable, parse_history,
                            set_type_step)
 from cobst.tree_core import DATA, LEFT, RIGHT, ROUTING
 
 from histgen import corrupt_history, make_linearizable_history
+from lin_oracle import complete_history, linearizable_by_enumeration
 
 
 def ev(seq, thread, kind, op, key, ret=None):
@@ -592,8 +592,9 @@ def _corrupted(trace, rng):
 
 
 def test_trace_checker_matches_the_always_walk_reference():
-    from cobst.harness import random_schedule, run_script
+    from cobst.harness import run_script
     from obs_oracle import reference_check_observable_correctness as ref
+    from scenarios import random_schedule
     rng = random.Random(5)
     seen = set()
     for s in range(200):

@@ -13,7 +13,8 @@ import cobst.concurrent_set as cs
 from cobst.concurrent_set import (S_CONT_STATE, ConcurrentSet, OpOutcome,
                                   Restart, W_DEL_DEMOTE)
 from cobst.rwlock import CondRwLock
-from cobst.tree_core import dump_tree
+
+from tree_text import dump_tree
 
 
 OP_TWINS = ("_contains_plain", "_insert_plain", "_delete_plain")

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from cobst.concurrent_set import ConcurrentSet
 from cobst.rwlock import CondRwLock
 from cobst.tree_core import (DATA, LEFT, MAX_KEY, MIN_KEY, PLUS_INF, RIGHT,
-                             ROUTING, Node, SequentialBst, dump_tree,
-                             parse_tree, traverse, validate_key,
-                             validate_structure)
+                             ROUTING, Node, SequentialBst, traverse,
+                             validate_key, validate_structure)
+
+from tree_text import dump_tree, parse_tree
 
 
 # -- key validation -----------------------------------------------------
