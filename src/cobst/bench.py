@@ -10,10 +10,13 @@ number generator.  The structure is prefilled to half the key range so
 successful and failing updates stay roughly balanced during the run.
 
 Timing uses a warmup phase and a measured window carved out of a longer
-run: workers bang on the set until a shared stop flag flips, and the
-main thread snapshots the per-thread counters at the window edges, so
-no barrier disturbs the steady state.  Workers check only the flag per
-operation; the clock lives with the coordinator.
+run: workers call the set's own ``contains``/``insert``/``delete`` until
+a shared stop flag flips, each counting its operations and successful
+updates, and the main thread reads those counters and the set's restart
+count (``stats_snapshot()``; the coarse set has none) at the window
+edges, so no barrier disturbs the steady state.  Workers check only the
+flag per operation; the clock lives with the coordinator.  A worker that
+raises stops the run, and ``run_bench`` raises ``WorkerError`` naming it.
 
 Two implementations can be driven: the fine-grained concurrent set
 ("co-bst") and the sequential tree behind one global mutex
@@ -27,11 +30,11 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .concurrent_set import ConcurrentSet, OpOutcome
+from .concurrent_set import ConcurrentSet
 from .tree_core import MAX_KEY, SequentialBst
 
-__all__ = ["WorkloadConfig", "BenchResult", "CoarseLockedSet", "run_bench",
-           "CSV_HEADER", "RANGE_PRESETS", "thread_seed", "draw_op"]
+__all__ = ["WorkloadConfig", "BenchResult", "WorkerError", "CoarseLockedSet",
+           "run_bench", "CSV_HEADER", "RANGE_PRESETS", "thread_seed", "draw_op"]
 
 IMPLS = ("co-bst", "coarse-bst")
 MAX_THREADS = 64    # each is an OS thread, and the GIL runs one at a time
@@ -84,10 +87,6 @@ class CoarseLockedSet:
     def delete(self, v) -> bool:
         with self._mutex:
             return self._bst.seq_delete(v)
-
-    def run_op(self, op, v, tkey=None) -> OpOutcome:
-        fn = getattr(self, op)
-        return OpOutcome(op, v, fn(v), 0)
 
     def snapshot_keys(self):
         with self._mutex:
@@ -160,19 +159,24 @@ class BenchResult:
         return text
 
 
+class WorkerError(RuntimeError):
+    """A benchmark worker raised; the run measured nothing."""
+
+
 class _WorkerCounters:
-    __slots__ = ("inserts", "deletes", "contains", "restarts", "update_ok")
+    __slots__ = ("inserts", "deletes", "contains", "update_ok")
 
     def __init__(self):
         self.inserts = 0
         self.deletes = 0
         self.contains = 0
-        self.restarts = 0
         self.update_ok = 0
 
-    def snapshot(self):
-        return (self.inserts, self.deletes, self.contains, self.restarts,
-                self.update_ok)
+
+def _totals(counters: list) -> list:
+    """Each counter summed over the workers, in ``__slots__`` order."""
+    return [sum(getattr(c, f) for c in counters)
+            for f in _WorkerCounters.__slots__]
 
 
 def make_set(impl: str):
@@ -205,28 +209,31 @@ def _draw_stream(cfg: WorkloadConfig, tid: int) -> tuple[list, list]:
 
 
 def _worker(set_, key_range: int, stream: tuple[list, list],
-            counters: _WorkerCounters, stop: list):
+            counters: _WorkerCounters, stop: list, failures: list, tid: int):
     ops, keys = stream
-    run_op = set_.run_op
+    contains, insert, delete = set_.contains, set_.insert, set_.delete
     shift = 0
-    while True:
-        for op, key in zip(ops, keys):
-            if stop[0]:
-                return
-            out = run_op(op, (key + shift) % key_range)
-            if op == "insert":
-                counters.inserts += 1
-                counters.update_ok += out.result
-            elif op == "delete":
-                counters.deletes += 1
-                counters.update_ok += out.result
-            else:
-                counters.contains += 1
-            if out.restarts:
-                counters.restarts += out.restarts
-        # each pass shifts the keys by one more: replaying the same
-        # op/key pairs would make every update after the first pass fail
-        shift += 1
+    try:
+        while True:
+            for op, key in zip(ops, keys):
+                if stop[0]:
+                    return
+                k = (key + shift) % key_range
+                if op == "contains":
+                    contains(k)
+                    counters.contains += 1
+                elif op == "insert":
+                    counters.update_ok += insert(k)
+                    counters.inserts += 1
+                else:
+                    counters.update_ok += delete(k)
+                    counters.deletes += 1
+            # each pass shifts the keys by one more: replaying the same
+            # op/key pairs would make every update after the first pass fail
+            shift += 1
+    except Exception as e:   # run_bench raises it; the other workers stop
+        failures.append((tid, e))
+        stop[0] = True
 
 
 def run_bench(cfg: WorkloadConfig) -> BenchResult:
@@ -235,11 +242,13 @@ def run_bench(cfg: WorkloadConfig) -> BenchResult:
     if cfg.prefill:
         prefill(set_, cfg.key_range, cfg.seed)
 
+    stats = getattr(set_, "stats_snapshot", lambda: {"restarts": 0})
     stop = [False]
+    failures: list = []
     counters = [_WorkerCounters() for _ in range(cfg.threads)]
     threads = [threading.Thread(target=_worker,
                                 args=(set_, cfg.key_range, _draw_stream(cfg, tid),
-                                      counters[tid], stop),
+                                      counters[tid], stop, failures, tid),
                                 daemon=True)
                for tid in range(cfg.threads)]
     for t in threads:
@@ -247,21 +256,19 @@ def run_bench(cfg: WorkloadConfig) -> BenchResult:
 
     time.sleep(cfg.warmup_ms / 1000.0)
     t0 = time.monotonic()
-    before = [c.snapshot() for c in counters]
+    before = _totals(counters) + [stats()["restarts"]]
     time.sleep(cfg.duration_ms / 1000.0)
-    after = [c.snapshot() for c in counters]
+    after = _totals(counters) + [stats()["restarts"]]
     t1 = time.monotonic()
     stop[0] = True
     for t in threads:
         t.join()
+    if failures:
+        tid, exc = failures[0]
+        raise WorkerError("worker %d raised %s: %s"
+                          % (tid, type(exc).__name__, exc)) from exc
 
-    deltas = [tuple(a - b for a, b in zip(aft, bef))
-              for bef, aft in zip(before, after)]
-    ins = sum(d[0] for d in deltas)
-    dele = sum(d[1] for d in deltas)
-    ctn = sum(d[2] for d in deltas)
-    rst = sum(d[3] for d in deltas)
-    ok = sum(d[4] for d in deltas)
+    ins, dele, ctn, ok, rst = (a - b for a, b in zip(after, before))
     elapsed = t1 - t0
     total = ins + dele + ctn
     return BenchResult(

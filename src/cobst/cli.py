@@ -8,8 +8,8 @@ Three subcommands:
               verify its structure, held locks, trace and linearizability
 
 Exit codes: 0 on success (for ``check``: linearizable), 1 when the
-verdict is negative (not linearizable, replay hit a violation), 2 on
-bad input.
+verdict is negative (not linearizable, replay hit a violation) or a
+bench worker raised, 2 on bad input.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import argparse
 import contextlib
 import sys
 
-from .bench import CSV_HEADER, RANGE_PRESETS, WorkloadConfig, run_bench
+from .bench import CSV_HEADER, RANGE_PRESETS, WorkerError, WorkloadConfig, run_bench
 from .harness import ScheduleBlockedError, ScriptError, parse_script, run_script
 from .history import (HistoryTooLargeError, check_observable_correctness,
                       is_linearizable, parse_history)
@@ -87,7 +87,11 @@ def _cmd_bench(args) -> int:
         print("cannot write --csv: %s" % e, file=sys.stderr)
         return 2
     with fh:
-        result = run_bench(cfg)
+        try:
+            result = run_bench(cfg)
+        except WorkerError as e:
+            print("bench failed: %s" % e, file=sys.stderr)
+            return 1
         print(result)
         if args.csv:
             if fh.tell() == 0:

@@ -39,8 +39,8 @@ behaviours.  The public methods run plain functions instead, which
 every ``if self._instr:`` block is folded away, each ``yield from``
 becomes a direct call and ``_op`` becomes one twin per operation, so
 real threads pay for no generator frames, no dispatch on the operation
-and no observation.  The twins return bare bools; only ``run_op`` builds
-an ``OpOutcome``.  Both forms keep every check, counter and lock call.
+and no observation.  The twins return bare bools, the stepping form an
+``OpOutcome``.  Both forms keep every check, counter and lock call.
 
 Every descent tests ``v < curr.val`` first and ``curr.val < v`` second,
 so a left step costs one comparison and only the node holding ``v`` pays
@@ -251,12 +251,6 @@ class _AttemptCtx:
         self.last_level = None
 
 
-def _op_args(op: str, v, tkey) -> tuple:
-    if op not in _PLAIN_TWINS:
-        raise ValueError("unknown operation %r" % (op,))
-    return op, v, _get_ident() if tkey is None else tkey
-
-
 class ConcurrentSet:
     """Linearizable set of integer keys with wait-free membership tests.
 
@@ -264,7 +258,7 @@ class ConcurrentSet:
     a lock and never restarts; ``insert`` and ``delete`` lock only the
     couple of nodes they modify.  Operations stepped through ``op_gen``
     make single-shot lock attempts, assert the lock order and keep three
-    records; the public methods and ``run_op`` observe nothing:
+    records; the public methods observe nothing:
 
     trace     structural events (created/state/mark/edge tuples) in
               commit order, naming nodes by ids only this form draws
@@ -300,22 +294,14 @@ class ConcurrentSet:
     def delete(self, v) -> bool:
         return self._delete_plain(v, _get_ident())
 
-    def run_op(self, op: str, v, tkey=None) -> OpOutcome:
-        """Run one operation to completion and return the full outcome,
-        including how many times it had to restart (exact: only the
-        thread owning ``tkey`` touches its stats)."""
-        op, v, tkey = _op_args(op, v, tkey)
-        st = self._thread_stats(tkey)
-        before = st.restarts
-        result = getattr(self, _PLAIN_TWINS[op])(v, tkey)
-        return OpOutcome(op, v, result, st.restarts - before)
-
     def op_gen(self, op: str, v, tkey=None):
         """The stepping form used by the schedule harness: a generator
         that yields at every checkpoint.  ``tkey`` keys the logical
         thread's stats only (default: the real thread id); a caller that
         steps it by hand pins ``reclaimer`` itself, as the harness does."""
-        return self._op(*_op_args(op, v, tkey))
+        if op not in _PLAIN_TWINS:
+            raise ValueError("unknown operation %r" % (op,))
+        return self._op(op, v, _get_ident() if tkey is None else tkey)
 
     @staticmethod
     def _drain(gen) -> OpOutcome:
@@ -325,12 +311,14 @@ class ConcurrentSet:
             except StopIteration as stop:
                 return stop.value
 
-    # -- introspection (quiescent callers only) ---------------------------
+    # -- introspection (``snapshot_keys``: quiescent callers only) -------
 
     snapshot_keys = snapshot_keys
 
     def stats_snapshot(self) -> dict:
-        """Merged per-thread counters."""
+        """Merged per-thread counters.  Safe while operations run: each
+        counter is then read once during the call, so counts may differ
+        by the operations in flight but never fall from call to call."""
         total = ThreadStats()
         for st in list(self._stats.values()):
             total.completed += st.completed
@@ -340,7 +328,7 @@ class ConcurrentSet:
                 total.acquisitions[k] += st.acquisitions[k]
             for d_to, d_from in ((total.cond_violations, st.cond_violations),
                                  (total.contended_aborts, st.contended_aborts)):
-                for k, n in d_from.items():
+                for k, n in list(d_from.items()):
                     d_to[k] = d_to.get(k, 0) + n
         return {
             "completed": total.completed,

@@ -12,7 +12,7 @@ from cobst.bench import (CSV_HEADER, RANGE_PRESETS, BenchResult, CoarseLockedSet
                          WorkloadConfig, draw_op, make_set, prefill,
                          run_bench, thread_seed)
 from cobst.cli import main
-from cobst.concurrent_set import ConcurrentSet
+from cobst.concurrent_set import ConcurrentSet, Restart
 from cobst.harness import emit_script
 from cobst.history import HistoryRecorder, is_linearizable
 from cobst.tree_core import MAX_KEY
@@ -88,11 +88,11 @@ def test_coarse_set_matches_concurrent_set_key_for_key():
     for i in range(10_000):
         op = rng.choice(("insert", "delete", "contains"))
         k = rng.randrange(32)
-        a = coarse.run_op(op, k)
-        b = fine.run_op(op, k)
-        assert a.op == op and a.key == k and a.restarts == 0
-        assert a.result == b.result, "op %d: %s(%d)" % (i, op, k)
+        a = getattr(coarse, op)(k)
+        b = getattr(fine, op)(k)
+        assert a is b, "op %d: %s(%d)" % (i, op, k)
     assert coarse.snapshot_keys() == fine.snapshot_keys()
+    assert fine.stats_snapshot()["restarts"] == 0
 
 
 def test_coarse_set_concurrent_history_linearizes():
@@ -107,9 +107,9 @@ def test_coarse_set_concurrent_history_linearizes():
             k = rng.randrange(4)
             with rec_lock:
                 rec.invoke(tid, op, k)
-            got = s.run_op(op, k)
+            got = getattr(s, op)(k)
             with rec_lock:
-                rec.respond(tid, op, k, got.result)
+                rec.respond(tid, op, k, got)
 
     threads = [threading.Thread(target=worker, args=(t,)) for t in range(2)]
     for t in threads:
@@ -204,6 +204,54 @@ def test_workload_is_drawn_before_the_threads_start(monkeypatch):
     assert 0.3 < r.update_ok / r.total_ops < 0.7
 
 
+class RestartsEachInsertOnce(ConcurrentSet):
+    """Every insert's first attempt restarts; the second runs the real one."""
+
+    _base_insert_attempt = ConcurrentSet._insert_attempt
+
+    def _insert_attempt(self, ctx, tkey, st, v):
+        if st.restarts < st.ops["insert"]:
+            raise Restart
+        return (yield from self._base_insert_attempt(ctx, tkey, st, v))
+
+
+def test_restarts_are_the_sets_own(monkeypatch):
+    threads = 2
+    monkeypatch.setattr(bench, "make_set", lambda impl: RestartsEachInsertOnce())
+    r = run_bench(small_cfg(threads=threads, update_pct=100))
+    assert r.inserts > 100
+    # each edge reads the counters and the set's stats a moment apart, so
+    # a thread's insert in flight may be counted by one and not the other
+    assert abs(r.restarts - r.inserts) <= 2 * threads
+    monkeypatch.undo()
+    r = run_bench(small_cfg(impl="coarse-bst", threads=threads, update_pct=100))
+    assert r.inserts > 100 and r.restarts == 0
+
+
+class InsertFailsAfterFour(CoarseLockedSet):
+    """A broken set: its fifth insert, and every one after, raises."""
+
+    inserts = 0
+
+    def insert(self, v):
+        self.inserts += 1
+        if self.inserts > 4:
+            raise RuntimeError("insert of %d broke" % v)
+        return super().insert(v)
+
+
+def test_a_worker_that_raises_fails_the_run(monkeypatch):
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    monkeypatch.setattr(bench, "make_set", lambda impl: InsertFailsAfterFour())
+    with pytest.raises(bench.WorkerError,
+                       match=r"^worker [01] raised RuntimeError: insert of \d+ broke$"
+                       ) as err:
+        run_bench(small_cfg(threads=2, update_pct=100, prefill=False))
+    assert isinstance(err.value.__cause__, RuntimeError)
+    assert hooked == []       # caught in the worker, not left to the hook
+
+
 # -- CSV -----------------------------------------------------------------------
 
 def test_csv_header_is_frozen():
@@ -276,6 +324,17 @@ def test_cli_bench_unwritable_csv_exits_2_before_the_run(tmp_path, monkeypatch,
     assert main(bench_args("--csv", str(tmp_path / where))) == 2
     err = capsys.readouterr().err
     assert "cannot write --csv" in err and "Traceback" not in err
+
+
+def test_cli_bench_worker_failure_exits_1_without_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(bench, "make_set", lambda impl: InsertFailsAfterFour())
+    assert main(bench_args("--threads", "2", "--updates", "100",
+                           "--no-prefill")) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("bench failed: worker ")
+    assert "RuntimeError: insert of" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_cli_bench_accepts_presets(capsys):

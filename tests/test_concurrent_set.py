@@ -4,7 +4,9 @@ reclamation behaviour of the concurrent set."""
 import gc
 import itertools
 import random
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -296,20 +298,21 @@ def test_single_thread_builds_same_shape_as_sequential(ops):
         assert dump_tree(con) == dump_tree(seq)
 
 
-def test_run_op_reports_outcome():
+def test_drained_op_gen_reports_outcome():
     s = ConcurrentSet()
-    out = s.run_op("insert", 5)
+    out = s._drain(s.op_gen("insert", 5))
     assert (out.op, out.key, out.result, out.restarts) == ("insert", 5, True, 0)
-    out = s.run_op("insert", 5)
+    out = s._drain(s.op_gen("insert", 5))
     assert out.result is False
-    out = s.run_op("contains", 5)
+    out = s._drain(s.op_gen("contains", 5))
     assert out.result is True and out.restarts == 0
 
 
-def test_run_op_rejects_unknown_op():
+def test_op_gen_rejects_unknown_op():
     s = ConcurrentSet()
-    with pytest.raises(ValueError):
-        s.run_op("pop", 1)
+    with pytest.raises(ValueError, match="unknown operation 'pop'"):
+        s.op_gen("pop", 1)
+    assert s.stats_snapshot()["completed"] == 0
 
 
 def test_insert_promotes_existing_routing_node():
@@ -344,8 +347,6 @@ def key_entry_points(s):
     order contains, insert, delete per form."""
     ops = ("contains", "insert", "delete")
     calls = {op: getattr(s, op) for op in ops}
-    calls.update({"run_op " + op: lambda k, op=op: s.run_op(op, k, "t").result
-                  for op in ops})
     calls.update({"op_gen " + op:
                   lambda k, op=op: s._drain(s.op_gen(op, k, "t")).result
                   for op in ops})
@@ -440,14 +441,44 @@ def test_contains_acquires_no_locks():
 
 def test_stats_track_per_thread_and_merge():
     s = ConcurrentSet()
-    s.run_op("insert", 1, tkey="a")
-    s.run_op("insert", 2, tkey="b")
-    s.run_op("delete", 1, tkey="b")
+    for op, k, tkey in (("insert", 1, "a"), ("insert", 2, "b"),
+                        ("delete", 1, "b")):
+        s._drain(s.op_gen(op, k, tkey))
     assert s._thread_stats("a").ops["insert"] == 1
     assert s._thread_stats("b").completed == 2
     snap = s.stats_snapshot()
     assert snap["completed"] == 3
     assert snap["ops"] == {"contains": 0, "insert": 2, "delete": 1}
+
+
+def test_stats_snapshot_can_be_read_mid_run():
+    s = ConcurrentSet()
+    stop = threading.Event()
+
+    def worker(seed):
+        rng = random.Random(seed)
+        while not stop.is_set():
+            (s.insert if rng.random() < 0.5 else s.delete)(rng.randrange(16))
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    reads, last = 0, 0
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 0.5
+        while time.monotonic() < deadline:
+            restarts = s.stats_snapshot()["restarts"]
+            assert restarts >= last
+            reads, last = reads + 1, restarts
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        for t in threads:
+            t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert reads > 0 and s.stats_snapshot()["completed"] > 0
 
 
 # -- reclamation ----------------------------------------------------------------------
@@ -556,7 +587,7 @@ def test_instrumented_insert_yields_frozen_checkpoint_sequence():
 
 def test_instrumented_contains_yields_reads_only():
     s = ConcurrentSet()
-    s.run_op("insert", 5, tkey=0)
+    s.insert(5)
     points = []
     g = s.op_gen("contains", 5, tkey=1)
     try:

@@ -38,10 +38,7 @@ def test_plain_form_matches_drained_generators():
         op = rng.choice(("insert", "delete", "contains"))
         k = rng.randrange(256)
         want = stepped._drain(stepped.op_gen(op, k))
-        if i % 2:
-            got = plain.run_op(op, k)
-        else:
-            got = OpOutcome(op, k, getattr(plain, op)(k), 0)
+        got = OpOutcome(op, k, getattr(plain, op)(k), 0)
         assert got == want, "op %d: %s(%d)" % (i, op, k)
     assert plain.stats_snapshot() == stepped.stats_snapshot()
     assert dump_tree(plain) == dump_tree(stepped)
@@ -168,18 +165,18 @@ class RestartsEachInsertOnce(ConcurrentSet):
         return (yield from self._base_insert_attempt(ctx, tkey, st, v))
 
 
-def test_run_op_reports_restarts_like_the_stepping_form():
+def test_plain_restarts_match_the_stepping_form():
     assert (RestartsEachInsertOnce._insert_attempt_plain
             is not ConcurrentSet._insert_attempt_plain)
     plain, stepped = RestartsEachInsertOnce(), RestartsEachInsertOnce()
     for k in (5, 3, 5):
         want = stepped._drain(stepped.op_gen("insert", k))
-        got = plain.run_op("insert", k)
-        assert got == want and got.restarts == 1, k
+        before = plain.stats_snapshot()["restarts"]
+        assert plain.insert(k) is want.result, k
+        assert plain.stats_snapshot()["restarts"] - before == want.restarts == 1, k
     assert plain.stats_snapshot() == stepped.stats_snapshot()
-    assert plain.run_op("contains", 5) == OpOutcome("contains", 5, True, 0)
-    with pytest.raises(ValueError):
-        plain.run_op("pop", 1)
+    assert plain.contains(5) is True
+    assert plain.stats_snapshot()["restarts"] == 3
 
 
 class AnswersByOperation(ConcurrentSet):
@@ -196,7 +193,7 @@ def test_subclass_op_gets_fresh_per_op_twins():
         assert getattr(AnswersByOperation, twin) is not getattr(ConcurrentSet, twin)
     s = AnswersByOperation()
     assert (s.contains(5), s.insert(5), s.delete(5)) == (True, False, False)
-    assert s.run_op("insert", 5) == OpOutcome("insert", 5, False, 0)
+    assert s._drain(s.op_gen("insert", 5)) is False
     assert s.snapshot_keys() == []
 
 
