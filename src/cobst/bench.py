@@ -16,7 +16,8 @@ updates, and the main thread reads those counters and the set's restart
 count (``stats_snapshot()``; the coarse set has none) at the window
 edges, so no barrier disturbs the steady state.  Workers check only the
 flag per operation; the clock lives with the coordinator.  A worker that
-raises stops the run, and ``run_bench`` raises ``WorkerError`` naming it.
+raises stops the run at once: it sets an event the coordinator waits on
+in place of sleeping, and ``run_bench`` raises ``WorkerError`` naming it.
 
 Two implementations can be driven: the fine-grained concurrent set
 ("co-bst") and the sequential tree behind one global mutex
@@ -209,7 +210,8 @@ def _draw_stream(cfg: WorkloadConfig, tid: int) -> tuple[list, list]:
 
 
 def _worker(set_, key_range: int, stream: tuple[list, list],
-            counters: _WorkerCounters, stop: list, failures: list, tid: int):
+            counters: _WorkerCounters, stop: list, failures: list,
+            failed: threading.Event, tid: int):
     ops, keys = stream
     contains, insert, delete = set_.contains, set_.insert, set_.delete
     shift = 0
@@ -234,6 +236,7 @@ def _worker(set_, key_range: int, stream: tuple[list, list],
     except Exception as e:   # run_bench raises it; the other workers stop
         failures.append((tid, e))
         stop[0] = True
+        failed.set()
 
 
 def run_bench(cfg: WorkloadConfig) -> BenchResult:
@@ -245,19 +248,20 @@ def run_bench(cfg: WorkloadConfig) -> BenchResult:
     stats = getattr(set_, "stats_snapshot", lambda: {"restarts": 0})
     stop = [False]
     failures: list = []
+    failed = threading.Event()   # set by a worker that raises; ends the waits
     counters = [_WorkerCounters() for _ in range(cfg.threads)]
     threads = [threading.Thread(target=_worker,
                                 args=(set_, cfg.key_range, _draw_stream(cfg, tid),
-                                      counters[tid], stop, failures, tid),
+                                      counters[tid], stop, failures, failed, tid),
                                 daemon=True)
                for tid in range(cfg.threads)]
     for t in threads:
         t.start()
 
-    time.sleep(cfg.warmup_ms / 1000.0)
+    failed.wait(cfg.warmup_ms / 1000.0)
     t0 = time.monotonic()
     before = _totals(counters) + [stats()["restarts"]]
-    time.sleep(cfg.duration_ms / 1000.0)
+    failed.wait(cfg.duration_ms / 1000.0)
     after = _totals(counters) + [stats()["restarts"]]
     t1 = time.monotonic()
     stop[0] = True

@@ -49,7 +49,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, repeat, starmap
+from operator import itemgetter
 
 from .concurrent_set import ConcurrentSet, K_LOCK, OpOutcome, Site
 from .history import History, HistoryRecorder, check_observable_correctness, \
@@ -84,7 +86,7 @@ class ExplorationBoundError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class ScheduleScript:
     """Everything a deterministic run needs.
 
@@ -93,6 +95,9 @@ class ScheduleScript:
     steps      (thread id, checkpoint grants) directives; once they are
                exhausted the run drains round-robin until every thread
                finishes
+
+    A script has slots and no instance dict, so setting an attribute
+    that is not one of these fields raises ``AttributeError``.
     """
     setup: list = field(default_factory=list)
     programs: dict = field(default_factory=dict)
@@ -557,12 +562,40 @@ _STEPS_RE = re.compile(r"(?:\d+:\d+(?: +\d+:\d+)*)?")
 _THREAD_RE = re.compile(r"thread\s+(-?\d+)")
 
 
+@cache
+def _small_table() -> dict:
+    """The tuples every parse shares: each step of threads 0-7 with 1-8
+    grants, keyed by itself and by its text "t:n", and each ``(op, key)``
+    pair of keys 0-15, keyed by itself and by its text as ``_OP_RE``
+    finds it, ``(op, "k")``.  Built by the first parse, so a process that
+    parses nothing holds none of it, and never changed after."""
+    table = {}
+    for p in ((t, n) for t in range(8) for n in range(1, 9)):
+        table[p] = table["%d:%d" % p] = p
+    for p in ((op, k) for op in _OPS for k in range(16)):
+        table[p] = table[p[0], str(p[1])] = p
+    return table
+
+
+def _lookup(table: dict, keys: list) -> list:
+    """``[table[k] for k in keys]``, faster and allocated to its length."""
+    if len(keys) > 1:
+        return list(itemgetter(*keys)(table))
+    return [table[k] for k in keys]
+
+
 def parse_script(text: str) -> ScheduleScript:
-    """Read and validate a script in the format above.  Equal steps and
-    equal ``(op, key)`` pairs of one script share one tuple; no call keeps any."""
+    """Read and validate a script in the format above.
+
+    Steps of threads 0-7 with 1-8 grants and ``(op, key)`` pairs of keys
+    0-15 are the tuples of one fixed table (``_small_table``), shared by
+    every script.  Any other equal steps, and equal pairs, of one script
+    share one tuple through a dict local to the call; nothing else is
+    kept between calls."""
     script = ScheduleScript()
     seen = set()
     shared = {}   # each distinct tuple, and each step's text, -> the tuple
+    small = _small_table()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -587,16 +620,25 @@ def parse_script(text: str) -> ScheduleScript:
         elif thread:
             if not _OPS_RE.fullmatch(rest):
                 raise ScriptError("line %d: cannot parse ops %r" % (ln, rest))
-            script.programs[tid] = [shared.setdefault(p, p) for p in (
-                (_OPS[op], int(k)) for op, k in _OP_RE.findall(rest))]
+            found = _OP_RE.findall(rest)
+            try:
+                script.programs[tid] = _lookup(small, found)
+            except KeyError:   # a pair outside the table, or a key like "007"
+                script.programs[tid] = [
+                    shared.setdefault(p, small.get(p, p))
+                    for p in ((_OPS[op], int(k)) for op, k in found)]
         elif head == "schedule":
             if not _STEPS_RE.fullmatch(rest):
                 raise ScriptError("line %d: cannot parse schedule %r" % (ln, rest))
             toks = rest.split()
-            for tok in set(toks):   # each distinct step once, by its text
-                t, _, n = tok.partition(":")
-                shared[tok] = shared.setdefault(p := (int(t), int(n)), p)
-            script.steps = list(map(shared.__getitem__, toks))
+            try:
+                script.steps = _lookup(small, toks)
+            except KeyError:   # a step outside the table, or a text like "00:2"
+                for tok in set(toks):   # each distinct step once, by its text
+                    t, _, n = tok.partition(":")
+                    p = (int(t), int(n))
+                    shared[tok] = shared.setdefault(p, small.get(p, p))
+                script.steps = _lookup(shared, toks)
         else:
             raise ScriptError("line %d: unknown directive %r" % (ln, head))
     script.validate()

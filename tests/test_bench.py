@@ -4,6 +4,7 @@ plumbing, CSV output, and the command line front end."""
 import csv
 import random
 import threading
+import time
 
 import pytest
 
@@ -250,6 +251,16 @@ def test_a_worker_that_raises_fails_the_run(monkeypatch):
         run_bench(small_cfg(threads=2, update_pct=100, prefill=False))
     assert isinstance(err.value.__cause__, RuntimeError)
     assert hooked == []       # caught in the worker, not left to the hook
+
+
+def test_a_worker_that_raises_ends_the_run_at_once(monkeypatch):
+    monkeypatch.setattr(bench, "make_set", lambda impl: InsertFailsAfterFour())
+    cfg = small_cfg(threads=2, update_pct=100, prefill=False,
+                    warmup_ms=500, duration_ms=2000)
+    t0 = time.monotonic()
+    with pytest.raises(bench.WorkerError):
+        run_bench(cfg)
+    assert time.monotonic() - t0 < 0.5   # not after the warmup and window
 
 
 # -- CSV -----------------------------------------------------------------------

@@ -3,7 +3,11 @@ bounded exhaustive explorer."""
 
 import gc
 import hashlib
+import os
 import random
+import re
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -692,6 +696,117 @@ def test_parse_script_keeps_nothing_between_calls():
     finally:
         tracemalloc.stop()
     assert held > 500_000 and left < 4_096, (held, left)
+
+
+def test_parse_script_shares_small_tuples_across_scripts():
+    a = parse_script("thread 0: insert(3) delete(9)\nschedule: 0:2\n")
+    b = parse_script("setup: 1\nthread 0: contains(1) insert(3)\n"
+                     "thread 1: delete(2)\nschedule: 1:1 00:2 0:2\n")
+    assert a.steps[0] is b.steps[1] is b.steps[2] == (0, 2)
+    assert a.programs[0][0] is b.programs[0][1] == ("insert", 3)
+
+
+def test_values_outside_the_table_are_shared_within_one_script_only():
+    text = ("thread 40: insert(1000000) delete(5) insert(1000000)\n"
+            "thread 0: contains(1000000)\n"
+            "schedule: 40:300 0:1 040:0300 40:300\n")
+    a, b = parse_script(text), parse_script(text)
+    assert a == b
+    assert a.steps[0] == (40, 300) and a.programs[40][0] == ("insert", 10 ** 6)
+    assert a.steps[0] is a.steps[2] is a.steps[3]
+    assert a.programs[40][0] is a.programs[40][2]
+    assert a.steps[0] is not b.steps[0]
+    assert a.programs[40][0] is not b.programs[40][0]
+    assert a.programs[0][0] is not b.programs[0][0]
+    assert a.steps[1] is b.steps[1] and a.programs[40][1] is b.programs[40][1]
+
+
+def test_the_small_table_never_grows():
+    parse_script(SCRIPT_TEXT)
+    table = harness._small_table()
+    size = len(table)
+    for seed in range(2000):
+        parse_script(emit_script(random_schedule(2 + seed % 3, 6, 8, seed)))
+    assert harness._small_table() is table and len(table) == size == 224
+
+
+def test_importing_cobst_builds_no_table():
+    code = ("import cobst.harness as h; "
+            "assert h._small_table.cache_info().currsize == 0; "
+            "h.parse_script('thread 0: insert(1)'); "
+            "assert h._small_table.cache_info().currsize == 1")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+def _script_across_the_table(rng):
+    tids = rng.sample(range(21), rng.randint(1, 4))
+    programs = {tid: [(rng.choice(("insert", "delete", "contains")),
+                       rng.randint(-20, 300)) for _ in range(rng.randint(1, 5))]
+                for tid in tids}
+    steps = [(rng.choice(tids), rng.randint(1, 20))
+             for _ in range(rng.randint(0, 12))]
+    return ScheduleScript(setup=rng.sample(range(-20, 301), rng.randint(0, 4)),
+                          programs=programs, steps=steps)
+
+
+def test_parse_script_reads_the_same_without_the_table(monkeypatch):
+    rng = random.Random(5)
+    scripts = [_script_across_the_table(rng) for _ in range(1000)]
+    texts = [emit_script(s) for s in scripts]
+    # half with every number zero-padded: equal values, other texts
+    texts[1::2] = [re.sub(r"(?<![-\d])(\d+)", r"0\1", t) for t in texts[1::2]]
+    with_table = [parse_script(t) for t in texts]
+    monkeypatch.setattr(harness, "_small_table", dict)
+    without = [parse_script(t) for t in texts]
+    assert with_table == without == scripts
+
+
+def test_script_slots_keep_the_dataclass_behaviour():
+    s = ScheduleScript(setup=[1], programs={0: [("insert", 2)]}, steps=[(0, 1)])
+    assert not hasattr(s, "__dict__")
+    with pytest.raises(AttributeError):
+        s.stepz = []
+    assert repr(s) == ("ScheduleScript(setup=[1], programs={0: [('insert', 2)]}, "
+                       "steps=[(0, 1)])")
+    a, b = ScheduleScript(), ScheduleScript()
+    assert a == b and a.setup is not b.setup and a.programs is not b.programs
+    assert a.steps is not b.steps
+    t = ScheduleScript(setup=[1], programs={0: [("insert", 2)]}, steps=[(0, 1)])
+    t.validate()
+    assert t._checked is t.steps and t._top == 1
+    assert s == t   # the cache is not compared
+
+
+def test_a_parsed_verify_shaped_corpus_stays_small():
+    # shaped like the benchmark's verify corpus: 2-4 threads of 1-6 ops
+    # over keys 0-7, 0-4 setup keys, 6 steps per op of 1-3 grants each
+    rng = random.Random(3)
+    texts = []
+    for _ in range(2048):
+        tids = range(rng.randint(2, 4))
+        script = ScheduleScript(
+            setup=rng.sample(range(8), rng.randint(0, 4)),
+            programs={t: [(rng.choice(("insert", "delete", "contains")),
+                           rng.randrange(8)) for _ in range(rng.randint(1, 6))]
+                      for t in tids})
+        n_ops = sum(map(len, script.programs.values()))
+        script.steps = [(rng.choice(tids), rng.randint(1, 3))
+                        for _ in range(6 * n_ops)]
+        texts.append(emit_script(script))
+    parse_script(texts[0])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scripts = [parse_script(t) for t in texts]
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(scripts) == 2048
+    # bytes a script: 1 274 on CPython 3.11, 2 381 with no table and a dict
+    # in each script
+    assert held / 2048 < 1600, held / 2048
 
 
 def test_emit_parse_round_trip():
