@@ -50,7 +50,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, repeat, starmap
 from operator import itemgetter
 
 from .concurrent_set import ConcurrentSet, K_LOCK, OpOutcome, Site
@@ -102,38 +101,29 @@ class ScheduleScript:
     setup: list = field(default_factory=list)
     programs: dict = field(default_factory=dict)
     steps: list = field(default_factory=list)
-    # the steps list ``validate`` last passed, the hash of its length and thread
-    # ids (a tuple kept per script would slow the collector's scans), its top step
-    _checked: list = field(default=None, init=False, repr=False, compare=False)
-    _shape: int = field(default=None, init=False, repr=False, compare=False)
-    _top: int = field(default=0, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
-        self._check_ops()
-        top = 0
-        for tid, n in self.steps:
-            if tid not in self.programs:
-                raise ScriptError("schedule step for unknown thread %r" % (tid,))
-            if n < 1:
-                raise ScriptError("schedule grants must be positive")
-            top = n if n > top else top
-        self._checked, self._top = self.steps, top
-        self._shape = hash((len(self.steps), *self.programs))
-
-    def _check_ops(self) -> None:
         for key in self.setup:
             _check_key(key)
         if len(set(self.setup)) != len(self.setup):
             raise ScriptError("setup keys must be distinct")
-        if not self.programs:
+        programs = self.programs
+        if not programs:
             raise ScriptError("script has no threads")
-        for tid, ops in self.programs.items():
+        for tid, ops in programs.items():
             if not isinstance(tid, int) or tid < 0:
                 raise ScriptError("thread ids must be non-negative ints, got %r" % (tid,))
             for op, key in ops:
                 if op not in _OPS:
                     raise ScriptError("unknown op %r in thread %d" % (op, tid))
                 _check_key(key, tid)
+        for tid, n in self.steps:
+            if tid not in programs:
+                raise ScriptError("schedule step for unknown thread %r" % (tid,))
+            if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):
+                raise ScriptError("non-integer grant count %r for thread %d" % (n, tid))
+            if n < 1:
+                raise ScriptError("schedule grants must be positive")
 
 
 def _check_key(key, tid=None) -> None:
@@ -347,45 +337,39 @@ def run_script(script: ScheduleScript, *, on_blocked: str = "error") -> RunRepor
     "reassign" deterministically hands the grant to the lowest-id
     runnable unblocked thread instead, which is what randomly generated
     schedules use, and ends the schedule once every thread has finished.
-    Steps ``validate`` passed (same list and length, same thread ids),
-    as ``parse_script``'s are, are not checked again, nor clipped at the
-    grant cap: call ``validate`` after replacing a step in place.
+    The script is validated on every call, so a script edited after
+    parsing or an earlier run is checked as it now stands.  A step past
+    the grant cap ends the run the same way a step of cap + 1 grants does.
     """
     if on_blocked not in ("error", "reassign"):
         raise ValueError("on_blocked must be 'error' or 'reassign'")
-    if (script._checked is script.steps
-            and script._shape == hash((len(script.steps), *script.programs))):
-        script._check_ops()
-    else:
-        script.validate()
+    script.validate()
     run = _Run(script)
     workers = run.workers
     grant = run.grant
 
-    steps, cap = script.steps, run._cap + 1
-    if script._top > cap:   # ends the run as a step of cap + 1 does
-        steps = [(t, min(n, cap)) for t, n in steps]
     # a worker is free unless finished or pending on a lock that would block
-    for tid in chain.from_iterable(starmap(repeat, steps)):
-        w = workers[tid]
-        p = w.pending
-        if p is not None and (p.kind != K_LOCK or not p.would_block()):
-            grant(w)
-            continue
-        if on_blocked == "error":
-            if p is None:
-                raise ScriptError(
-                    "schedule grants a step to finished thread %d" % tid)
-            raise ScheduleBlockedError(_wait_chain(run.set, workers, tid))
-        for w in workers.values():   # in thread id order
-            p = w.pending
+    for tid, n in script.steps:
+        me = workers[tid]
+        for _ in range(n):
+            p = me.pending
             if p is not None and (p.kind != K_LOCK or not p.would_block()):
-                break
-        else:
-            w = run.forced()
-            if w is None:   # every thread finished: the steps left grant nothing
-                return run.report()
-        grant(w)
+                grant(me)
+                continue
+            if on_blocked == "error":
+                if p is None:
+                    raise ScriptError(
+                        "schedule grants a step to finished thread %d" % tid)
+                raise ScheduleBlockedError(_wait_chain(run.set, workers, tid))
+            for w in workers.values():   # in thread id order
+                p = w.pending
+                if p is not None and (p.kind != K_LOCK or not p.would_block()):
+                    break
+            else:
+                w = run.forced()
+                if w is None:   # every thread finished: the steps left grant nothing
+                    return run.report()
+            grant(w)
 
     # drain: round-robin by thread id, one grant per turn, skip blocked
     while True:
@@ -564,16 +548,12 @@ _THREAD_RE = re.compile(r"thread\s+(-?\d+)")
 
 @cache
 def _small_table() -> dict:
-    """The tuples every parse shares: each step of threads 0-7 with 1-8
-    grants, keyed by itself and by its text "t:n", and each ``(op, key)``
-    pair of keys 0-15, keyed by itself and by its text as ``_OP_RE``
-    finds it, ``(op, "k")``.  Built by the first parse, so a process that
-    parses nothing holds none of it, and never changed after."""
-    table = {}
-    for p in ((t, n) for t in range(8) for n in range(1, 9)):
-        table[p] = table["%d:%d" % p] = p
-    for p in ((op, k) for op in _OPS for k in range(16)):
-        table[p] = table[p[0], str(p[1])] = p
+    """The tuples every parse shares, keyed by their text: each step of
+    threads 0-7 with 1-8 grants by "t:n", each ``(op, key)`` pair of keys
+    0-15 by ``(op, "k")`` as ``_OP_RE`` finds it.  Built by the first
+    parse (a process that parses nothing holds none of it), never changed."""
+    table = {"%d:%d" % (t, n): (t, n) for t in range(8) for n in range(1, 9)}
+    table.update(((op, str(k)), (op, k)) for op in _OPS for k in range(16))
     return table
 
 
@@ -588,13 +568,12 @@ def parse_script(text: str) -> ScheduleScript:
     """Read and validate a script in the format above.
 
     Steps of threads 0-7 with 1-8 grants and ``(op, key)`` pairs of keys
-    0-15 are the tuples of one fixed table (``_small_table``), shared by
-    every script.  Any other equal steps, and equal pairs, of one script
-    share one tuple through a dict local to the call; nothing else is
-    kept between calls."""
+    0-15, written plainly, are the tuples of one fixed table
+    (``_small_table``), shared by every script.  Any other step or pair,
+    a zero-padded one included, is a tuple of its own; nothing is kept
+    between calls."""
     script = ScheduleScript()
     seen = set()
-    shared = {}   # each distinct tuple, and each step's text, -> the tuple
     small = _small_table()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -624,9 +603,8 @@ def parse_script(text: str) -> ScheduleScript:
             try:
                 script.programs[tid] = _lookup(small, found)
             except KeyError:   # a pair outside the table, or a key like "007"
-                script.programs[tid] = [
-                    shared.setdefault(p, small.get(p, p))
-                    for p in ((_OPS[op], int(k)) for op, k in found)]
+                script.programs[tid] = [small.get((op, k)) or (_OPS[op], int(k))
+                                        for op, k in found]
         elif head == "schedule":
             if not _STEPS_RE.fullmatch(rest):
                 raise ScriptError("line %d: cannot parse schedule %r" % (ln, rest))
@@ -634,11 +612,8 @@ def parse_script(text: str) -> ScheduleScript:
             try:
                 script.steps = _lookup(small, toks)
             except KeyError:   # a step outside the table, or a text like "00:2"
-                for tok in set(toks):   # each distinct step once, by its text
-                    t, _, n = tok.partition(":")
-                    p = (int(t), int(n))
-                    shared[tok] = shared.setdefault(p, small.get(p, p))
-                script.steps = _lookup(shared, toks)
+                script.steps = [small.get(tok) or tuple(map(int, tok.split(":")))
+                                for tok in toks]
         else:
             raise ScriptError("line %d: unknown directive %r" % (ln, head))
     script.validate()

@@ -78,6 +78,10 @@ def test_validate_rejects_bad_steps():
         ScheduleScript(programs={0: [("insert", 2)]}, steps=[(3, 1)]).validate()
     with pytest.raises(ScriptError, match="positive"):
         ScheduleScript(programs={0: [("insert", 2)]}, steps=[(0, 0)]).validate()
+    for n in (1.5, "2", True):
+        with pytest.raises(ScriptError, match=re.escape(
+                "non-integer grant count %r for thread 0" % (n,))):
+            ScheduleScript(programs={0: [("insert", 2)]}, steps=[(0, n)]).validate()
 
 
 # -- basic running ---------------------------------------------------------
@@ -128,8 +132,8 @@ def test_schedule_past_the_grant_cap_is_a_script_error():
 
 
 def test_a_step_past_the_grant_cap_replays_as_one_of_cap_plus_one():
-    # a count past sys.maxsize cannot feed itertools.repeat; clipped at the
-    # cap + 1, it ends every run as the full count would
+    # a count past sys.maxsize grants until the run finishes or passes the
+    # cap, so it ends every run as a step of cap + 1 grants does
     huge = 2 ** 63
     for setup, programs, steps in (
             ([], {0: [("insert", 1)]}, [(0, 2), (0, huge), (0, 1)]),
@@ -144,16 +148,6 @@ def test_a_step_past_the_grant_cap_replays_as_one_of_cap_plus_one():
             assert script.steps == steps
     assert want == (ScriptError, "run exceeded 14000 grants without finishing; "
                     "the schedule keeps recreating contention")
-
-
-def test_a_step_replaced_in_place_is_clipped_once_validated_again():
-    script = ScheduleScript([1, 3], {0: [("delete", 3)], 1: [("insert", 2)]},
-                            [(0, 10), (1, 1)])
-    run_script(script)
-    script.steps[1] = (1, 2 ** 63)      # same list, same length and thread ids
-    script.validate()
-    with pytest.raises(ScriptError, match="14000 grants"):
-        run_script(script)
 
 
 def test_reassign_stops_stepping_once_every_thread_finished(monkeypatch):
@@ -635,23 +629,17 @@ def test_parse_script_reads_all_sections():
     assert s.steps == [(0, 3), (1, 2), (0, 1)]
 
 
-def test_run_script_does_not_check_parsed_steps_again(monkeypatch):
-    scripts = [parse_script(SCRIPT_TEXT),
-               parse_script(emit_script(random_schedule(3, 4, 8, seed=2)))]
-
-    def walked(self):
-        raise AssertionError("validate() again on a parsed script")
-
-    monkeypatch.setattr(ScheduleScript, "validate", walked)
-    for script in scripts:
-        run_script(script, on_blocked="reassign")
-
-
 def test_a_script_changed_after_parsing_is_still_refused():
     text = "setup: 5\nthread 0: insert(1)\nthread 1: delete(1)\nschedule: 0:1 1:1\n"
     edits = [
         (lambda s: s.steps.append((7, 1)), "schedule step for unknown thread 7"),
         (lambda s: s.steps.append((0, 0)), "schedule grants must be positive"),
+        # in place: the same list, of the same length
+        (lambda s: s.steps.__setitem__(1, (7, 1)), "schedule step for unknown thread 7"),
+        (lambda s: s.steps.__setitem__(1, (1, 0)), "schedule grants must be positive"),
+        (lambda s: s.steps.__setitem__(1, (1, -3)), "schedule grants must be positive"),
+        (lambda s: s.steps.__setitem__(1, (1, 1.5)),
+         "non-integer grant count 1.5 for thread 1"),
         (lambda s: s.programs[1].__setitem__(0, ("delete", "x")),
          "non-integer key 'x' in thread 1"),
         (lambda s: s.setup.__setitem__(0, "5"), "non-integer key '5' in setup"),
@@ -666,12 +654,19 @@ def test_a_script_changed_after_parsing_is_still_refused():
         with pytest.raises(ScriptError) as ei:
             run_script(script)
         assert str(ei.value) == msg
+    # a count past sys.maxsize, in place, replays up to the grant cap
+    script = parse_script("setup: 1 3\nthread 0: delete(3)\nthread 1: insert(2)\n"
+                          "schedule: 0:10 1:1\n")
+    run_script(script)
+    script.steps[1] = (1, 2 ** 63)
+    with pytest.raises(ScriptError, match="14000 grants"):
+        run_script(script)
 
 
 def test_a_parsed_script_holds_each_distinct_tuple_once():
     s = parse_script("thread 0: insert(5) delete(5) insert(5)\n"
                      "thread 1: insert(5) contains(7) delete(5)\n"
-                     "schedule: 0:2 1:1 00:2 1:1 1:01 0:1\n")   # equal, not same text
+                     "schedule: 0:2 1:1 0:2 1:1 1:1 0:1\n")
     a, b = s.programs[0], s.programs[1]
     assert a[0] is a[2] is b[0] and a[1] is b[2]
     assert s.steps[0] is s.steps[2] and s.steps[1] is s.steps[3] is s.steps[4]
@@ -701,24 +696,9 @@ def test_parse_script_keeps_nothing_between_calls():
 def test_parse_script_shares_small_tuples_across_scripts():
     a = parse_script("thread 0: insert(3) delete(9)\nschedule: 0:2\n")
     b = parse_script("setup: 1\nthread 0: contains(1) insert(3)\n"
-                     "thread 1: delete(2)\nschedule: 1:1 00:2 0:2\n")
+                     "thread 1: delete(2)\nschedule: 1:1 0:2 0:2\n")
     assert a.steps[0] is b.steps[1] is b.steps[2] == (0, 2)
     assert a.programs[0][0] is b.programs[0][1] == ("insert", 3)
-
-
-def test_values_outside_the_table_are_shared_within_one_script_only():
-    text = ("thread 40: insert(1000000) delete(5) insert(1000000)\n"
-            "thread 0: contains(1000000)\n"
-            "schedule: 40:300 0:1 040:0300 40:300\n")
-    a, b = parse_script(text), parse_script(text)
-    assert a == b
-    assert a.steps[0] == (40, 300) and a.programs[40][0] == ("insert", 10 ** 6)
-    assert a.steps[0] is a.steps[2] is a.steps[3]
-    assert a.programs[40][0] is a.programs[40][2]
-    assert a.steps[0] is not b.steps[0]
-    assert a.programs[40][0] is not b.programs[40][0]
-    assert a.programs[0][0] is not b.programs[0][0]
-    assert a.steps[1] is b.steps[1] and a.programs[40][1] is b.programs[40][1]
 
 
 def test_the_small_table_never_grows():
@@ -727,7 +707,7 @@ def test_the_small_table_never_grows():
     size = len(table)
     for seed in range(2000):
         parse_script(emit_script(random_schedule(2 + seed % 3, 6, 8, seed)))
-    assert harness._small_table() is table and len(table) == size == 224
+    assert harness._small_table() is table and len(table) == size == 112
 
 
 def test_importing_cobst_builds_no_table():
@@ -774,8 +754,7 @@ def test_script_slots_keep_the_dataclass_behaviour():
     assert a.steps is not b.steps
     t = ScheduleScript(setup=[1], programs={0: [("insert", 2)]}, steps=[(0, 1)])
     t.validate()
-    assert t._checked is t.steps and t._top == 1
-    assert s == t   # the cache is not compared
+    assert s == t
 
 
 def test_a_parsed_verify_shaped_corpus_stays_small():
