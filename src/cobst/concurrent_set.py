@@ -19,13 +19,17 @@ the expected key, tolerating replacement of the node by an equal one).
 Within one attempt locks are acquired from deeper nodes towards the
 root, which rules out deadlock; the stepping form asserts that ordering.
 
-Deletion is two-stage: a node is first marked ``deleted`` (the logical
-point of no return) and then unlinked, both under the same locks.
-Readers that already hold a reference may still observe the node as
-DATA afterwards; that is deliberate and linearizable, because such
-reads overlap the deletion.  Reference counting frees unlinked nodes
-(a node has no parent pointer, so they form no cycles); stepped deletes
-also retire them to the epoch reclaimer, whose poisoning checks schedules.
+A delete takes one of three shapes: a node with two children is demoted
+to ROUTING and stays; one with one child is spliced out; a leaf is
+unlinked, together with its parent when that is a ROUTING node, which
+the leaf's sibling then replaces.  Unlinking is two-stage: a node is
+first marked ``deleted`` (the logical point of no return) and then
+unlinked, both under the same locks.  Readers that already hold a
+reference may still observe the node as DATA afterwards; that is
+deliberate and linearizable, because such reads overlap the deletion.
+Reference counting frees unlinked nodes (a node has no parent pointer,
+so they form no cycles); stepped deletes also retire them to the epoch
+reclaimer, whose poisoning checks schedules.
 
 The operation bodies are written once, as generators.  ``op_gen`` runs
 them as written, the stepping form: they yield a checkpoint descriptor
@@ -546,18 +550,7 @@ class ConcurrentSet:
             return (yield from self._delete_one_child(
                 ctx, tkey, st, v, prev, curr, child,
                 LEFT if left is not None else RIGHT))
-        # leaf: which unlink shape applies depends on the parent kind
-        if self._instr:
-            yield S_DEL_PSTATE
-        if prev.state == DATA:
-            return (yield from self._delete_leaf_data_parent(
-                ctx, tkey, st, v, prev))
-        side = LEFT if v < prev.val else RIGHT
-        if self._instr:
-            yield S_DEL_SIBLING
-        sibling = prev.right if side == LEFT else prev.left
-        return (yield from self._delete_leaf_routing_parent(
-            ctx, tkey, st, v, gprev, prev, sibling))
+        return (yield from self._delete_leaf(ctx, tkey, st, v, gprev, prev))
 
     def _delete_two_children(self, ctx, tkey, st, curr):
         """Both children present: the node only loses its membership and
@@ -610,56 +603,52 @@ class ConcurrentSet:
         prev.set_child(side, child)
         return True
 
-    def _delete_leaf_data_parent(self, ctx, tkey, st, v, prev):
-        """Leaf under a DATA parent: just empty the parent's slot.
+    def _delete_leaf(self, ctx, tkey, st, v, gprev, prev):
+        """A leaf: under a DATA parent just empty the parent's slot; under
+        a ROUTING parent the parent must go too, or it would be left with
+        a single child, so the sibling moves up into the grandparent's
+        slot, taking both nodes out in one pointer swing.
 
-        The edge is locked by value, so it does not matter whether the
-        leaf we traversed to was replaced by another node with the same
-        key in the meantime; we re-read the current occupant under the
-        lock and delete that one.
+        The leaf's edge is locked by value, so it does not matter whether
+        the leaf we traversed to was replaced by another node with the
+        same key in the meantime; we re-read the current occupant under
+        the lock and delete that one.
         """
-        side = LEFT if v < prev.val else RIGHT
+        if self._instr:
+            yield S_DEL_PSTATE
+        pair = prev.state != DATA   # the parent is routing and goes too
+        side, sside = (LEFT, RIGHT) if v < prev.val else (RIGHT, LEFT)
+        if pair:
+            assert gprev is not None, "routing parent cannot be the root"
+            if self._instr:
+                yield S_DEL_SIBLING
+            sibling = prev.right if side == LEFT else prev.left
         yield from self._lock(
             ctx, tkey, st, "delete", prev, WRITE, _EDGE_HOLDS[side], "edge_val",
-            "delete.leaf_edge", 0, prev, v, _EDGE_WORD[side])
+            "delete.pair_edge" if pair else "delete.leaf_edge", 0, prev, v,
+            _EDGE_WORD[side])
         curr = prev.child(side)   # fresh: the locked occupant, maybe a twin
         yield from self._lock(
-            ctx, tkey, st, "delete", curr, WRITE, _state_is,
-            "state", "delete.leaf_state", 0, curr, DATA)
+            ctx, tkey, st, "delete", curr, WRITE, _state_is, "state",
+            "delete.pair_state" if pair else "delete.leaf_state", 0, curr, DATA)
         if curr.left is not None or curr.right is not None:
             raise Restart     # grew children since the traversal
-        yield from self._lock(
-            ctx, tkey, st, "delete", prev, READ, _state_is,
-            "state", "delete.leaf_parent_state", -1, prev, DATA)
-        if self._instr:
-            yield W_DEL_MARK
-            self.trace.append(("mark", curr.id))
-        curr.deleted = True
-        if self._instr:
-            yield W_DEL_UNLINK_LEAF
-            self.trace.append(("edge", prev.id, side, None))
-            self.unlinked.append(curr)
-            self.reclaimer.retire(curr)
-        prev.set_child(side, None)
-        return True
-
-    def _delete_leaf_routing_parent(self, ctx, tkey, st, v, gprev, prev, sibling):
-        """Leaf under a ROUTING parent: the parent must go too, or it
-        would be left with a single child.  The sibling moves up into
-        the grandparent's slot, taking both nodes out in one pointer
-        swing."""
-        assert gprev is not None, "routing parent cannot be the root"
-        side, sside = (LEFT, RIGHT) if v < prev.val else (RIGHT, LEFT)
+        if not pair:
+            yield from self._lock(
+                ctx, tkey, st, "delete", prev, READ, _state_is,
+                "state", "delete.leaf_parent_state", -1, prev, DATA)
+            if self._instr:
+                yield W_DEL_MARK
+                self.trace.append(("mark", curr.id))
+            curr.deleted = True
+            if self._instr:
+                yield W_DEL_UNLINK_LEAF
+                self.trace.append(("edge", prev.id, side, None))
+                self.unlinked.append(curr)
+                self.reclaimer.retire(curr)
+            prev.set_child(side, None)
+            return True
         pside = LEFT if prev.val < gprev.val else RIGHT
-        yield from self._lock(
-            ctx, tkey, st, "delete", prev, WRITE, _EDGE_HOLDS[side], "edge_val",
-            "delete.pair_edge", 0, prev, v, _EDGE_WORD[side])
-        curr = prev.child(side)   # fresh occupant under the value lock
-        yield from self._lock(
-            ctx, tkey, st, "delete", curr, WRITE, _state_is,
-            "state", "delete.pair_state", 0, curr, DATA)
-        if curr.left is not None or curr.right is not None:
-            raise Restart
         yield from self._lock(
             ctx, tkey, st, "delete", prev, WRITE, _EDGE_IS[sside], "edge_ref",
             "delete.pair_sibling_edge", 0, prev, sibling, _EDGE_WORD[sside])

@@ -111,13 +111,24 @@ class ScheduleScript:
         if not programs:
             raise ScriptError("script has no threads")
         for tid, ops in programs.items():
-            if not isinstance(tid, int) or tid < 0:
+            if not isinstance(tid, int) or isinstance(tid, bool) or tid < 0:
                 raise ScriptError("thread ids must be non-negative ints, got %r" % (tid,))
-            for op, key in ops:
-                if op not in _OPS:
+            for entry in ops:
+                try:
+                    op, key = entry
+                    known = op in _OPS
+                except (TypeError, ValueError):   # not a pair, or an unhashable op
+                    raise ScriptError("malformed op %r in thread %d" % (entry, tid)) from None
+                if not known:
                     raise ScriptError("unknown op %r in thread %d" % (op, tid))
                 _check_key(key, tid)
-        for tid, n in self.steps:
+        for step in self.steps:
+            try:
+                tid, n = step
+            except (TypeError, ValueError):
+                raise ScriptError("malformed schedule step %r" % (step,)) from None
+            if type(tid) is not int and (isinstance(tid, bool) or not isinstance(tid, int)):
+                raise ScriptError("thread ids must be non-negative ints, got %r" % (tid,))
             if tid not in programs:
                 raise ScriptError("schedule step for unknown thread %r" % (tid,))
             if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):

@@ -181,8 +181,8 @@ class SequentialBst:
             prev.set_child(self._side(prev, v), child)
             curr.deleted = True
             return True
-        # leaf
-        if prev.state == DATA or prev is self.root:
+        # leaf; the root sentinel is DATA and never demoted
+        if prev.state == DATA:
             prev.set_child(self._side(prev, v), None)
             curr.deleted = True
             return True

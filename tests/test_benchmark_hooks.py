@@ -1,7 +1,9 @@
 """The benchmark's traced run patches cobst functions by name; this
-guards those names, so a rename fails here instead of in ``--trace 1``."""
+guards those names, so a rename fails here instead of in ``--trace 1``.
+It also runs the benchmark's own self-test of its output checks."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -126,3 +128,13 @@ def test_one_insert_traces_an_edge_word_and_a_state_word():
                          ("rwlock.attempt", "rwlock.acquire"),
                          ("rwlock.unlock", "concurrent_set.insert")):
         assert tr.count(name, (parent,)) == 2, name
+
+
+def test_the_benchmark_self_test_holds_every_expectation(tmp_path):
+    # each output check of the benchmark must still catch its planted
+    # fault, and the real code must pass them all
+    selftest = TRACING.parent / "selftest.py"
+    proc = subprocess.run([sys.executable, str(selftest)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "12 of 12 expectations held" in proc.stdout

@@ -14,13 +14,14 @@ import pytest
 
 from cobst import harness
 from cobst.cli import main
-from cobst.concurrent_set import K_LOCK, ConcurrentSet
+from cobst.concurrent_set import (K_LOCK, W_DEL_DEMOTE, WRITE, ConcurrentSet,
+                                  _state_is)
 from cobst.harness import (SETUP_THREAD, ExplorationBoundError, ScheduleBlockedError,
                            ScheduleScript, ScriptError, emit_script, explore_small,
                            parse_script, run_script)
 from cobst.history import History, check_observable_correctness, is_linearizable
 from cobst.reclaim import EpochReclaimer
-from cobst.tree_core import MAX_KEY, MIN_KEY, PLUS_INF, SequentialBst
+from cobst.tree_core import DATA, MAX_KEY, MIN_KEY, PLUS_INF, ROUTING, SequentialBst
 
 from scenarios import (random_schedule, script_edge_conflict_restart,
                        script_parallel_inserts, script_twin_replacement)
@@ -82,6 +83,28 @@ def test_validate_rejects_bad_steps():
         with pytest.raises(ScriptError, match=re.escape(
                 "non-integer grant count %r for thread 0" % (n,))):
             ScheduleScript(programs={0: [("insert", 2)]}, steps=[(0, n)]).validate()
+    # a step that is not a pair, or names a thread by a list, a bool or a
+    # float, is refused before it runs, not met by a TypeError or ValueError
+    for step, msg in [((0,), "malformed schedule step"),
+                      ((0, 1, 2), "malformed schedule step"),
+                      (5, "malformed schedule step"),
+                      (([0], 1), "non-negative ints, got [0]"),
+                      ((True, 1), "non-negative ints, got True"),
+                      ((0.0, 1), "non-negative ints, got 0.0")]:
+        s = ScheduleScript(programs={0: [("insert", 2)], 1: [("insert", 3)]},
+                           steps=[step])
+        with pytest.raises(ScriptError, match=re.escape(msg)):
+            run_script(s)
+
+
+def test_validate_rejects_malformed_ops_and_bool_thread_ids():
+    for entry in [("insert",), ("insert", 1, 2), (["insert"], 1), "insert"]:
+        with pytest.raises(ScriptError, match=re.escape(
+                "malformed op %r in thread 0" % (entry,))):
+            run_script(ScheduleScript(programs={0: [entry]}))
+    with pytest.raises(ScriptError, match="non-negative ints, got True"):
+        run_script(ScheduleScript(programs={True: [("insert", 1)]},
+                                  steps=[(True, 1)]))
 
 
 # -- basic running ---------------------------------------------------------
@@ -222,6 +245,34 @@ def test_mutual_sibling_block_resolves_by_forced_abort():
     assert rep.structure.ok and rep.locks_clean
     assert is_linearizable(rep.history, max_ops=40).ok
     assert check_observable_correctness(rep.trace).ok
+
+
+def test_a_scripted_step_into_a_lock_cycle_names_both_threads():
+    # the mutual-sibling scenario above, stepped with the drain's first
+    # 42 grants: threads 0 and 1 then each hold the edge the other wants
+    s = ScheduleScript(setup=[4, 2, 6],
+                       programs={0: [("delete", 2)], 1: [("delete", 6)],
+                                 2: [("delete", 4)]},
+                       steps=[(0, 1), (1, 1), (2, 1)] * 6 + [(0, 1), (1, 1)] * 12
+                       + [(0, 1)])
+    with pytest.raises(ScheduleBlockedError) as ei:
+        run_script(s)
+    hops = ei.value.chain.split("; ")
+    assert len(hops) == 3 and hops[2] == "(cycle)"
+    assert hops[0].startswith("thread 0 waits on") and hops[0].endswith("held by thread 1")
+    assert hops[1].startswith("thread 1 waits on") and hops[1].endswith("held by thread 0")
+
+
+def test_a_leaked_lock_blocks_with_its_holder_unknown(monkeypatch):
+    # the setup inserts of 1 and 3 leak their read locks on 2's state,
+    # which no attempt lists as held; the demotion of 2 then waits on them
+    monkeypatch.setattr(harness, "ConcurrentSet", LeakingSet)
+    s = ScheduleScript(setup=[2, 1, 3], programs={0: [("delete", 2)]},
+                       steps=[(0, 5)])
+    with pytest.raises(ScheduleBlockedError) as ei:
+        run_script(s)
+    assert ei.value.chain.startswith("thread 0 waits on <lock delete.demote_state")
+    assert ei.value.chain.endswith("readers> (holder unknown)")
 
 
 # -- reclamation ---------------------------------------------------------------
@@ -477,6 +528,32 @@ def test_a_lock_left_held_fails_replay_and_exploration(monkeypatch, tmp_path,
     p.write_text("thread 0: insert(1)\n")
     assert main(["replay", "--script", str(p)]) == 1
     assert "locks left held: 1" in capsys.readouterr().out
+
+
+class DemotesWithoutRecheck(ConcurrentSet):
+    """Demotes a node with two children without re-reading them under
+    the state lock."""
+
+    def _delete_two_children(self, ctx, tkey, st, curr):
+        yield from self._lock(
+            ctx, tkey, st, "delete", curr, WRITE, _state_is,
+            "state", "delete.demote_state", 0, curr, DATA)
+        if self._instr:
+            yield W_DEL_DEMOTE
+            self.trace.append(("state", curr.id, ROUTING))
+        curr.state = ROUTING
+        return True
+
+
+def test_two_child_demotion_needs_its_recheck(monkeypatch):
+    # delete(5) reads both children of 5; delete(3) then unlinks the
+    # left one before 5's state lock lands.  Demoting 5 anyway would
+    # leave a routing node with one child
+    scenario = ([5, 3, 7], {0: [("delete", 5)], 1: [("delete", 3)]})
+    assert explore_small(*scenario).ok
+    monkeypatch.setattr(harness, "ConcurrentSet", DemotesWithoutRecheck)
+    rep = explore_small(*scenario)
+    assert len(rep.obs_failures) == 1 and len(rep.structure_failures) == 1
 
 
 def test_exploration_refuses_oversized_scenarios():
