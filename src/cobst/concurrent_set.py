@@ -58,6 +58,7 @@ from __future__ import annotations
 import ast
 import inspect
 import itertools
+import linecache
 import random
 import threading
 import time
@@ -741,10 +742,11 @@ def compile_plain(cls) -> None:
     """Install on ``cls`` the plain twins of every generator method that
     ``cls`` itself defines (inherited ones already have theirs).
 
-    Each twin parses its method's own lines, padded so that every line
-    and column number is the file's.  Subclasses are compiled when they
-    are created; call this again after replacing a generator method on a
-    class, or the plain form keeps running the old body.
+    Each twin parses its method's own lines, read by ``linecache`` to the
+    last line in ``co_positions()`` (by ``inspect`` on CPython 3.10), and
+    padded so that every line and column number is the file's.  Subclasses
+    are compiled when they are created; call this again after replacing a
+    generator method on a class, or the plain form keeps running the old body.
     """
     for name, fn in list(vars(cls).items()):
         if not inspect.isgeneratorfunction(fn):
@@ -754,7 +756,12 @@ def compile_plain(cls) -> None:
             raise TypeError("%s.%s uses enclosing variables %s; only plain "
                             "methods can be compiled"
                             % (cls.__name__, name, code.co_freevars))
-        block, first = inspect.getsourcelines(fn)
+        if hasattr(code, "co_positions"):
+            first = code.co_firstlineno
+            block = linecache.getlines(code.co_filename, fn.__globals__)[
+                first - 1:max(end or 0 for _, end, _, _ in code.co_positions())]
+        else:   # CPython 3.10
+            block, first = inspect.getsourcelines(fn)
         indented = block[0][:1].isspace()
         source = ("\n" * (first - 1 - indented)
                   + ("class _:\n" if indented else "") + "".join(block))

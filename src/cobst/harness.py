@@ -103,16 +103,23 @@ class ScheduleScript:
     steps: list = field(default_factory=list)
 
     def validate(self) -> None:
+        if not isinstance(self.setup, (list, tuple)):
+            raise ScriptError("setup must be a list or tuple, got %r" % (self.setup,))
         for key in self.setup:
             _check_key(key)
         if len(set(self.setup)) != len(self.setup):
             raise ScriptError("setup keys must be distinct")
         programs = self.programs
+        if not isinstance(programs, dict):
+            raise ScriptError("programs must be a dict, got %r" % (programs,))
         if not programs:
             raise ScriptError("script has no threads")
         for tid, ops in programs.items():
             if not isinstance(tid, int) or isinstance(tid, bool) or tid < 0:
                 raise ScriptError("thread ids must be non-negative ints, got %r" % (tid,))
+            if not isinstance(ops, (list, tuple)):
+                raise ScriptError("the program of thread %d must be a list or "
+                                  "tuple, got %r" % (tid, ops))
             for entry in ops:
                 try:
                     op, key = entry
@@ -122,6 +129,8 @@ class ScheduleScript:
                 if not known:
                     raise ScriptError("unknown op %r in thread %d" % (op, tid))
                 _check_key(key, tid)
+        if not isinstance(self.steps, (list, tuple)):
+            raise ScriptError("steps must be a list or tuple, got %r" % (self.steps,))
         for step in self.steps:
             try:
                 tid, n = step
@@ -455,7 +464,7 @@ def explore_small(setup, programs) -> ExplorationReport:
     estimate exceeds ``_EXPLORE_BOUND`` (10^6) the exploration refuses to
     start rather than run for hours.  The same bound caps the actual walk.
     """
-    script = ScheduleScript(setup=list(setup), programs=dict(programs))
+    script = ScheduleScript(setup=setup, programs=programs)
     script.validate()
     # each thread's checkpoint count when it runs alone
     est = _interleaving_estimate([_Run(script).workers[tid].finish()
@@ -561,15 +570,16 @@ _THREAD_RE = re.compile(r"thread\s+(-?\d+)")
 def _small_table() -> dict:
     """The tuples every parse shares, keyed by their text: each step of
     threads 0-7 with 1-8 grants by "t:n", each ``(op, key)`` pair of keys
-    0-15 by ``(op, "k")`` as ``_OP_RE`` finds it.  Built by the first
-    parse (a process that parses nothing holds none of it), never changed."""
+    0-15 by "op(k)".  Built by the first parse (a process that parses
+    nothing holds none of it), never changed."""
     table = {"%d:%d" % (t, n): (t, n) for t in range(8) for n in range(1, 9)}
-    table.update(((op, str(k)), (op, k)) for op in _OPS for k in range(16))
+    table.update(("%s(%d)" % (op, k), (op, k)) for op in _OPS for k in range(16))
     return table
 
 
-def _lookup(table: dict, keys: list) -> list:
-    """``[table[k] for k in keys]``, faster and allocated to its length."""
+def _lookup(table: dict, text: str, other: str) -> list:
+    """Each " "-split token's tuple; KeyError for a miss or ``other`` in ``text``."""
+    keys = [other] if other in text else text.split(" ")
     if len(keys) > 1:
         return list(itemgetter(*keys)(table))
     return [table[k] for k in keys]
@@ -578,11 +588,9 @@ def _lookup(table: dict, keys: list) -> list:
 def parse_script(text: str) -> ScheduleScript:
     """Read and validate a script in the format above.
 
-    Steps of threads 0-7 with 1-8 grants and ``(op, key)`` pairs of keys
-    0-15, written plainly, are the tuples of one fixed table
-    (``_small_table``), shared by every script.  Any other step or pair,
-    a zero-padded one included, is a tuple of its own; nothing is kept
-    between calls."""
+    A thread or schedule line is looked up in ``_small_table`` first, its
+    tokens split on single spaces; only a line with a token off the table
+    meets the regular expressions.  Nothing is kept between calls."""
     script = ScheduleScript()
     seen = set()
     small = _small_table()
@@ -608,23 +616,23 @@ def parse_script(text: str) -> ScheduleScript:
             except ValueError:
                 raise ScriptError("line %d: setup keys must be integers" % ln) from None
         elif thread:
-            if not _OPS_RE.fullmatch(rest):
-                raise ScriptError("line %d: cannot parse ops %r" % (ln, rest))
-            found = _OP_RE.findall(rest)
             try:
-                script.programs[tid] = _lookup(small, found)
-            except KeyError:   # a pair outside the table, or a key like "007"
-                script.programs[tid] = [small.get((op, k)) or (_OPS[op], int(k))
-                                        for op, k in found]
+                script.programs[tid] = _lookup(small, rest, ":")
+            except KeyError:   # off the table: check the whole line
+                if not _OPS_RE.fullmatch(rest):
+                    raise ScriptError(
+                        "line %d: cannot parse ops %r" % (ln, rest)) from None
+                script.programs[tid] = [small.get("%s(%s)" % (op, k)) or (_OPS[op], int(k))
+                                        for op, k in _OP_RE.findall(rest)]
         elif head == "schedule":
-            if not _STEPS_RE.fullmatch(rest):
-                raise ScriptError("line %d: cannot parse schedule %r" % (ln, rest))
-            toks = rest.split()
             try:
-                script.steps = _lookup(small, toks)
-            except KeyError:   # a step outside the table, or a text like "00:2"
+                script.steps = _lookup(small, rest, "(")
+            except KeyError:
+                if not _STEPS_RE.fullmatch(rest):
+                    raise ScriptError(
+                        "line %d: cannot parse schedule %r" % (ln, rest)) from None
                 script.steps = [small.get(tok) or tuple(map(int, tok.split(":")))
-                                for tok in toks]
+                                for tok in rest.split()]
         else:
             raise ScriptError("line %d: unknown directive %r" % (ln, head))
     script.validate()

@@ -25,7 +25,9 @@ def reference_twins(cls) -> dict:
         source = "".join(linecache.getlines(filename, fn.__globals__))
         for node in ast.walk(ast.parse(source, filename)):
             if isinstance(node, ast.FunctionDef):
-                defs[filename, node.lineno] = node
+                # a decorated method's code starts at its first decorator
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                defs[filename, first] = node
     out = {}
     for name, fn in gens:
         code = fn.__code__

@@ -107,6 +107,35 @@ def test_validate_rejects_malformed_ops_and_bool_thread_ids():
                                   steps=[(True, 1)]))
 
 
+def test_validate_refuses_ill_typed_containers():
+    ok = {0: [("insert", 2)]}
+    for script, msg in [
+            (ScheduleScript(programs={0: 5}),
+             "the program of thread 0 must be a list or tuple, got 5"),
+            (ScheduleScript(programs={0: None}),
+             "the program of thread 0 must be a list or tuple, got None"),
+            (ScheduleScript(programs=ok, steps=None),
+             "steps must be a list or tuple, got None"),
+            (ScheduleScript(setup=None, programs=ok),
+             "setup must be a list or tuple, got None"),
+            (ScheduleScript(programs=[[("insert", 2)]]),
+             "programs must be a dict, got [[('insert', 2)]]")]:
+        with pytest.raises(ScriptError) as ei:
+            run_script(script)
+        assert str(ei.value) == msg
+    for setup, programs, msg in [
+            ([1], {0: 5}, "the program of thread 0 must be a list or tuple, got 5"),
+            (5, ok, "setup must be a list or tuple, got 5")]:
+        with pytest.raises(ScriptError) as ei:
+            explore_small(setup, programs)
+        assert str(ei.value) == msg
+    # tuples stand in for lists anywhere
+    rep = run_script(ScheduleScript(setup=(1,), programs={0: (("insert", 2),)},
+                                    steps=((0, 1),)))
+    assert rep.final_keys == [1, 2]
+    assert explore_small((1,), {0: (("insert", 2),)}).interleavings == 1
+
+
 # -- basic running ---------------------------------------------------------
 
 def test_drain_only_script_runs_to_completion():
@@ -819,6 +848,48 @@ def test_parse_script_reads_the_same_without_the_table(monkeypatch):
     assert with_table == without == scripts
 
 
+class _RegexCalled(Exception):
+    pass
+
+
+class _RefusingRegex:
+    """Stands in for a compiled pattern: any use of it raises."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __getattr__(self, attr):
+        raise _RegexCalled("%s.%s" % (self.name, attr))
+
+
+def test_parse_script_looks_tokens_up_before_any_regex(monkeypatch):
+    from script_oracle import reference_parse_script
+    scripts = [random_schedule(1 + s % 4, 6, 8, s) for s in range(300)]
+    texts = [emit_script(s) for s in scripts]
+    off_table = ["thread 0: insert(1)  delete(2)",          # two spaces
+                 "thread 0: insert(1)\nschedule: 0:1  0:1",
+                 "thread 0: insert(01)",                    # zero-padded
+                 "thread 0: insert(1)\nschedule: 00:1",
+                 "thread 0: insert(1)delete(2)",            # glued
+                 "thread 0: insert(15) insert(16)",         # past the table
+                 "thread 0: insert(1)\nschedule: 0:1\u00a00:1",
+                 "thread 0:", "thread 0: 0:1",
+                 "thread 0: insert(1)\nschedule: insert(1)"]
+    for name in ("_OPS_RE", "_OP_RE", "_STEPS_RE"):
+        monkeypatch.setattr(harness, name, _RefusingRegex(name))
+    assert [parse_script(t) for t in texts] == scripts
+    for text in off_table:
+        with pytest.raises(_RegexCalled):
+            parse_script(text)
+    monkeypatch.undo()
+    verdicts = set()
+    for text in off_table:
+        want = _parsed(reference_parse_script, text)
+        assert _parsed(parse_script, text) == want, text
+        verdicts.add(want[0])
+    assert verdicts == {"ok", "ScriptError"}
+
+
 def test_script_slots_keep_the_dataclass_behaviour():
     s = ScheduleScript(setup=[1], programs={0: [("insert", 2)]}, steps=[(0, 1)])
     assert not hasattr(s, "__dict__")
@@ -926,6 +997,7 @@ _PARSER_EDGE_LINES = [
     "thread 0: insert(-0)", "thread 0: insert(١٢)",
     "thread 0: insert( 1)", "thread 0: insert(1) ", "thread 0:",
     "thread 0: insert(1)x", "thread 0: insert(1):", "thread 0: insert(--1)",
+    "thread 0: insert(15) insert(16)", "schedule: 7:8 8:1", "schedule: 0:1\u00a01:1",
 ]
 
 

@@ -4,7 +4,10 @@ harness explores, and observe nothing."""
 
 import inspect
 import itertools
+import os
 import random
+import subprocess
+import sys
 import traceback
 
 import pytest
@@ -245,3 +248,79 @@ def test_twins_match_the_whole_file_compiler():
         for twin, fn in want.items():
             got = vars(cls)[twin]
             assert same_code(got.__code__, fn.__code__), (cls.__name__, twin)
+
+
+def _keep(fn):
+    return fn
+
+
+class Awkward(ConcurrentSet):
+    """Generator methods laid out the ways a line-range reader could cut
+    short or overrun; each twin returns what its body computes."""
+
+    def _flush_left_docstring(self, v):
+        """A docstring whose second line
+starts at column 0."""
+        if self._instr:
+            yield S_CONT_STATE
+        return v
+
+    def _flush_left_continuation(self, v):
+        if self._instr:
+            yield S_CONT_STATE
+        total = (v +
+1)
+        return total
+
+    @_keep
+    def _decorated(self, v):
+        if self._instr:
+            yield S_CONT_STATE
+# a column-0 comment inside the body
+        return v + 2
+# a column-0 comment after the method
+
+    def _multiline_end(self, v):
+        if self._instr:
+            yield S_CONT_STATE
+        return (v,
+                v + 3,
+                )
+
+    def _ends_in_a_handler(self, v):
+        try:
+            yield from self._multiline_end(v)
+        except LookupError:
+            pass
+
+
+def test_awkward_layouts_match_the_whole_file_compiler():
+    from plain_oracle import reference_twins
+
+    want = reference_twins(Awkward)
+    assert set(want) == {"_flush_left_docstring_plain", "_flush_left_continuation_plain",
+                         "_decorated_plain", "_multiline_end_plain",
+                         "_ends_in_a_handler_plain"}
+    for twin, fn in want.items():
+        assert same_code(vars(Awkward)[twin].__code__, fn.__code__), twin
+    s = Awkward()
+    assert (s._flush_left_docstring_plain(1), s._flush_left_continuation_plain(1),
+            s._decorated_plain(1), s._multiline_end_plain(1),
+            s._ends_in_a_handler_plain(1)) == (1, 2, 3, (1, 4), None)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 has no co_positions; inspect tokenizes")
+def test_importing_cobst_runs_no_tokenizer():
+    code = ("import tokenize\n"
+            "calls = []\n"
+            "real = tokenize.generate_tokens\n"
+            "def counting(*args, **kwargs):\n"
+            "    calls.append(args)\n"
+            "    return real(*args, **kwargs)\n"
+            "tokenize.generate_tokens = counting\n"
+            "import cobst.concurrent_set as cs\n"
+            "assert cs.ConcurrentSet._insert_plain\n"
+            "assert len(calls) == 0, len(calls)\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
