@@ -12,26 +12,20 @@ method names its slot in a trailing ``field`` argument, so a node's
 three locks are three slots, not three objects to allocate and track.
 
 Acquisitions are compare-and-swap steps on that word (0 -> 1 for a
-write, even w -> w + 2 for a read).  CPython has no user-level CAS, so
-one module-wide guard mutex emulates it for every lock: the compare and
-the store run under the guard, and nothing else does.  Conditions run
-before and after it, spin pauses between attempts, so the guard is
-never held across user code and a guard holder never waits for
-anything, which rules out deadlock through it.
+write, even w -> w + 2 for a read), and a read release is a
+decrement.  Each is one read-modify-write: the method branches on
+``field`` first, then reads the slot by attribute, computes the new
+word and stores it, with no call, function entry or jump in between
+(a failed CAS stores the word back as it read it).  CPython 3.10 and
+later, with the GIL, switch threads only at such points, so nothing
+else runs between the read and the store; a test walks the bytecode of
+every such span.  An attempt fails only on a word held in a mode that
+excludes it.  A write release is a plain store of 0: while the word is
+1 every CAS leaves it 1, so no other thread changes the word until
+that store lands.
 
-Releases need less.  A write release is a plain store of 0: while the
-word is 1 every CAS fails its compare and stores nothing, so no other
-thread writes the word until that store lands.  A read release must
-not lose a concurrent reader's increment, so it decrements under the
-guard.
-
-An acquisition never waits for the guard.  An attempt that finds it
-taken, by a CAS on any lock, returns CONTENDED: a spurious failure of
-the kind a weak hardware CAS reports (C++ ``compare_exchange_weak``).
-``lock_with_spin`` pauses, handing the GIL to the holder, and retries;
-a blocking wait would put the thread to sleep in the OS whenever the
-GIL moved while the guard was held.  A read release must not fail, so
-it waits for the guard.
+CPython 3.9 could switch almost anywhere and is not supported; a
+free-threaded build runs threads in parallel, so import fails there.
 
 On top of the word the lock offers conditional acquisition: a predicate
 is evaluated before and after the CAS, and the lock is released again
@@ -42,20 +36,19 @@ so callers pass a module function and its arguments, not a closure.
 
 The hot path reads the enum members as module constants (``READ``,
 ``WRITE``, ``ACQUIRED``, ``CONTENDED``, ``CONDITION_VIOLATED``), a
-fraction of the cost of ``LockMode.WRITE`` on CPython 3.11, and takes
-the guard by ``acquire``/``release`` calls, half the cost of ``with``.
+fraction of the cost of ``LockMode.WRITE`` on CPython 3.11.
 """
 
 from __future__ import annotations
 
-import threading
+import sys
 import time
 from enum import Enum
 
 __all__ = ["LockMode", "LockOutcome", "CondRwLock", "SpinPolicy"]
 
-# held only for the compare and the store of one CAS
-_GUARD = threading.Lock()
+if not getattr(sys, "_is_gil_enabled", lambda: True)():
+    raise ImportError("cobst needs the GIL, which makes its lock words atomic")
 
 
 class LockMode(Enum):
@@ -67,8 +60,8 @@ class LockOutcome(Enum):
     """Result of a conditional lock attempt.
 
     ACQUIRED            lock is held and the condition held on both checks.
-    CONTENDED           the CAS guard was busy or the current mode excludes
-                        us; nothing is held, the caller may retry or give up.
+    CONTENDED           the word is held in a mode that excludes us; nothing
+                        is held, the caller may retry or give up.
     CONDITION_VIOLATED  the guarding predicate failed before or after the
                         acquire; nothing is held and retrying is pointless
                         until the caller re-reads the world.
@@ -84,7 +77,8 @@ ACQUIRED, CONTENDED, CONDITION_VIOLATED = LockOutcome
 
 
 class SpinPolicy:
-    """Bounded retry policy for Contended outcomes.
+    """Bounded retry policy for CONTENDED outcomes, each one a word that
+    another thread really holds.
 
     ``ATTEMPTS`` caps how many CAS attempts are made before the caller
     gives up and restarts from scratch.  Between attempts we pause with
@@ -107,7 +101,8 @@ class SpinPolicy:
 
 
 class CondRwLock:
-    """The lock word ``word``, and the lock protocol on any int slot."""
+    """The lock word ``word``, and the lock protocol on it, on a subclass's
+    ``left_word``, or on its ``right_word``, which any other field picks."""
 
     __slots__ = ("word",)
 
@@ -119,13 +114,13 @@ class CondRwLock:
             assert getattr(self, field) == 1, "write unlock without a held write lock"
             setattr(self, field, 0)
             return
-        _GUARD.acquire()
-        try:
-            w = getattr(self, field)
-            assert w >= 2 and not w & 1, "read unlock without a held read lock"
-            setattr(self, field, w - 2)
-        finally:
-            _GUARD.release()
+        assert getattr(self, field) >= 2, "read unlock without a held read lock"
+        if field == "word":
+            self.word -= 2
+        elif field == "left_word":
+            self.left_word -= 2
+        else:
+            self.right_word -= 2
 
     def try_lock_with_condition(self, mode: LockMode, condition, node=None,
                                 expected=None, field: str = "word") -> LockOutcome:
@@ -142,15 +137,20 @@ class CondRwLock:
         """
         if not (condition() if node is None else condition(node, expected)):
             return CONDITION_VIOLATED
-        if not _GUARD.acquire(False):
+        # a write needs 0 and adds 1, a read needs an even word and adds 2;
+        # a busy word is stored back as read, so no jump splits the step
+        busy, step = (-1, 1) if mode is WRITE else (1, 2)
+        if field == "word":
+            w = self.word
+            self.word = w + step * (not w & busy)
+        elif field == "left_word":
+            w = self.left_word
+            self.left_word = w + step * (not w & busy)
+        else:
+            w = self.right_word
+            self.right_word = w + step * (not w & busy)
+        if w & busy:
             return CONTENDED
-        try:
-            w = getattr(self, field)
-            if w == 1 or (w and mode is WRITE):
-                return CONTENDED
-            setattr(self, field, 1 if mode is WRITE else w + 2)
-        finally:
-            _GUARD.release()
         if not (condition() if node is None else condition(node, expected)):
             self.unlock(mode, field)
             return CONDITION_VIOLATED

@@ -11,7 +11,6 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobst import rwlock
 from cobst.bench import CoarseLockedSet
 from cobst.concurrent_set import (ConcurrentSet, K_CREATE, K_LOCK, K_READ,
                                   LockPoint,
@@ -711,27 +710,19 @@ def test_plain_contended_abort_releases_before_backoff(monkeypatch):
     assert busy_locks(s) == []
 
 
-class FreesTheGuardOnBackoff(ConcurrentSet):
-    """Releases the CAS guard, which the test holds, at its first backoff."""
-
-    def _backoff(self, n):
-        rwlock._GUARD.release()
-
-
-def test_guard_collisions_end_in_a_counted_restart(monkeypatch):
+def test_a_held_edge_word_ends_in_a_counted_restart(monkeypatch):
     pauses = []
     monkeypatch.setattr(SpinPolicy, "pause", staticmethod(pauses.append))
-    s = FreesTheGuardOnBackoff()
+    s = ChecksReleaseBeforeBackoff()
     s.insert(10)
+    parent = s.root.left
+    s.hand_held = (parent, "left_word")
+    parent.left_word = 1   # a writer holds the edge the insert hangs 5 on
     before = s.stats_snapshot()
-    rwlock._GUARD.acquire()      # every CAS now finds its guard busy
-    try:
-        assert s.insert(5) is True
-    finally:
-        if rwlock._GUARD.locked():
-            rwlock._GUARD.release()
+    assert s.insert(5) is True
     after = s.stats_snapshot()
     assert pauses == list(range(SpinPolicy.ATTEMPTS - 1))
+    assert s.backoffs == 1
     assert after["restarts"] == before["restarts"] + 1
     assert after["contended_aborts"] == {"edge_ref": 1}
     assert busy_locks(s) == [] and s.contains(5)

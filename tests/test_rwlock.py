@@ -1,22 +1,28 @@
 """Word-encoding, conditional acquisition, and exclusion tests for
 CondRwLock."""
 
+import dis
 import itertools
+import pathlib
 import random
+import subprocess
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cobst import rwlock
 from cobst.rwlock import CondRwLock, LockMode, LockOutcome, SpinPolicy
+from cobst.tree_core import Node
 
 
 TRUE = lambda: True  # noqa: E731
 FALSE = lambda: False  # noqa: E731
 
 R, W = LockMode.READ, LockMode.WRITE
+ACQUIRED = LockOutcome.ACQUIRED
 
 
 def acquire(lk, mode) -> bool:
@@ -210,83 +216,35 @@ def test_spin_never_retries_condition_violation():
     assert len(calls) == 1
 
 
-# -- the shared CAS guard -----------------------------------------------------
+# -- the CAS step ------------------------------------------------------------
 
-def test_guard_is_free_while_conditions_and_pauses_run(monkeypatch):
-    """The guard covers the compare and the store only: a condition that
-    ran under it, or a spin pause taken under it, would find it held
-    (and one that took a lock itself would deadlock)."""
+def test_conditions_run_before_and_after_the_cas_and_pauses_between(monkeypatch):
+    """A condition sees the word as it was before the CAS or after it,
+    never a step in between, and a spin pause sees the word that made
+    the attempt fail."""
+    lk = CondRwLock()
     seen = []
 
-    def guard_free():
-        seen.append(rwlock._GUARD.locked())
+    def recording():
+        seen.append(lk.word)
         return True
 
     def flipping(answers):
-        return lambda: guard_free() and answers.pop(0)
+        return lambda: recording() and answers.pop(0)
 
-    monkeypatch.setattr(SpinPolicy, "pause", lambda round_: guard_free())
-    lk = CondRwLock()
-    for mode in (W, R):
-        assert lk.try_lock_with_condition(mode, guard_free) is LockOutcome.ACQUIRED
+    monkeypatch.setattr(SpinPolicy, "pause", lambda round_: recording())
+    for mode, held in ((W, 1), (R, 2)):
+        assert lk.try_lock_with_condition(mode, recording) is LockOutcome.ACQUIRED
         lk.unlock(mode)
         # post-check fails: the release runs after the second condition
         assert lk.try_lock_with_condition(mode, flipping([True, False])) \
             is LockOutcome.CONDITION_VIOLATED
+        assert seen[-4:] == [0, held, 0, held] and lk.word == 0
     acquire(lk, W)
-    assert lk.lock_with_spin(R, guard_free) is LockOutcome.CONTENDED
-    assert lk.lock_with_spin(W, guard_free) is LockOutcome.CONTENDED
+    assert lk.lock_with_spin(R, recording) is LockOutcome.CONTENDED
+    assert lk.lock_with_spin(W, recording) is LockOutcome.CONTENDED
     assert len(seen) == 4 * 2 + 2 * (2 * SpinPolicy.ATTEMPTS - 1)
-    assert not any(seen)
-    assert not rwlock._GUARD.locked()
-
-
-class GuardHeldElsewhere:
-    """Holds the CAS guard on another thread until ``release``."""
-
-    def __init__(self):
-        self._taken, self._free = threading.Event(), threading.Event()
-        self._thread = threading.Thread(target=self._hold)
-        self._thread.start()
-        assert self._taken.wait(5)
-
-    def _hold(self):
-        with rwlock._GUARD:
-            self._taken.set()
-            self._free.wait()
-
-    def release(self):
-        self._free.set()
-        self._thread.join(5)
-        assert not self._thread.is_alive()
-
-
-def test_a_busy_guard_fails_the_attempt_without_waiting():
-    lk = CondRwLock()
-    holder = GuardHeldElsewhere()
-    try:
-        for mode in (W, R):
-            assert lk.try_lock_with_condition(mode, TRUE) is LockOutcome.CONTENDED
-        assert lk.word == 0
-    finally:
-        holder.release()
-    assert lk.try_lock_with_condition(W, TRUE) is LockOutcome.ACQUIRED
-    assert lk.word == 1
-
-
-def test_a_read_release_waits_for_the_guard():
-    lk = CondRwLock()
-    assert acquire(lk, R)
-    holder = GuardHeldElsewhere()
-    releaser = threading.Thread(target=lk.unlock, args=(R,))
-    try:
-        releaser.start()
-        releaser.join(0.05)
-        assert releaser.is_alive() and lk.word == 2
-    finally:
-        holder.release()
-    releaser.join(5)
-    assert not releaser.is_alive() and lk.word == 0
+    assert seen[8:] == [1] * 2 * (2 * SpinPolicy.ATTEMPTS - 1)
 
 
 def test_condition_is_called_with_the_node_and_the_expected_value():
@@ -407,58 +365,231 @@ def test_two_thread_model_check():
                     assert writers <= 1
 
 
+# -- the bytecode of each CAS step --------------------------------------------
+
+WORDS = ("word", "left_word", "right_word")
+
+# Opcodes on which the GIL cannot pass to another thread: none of them
+# calls, enters a function, yields or jumps, the points where CPython
+# 3.10 and later check for a thread switch (3.10 also at a taken
+# conditional jump).  One set serves 3.10 to 3.13; a name missing from a
+# version's opcode table never occurs there.
+NO_SWITCH = frozenset({
+    # every version
+    "LOAD_FAST", "STORE_FAST", "LOAD_CONST", "POP_TOP", "NOP", "UNARY_NOT",
+    # 3.10
+    "DUP_TOP", "ROT_TWO", "BINARY_ADD", "BINARY_MULTIPLY", "BINARY_AND",
+    "INPLACE_SUBTRACT",
+    # 3.11 and later
+    "BINARY_OP", "COPY", "SWAP",
+    # 3.12 and later
+    "LOAD_FAST_CHECK",
+    # 3.13
+    "TO_BOOL", "LOAD_FAST_LOAD_FAST", "STORE_FAST_LOAD_FAST",
+})
+_ENDS = {"RETURN_VALUE", "RETURN_CONST", "RAISE_VARARGS", "RERAISE"}
+_ALWAYS_JUMPS = {"JUMP_FORWARD", "JUMP_BACKWARD", "JUMP_ABSOLUTE",
+                 "JUMP_BACKWARD_NO_INTERRUPT"}
+
+
+def spans(func):
+    """Every path through ``func``'s bytecode from a ``LOAD_ATTR`` of a
+    lock word to a ``STORE_ATTR`` of the same word, as ``(word, steps)``
+    with the opname of each instruction in between.  A path that comes
+    back to an instruction ends in a ``<loop>`` step."""
+    code = list(dis.get_instructions(func))
+    index = {ins.offset: k for k, ins in enumerate(code)}
+    found = []
+
+    def walk(k, word, steps, seen):
+        ins = code[k]
+        if ins.opname == "STORE_ATTR" and ins.argval == word:
+            found.append((word, steps))
+        elif k in seen:
+            found.append((word, steps + ["<loop>"]))
+        elif ins.opname not in _ENDS:
+            seen, steps = seen | {k}, steps + [ins.opname]
+            if ins.opcode in dis.hasjrel or ins.opcode in dis.hasjabs:
+                walk(index[ins.argval], word, steps, seen)
+            if ins.opname not in _ALWAYS_JUMPS:
+                walk(k + 1, word, steps, seen)
+
+    for k, ins in enumerate(code):
+        if ins.opname == "LOAD_ATTR" and ins.argval in WORDS:
+            walk(k + 1, ins.argval, [], frozenset())
+    return found
+
+
+def switch_points(func):
+    """The steps of ``spans(func)`` where the GIL may pass."""
+    return [(word, op) for word, steps in spans(func) for op in steps
+            if op not in NO_SWITCH]
+
+
+def test_no_switching_opcode_is_on_the_allowlist():
+    assert not {"CALL", "PRECALL", "CALL_FUNCTION", "RESUME", "JUMP_BACKWARD",
+                "JUMP_ABSOLUTE", "POP_JUMP_IF_FALSE", "POP_JUMP_BACKWARD_IF_TRUE",
+                "YIELD_VALUE", "SEND", "LOAD_ATTR", "STORE_ATTR"} & NO_SWITCH
+
+
+@pytest.mark.parametrize("method", ["try_lock_with_condition", "unlock"])
+def test_each_word_is_read_tested_and_stored_with_no_switch_point(method):
+    func = getattr(CondRwLock, method)
+    assert sorted({word for word, _ in spans(func)}) == sorted(WORDS)
+    assert switch_points(func) == []
+
+
+def _call_between(lk):
+    w = lk.word
+    getattr(lk, "word")
+    lk.word = w + 2
+
+
+def _loop_between(lk):
+    w = lk.word
+    while w > 8:
+        w -= 2
+    lk.word = w + 2
+
+
+def test_the_bytecode_check_fails_a_call_or_a_loop_between_read_and_store():
+    assert {op for _, op in switch_points(_call_between)} & {"CALL", "CALL_FUNCTION"}
+    assert switch_points(_loop_between)
+    # the guardless by-name CAS reads no word by attribute at all, nor
+    # does a lock that excludes nothing
+    for func in (GetattrBetween.try_lock_with_condition, GetattrBetween.unlock,
+                 NoExclusion.try_lock_with_condition, NoExclusion.unlock):
+        assert spans(func) == []
+
+
+# -- supported runtimes -------------------------------------------------------
+
+@pytest.mark.parametrize("gil", [True, False])
+def test_import_refuses_a_build_without_the_gil(gil):
+    src = pathlib.Path(rwlock.__file__).resolve().parents[1]
+    stub = "import sys; sys._is_gil_enabled = lambda: %r; import cobst" % gil
+    proc = subprocess.run([sys.executable, "-c", stub], cwd=src,
+                          capture_output=True, text=True, timeout=60)
+    if gil:
+        assert proc.returncode == 0, proc.stderr
+    else:
+        assert proc.returncode == 1
+        assert "ImportError: cobst needs the GIL" in proc.stderr
+
+
 # -- real threads -------------------------------------------------------------
 
-def test_mutual_exclusion_under_real_threads():
-    """Several locks share the one CAS guard.  Each thread mixes READ and
-    WRITE holds over all of them.  Writers bump their lock's counter by
-    two in two steps and count themselves in and out; readers snapshot
-    the counter.  An exclusion bug on any lock shows up as an odd
-    snapshot or a second writer inside."""
-    locks = [CondRwLock() for _ in range(3)]
-    counters = [0] * len(locks)
-    inside = [0] * len(locks)
+def hold():
+    """Called inside every hold: a function entry, where the GIL may pass
+    to another thread while the lock is held."""
+
+
+class NoExclusion(Node):
+    """Grants every attempt and releases nothing."""
+
+    def try_lock_with_condition(self, mode, condition, node=None,
+                                expected=None, field="word"):
+        return ACQUIRED
+
+    def unlock(self, mode, field="word"):
+        pass
+
+
+class GetattrBetween(Node):
+    """The CAS and the read release by name and without a guard: the GIL
+    may pass to another thread when the ``getattr`` that reads the word
+    returns, before the ``setattr`` stores it."""
+
+    def try_lock_with_condition(self, mode, condition, node=None,
+                                expected=None, field="word"):
+        w = getattr(self, field)
+        if w == 1 or (w and mode is W):
+            return LockOutcome.CONTENDED
+        setattr(self, field, 1 if mode is W else w + 2)
+        return ACQUIRED
+
+    def unlock(self, mode, field="word"):
+        setattr(self, field, 0 if mode is W else getattr(self, field) - 2)
+
+
+def exclusion_errors(words, seconds=1.0, nthreads=4):
+    """Exclusion failures seen on the ``(lock, field)`` pairs ``words``
+    within ``seconds``; the threads stop once one is seen.
+
+    Each thread mixes READ and WRITE holds over all of them, at a 1 us
+    switch interval, and calls ``hold`` inside every hold.  Writers bump
+    their word's counter by two in two steps around that call and count
+    themselves in and out; readers check the counter is even and no
+    writer is inside, before and after it.  A second holder admitted
+    beside a writer shows up as an error, a lost word update as a word
+    not back at 0 or as a worker that died on a release's assert."""
+    counters = [0] * len(words)
+    inside = [0] * len(words)
     errors = []
     writes = []
-    rounds = 3000
+    start = threading.Barrier(nthreads)
 
     def worker(seed):
         rng = random.Random(seed)
-        done = wrote = 0
-        while done < rounds:
-            i = rng.randrange(len(locks))
-            lk = locks[i]
-            if rng.random() < 0.5:
-                if not acquire(lk, W):
-                    continue
-                inside[i] += 1
-                if inside[i] != 1:
-                    errors.append(("two writers", i))
-                counters[i] += 1
-                counters[i] += 1
-                inside[i] -= 1
-                lk.unlock(W)
-                wrote += 1
-            else:
-                if not acquire(lk, R):
-                    continue
-                if counters[i] % 2 or inside[i]:
-                    errors.append(("reader saw a writer", i))
-                lk.unlock(R)
-            done += 1
+        # drawn up front, so the loop's calls are the lock's and ``hold``
+        plan = [(rng.randrange(len(words)), rng.random() < 0.5)
+                for _ in range(256)]
+        wrote = 0
+        start.wait(60)
+        while not errors and time.perf_counter() < deadline:
+            for i, write in plan:
+                lk, field = words[i]
+                if write:
+                    if lk.lock_with_spin(W, TRUE, field=field) is not ACQUIRED:
+                        continue
+                    inside[i] += 1
+                    if inside[i] != 1:
+                        errors.append(("two writers", field))
+                    counters[i] += 1
+                    hold()
+                    counters[i] += 1
+                    inside[i] -= 1
+                    lk.unlock(W, field)
+                    wrote += 1
+                else:
+                    if lk.lock_with_spin(R, TRUE, field=field) is not ACQUIRED:
+                        continue
+                    for _ in range(2):
+                        if counters[i] % 2 or inside[i]:
+                            errors.append(("reader saw a writer", field))
+                        hold()
+                    lk.unlock(R, field)
         writes.append(wrote)
 
     old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)     # switch threads inside the holds
+    sys.setswitchinterval(1e-6)     # switch threads inside the holds
     try:
-        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+        threads = [threading.Thread(target=worker, args=(s,))
+                   for s in range(nthreads)]
+        deadline = time.perf_counter() + seconds
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(seconds + 60)
     finally:
         sys.setswitchinterval(old)
-    assert errors == []
-    assert sum(counters) == 2 * sum(writes)
-    assert [lk.word for lk in locks] == [0] * len(locks)
-    assert not rwlock._GUARD.locked()
+    assert not any(t.is_alive() for t in threads)
+    if sum(counters) != 2 * sum(writes):
+        errors.append(("lost counter update", sum(counters), sum(writes)))
+    return errors + [("word left held", field, getattr(lk, field))
+                     for lk, field in words if getattr(lk, field)]
+
+
+def node_words(node):
+    return [(node, field) for field in WORDS]
+
+
+def test_mutual_exclusion_under_real_threads():
+    """A standalone lock's word and the three words of one node, each
+    read- and write-locked by four threads that switch inside the holds."""
+    assert exclusion_errors([(CondRwLock(), "word")] + node_words(Node(0))) == []
+
+
+@pytest.mark.parametrize("broken", [NoExclusion, GetattrBetween])
+def test_the_exclusion_check_fails_a_broken_lock(broken):
+    assert exclusion_errors(node_words(broken(0)))
