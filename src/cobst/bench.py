@@ -39,7 +39,7 @@ __all__ = ["WorkloadConfig", "BenchResult", "WorkerError", "CoarseLockedSet",
 
 IMPLS = ("co-bst", "coarse-bst")
 MAX_THREADS = 64    # each is an OS thread, and the GIL runs one at a time
-# prefill inserts half the range: 2^22 nodes, about 0.6 GiB at 152 B a node
+# prefill inserts half the range: 2^22 nodes, about 0.5 GiB at 136 B a key
 MAX_PREFILL_RANGE = 2 ** 23
 
 # the standard experiment sizes; pass any other range explicitly

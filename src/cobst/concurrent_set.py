@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import ast
 import inspect
-import itertools
 import linecache
 import random
 import threading
@@ -240,6 +239,14 @@ class OpOutcome(NamedTuple):
     restarts: int
 
 
+class _NodeIds(dict):
+    """Node -> trace id, written by the stepping form only: the root is 0,
+    each stepped insert's node the next; a plain-form node reads -1."""
+
+    def __missing__(self, node):
+        return -1
+
+
 class _AttemptCtx:
     """Lock bookkeeping of an update: what its current attempt holds (for
     the all-or-nothing release) and, in the stepping form, the last lock
@@ -266,7 +273,7 @@ class ConcurrentSet:
     records; the public methods observe nothing:
 
     trace     structural events (created/state/mark/edge tuples) in
-              commit order, naming nodes by ids only this form draws
+              commit order, naming nodes by ``ids`` (a ``_NodeIds``)
     unlinked  every node unlinked, so validation can prove that none
               becomes reachable again
     attempts  thread key -> its current ``_AttemptCtx``, whose ``held``
@@ -276,8 +283,8 @@ class ConcurrentSet:
     _instr = True   # the stepping form; ``compile_plain`` folds it to False
 
     def __init__(self):
-        self._ids = itertools.count()
-        self.root = Node(PLUS_INF, DATA, next(self._ids))
+        self.root = Node(PLUS_INF)
+        self.ids = _NodeIds({self.root: 0})
         self.reclaimer = EpochReclaimer()
         self._stats: dict = {}
         self.trace: list = []
@@ -501,7 +508,7 @@ class ConcurrentSet:
                 "state", "insert.promote_state", 0, curr, ROUTING)
             if self._instr:
                 yield W_INS_PROMOTE
-                self.trace.append(("state", curr.id, DATA))
+                self.trace.append(("state", self.ids[curr], DATA))
             curr.state = DATA
             return True
         # key absent: hang a fresh leaf off prev, guarded by the edge
@@ -519,11 +526,12 @@ class ConcurrentSet:
             raise Restart
         if self._instr:
             yield C_INS_NODE
-        node = Node(v, DATA, next(self._ids)) if self._instr else Node(v)
+        node = Node(v)
         if self._instr:
-            self.trace.append(("create", node.id, v, DATA))
+            self.ids[node] = nid = len(self.ids)
+            self.trace.append(("create", nid, v, DATA))
             yield W_INS_LINK
-            self.trace.append(("edge", prev.id, side, node.id))
+            self.trace.append(("edge", self.ids[prev], side, nid))
         prev.set_child(side, node)
         return True
 
@@ -565,7 +573,7 @@ class ConcurrentSet:
             raise Restart
         if self._instr:
             yield W_DEL_DEMOTE
-            self.trace.append(("state", curr.id, ROUTING))
+            self.trace.append(("state", self.ids[curr], ROUTING))
         curr.state = ROUTING
         return True
 
@@ -594,11 +602,11 @@ class ConcurrentSet:
             raise Restart
         if self._instr:
             yield W_DEL_MARK
-            self.trace.append(("mark", curr.id))
+            self.trace.append(("mark", self.ids[curr]))
         curr.deleted = True
         if self._instr:
             yield W_DEL_SPLICE
-            self.trace.append(("edge", prev.id, side, child.id))
+            self.trace.append(("edge", self.ids[prev], side, self.ids[child]))
             self.unlinked.append(curr)
             self.reclaimer.retire(curr)
         prev.set_child(side, child)
@@ -640,11 +648,11 @@ class ConcurrentSet:
                 "state", "delete.leaf_parent_state", -1, prev, DATA)
             if self._instr:
                 yield W_DEL_MARK
-                self.trace.append(("mark", curr.id))
+                self.trace.append(("mark", self.ids[curr]))
             curr.deleted = True
             if self._instr:
                 yield W_DEL_UNLINK_LEAF
-                self.trace.append(("edge", prev.id, side, None))
+                self.trace.append(("edge", self.ids[prev], side, None))
                 self.unlinked.append(curr)
                 self.reclaimer.retire(curr)
             prev.set_child(side, None)
@@ -661,15 +669,15 @@ class ConcurrentSet:
             "state", "delete.pair_parent_state", -1, prev, ROUTING)
         if self._instr:
             yield W_DEL_MARK_PARENT
-            self.trace.append(("mark", prev.id))
+            self.trace.append(("mark", self.ids[prev]))
         prev.deleted = True
         if self._instr:
             yield W_DEL_MARK
-            self.trace.append(("mark", curr.id))
+            self.trace.append(("mark", self.ids[curr]))
         curr.deleted = True
         if self._instr:
             yield W_DEL_UNLINK_PAIR
-            self.trace.append(("edge", gprev.id, pside, sibling.id))
+            self.trace.append(("edge", self.ids[gprev], pside, self.ids[sibling]))
             self.unlinked += (prev, curr)
             self.reclaimer.retire(prev)
             self.reclaimer.retire(curr)

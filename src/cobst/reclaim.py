@@ -9,10 +9,10 @@ global epoch has advanced twice past it, which implies every operation
 that could have seen the node has finished.  An ``unpin`` while a node
 waits advances the epoch if every pinned thread has caught up with it.
 
-Reclaiming a node poisons its child pointers and flags it, so any buggy
-late access blows up loudly instead of silently wandering through freed
-structure.  Memory is freed once the last reference drops; real-thread
-operations neither pin nor retire and rely on that alone.
+Reclaiming a node poisons its child pointers, which is its only mark,
+so any buggy late access blows up loudly instead of silently wandering
+through freed structure.  Memory is freed once the last reference
+drops; real-thread operations neither pin nor retire and rely on that.
 """
 
 from __future__ import annotations
@@ -92,9 +92,7 @@ class EpochReclaimer:
                 self._reclaim(node)
 
     def _reclaim(self, node) -> None:
-        node.reclaimed = True
-        node.left = POISON
-        node.right = POISON
+        node.left = node.right = POISON
         self.reclaimed_count += 1
 
     def drain(self) -> int:

@@ -81,22 +81,18 @@ class SpinPolicy:
     another thread really holds.
 
     ``ATTEMPTS`` caps how many CAS attempts are made before the caller
-    gives up and restarts from scratch.  Between attempts we pause with
-    a short pass-loop plus ``sleep(0)``.  The pause must stay cheap and
-    must never be a timed sleep: the caller may already hold other
-    locks, and sleeping while holding a lock stretches hold times by
-    orders of magnitude, which turns transient collisions into stable
-    livelock.  Patience belongs at the restart level, where nothing is
-    held.  Condition violations are never retried.
+    gives up and restarts from scratch.  Between attempts ``sleep(0)``
+    yields the GIL, the only way the holder can run.  A timed sleep would
+    stretch the hold times of the locks the caller may hold by orders of
+    magnitude, turning transient collisions into stable livelock, so
+    patience belongs at the restart level, where nothing is held.
+    Condition violations are never retried.
     """
 
     ATTEMPTS = 8
-    MAX_PAUSE = 64
 
     @staticmethod
     def pause(round_: int) -> None:
-        for _ in range(min(1 << round_, SpinPolicy.MAX_PAUSE)):
-            pass
         time.sleep(0)
 
 
@@ -169,6 +165,5 @@ class CondRwLock:
         while out is CONTENDED and round_ + 1 < SpinPolicy.ATTEMPTS:
             SpinPolicy.pause(round_)
             round_ += 1
-            out = self.try_lock_with_condition(mode, condition, node, expected,
-                                               field)
+            out = self.try_lock_with_condition(mode, condition, node, expected, field)
         return out

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .reclaim import POISON
 from .rwlock import CondRwLock
 
 __all__ = [
@@ -50,15 +51,15 @@ def validate_key(v) -> int:
 
 
 class Node(CondRwLock):
-    """One tree node.  ``val`` is immutable; everything else may change
-    under the node's three lock words: ``left_word`` and ``right_word``
-    for its child edges and the inherited ``word`` for its state/deleted
-    pair, each changed by ``CondRwLock``'s methods, named by ``field``."""
+    """One tree node: the sequential tree's fields, of which only ``val``
+    never changes, and three lock words changed by ``CondRwLock``'s methods,
+    named by ``field``: ``left_word`` and ``right_word`` for the child edges,
+    the inherited ``word`` for the state/deleted pair; trace ids live in the set."""
 
     __slots__ = ("val", "state", "left", "right", "deleted",
-                 "left_word", "right_word", "id", "reclaimed")
+                 "left_word", "right_word")
 
-    def __init__(self, val: int, state: str = DATA, node_id: int = -1):
+    def __init__(self, val: int, state: str = DATA):
         self.val = val
         self.state = state
         self.left = None
@@ -67,8 +68,6 @@ class Node(CondRwLock):
         self.word = 0
         self.left_word = 0
         self.right_word = 0
-        self.id = node_id
-        self.reclaimed = False
 
     # the node, whose ``word`` is its state lock: ``benchmark/selftest.py``
     # passes ``root.state_lock`` as a lock to ``ConcurrentSet._lock``
@@ -228,9 +227,9 @@ def validate_structure(tree) -> StructureReport:
     with an empty right subtree; reachable nodes form a tree (no sharing,
     no cycles); the value property holds with strict bounds; routing
     nodes have exactly two children; no reachable node is marked deleted
-    or reclaimed; and none of the nodes in ``tree.unlinked``, if it
-    exists, is reachable.  The same walk counts, in ``held_locks``, the
-    lock words left set on reachable and unlinked nodes.
+    or reclaimed (``left`` is ``POISON``); and no node of ``tree.unlinked``
+    is reachable.  The walk also counts, in ``held_locks``, the lock words
+    left set on reachable and unlinked nodes.
     """
     rep = StructureReport()
     root = tree.root
@@ -254,7 +253,7 @@ def validate_structure(tree) -> StructureReport:
         seen.add(nid)
         rep.node_count += 1
         rep.held_locks += _held(node)
-        if node.reclaimed:
+        if node.left is POISON:
             rep.problems.append("reclaimed node %r still reachable" % (node,))
             continue
         if not lo < node.val < hi:

@@ -212,15 +212,20 @@ def test_a_node_refers_to_no_lock_object():
 
 
 def test_only_the_stepping_form_draws_node_ids():
-    # the plain form records no trace, so its nodes need no id
+    # the plain form records no trace, so its nodes need no id, and a
+    # node has no slot for one: the set's ``ids`` map names them
+    assert Node.__slots__ == ("val", "state", "left", "right", "deleted",
+                              "left_word", "right_word")
     s = ConcurrentSet()
-    assert s.insert(5) and s.root.left.id == -1
+    assert s.insert(5) and s.ids[s.root.left] == -1
+    assert dict(s.ids) == {s.root: 0}
     s._drain(s.op_gen("insert", 3, "t"))
     s._drain(s.op_gen("insert", 7, "t"))
-    assert (s.root.left.left.id, s.root.left.right.id) == (1, 2)   # root is 0
+    assert (s.ids[s.root.left.left], s.ids[s.root.left.right]) == (1, 2)
     assert [e[1] for e in s.trace if e[0] == "create"] == [1, 2]
+    assert ("edge", -1, LEFT, 1) in s.trace     # 3 hangs off the plain 5
     for tree in (SequentialBst(), CoarseLockedSet()):    # coarse-bst's tree
-        assert tree.insert(5) and (tree.root.id, tree.root.left.id) == (-1, -1)
+        assert tree.insert(5) and not hasattr(tree, "ids")
 
 
 def test_lock_predicates_agree_with_the_closures_they_replaced():
@@ -495,10 +500,9 @@ def test_unlinked_nodes_reclaimed_after_drain():
     stepped_delete(s, 15)               # unlinks leaf 15 and demoted parents
     ghosts = list(s.unlinked)
     assert ghosts and all(g.deleted for g in ghosts)
-    assert all(not g.reclaimed for g in ghosts) or s.reclaimer.pending() == 0
+    assert all(g.left is not POISON for g in ghosts) or s.reclaimer.pending() == 0
     s.reclaimer.drain()
     assert s.reclaimer.pending() == 0
-    assert all(g.reclaimed for g in ghosts)
     assert all(g.left is POISON and g.right is POISON for g in ghosts)
     assert validate_structure(s).ok
 
@@ -512,11 +516,11 @@ def test_retired_node_stays_intact_while_a_reader_is_pinned():
     ghost = s.unlinked[0]
     for _ in range(10):
         s.reclaimer.try_advance()       # cannot advance past the pin
-    assert not ghost.reclaimed
+    assert ghost.left is None and ghost.right is None     # not poisoned
     assert ghost.deleted                # observable as logically deleted
     s.reclaimer.unpin("slow-reader")
     s.reclaimer.drain()
-    assert ghost.reclaimed
+    assert ghost.left is POISON and ghost.right is POISON
 
 
 def test_retire_requires_deleted_mark():
@@ -557,7 +561,7 @@ def test_sweep_survives_a_retire_into_the_new_epoch():
     r.retire(old)                       # bucket keyed by Epoch(0)
     r.epoch = 2                         # bucket 0 is now old enough
     assert r.try_advance()              # sweeps at epoch 3, horizon 1
-    assert old.reclaimed and not late.reclaimed
+    assert old.left is POISON and late.left is None
     assert injected == [late]
     assert r.reclaimed_count == 1
     assert r.pending() == 1             # the late node waits in bucket 3

@@ -569,7 +569,7 @@ class DemotesWithoutRecheck(ConcurrentSet):
             "state", "delete.demote_state", 0, curr, DATA)
         if self._instr:
             yield W_DEL_DEMOTE
-            self.trace.append(("state", curr.id, ROUTING))
+            self.trace.append(("state", self.ids[curr], ROUTING))
         curr.state = ROUTING
         return True
 
@@ -780,22 +780,28 @@ def test_a_parsed_script_holds_each_distinct_tuple_once():
 
 
 def test_parse_script_keeps_nothing_between_calls():
-    # fresh keys and counts per script: a cache kept across calls would grow
-    texts = ["thread 0: insert(%d) delete(%d)\nthread 1: contains(%d)\n"
-             "schedule: 0:%d 1:%d 0:1\n" % (k, k, k, k, k)
-             for k in range(10 ** 6, 10 ** 6 + 1000)]
-    parse_script(texts[0])
+    # fresh keys and counts in each of two rounds: a cache kept across
+    # calls grows by the second round's scripts.  Retention is the growth
+    # from the end of one round to the end of the next, so what a round
+    # leaves in CPython's free lists, both rounds leave, and it cancels
+    rounds = [["thread 0: insert(%d) delete(%d)\nthread 1: contains(%d)\n"
+               "schedule: 0:%d 1:%d 0:1\n" % (k, k, k, k, k)
+               for k in range(lo, lo + 1000)] for lo in (10 ** 6, 2 * 10 ** 6)]
+    parse_script(rounds[0][0])
     gc.collect()
+    ends = []
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        scripts = [parse_script(t) for t in texts]
-        held = tracemalloc.get_traced_memory()[0] - base
-        del scripts
-        gc.collect()
-        left = tracemalloc.get_traced_memory()[0] - base
+        for texts in rounds:
+            base = tracemalloc.get_traced_memory()[0]
+            scripts = [parse_script(t) for t in texts]
+            held = tracemalloc.get_traced_memory()[0] - base
+            del scripts
+            gc.collect()
+            ends.append(tracemalloc.get_traced_memory()[0])
     finally:
         tracemalloc.stop()
+    left = ends[1] - ends[0]
     assert held > 500_000 and left < 4_096, (held, left)
 
 

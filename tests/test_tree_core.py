@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cobst.concurrent_set import ConcurrentSet
+from cobst.reclaim import POISON
 from cobst.rwlock import CondRwLock
 from cobst.tree_core import (DATA, LEFT, MAX_KEY, MIN_KEY, PLUS_INF, RIGHT,
                              ROUTING, Node, SequentialBst, traverse,
@@ -317,7 +318,8 @@ def test_validator_flags_shared_node():
 def test_validator_flags_reclaimed_node():
     bst = SequentialBst()
     bst.seq_insert(5)
-    bst.root.left.reclaimed = True
+    node = bst.root.left
+    node.left = node.right = POISON     # what the reclaimer leaves
     rep = validate_structure(bst)
     assert any("reclaimed" in p for p in rep.problems)
 
