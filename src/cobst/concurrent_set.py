@@ -240,8 +240,7 @@ class OpOutcome(NamedTuple):
 
 
 class _NodeIds(dict):
-    """Node -> trace id, written by the stepping form only: the root is 0,
-    each stepped insert's node the next; a plain-form node reads -1."""
+    """Node -> trace id: the root 0, each stepped insert's node the next, else -1."""
 
     def __missing__(self, node):
         return -1

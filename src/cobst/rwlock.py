@@ -165,5 +165,6 @@ class CondRwLock:
         while out is CONTENDED and round_ + 1 < SpinPolicy.ATTEMPTS:
             SpinPolicy.pause(round_)
             round_ += 1
-            out = self.try_lock_with_condition(mode, condition, node, expected, field)
+            out = self.try_lock_with_condition(mode, condition, node, expected,
+                                               field)
         return out

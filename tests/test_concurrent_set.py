@@ -11,7 +11,6 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobst.bench import CoarseLockedSet
 from cobst.concurrent_set import (ConcurrentSet, K_CREATE, K_LOCK, K_READ,
                                   LockPoint,
                                   K_WRITE, S_CONT_STATE, S_TRAV_LEFT,
@@ -224,8 +223,6 @@ def test_only_the_stepping_form_draws_node_ids():
     assert (s.ids[s.root.left.left], s.ids[s.root.left.right]) == (1, 2)
     assert [e[1] for e in s.trace if e[0] == "create"] == [1, 2]
     assert ("edge", -1, LEFT, 1) in s.trace     # 3 hangs off the plain 5
-    for tree in (SequentialBst(), CoarseLockedSet()):    # coarse-bst's tree
-        assert tree.insert(5) and not hasattr(tree, "ids")
 
 
 def test_lock_predicates_agree_with_the_closures_they_replaced():
