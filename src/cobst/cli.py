@@ -18,7 +18,7 @@ import argparse
 import contextlib
 import sys
 
-from .bench import CSV_HEADER, RANGE_PRESETS, WorkerError, WorkloadConfig, run_bench
+from .bench import CSV_HEADER, IMPLS, RANGE_PRESETS, WorkerError, WorkloadConfig, run_bench
 from .harness import ScheduleBlockedError, ScriptError, parse_script, run_script
 from .history import (HistoryTooLargeError, check_observable_correctness,
                       is_linearizable, parse_history)
@@ -31,7 +31,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bench", help="run one throughput measurement")
-    b.add_argument("--impl", choices=("co-bst", "coarse-bst"), default="co-bst")
+    b.set_defaults(run=_cmd_bench)
+    b.add_argument("--impl", choices=IMPLS, default="co-bst")
     b.add_argument("--threads", type=int, default=1)
     b.add_argument("--range", dest="key_range", default=str(RANGE_PRESETS["small"]),
                    help="key range, a number or one of %s"
@@ -47,12 +48,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="append the result row to this CSV file")
 
     c = sub.add_parser("check", help="check a recorded history for linearizability")
+    c.set_defaults(run=_cmd_check)
     c.add_argument("--history", required=True, metavar="FILE")
     c.add_argument("--initial", default="",
                    help="comma separated keys present before the history")
     c.add_argument("--max-ops", type=int, default=24)
 
     r = sub.add_parser("replay", help="run a schedule script deterministically")
+    r.set_defaults(run=_cmd_replay)
     r.add_argument("--script", required=True, metavar="FILE")
     r.add_argument("--kv", action="store_true",
                    help="also print machine readable key=value lines")
@@ -63,11 +66,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_bench(args) -> int:
     raw = args.key_range
-    key_range = RANGE_PRESETS.get(raw) if isinstance(raw, str) else None
+    key_range = RANGE_PRESETS.get(raw)
     if key_range is None:
         try:
             key_range = int(raw)
-        except (TypeError, ValueError):
+        except ValueError:
             print("bad --range %r" % (raw,), file=sys.stderr)
             return 2
     cfg = WorkloadConfig(
@@ -167,13 +170,7 @@ def _cmd_replay(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "replay":
-        return _cmd_replay(args)
-    raise AssertionError("unreachable")
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -8,12 +8,12 @@ re-check that fails, raises ``Restart``; the restart loop in ``_op``
 catches it, releases everything the attempt holds and traverses again.
 Reads (``contains``) take no locks at all and never restart.
 
-Lock granularity is per-field: each node holds one lock word per
-outgoing child edge (``left_word``, ``right_word``) and one for its
-state/deleted pair (``word``).  Edge locks are only ever taken
-exclusively; state locks are taken shared by operations that merely
-need the state pinned and exclusively by the ones changing it.  Edge
-locks come in two conditional flavours: by reference (the child pointer
+Lock granularity is per-field: each node holds one lock per outgoing
+child edge (bits 1 and 2 of ``edges``) and one for its state/deleted
+pair (``word``).  Edge locks are exclusive in either mode; state locks
+are taken shared by operations that merely need the state pinned and
+exclusively by the ones changing it.  Edge locks come in two
+conditional flavours: by reference (the child pointer
 must still be the expected object) and by value (the child must hold
 the expected key, tolerating replacement of the node by an equal one).
 Within one attempt locks are acquired from deeper nodes towards the
@@ -105,7 +105,7 @@ class LockPoint(NamedTuple):
     """Checkpoint for one pending lock attempt.
 
     Unlike the constant Sites this is allocated per attempt because the
-    harness needs the concrete lock (holder and word), the requested mode
+    harness needs the concrete lock (holder and edge), the requested mode
     and the guard predicate with its arguments to decide whether it could
     even succeed right now (the predicate only performs reads, so
     peeking is free of side effects).  The stepping form builds it with
@@ -120,7 +120,7 @@ class LockPoint(NamedTuple):
     cond: object
     node: Node | None = None
     expected: object = None
-    field: str = "word"
+    edge: int = 0
     kind = K_LOCK
 
     def would_block(self) -> bool:
@@ -130,17 +130,17 @@ class LockPoint(NamedTuple):
         such attempts are never blocked, they fail fast with
         CONDITION_VIOLATED.
         """
-        _, _, lock, mode, cond, node, expected, field = self
+        _, _, lock, mode, cond, node, expected, edge = self
         if not (cond() if node is None else cond(node, expected)):
             return False
-        w = getattr(lock, field)
-        return w == 1 if mode is READ else w != 0
+        w = lock.edges & edge if edge else lock.word
+        return w != 0 if edge or mode is WRITE else w == 1
 
     def __repr__(self):
-        w = getattr(self.lock, self.field)
+        w = self.lock.edges & self.edge != 0 if self.edge else self.lock.word
         state = ("free", "write-held")[w] if w < 2 else "%d readers" % (w >> 1)
         return "<lock %s %s %r %s %s>" % (self.name, self.mode.value, self.lock,
-                                          self.field, state)
+                                          _LOCK_NAME[self.edge], state)
 
 
 # traversal and case-selection reads; these mirror the reads the
@@ -213,7 +213,8 @@ def _state_is(node: Node, state) -> bool:
 
 _EDGE_IS = (_left_is, _right_is)            # edge by reference, by side
 _EDGE_HOLDS = (_left_holds, _right_holds)   # edge by value, by side
-_EDGE_WORD = ("left_word", "right_word")    # a node's edge lock word, by side
+_EDGE_BIT = (1, 2)                          # a node's edge lock, by side
+_LOCK_NAME = ("word", "left_word", "right_word")    # a lock in reprs, by edge
 
 
 class ThreadStats:
@@ -369,14 +370,14 @@ class ConcurrentSet:
     def _release_all(self, ctx: _AttemptCtx) -> None:
         held = ctx.held
         while held:
-            lock, mode, field = held.pop()
-            lock.unlock(mode, field)
+            lock, mode, edge = held.pop()
+            lock.unlock(mode, edge)
 
     def _lock(self, ctx: _AttemptCtx, tkey, st: ThreadStats, optag: str,
               lock: CondRwLock, mode: LockMode, cond, family: str,
-              name: str, level: int, node=None, expected=None, field="word"):
-        """One bounded-attempt acquisition of ``lock``'s word ``field``
-        under ``cond(node, expected)``.
+              name: str, level: int, node=None, expected=None, edge=0):
+        """One bounded-attempt acquisition of ``lock``'s state word
+        (``edge`` 0) or edge bit ``edge`` under ``cond(node, expected)``.
 
         The stepping form yields one LockPoint checkpoint and makes a
         single attempt; the plain form spins on contention, all of it
@@ -391,12 +392,12 @@ class ConcurrentSet:
                     level, ctx.last_level, name)
             ctx.last_level = level
             self.attempts[ctx.tkey] = ctx
-            yield _new(LockPoint, (family, name, lock, mode, cond, node, expected, field))
-            out = lock.try_lock_with_condition(mode, cond, node, expected, field)
+            yield _new(LockPoint, (family, name, lock, mode, cond, node, expected, edge))
+            out = lock.try_lock_with_condition(mode, cond, node, expected, edge)
         else:
-            out = lock.lock_with_spin(mode, cond, node, expected, field)
+            out = lock.lock_with_spin(mode, cond, node, expected, edge)
         if out is ACQUIRED:
-            ctx.held.append((lock, mode, field))
+            ctx.held.append((lock, mode, edge))
             st.acquisitions[optag] += 1
             return
         counts = (st.cond_violations if out is CONDITION_VIOLATED
@@ -515,7 +516,7 @@ class ConcurrentSet:
         side = LEFT if v < prev.val else RIGHT
         yield from self._lock(
             ctx, tkey, st, "insert", prev, WRITE, _EDGE_IS[side], "edge_ref",
-            "insert.edge", 0, prev, None, _EDGE_WORD[side])
+            "insert.edge", 0, prev, None, _EDGE_BIT[side])
         # shared hold on prev's state: blocks a concurrent demotion or
         # deletion of prev between our deleted re-check and the link
         yield from self._lock(
@@ -586,10 +587,10 @@ class ConcurrentSet:
         yield from self._lock(
             ctx, tkey, st, "delete", curr, WRITE, _EDGE_IS[child_side],
             "edge_ref", "delete.splice_child_edge", 1, curr, child,
-            _EDGE_WORD[child_side])
+            _EDGE_BIT[child_side])
         yield from self._lock(
             ctx, tkey, st, "delete", prev, WRITE, _EDGE_IS[side], "edge_ref",
-            "delete.splice_parent_edge", 0, prev, curr, _EDGE_WORD[side])
+            "delete.splice_parent_edge", 0, prev, curr, _EDGE_BIT[side])
         yield from self._lock(
             ctx, tkey, st, "delete", curr, WRITE, _state_is,
             "state", "delete.splice_state", 0, curr, DATA)
@@ -634,7 +635,7 @@ class ConcurrentSet:
         yield from self._lock(
             ctx, tkey, st, "delete", prev, WRITE, _EDGE_HOLDS[side], "edge_val",
             "delete.pair_edge" if pair else "delete.leaf_edge", 0, prev, v,
-            _EDGE_WORD[side])
+            _EDGE_BIT[side])
         curr = prev.child(side)   # fresh: the locked occupant, maybe a twin
         yield from self._lock(
             ctx, tkey, st, "delete", curr, WRITE, _state_is, "state",
@@ -659,10 +660,10 @@ class ConcurrentSet:
         pside = LEFT if prev.val < gprev.val else RIGHT
         yield from self._lock(
             ctx, tkey, st, "delete", prev, WRITE, _EDGE_IS[sside], "edge_ref",
-            "delete.pair_sibling_edge", 0, prev, sibling, _EDGE_WORD[sside])
+            "delete.pair_sibling_edge", 0, prev, sibling, _EDGE_BIT[sside])
         yield from self._lock(
             ctx, tkey, st, "delete", gprev, WRITE, _EDGE_IS[pside], "edge_ref",
-            "delete.pair_parent_edge", -1, gprev, prev, _EDGE_WORD[pside])
+            "delete.pair_parent_edge", -1, gprev, prev, _EDGE_BIT[pside])
         yield from self._lock(
             ctx, tkey, st, "delete", prev, WRITE, _state_is,
             "state", "delete.pair_parent_state", -1, prev, ROUTING)

@@ -332,7 +332,7 @@ def _wait_chain(set_: ConcurrentSet, workers: dict, start_tid: int) -> str:
     for _ in range(len(workers) + 1):
         p = workers[tid].pending
         holders = [t for t, ctx in set_.attempts.items() if t != tid
-                   and any(lock is p.lock and f == p.field for lock, _, f in ctx.held)]
+                   and any(lock is p.lock and e == p.edge for lock, _, e in ctx.held)]
         if not holders:
             hops.append("thread %d waits on %r (holder unknown)" % (tid, p))
             break

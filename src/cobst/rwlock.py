@@ -1,33 +1,34 @@
-"""Conditional read-write locks, each a single int word.
+"""Conditional read-write locks on int words.
 
-A lock's state lives in one integer word:
+A lock object has two int words.  ``word`` is a read-write lock:
 
 * ``0``      free
 * ``1``      held by a writer
 * ``2 * k``  held by ``k`` readers
 
-A word is an int slot of the object it guards.  ``CondRwLock`` has one,
-``word``; a subclass such as ``tree_core.Node`` adds more, and each lock
-method names its slot in a trailing ``field`` argument, so a node's
-three locks are three slots, not three objects to allocate and track.
+``edges`` holds two exclusive locks, bits 1 and 2, each held while set
+whatever mode is asked for.  A ``tree_core.Node`` guards its
+state/deleted pair, the only lock with readers, with ``word`` and its
+left and right child edges with the bits.  A lock method's trailing
+``edge`` argument picks the lock: 0 for ``word``, else the bit.
 
-Acquisitions are compare-and-swap steps on that word (0 -> 1 for a
-write, even w -> w + 2 for a read), and a read release is a
-decrement.  Each is one read-modify-write: the method branches on
-``field`` first, then reads the slot by attribute, computes the new
-word and stores it, with no call, function entry or jump in between
-(a failed CAS stores the word back as it read it).  CPython 3.10 and
-later, with the GIL, switch threads only at such points, so nothing
-else runs between the read and the store; a test walks the bytecode of
-every such span.  An attempt fails only on a word held in a mode that
-excludes it.  A write release is a plain store of 0: while the word is
-1 every CAS leaves it 1, so no other thread changes the word until
-that store lands.
+Acquisitions are compare-and-swap steps on a word (0 -> 1 for a write,
+even w -> w + 2 for a read, a clear bit set) and releases undo them.
+Each is one read-modify-write: the method branches once, on state word
+or edge bit, then reads the word by attribute, computes the new word
+and stores it, with no call, function entry or jump in between (a
+failed CAS stores the word back as it read it; a release checks the
+word it read after its store).  CPython 3.10 and later, with the GIL,
+switch threads only at such points, so nothing else runs between the
+read and the store; a test walks the bytecode of every such span.  It
+allows only locals, constants, ``+``, ``*``, ``&`` and ``not``, each
+its own opcode on 3.10, so ``3 - edge`` is computed before the read.
+An attempt fails only on a lock held in a mode that excludes it.
 
 CPython 3.9 could switch almost anywhere and is not supported; a
 free-threaded build runs threads in parallel, so import fails there.
 
-On top of the word the lock offers conditional acquisition: a predicate
+On top of the words the lock offers conditional acquisition: a predicate
 is evaluated before and after the CAS, and the lock is released again
 if the second evaluation fails.  Callers use this to take a lock only
 while some observed field value still holds.  It is called as
@@ -92,35 +93,39 @@ class SpinPolicy:
     ATTEMPTS = 8
 
     @staticmethod
-    def pause(round_: int) -> None:
+    def pause() -> None:
         time.sleep(0)
 
 
 class CondRwLock:
-    """The lock word ``word``, and the lock protocol on it, on a subclass's
-    ``left_word``, or on its ``right_word``, which any other field picks."""
+    """The state lock ``word`` and two exclusive edge locks, the bits of
+    ``edges``, with the lock protocol on them; ``edge`` picks one: 0 the
+    state word, 1 or 2 a bit."""
 
-    __slots__ = ("word",)
+    __slots__ = ("word", "edges")
 
     def __init__(self):
         self.word = 0
+        self.edges = 0
 
-    def unlock(self, mode: LockMode, field: str = "word") -> None:
-        if mode is WRITE:
-            assert getattr(self, field) == 1, "write unlock without a held write lock"
-            setattr(self, field, 0)
-            return
-        assert getattr(self, field) >= 2, "read unlock without a held read lock"
-        if field == "word":
-            self.word -= 2
-        elif field == "left_word":
-            self.left_word -= 2
+    def unlock(self, mode: LockMode, edge: int = 0) -> None:
+        if edge:
+            keep = 3 - edge
+            w = self.edges
+            self.edges = w & keep
+            assert w & edge, "edge unlock without a held edge lock"
+        elif mode is WRITE:
+            w = self.word
+            self.word = w & -2
+            assert w == 1, "write unlock without a held write lock"
         else:
-            self.right_word -= 2
+            w = self.word
+            self.word = w + -2
+            assert w >= 2, "read unlock without a held read lock"
 
     def try_lock_with_condition(self, mode: LockMode, condition, node=None,
-                                expected=None, field: str = "word") -> LockOutcome:
-        """One conditional acquire attempt on the word ``field``.
+                                expected=None, edge: int = 0) -> LockOutcome:
+        """One conditional acquire attempt on the lock ``edge``.
 
         The predicate runs before the CAS (cheap fast-out while the value
         has already moved on) and again after a successful CAS.  The
@@ -133,38 +138,36 @@ class CondRwLock:
         """
         if not (condition() if node is None else condition(node, expected)):
             return CONDITION_VIOLATED
-        # a write needs 0 and adds 1, a read needs an even word and adds 2;
-        # a busy word is stored back as read, so no jump splits the step
-        busy, step = (-1, 1) if mode is WRITE else (1, 2)
-        if field == "word":
+        # a bit needs itself clear and sets it, a write needs 0 and adds 1,
+        # a read needs an even word and adds 2; a busy word is stored back
+        if edge:
+            busy = step = edge
+            w = self.edges
+            self.edges = w + step * (not w & busy)
+        else:
+            busy, step = (-1, 1) if mode is WRITE else (1, 2)
             w = self.word
             self.word = w + step * (not w & busy)
-        elif field == "left_word":
-            w = self.left_word
-            self.left_word = w + step * (not w & busy)
-        else:
-            w = self.right_word
-            self.right_word = w + step * (not w & busy)
         if w & busy:
             return CONTENDED
         if not (condition() if node is None else condition(node, expected)):
-            self.unlock(mode, field)
+            self.unlock(mode, edge)
             return CONDITION_VIOLATED
         return ACQUIRED
 
     def lock_with_spin(self, mode: LockMode, condition, node=None,
-                       expected=None, field: str = "word") -> LockOutcome:
+                       expected=None, edge: int = 0) -> LockOutcome:
         """Retry CONTENDED outcomes up to ``SpinPolicy.ATTEMPTS`` times.
 
         Returns the first non-contended outcome, or CONTENDED once the
         attempt budget is spent.  The caller is expected to restart its
         whole operation in that case rather than block.
         """
-        out = self.try_lock_with_condition(mode, condition, node, expected, field)
-        round_ = 0
-        while out is CONTENDED and round_ + 1 < SpinPolicy.ATTEMPTS:
-            SpinPolicy.pause(round_)
-            round_ += 1
-            out = self.try_lock_with_condition(mode, condition, node, expected,
-                                               field)
+        out = self.try_lock_with_condition(mode, condition, node, expected, edge)
+        if out is CONTENDED:
+            for _ in range(SpinPolicy.ATTEMPTS - 1):
+                SpinPolicy.pause()
+                out = self.try_lock_with_condition(mode, condition, node, expected, edge)
+                if out is not CONTENDED:
+                    break
         return out

@@ -52,12 +52,11 @@ def validate_key(v) -> int:
 
 class Node(CondRwLock):
     """One tree node: the sequential tree's fields, of which only ``val``
-    never changes, and three lock words changed by ``CondRwLock``'s methods,
-    named by ``field``: ``left_word`` and ``right_word`` for the child edges,
-    the inherited ``word`` for the state/deleted pair; trace ids live in the set."""
+    never changes, and the two lock words it inherits from ``CondRwLock``:
+    ``word`` for the state/deleted pair, bits 1 and 2 of ``edges`` for the
+    left and right child edges; trace ids live in the set."""
 
-    __slots__ = ("val", "state", "left", "right", "deleted",
-                 "left_word", "right_word")
+    __slots__ = ("val", "state", "left", "right", "deleted")
 
     def __init__(self, val: int, state: str = DATA):
         self.val = val
@@ -66,8 +65,7 @@ class Node(CondRwLock):
         self.right = None
         self.deleted = False
         self.word = 0
-        self.left_word = 0
-        self.right_word = 0
+        self.edges = 0
 
     # the node, whose ``word`` is its state lock: ``benchmark/selftest.py``
     # passes ``root.state_lock`` as a lock to ``ConcurrentSet._lock``
@@ -207,7 +205,7 @@ class StructureReport:
     problems: list[str] = field(default_factory=list)
     node_count: int = 0
     data_count: int = 0
-    held_locks: int = 0     # set lock words; ``ok`` does not count them
+    held_locks: int = 0     # set state words and edge bits; ``ok`` ignores them
 
     @property
     def ok(self) -> bool:
@@ -228,8 +226,8 @@ def validate_structure(tree) -> StructureReport:
     no cycles); the value property holds with strict bounds; routing
     nodes have exactly two children; no reachable node is marked deleted
     or reclaimed (``left`` is ``POISON``); and no node of ``tree.unlinked``
-    is reachable.  The walk also counts, in ``held_locks``, the lock words
-    left set on reachable and unlinked nodes.
+    is reachable.  The walk also counts, in ``held_locks``, the state words
+    and edge bits left set on reachable and unlinked nodes.
     """
     rep = StructureReport()
     root = tree.root
@@ -283,4 +281,4 @@ def validate_structure(tree) -> StructureReport:
 
 
 def _held(node) -> int:
-    return (node.left_word != 0) + (node.right_word != 0) + (node.word != 0)
+    return (node.edges & 1) + (node.edges >> 1 & 1) + (node.word != 0)

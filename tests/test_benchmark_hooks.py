@@ -86,8 +86,8 @@ def test_selftest_locking_contains_takes_one_root_read_lock(monkeypatch):
 
 
 def test_one_insert_traces_an_edge_word_and_a_state_word():
-    """Each traced lock method records its span whichever word it acts
-    on; an insert of a new leaf takes an edge word and a state word."""
+    """Each traced lock method records its span whichever lock it acts
+    on; an insert of a new leaf takes an edge bit and a state word."""
     import inspect
 
     from cobst.rwlock import CondRwLock
@@ -101,9 +101,9 @@ def test_one_insert_traces_an_edge_word_and_a_state_word():
         sig = inspect.signature(traced.__wrapped__)
 
         def call(*args, **kwargs):
-            field = sig.bind(*args, **kwargs).arguments.get("field", "word")
+            edge = sig.bind(*args, **kwargs).arguments.get("edge", 0)
             result = traced(*args, **kwargs)
-            seen.append((tr.spans[-1][1], field))   # this call's own span
+            seen.append((tr.spans[-1][1], edge))   # this call's own span
             return result
         return call
 
@@ -120,9 +120,9 @@ def test_one_insert_traces_an_edge_word_and_a_state_word():
             setattr(CondRwLock, a, traced[a])
         tr.uninstall()
     tr.flush(1.0)
-    for field in ("left_word", "word"):
+    for edge in (1, 0):     # the left edge bit and the state word
         for name in ("rwlock.acquire", "rwlock.attempt", "rwlock.unlock"):
-            assert seen.count((name, field)) == 1, (name, field, seen)
+            assert seen.count((name, edge)) == 1, (name, edge, seen)
     assert len(seen) == 6
     for name, parent in (("rwlock.acquire", "concurrent_set.insert"),
                          ("rwlock.attempt", "rwlock.acquire"),

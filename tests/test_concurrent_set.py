@@ -15,7 +15,7 @@ from cobst.concurrent_set import (ConcurrentSet, K_CREATE, K_LOCK, K_READ,
                                   LockPoint,
                                   K_WRITE, S_CONT_STATE, S_TRAV_LEFT,
                                   S_TRAV_RIGHT, _EDGE_HOLDS, _EDGE_IS,
-                                  _EDGE_WORD, _state_is)
+                                  _EDGE_BIT, _state_is)
 from cobst.reclaim import POISON, EpochReclaimer
 from cobst.rwlock import CondRwLock, LockMode, LockOutcome, SpinPolicy
 from cobst.tree_core import (DATA, LEFT, MAX_KEY, MIN_KEY, PLUS_INF, RIGHT,
@@ -38,12 +38,12 @@ def two_level_tree():
 
 def try_lock_edge_ref(node, side, expected):
     return node.try_lock_with_condition(
-        LockMode.WRITE, _EDGE_IS[side], node, expected, _EDGE_WORD[side])
+        LockMode.WRITE, _EDGE_IS[side], node, expected, _EDGE_BIT[side])
 
 
 def try_lock_edge_val(node, side, expected_key):
     return node.try_lock_with_condition(
-        LockMode.WRITE, _EDGE_HOLDS[side], node, expected_key, _EDGE_WORD[side])
+        LockMode.WRITE, _EDGE_HOLDS[side], node, expected_key, _EDGE_BIT[side])
 
 
 def try_lock_state(node, mode, expected_state):
@@ -55,14 +55,14 @@ def try_lock_state(node, mode, expected_state):
 def test_edge_ref_acquires_on_match():
     _, parent, child, _ = two_level_tree()
     assert try_lock_edge_ref(parent, LEFT, child) is LockOutcome.ACQUIRED
-    assert parent.left_word == 1
+    assert parent.edges == 1
 
 
 def test_edge_ref_rejects_deleted_node():
     _, parent, child, _ = two_level_tree()
     parent.deleted = True
     assert try_lock_edge_ref(parent, LEFT, child) is LockOutcome.CONDITION_VIOLATED
-    assert parent.left_word == 0
+    assert parent.edges == 0
 
 
 def test_edge_ref_rejects_swung_child():
@@ -76,15 +76,14 @@ def test_edge_ref_expected_null():
     s.insert(10)
     parent = s.root.left
     assert try_lock_edge_ref(parent, RIGHT, None) is LockOutcome.ACQUIRED
-    parent.unlock(LockMode.WRITE, "right_word")
+    parent.unlock(LockMode.WRITE, 2)
     parent.right = Node(15)
     assert try_lock_edge_ref(parent, RIGHT, None) is LockOutcome.CONDITION_VIOLATED
 
 
 def test_edge_ref_contended_when_held():
     _, parent, child, _ = two_level_tree()
-    parent.try_lock_with_condition(LockMode.WRITE, lambda: True,
-                                   field="left_word")
+    parent.try_lock_with_condition(LockMode.WRITE, lambda: True, edge=1)
     assert try_lock_edge_ref(parent, LEFT, child) is LockOutcome.CONTENDED
 
 
@@ -101,7 +100,7 @@ def test_edge_val_tolerates_node_replacement():
     _, parent, _, _ = two_level_tree()
     parent.left = Node(5)
     assert try_lock_edge_val(parent, LEFT, 5) is LockOutcome.ACQUIRED
-    assert parent.left_word == 1
+    assert parent.edges == 1
 
 
 def test_edge_val_rejects_null_child():
@@ -151,10 +150,11 @@ def test_state_lock_read_is_shared():
 
 
 
-# -- the three words of a node --------------------------------------------------
+# -- the three locks of a node ---------------------------------------------------
 
 def words(node):
-    return node.left_word, node.right_word, node.word
+    """The left and right edge bits and the state word."""
+    return node.edges & 1, node.edges >> 1, node.word
 
 
 def test_a_nodes_three_words_are_independent():
@@ -162,44 +162,50 @@ def test_a_nodes_three_words_are_independent():
     R, W = LockMode.READ, LockMode.WRITE
     ok = LockOutcome.ACQUIRED
     attempt = n.try_lock_with_condition
-    assert attempt(W, lambda: True, field="left_word") is ok
+    assert attempt(W, lambda: True, edge=1) is ok
     assert words(n) == (1, 0, 0)
-    # a held left word blocks neither the right word nor the state word
-    assert attempt(W, lambda: True, field="right_word") is ok
+    # a held left bit blocks neither the right bit nor the state word
+    assert attempt(W, lambda: True, edge=2) is ok
     assert attempt(R, lambda: True) is ok
     assert attempt(R, lambda: True) is ok
     assert words(n) == (1, 1, 4)
     # the state word still shares READ and excludes WRITE
     assert attempt(W, lambda: True) is LockOutcome.CONTENDED
-    assert attempt(W, lambda: True, field="left_word") is LockOutcome.CONTENDED
+    assert attempt(W, lambda: True, edge=1) is LockOutcome.CONTENDED
     assert words(n) == (1, 1, 4)
     n.unlock(R)
     n.unlock(R)
-    # with the state word free, the held left word still excludes a writer
-    assert attempt(W, lambda: True, field="left_word") is LockOutcome.CONTENDED
+    # with the state word free, the held left bit still excludes a writer,
+    # and a reader too: an edge bit is exclusive whatever the mode
+    assert attempt(W, lambda: True, edge=1) is LockOutcome.CONTENDED
+    assert attempt(R, lambda: True, edge=1) is LockOutcome.CONTENDED
     assert words(n) == (1, 1, 0)
     assert attempt(W, lambda: True) is ok
     assert attempt(R, lambda: True) is LockOutcome.CONTENDED
-    n.unlock(W, "left_word")
+    n.unlock(W, 1)
     assert words(n) == (0, 1, 1)
-    n.unlock(W, "right_word")
+    n.unlock(W, 2)
     n.unlock(W)
     assert words(n) == (0, 0, 0)
 
 
 def test_a_lock_point_reads_the_word_it_names():
     n = Node(5)
-    n.left_word = 1
+    n.edges = 1
     always = lambda: True  # noqa: E731
     point = LockPoint("edge_ref", "x", n, LockMode.WRITE, always)
-    assert point.field == "word" and not point.would_block()
-    assert point._replace(field="left_word").would_block()
-    assert not point._replace(field="right_word").would_block()
-    assert repr(point._replace(field="left_word")).endswith(
+    assert point.edge == 0 and not point.would_block()
+    assert point._replace(edge=1).would_block()
+    assert point._replace(edge=1, mode=LockMode.READ).would_block()
+    assert not point._replace(edge=2).would_block()
+    assert repr(point._replace(edge=1)).endswith(
         "<Node 5 D> left_word write-held>")
     n.word = 4
     assert repr(point).endswith("<Node 5 D> word 2 readers>")
-    assert repr(point._replace(field="right_word")).endswith("right_word free>")
+    assert repr(point._replace(edge=2)).endswith("right_word free>")
+    n.edges = 2
+    assert not point._replace(edge=1).would_block()
+    assert repr(point._replace(edge=2)).endswith("right_word write-held>")
 
 
 def test_a_node_refers_to_no_lock_object():
@@ -213,8 +219,8 @@ def test_a_node_refers_to_no_lock_object():
 def test_only_the_stepping_form_draws_node_ids():
     # the plain form records no trace, so its nodes need no id, and a
     # node has no slot for one: the set's ``ids`` map names them
-    assert Node.__slots__ == ("val", "state", "left", "right", "deleted",
-                              "left_word", "right_word")
+    assert Node.__slots__ == ("val", "state", "left", "right", "deleted")
+    assert CondRwLock.__slots__ == ("word", "edges")
     s = ConcurrentSet()
     assert s.insert(5) and s.ids[s.root.left] == -1
     assert dict(s.ids) == {s.root: 0}
@@ -663,21 +669,20 @@ def test_lock_order_tracker_rejects_upward_then_downward():
 
     run(s._lock(ctx, "t", st, "delete", node, LockMode.READ,
                 _ALWAYS, "state", "x", level=-1))
-    assert ctx.held == [(node, LockMode.READ, "word")]
+    assert ctx.held == [(node, LockMode.READ, 0)]
     with pytest.raises(AssertionError):
         run(s._lock(ctx, "t", st, "delete", node, LockMode.WRITE,
-                    _ALWAYS, "edge_ref", "y", level=0, field="left_word"))
+                    _ALWAYS, "edge_ref", "y", level=0, edge=1))
     s._release_all(ctx)
 
 
 def busy_locks(s, but=None):
-    """The tree's lock words, as ``(node, field)`` other than ``but``,
-    that are not 0."""
+    """The tree's held locks, as ``(node, edge)`` other than ``but``."""
     busy, stack = [], [s.root]
     while stack:
         node = stack.pop()
-        busy += [(node, f) for f in ("left_word", "right_word", "word")
-                 if getattr(node, f) and (node, f) != but]
+        busy += [(node, e) for e in (1, 2, 0)
+                 if (node.edges & e if e else node.word) and (node, e) != but]
         stack += [c for c in (node.left, node.right) if c is not None]
     return busy
 
@@ -691,16 +696,17 @@ class ChecksReleaseBeforeBackoff(ConcurrentSet):
 
     def _backoff(self, n):
         assert busy_locks(self, but=self.hand_held) == []
-        setattr(*self.hand_held, 0)
+        node, edge = self.hand_held
+        node.unlock(LockMode.WRITE, edge)
         self.backoffs += 1
 
 
 def test_plain_contended_abort_releases_before_backoff(monkeypatch):
-    monkeypatch.setattr(SpinPolicy, "pause", staticmethod(lambda round_: None))
+    monkeypatch.setattr(SpinPolicy, "pause", staticmethod(lambda: None))
     s = ChecksReleaseBeforeBackoff()
     s.insert(10)
     parent = s.root.left
-    s.hand_held = (parent, "word")
+    s.hand_held = (parent, 0)
     parent.word = 1   # a writer holds the parent's state
     before = s.stats_snapshot()
     assert s.insert(5) is True
@@ -713,16 +719,17 @@ def test_plain_contended_abort_releases_before_backoff(monkeypatch):
 
 def test_a_held_edge_word_ends_in_a_counted_restart(monkeypatch):
     pauses = []
-    monkeypatch.setattr(SpinPolicy, "pause", staticmethod(pauses.append))
+    monkeypatch.setattr(SpinPolicy, "pause",
+                        staticmethod(lambda: pauses.append(parent.edges)))
     s = ChecksReleaseBeforeBackoff()
     s.insert(10)
     parent = s.root.left
-    s.hand_held = (parent, "left_word")
-    parent.left_word = 1   # a writer holds the edge the insert hangs 5 on
+    s.hand_held = (parent, 1)
+    parent.edges = 1   # a writer holds the edge the insert hangs 5 on
     before = s.stats_snapshot()
     assert s.insert(5) is True
     after = s.stats_snapshot()
-    assert pauses == list(range(SpinPolicy.ATTEMPTS - 1))
+    assert pauses == [1] * (SpinPolicy.ATTEMPTS - 1)
     assert s.backoffs == 1
     assert after["restarts"] == before["restarts"] + 1
     assert after["contended_aborts"] == {"edge_ref": 1}
@@ -766,10 +773,10 @@ def test_closing_an_abandoned_stepped_update_keeps_later_locks():
     while getattr(point, "name", None) != "insert.parent_state":
         point = next(later)
     held = list(s.attempts["t"].held)
-    assert [(lk, f) for lk, _, f in held] == [(s.root.left, "right_word")]
+    assert [(lk, e) for lk, _, e in held] == [(s.root.left, 2)]
     abandoned.close()
     assert s.attempts["t"].held == held
-    assert busy_locks(s) == [(s.root.left, "right_word")]
+    assert busy_locks(s) == [(s.root.left, 2)]
     assert s._drain(later).result is True
     assert busy_locks(s) == [] and s.snapshot_keys() == [10, 15]
 
@@ -787,7 +794,7 @@ def test_stepped_contended_abort_holds_nothing_at_the_next_traversal():
     point = next(gen)           # the attempt fails and the insert retraverses
     assert point in (S_TRAV_LEFT, S_TRAV_RIGHT)
     assert s.attempts["t"].held == []
-    assert busy_locks(s, but=(parent, "word")) == []
+    assert busy_locks(s, but=(parent, 0)) == []
     parent.word = 0
     assert s._drain(gen).restarts == 1
     assert s.stats_snapshot()["contended_aborts"] == {"state_plain": 1}

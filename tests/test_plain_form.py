@@ -106,7 +106,7 @@ def test_plain_form_observes_nothing_and_the_set_takes_no_options():
 
 
 def test_twin_traceback_points_into_the_generator_source(monkeypatch):
-    def boom(self, mode, cond, node=None, expected=None, field="word"):
+    def boom(self, mode, cond, node=None, expected=None, edge=0):
         raise RuntimeError("from the lock")
 
     monkeypatch.setattr(CondRwLock, "lock_with_spin", boom)

@@ -125,6 +125,49 @@ def test_unlock_read_without_hold_asserts():
         lk.unlock(R)
 
 
+# -- the two edge bits ---------------------------------------------------------
+
+@pytest.mark.parametrize("mode", [R, W])
+def test_an_edge_bit_is_exclusive_in_either_mode(mode):
+    lk = CondRwLock()
+    assert lk.try_lock_with_condition(mode, TRUE, edge=1) is ACQUIRED
+    assert (lk.edges, lk.word) == (1, 0)
+    for other in (R, W):
+        assert lk.try_lock_with_condition(other, TRUE, edge=1) \
+            is LockOutcome.CONTENDED
+    assert lk.try_lock_with_condition(mode, TRUE, edge=2) is ACQUIRED
+    assert (lk.edges, lk.word) == (3, 0)
+    lk.unlock(mode, 1)
+    assert lk.edges == 2
+    lk.unlock(mode, 2)
+    assert lk.edges == 0
+
+
+def test_edge_unlock_without_hold_asserts_and_keeps_the_other_bit():
+    lk = CondRwLock()
+    lk.edges = 2
+    with pytest.raises(AssertionError):
+        lk.unlock(W, 1)
+    assert lk.edges == 2
+
+
+@given(st.lists(st.tuples(st.sampled_from([1, 2]), st.booleans()), max_size=40))
+def test_edge_bits_match_reference_automaton(ops):
+    # (bit, True) tries to take the bit, (bit, False) releases it if held;
+    # the state word never moves
+    lk = CondRwLock()
+    held = set()
+    for bit, up in ops:
+        if up:
+            got = lk.try_lock_with_condition(W, TRUE, edge=bit) is ACQUIRED
+            assert got == (bit not in held)
+            held.add(bit)
+        elif bit in held:
+            lk.unlock(W, bit)
+            held.remove(bit)
+        assert lk.edges == sum(held) and lk.word == 0
+
+
 # -- conditional acquisition ----------------------------------------------
 
 def test_cond_acquire_plain():
@@ -182,25 +225,27 @@ def test_spin_gives_up_after_budget(monkeypatch):
     lk = CondRwLock()
     acquire(lk, W)
     pauses = []
-    monkeypatch.setattr(SpinPolicy, "pause", pauses.append)
+    monkeypatch.setattr(SpinPolicy, "pause", lambda: pauses.append(lk.word))
     out = lk.lock_with_spin(LockMode.WRITE, TRUE)
     assert out is LockOutcome.CONTENDED
     # ATTEMPTS - 1 pauses between ATTEMPTS tries
-    assert pauses == list(range(SpinPolicy.ATTEMPTS - 1))
+    assert pauses == [1] * (SpinPolicy.ATTEMPTS - 1)
 
 
 def test_spin_succeeds_when_freed_mid_way(monkeypatch):
     lk = CondRwLock()
     acquire(lk, W)
+    pauses = []
 
-    def freeing(round_):
-        if round_ == 1:
+    def freeing():
+        pauses.append(1)
+        if len(pauses) == 2:
             lk.unlock(W)
 
     monkeypatch.setattr(SpinPolicy, "pause", freeing)
     out = lk.lock_with_spin(LockMode.WRITE, TRUE)
     assert out is LockOutcome.ACQUIRED
-    assert lk.word == 1
+    assert lk.word == 1 and len(pauses) == 2
 
 
 def test_spin_never_retries_condition_violation():
@@ -232,7 +277,7 @@ def test_conditions_run_before_and_after_the_cas_and_pauses_between(monkeypatch)
     def flipping(answers):
         return lambda: recording() and answers.pop(0)
 
-    monkeypatch.setattr(SpinPolicy, "pause", lambda round_: recording())
+    monkeypatch.setattr(SpinPolicy, "pause", recording)
     for mode, held in ((W, 1), (R, 2)):
         assert lk.try_lock_with_condition(mode, recording) is LockOutcome.ACQUIRED
         lk.unlock(mode)
@@ -265,7 +310,8 @@ def test_condition_is_called_with_the_node_and_the_expected_value():
 
 def test_lock_has_only_its_word():
     lk = CondRwLock()
-    assert CondRwLock.__slots__ == ("word",)
+    assert CondRwLock.__slots__ == ("word", "edges")
+    assert (lk.word, lk.edges) == (0, 0)
     assert not hasattr(lk, "__dict__")
 
 
@@ -367,7 +413,7 @@ def test_two_thread_model_check():
 
 # -- the bytecode of each CAS step --------------------------------------------
 
-WORDS = ("word", "left_word", "right_word")
+WORDS = ("word", "edges")
 
 # Opcodes on which the GIL cannot pass to another thread: none of them
 # calls, enters a function, yields or jumps, the points where CPython
@@ -455,9 +501,10 @@ def _loop_between(lk):
 def test_the_bytecode_check_fails_a_call_or_a_loop_between_read_and_store():
     assert {op for _, op in switch_points(_call_between)} & {"CALL", "CALL_FUNCTION"}
     assert switch_points(_loop_between)
-    # the guardless by-name CAS reads no word by attribute at all, nor
-    # does a lock that excludes nothing
+    # the guardless by-name CAS steps read no word by attribute at all,
+    # nor does a lock that excludes nothing
     for func in (GetattrBetween.try_lock_with_condition, GetattrBetween.unlock,
+                 EdgesByName.try_lock_with_condition, EdgesByName.unlock,
                  NoExclusion.try_lock_with_condition, NoExclusion.unlock):
         assert spans(func) == []
 
@@ -487,79 +534,118 @@ def hold():
 class NoExclusion(Node):
     """Grants every attempt and releases nothing."""
 
+    EDGES = (0, 1, 2)
+
     def try_lock_with_condition(self, mode, condition, node=None,
-                                expected=None, field="word"):
+                                expected=None, edge=0):
         return ACQUIRED
 
-    def unlock(self, mode, field="word"):
+    def unlock(self, mode, edge=0):
         pass
 
 
 class GetattrBetween(Node):
-    """The CAS and the read release by name and without a guard: the GIL
-    may pass to another thread when the ``getattr`` that reads the word
-    returns, before the ``setattr`` stores it."""
+    """The state word's CAS and read release by name and without a guard:
+    the GIL may pass to another thread when the ``getattr`` that reads the
+    word returns, before the ``setattr`` stores it."""
+
+    EDGES = (0,)
 
     def try_lock_with_condition(self, mode, condition, node=None,
-                                expected=None, field="word"):
-        w = getattr(self, field)
+                                expected=None, edge=0):
+        w = getattr(self, "word")
         if w == 1 or (w and mode is W):
             return LockOutcome.CONTENDED
-        setattr(self, field, 1 if mode is W else w + 2)
+        setattr(self, "word", 1 if mode is W else w + 2)
         return ACQUIRED
 
-    def unlock(self, mode, field="word"):
-        setattr(self, field, 0 if mode is W else getattr(self, field) - 2)
+    def unlock(self, mode, edge=0):
+        setattr(self, "word", 0 if mode is W else getattr(self, "word") - 2)
 
 
-def exclusion_errors(words, seconds=1.0, nthreads=4):
-    """Exclusion failures seen on the ``(lock, field)`` pairs ``words``
+class EdgesByName(Node):
+    """The edge bits taken and released by name: a store of one bit may
+    land after the GIL passed to another thread, which changed the other
+    bit of ``edges`` in between."""
+
+    EDGES = (1, 2)
+
+    def try_lock_with_condition(self, mode, condition, node=None,
+                                expected=None, edge=0):
+        w = getattr(self, "edges")
+        if w & edge:
+            return LockOutcome.CONTENDED
+        setattr(self, "edges", w + edge)
+        return ACQUIRED
+
+    def unlock(self, mode, edge=0):
+        setattr(self, "edges", getattr(self, "edges") & (3 - edge))
+
+
+class DiesOnLock(Node):
+    """Takes the ``field`` keyword, not the ``edge`` that the workers pass,
+    so each of them dies on its first lock call."""
+
+    def lock_with_spin(self, mode, condition, node=None, expected=None,
+                       field="word"):
+        return ACQUIRED
+
+
+def held(lk, edge):
+    return lk.edges & edge if edge else lk.word
+
+
+def exclusion_errors(locks, seconds=1.0, nthreads=4):
+    """Exclusion failures seen on the ``(lock, edge)`` pairs ``locks``
     within ``seconds``; the threads stop once one is seen.
 
     Each thread mixes READ and WRITE holds over all of them, at a 1 us
     switch interval, and calls ``hold`` inside every hold.  Writers bump
-    their word's counter by two in two steps around that call and count
+    their lock's counter by two in two steps around that call and count
     themselves in and out; readers check the counter is even and no
-    writer is inside, before and after it.  A second holder admitted
-    beside a writer shows up as an error, a lost word update as a word
-    not back at 0 or as a worker that died on a release's assert."""
-    counters = [0] * len(words)
-    inside = [0] * len(words)
+    writer is inside, before and after it (an edge bit excludes readers
+    too, so they never see one).  A second holder admitted beside a
+    writer shows up as an error, a lost word update as a lock still held
+    at the end, and a worker that died, on a release's assert or any
+    other raise, or that never held a lock for writing, as an error of
+    its own."""
+    counters = [0] * len(locks)
+    inside = [0] * len(locks)
     errors = []
-    writes = []
+    writes = [None] * nthreads      # a worker's write holds, once it ends
     start = threading.Barrier(nthreads)
 
     def worker(seed):
         rng = random.Random(seed)
         # drawn up front, so the loop's calls are the lock's and ``hold``
-        plan = [(rng.randrange(len(words)), rng.random() < 0.5)
+        plan = [(rng.randrange(len(locks)), rng.random() < 0.5)
                 for _ in range(256)]
         wrote = 0
         start.wait(60)
         while not errors and time.perf_counter() < deadline:
             for i, write in plan:
-                lk, field = words[i]
+                lk, edge = locks[i]
                 if write:
-                    if lk.lock_with_spin(W, TRUE, field=field) is not ACQUIRED:
+                    if lk.lock_with_spin(W, TRUE, edge=edge) is not ACQUIRED:
                         continue
                     inside[i] += 1
                     if inside[i] != 1:
-                        errors.append(("two writers", field))
+                        errors.append(("two writers", edge))
                     counters[i] += 1
                     hold()
                     counters[i] += 1
                     inside[i] -= 1
-                    lk.unlock(W, field)
+                    lk.unlock(W, edge)
                     wrote += 1
                 else:
-                    if lk.lock_with_spin(R, TRUE, field=field) is not ACQUIRED:
+                    if lk.lock_with_spin(R, TRUE, edge=edge) is not ACQUIRED:
                         continue
                     for _ in range(2):
                         if counters[i] % 2 or inside[i]:
-                            errors.append(("reader saw a writer", field))
+                            errors.append(("reader saw a writer", edge))
                         hold()
-                    lk.unlock(R, field)
-        writes.append(wrote)
+                    lk.unlock(R, edge)
+        writes[seed] = wrote
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)     # switch threads inside the holds
@@ -574,22 +660,36 @@ def exclusion_errors(words, seconds=1.0, nthreads=4):
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    if sum(counters) != 2 * sum(writes):
-        errors.append(("lost counter update", sum(counters), sum(writes)))
-    return errors + [("word left held", field, getattr(lk, field))
-                     for lk, field in words if getattr(lk, field)]
+    errors += [("worker ended without a write hold", s)
+               for s, wrote in enumerate(writes) if not wrote]
+    if sum(counters) != 2 * sum(w or 0 for w in writes):
+        errors.append(("lost counter update", sum(counters), writes))
+    return errors + [("lock left held", edge, held(lk, edge))
+                     for lk, edge in locks if held(lk, edge)]
 
 
-def node_words(node):
-    return [(node, field) for field in WORDS]
+def node_locks(node):
+    return [(node, edge) for edge in (0, 1, 2)]
 
 
 def test_mutual_exclusion_under_real_threads():
-    """A standalone lock's word and the three words of one node, each
-    read- and write-locked by four threads that switch inside the holds."""
-    assert exclusion_errors([(CondRwLock(), "word")] + node_words(Node(0))) == []
+    """A standalone lock's state word and edge bits and the three locks of
+    one node, each read- and write-locked by four threads that switch
+    inside the holds."""
+    assert exclusion_errors(node_locks(CondRwLock()) + node_locks(Node(0))) == []
 
 
-@pytest.mark.parametrize("broken", [NoExclusion, GetattrBetween])
+@pytest.mark.parametrize("broken", [NoExclusion, GetattrBetween, EdgesByName])
 def test_the_exclusion_check_fails_a_broken_lock(broken):
-    assert exclusion_errors(node_words(broken(0)))
+    lk = broken(0)
+    errors = exclusion_errors([(lk, edge) for edge in broken.EDGES])
+    assert {e[0] for e in errors} - {"worker ended without a write hold"}
+
+
+def test_the_exclusion_check_fails_a_lock_its_workers_die_on(monkeypatch):
+    died = []
+    monkeypatch.setattr(threading, "excepthook", died.append)
+    errors = exclusion_errors(node_locks(DiesOnLock(0)), seconds=0.1)
+    assert len(died) == 4
+    assert all(d.exc_type is TypeError for d in died)
+    assert errors == [("worker ended without a write hold", s) for s in range(4)]

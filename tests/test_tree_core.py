@@ -112,9 +112,9 @@ def test_traverse_takes_no_locks(monkeypatch):
     attempts = []
     real = CondRwLock.try_lock_with_condition
 
-    def counting(lock, mode, cond, node=None, expected=None, field="word"):
+    def counting(lock, mode, cond, node=None, expected=None, edge=0):
         attempts.append(lock)
-        return real(lock, mode, cond, node, expected, field)
+        return real(lock, mode, cond, node, expected, edge)
 
     monkeypatch.setattr(CondRwLock, "try_lock_with_condition", counting)
     for k in (3, 5, 7, 9):
@@ -349,7 +349,7 @@ def test_validator_counts_held_lock_words_without_failing():
     gone = bst.root.left.left
     bst.seq_delete(3)
     bst.root.left.word = 1                  # reachable: write-held
-    gone.right_word = 2                     # unlinked: one reader
+    gone.edges = 2                          # unlinked: its right edge held
     rep = validate_structure(SimpleNamespace(root=bst.root, unlinked=[gone]))
     assert rep.held_locks == 2
     assert rep.ok, rep.problems
