@@ -38,12 +38,15 @@ attempt, which is what the deterministic schedule harness steps on.
 Post-lock re-verification reads do not yield: no other thread can run
 between a lock grant and its re-check in any schedule, so suspending
 there would only inflate the interleaving space without adding
-behaviours.  The public methods run plain functions instead, which
-``compile_plain`` derives from the same generator source at import:
-every ``if self._instr:`` block is folded away, each ``yield from``
-becomes a direct call and ``_op`` becomes one twin per operation, so
-real threads pay for no generator frames, no dispatch on the operation
-and no observation.  The twins return bare bools, the stepping form an
+behaviours.  The public methods are plain functions instead, which
+``compile_plain`` derives from the same generator source when one of
+them is first looked up:
+every ``if self._instr:`` block is folded away, ``_op`` becomes
+``contains``, ``insert`` and ``delete``, and each ``yield from`` in an
+attempt becomes the callee's folded body, pasted in place, so an update
+runs two Python frames (the operation and its attempt) and real threads
+pay for no generator frames, no dispatch on the operation and no
+observation.  The twins return bare bools, the stepping form an
 ``OpOutcome``.  Both forms keep every check, counter and lock call.
 
 Every descent tests ``v < curr.val`` first and ``curr.val < v`` second,
@@ -56,16 +59,18 @@ them on its first operation only.
 from __future__ import annotations
 
 import ast
+import copy
 import inspect
 import linecache
+import operator
 import random
 import threading
 import time
 from typing import NamedTuple
 
 from .reclaim import EpochReclaimer
-from .rwlock import (ACQUIRED, CONDITION_VIOLATED, READ, WRITE, CondRwLock,
-                     LockMode)
+from .rwlock import (ACQUIRED, CONDITION_VIOLATED, CONTENDED, READ, WRITE,
+                     CondRwLock, LockMode)
 from .tree_core import (DATA, LEFT, MIN_KEY, PLUS_INF, RIGHT, ROUTING, Node,
                         snapshot_keys, validate_key)
 
@@ -75,8 +80,8 @@ __all__ = [
     "K_READ", "K_WRITE", "K_LOCK", "K_CREATE",
 ]
 
-# operation -> name of its plain twin, ``_op`` compiled with ``op`` bound
-_PLAIN_TWINS = {op: "_%s_plain" % op for op in ("contains", "insert", "delete")}
+# the operations, each a public method: ``_op``'s plain twin with ``op`` bound
+_OPS = ("contains", "insert", "delete")
 
 _get_ident = threading.get_ident   # one global read, not a global and an attribute
 _new = tuple.__new__   # builds a stepping record without a constructor frame
@@ -293,25 +298,20 @@ class ConcurrentSet:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        compile_plain(cls)   # a redefined generator method needs its own twin
+        if any(map(inspect.isgeneratorfunction, vars(cls).values())):
+            compile_plain(cls)   # a redefined generator method needs new twins
 
     # -- public set interface -------------------------------------------
-
-    def contains(self, v) -> bool:
-        return self._contains_plain(v, _get_ident())
-
-    def insert(self, v) -> bool:
-        return self._insert_plain(v, _get_ident())
-
-    def delete(self, v) -> bool:
-        return self._delete_plain(v, _get_ident())
+    #
+    # ``contains(v)``, ``insert(v)`` and ``delete(v)`` are the plain twins
+    # of ``_op``, which ``compile_plain`` installs at the end of the module.
 
     def op_gen(self, op: str, v, tkey=None):
         """The stepping form used by the schedule harness: a generator
         that yields at every checkpoint.  ``tkey`` keys the logical
         thread's stats only (default: the real thread id); a caller that
         steps it by hand pins ``reclaimer`` itself, as the harness does."""
-        if op not in _PLAIN_TWINS:
+        if op not in _OPS:
             raise ValueError("unknown operation %r" % (op,))
         return self._op(op, v, _get_ident() if tkey is None else tkey)
 
@@ -376,15 +376,17 @@ class ConcurrentSet:
     def _lock(self, ctx: _AttemptCtx, tkey, st: ThreadStats, optag: str,
               lock: CondRwLock, mode: LockMode, cond, family: str,
               name: str, level: int, node=None, expected=None, edge=0):
-        """One bounded-attempt acquisition of ``lock``'s state word
-        (``edge`` 0) or edge bit ``edge`` under ``cond(node, expected)``.
+        """One bounded acquisition of ``lock``'s state word (``edge`` 0) or
+        edge bit ``edge`` under ``cond(node, expected)``.
 
-        The stepping form yields one LockPoint checkpoint and makes a
-        single attempt; the plain form spins on contention, all of it
-        inside what would be one checkpoint, because a failed CAS
-        re-attempt reads nothing new about the tree.  A granted lock
-        goes on ``ctx.held``, which ``_op`` owns and releases; any other
-        outcome is counted and raises ``Restart``.
+        Both forms make one attempt; the stepping form yields a LockPoint
+        checkpoint before it and stops there.  The plain form waits out a
+        CONTENDED attempt in ``lock_with_spin``, all of it inside what
+        would be one checkpoint, because a failed CAS re-attempt reads
+        nothing new about the tree.  A granted lock goes on ``ctx.held``,
+        which ``_op`` owns and releases; any other outcome is counted and
+        raises ``Restart``.  The body has no ``return``, so the plain form
+        pastes it into every caller.
         """
         if self._instr:
             assert ctx.last_level is None or level <= ctx.last_level, \
@@ -395,15 +397,16 @@ class ConcurrentSet:
             yield _new(LockPoint, (family, name, lock, mode, cond, node, expected, edge))
             out = lock.try_lock_with_condition(mode, cond, node, expected, edge)
         else:
-            out = lock.lock_with_spin(mode, cond, node, expected, edge)
-        if out is ACQUIRED:
-            ctx.held.append((lock, mode, edge))
-            st.acquisitions[optag] += 1
-            return
-        counts = (st.cond_violations if out is CONDITION_VIOLATED
-                  else st.contended_aborts)
-        counts[family] = counts.get(family, 0) + 1
-        raise Restart
+            out = lock.try_lock_with_condition(mode, cond, node, expected, edge)
+            if out is CONTENDED:
+                out = lock.lock_with_spin(mode, cond, node, expected, edge)
+        if out is not ACQUIRED:
+            counts = (st.cond_violations if out is CONDITION_VIOLATED
+                      else st.contended_aborts)
+            counts[family] = counts.get(family, 0) + 1
+            raise Restart
+        ctx.held.append((lock, mode, edge))
+        st.acquisitions[optag] += 1
 
     def _traverse(self, v: int):
         """Unsynchronized descent to ``(gprev, prev, curr)`` as in
@@ -435,7 +438,8 @@ class ConcurrentSet:
         """Run ``op`` on ``v``: ``tkey``'s stats (no epoch pin: a stepping
         caller pins) around the wait-free read or the restart loop of an
         update.  The stepping form returns an ``OpOutcome``, the plain
-        twins the bare result."""
+        twins, the public methods, the bare result; they take ``tkey``
+        from the running thread."""
         if not (type(v) is int and MIN_KEY <= v < PLUS_INF):
             validate_key(v)   # int subclasses pass; anything else raises
         st = self._stats.get(tkey)
@@ -465,6 +469,7 @@ class ConcurrentSet:
             ctx = st.ctx
             if self._instr:
                 ctx = _AttemptCtx(tkey)   # see ``_AttemptCtx``
+            held = ctx.held
             while True:
                 if self._instr:
                     ctx.last_level = None
@@ -479,9 +484,14 @@ class ConcurrentSet:
                 except Restart:
                     restarts += 1
                     st.restarts += 1
-                finally:
-                    if ctx.held:   # empty if the attempt took no lock
-                        self._release_all(ctx)
+                finally:   # ``held`` is empty if the attempt took no lock
+                    if self._instr:
+                        if held:
+                            self._release_all(ctx)
+                    else:
+                        while held:
+                            lock, mode, edge = held.pop()
+                            lock.unlock(mode, edge)
                 if self._instr:
                     continue   # stepped: the schedule picks who runs next
                 self._backoff(restarts)
@@ -493,7 +503,7 @@ class ConcurrentSet:
     # -- insert ------------------------------------------------------------
 
     def _insert_attempt(self, ctx, tkey, st, v):
-        _, prev, curr = yield from self._traverse(v)
+        gprev, prev, curr = yield from self._traverse(v)
         if curr is not None:
             if self._instr:
                 yield S_INS_STATE
@@ -689,26 +699,89 @@ class ConcurrentSet:
 #
 # Each generator method ``_m`` is recompiled from its own source into a
 # plain function installed beside it as ``_m_plain``, except ``_op``,
-# which becomes ``_contains_plain``, ``_insert_plain`` and
-# ``_delete_plain``: its ``op`` parameter is dropped and each read of it
-# becomes that operation's name.  ``self._instr`` reads as False and
-# comparisons of two constants fold, so each ``if`` keeps only the branch
-# taken.  That drops each ``yield SITE``, every record and retire of the
-# stepping form, the stepping half of ``_lock``, the other operations
-# and the ``OpOutcome``: the twins return bare results.  ``yield from
-# self._m(...)`` becomes a call of ``self._m_plain``.  The twins keep the
-# source's file name and line numbers, so a traceback through one points
-# at the generator body it came from.
+# which becomes ``contains``, ``insert`` and ``delete``: each read of
+# ``op`` becomes that operation's name, and ``tkey`` is bound from
+# ``_get_ident()`` at entry.  ``self._instr`` reads as False and
+# comparisons of constants fold, so each ``if`` keeps only the branch
+# taken: the twins keep no checkpoint, record or ``OpOutcome``.
+#
+# Outside ``_op``, ``yield from self._m(...)`` pastes the folded body of
+# ``_m``, a generator method of the same module, as a statement or an
+# assignment if its only ``return`` is its last statement or it has
+# none, and as a tail ``return (yield from ...)`` in any case.  Constant
+# arguments, and names that the paste never assigns, are substituted;
+# others are bound at the top of the paste if the body reads them.  Any
+# other ``yield from self._m(...)`` calls ``self._m_plain``, as ``_op``
+# calls an attempt.  The twins keep the source's file name and line
+# numbers, so a traceback through one points into the generator bodies.
+
+def _self_call(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "self")
+
+
+def _subst(node, args):
+    """``node`` with each read of a name in ``args`` replaced by a copy of
+    its value, a constant or a name; a subtree that reads none is shared."""
+    if isinstance(node, ast.Name):
+        arg = args.get(node.id)
+        if arg is None or not isinstance(node.ctx, ast.Load):
+            return node
+        return ast.copy_location(ast.Name(arg.id, ast.Load()) if isinstance(arg, ast.Name)
+                                 else ast.Constant(arg.value), node)
+    new = node
+    for field in node._fields:
+        old = getattr(node, field, None)
+        if isinstance(old, list):
+            value = [_subst(x, args) if isinstance(x, ast.AST) else x for x in old]
+            same = all(map(operator.is_, value, old))
+        elif isinstance(old, ast.AST):
+            value = _subst(old, args)
+            same = value is old
+        else:
+            continue
+        if not same:
+            new = copy.copy(node) if new is node else new
+            setattr(new, field, value)
+    return new
+
 
 class _FoldInstrumentation(ast.NodeTransformer):
+    """Folds a method of ``where``, ``_op`` with ``op`` bound to ``op``,
+    and pastes each callee for which ``pasted(name)`` gives its fold.  A
+    fold is the def, the names its body reads and assigns, and its count
+    of ``return`` statements."""
 
-    def __init__(self, op=None):
-        self.op = op     # the value bound to the ``op`` parameter, if any
+    def __init__(self, where, op, pasted):
+        self.where, self.op, self.pasted = where, op, pasted
+        self.loads, self.stores, self.loops, self.pastes = [], set(), [], []
+        self.reads, self.assigns, self.returns = set(), set(), 0
 
-    def visit_arg(self, node):
-        return None if self.op is not None and node.arg == "op" else node
+    def visit_FunctionDef(self, node):
+        self.generic_visit(node)
+        locals_ = self.stores | {a.arg for a in node.args.args}
+        for stmt, looped, names, callee in self.pastes:
+            end = (stmt.end_lineno, stmt.end_col_offset)
+            clash = names & locals_ & {n for n, at in self.loads if at > end or looped}
+            if clash:
+                raise TypeError("%s, line %d: pasting %s would change its local %s"
+                                % (self.where, stmt.lineno, callee, ", ".join(sorted(clash))))
+        if self.op is not None:
+            node.args.args = [a for a in node.args.args if a.arg not in ("op", "tkey")]
+            if any(n == "tkey" for n, _ in self.loads):
+                i = int(ast.get_docstring(node) is not None)
+                node.body.insert(i, ast.fix_missing_locations(ast.copy_location(ast.Assign(
+                    [ast.Name("tkey", ast.Store())],
+                    ast.Call(ast.Name("_get_ident", ast.Load()), [], [])), node.body[i])))
+        return (node, self.reads | {n for n, _ in self.loads},
+                self.assigns | self.stores, self.returns)
 
     def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.loads.append((node.id, (node.lineno, node.col_offset)))
+        else:
+            self.stores.add(node.id)
         if self.op is not None and node.id == "op":
             return ast.copy_location(ast.Constant(self.op), node)
         return node
@@ -729,64 +802,179 @@ class _FoldInstrumentation(ast.NodeTransformer):
                 ast.Constant(equal == isinstance(node.ops[0], ast.Eq)), node)
         return node
 
-    def visit_If(self, node):
-        self.generic_visit(node)
-        if isinstance(node.test, ast.Constant):
-            return node.body if node.test.value else node.orelse
-        return node
+    def visit_If(self, node):   # a constant test keeps one branch, unvisited
+        node.test = self.visit(node.test)
+        if not isinstance(node.test, ast.Constant):
+            return self.generic_visit(node)
+        return self.generic_visit(
+            ast.Module(node.body if node.test.value else node.orelse, [])).body
+
+    def visit_While(self, node):   # and For: a paste inside reads the whole loop
+        self.loops.append(((node.lineno, node.col_offset),
+                           (node.end_lineno, node.end_col_offset)))
+        return self.generic_visit(node)
+
+    visit_For = visit_While
 
     def visit_YieldFrom(self, node):
         self.generic_visit(node)
-        call = node.value
-        if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                and isinstance(call.func.value, ast.Name)
-                and call.func.value.id == "self"):
-            call.func.attr += "_plain"
-            return call
+        if _self_call(node.value):
+            node.value.func.attr += "_plain"
+            return node.value
         return node
+
+    def visit_Expr(self, stmt):   # and Assign and Return: paste the callee
+        call = getattr(stmt.value, "value", None)
+        callee = (self.pasted(call.func.attr)
+                  if isinstance(stmt.value, ast.YieldFrom) and _self_call(call) else None)
+        if callee is None:
+            stmt = self.generic_visit(stmt)
+            self.returns += isinstance(stmt, ast.Return)
+            return stmt
+        fn, read, stored, returns = callee
+        targets = getattr(stmt, "targets", None if isinstance(stmt, ast.Return) else [])
+        params, defaults = [p.arg for p in fn.args.args], fn.args.defaults
+        args = dict(zip(params[len(params) - len(defaults):], defaults))
+        args.update(zip(params, [ast.Name("self", ast.Load())] + call.args))
+        args.update((k.arg, k.value) for k in call.keywords)
+        used = read & set(params)
+        bound = {p for p in used if p in stored
+                 or not isinstance(args[p], (ast.Constant, ast.Name))}
+        while more := {p for p in used - bound
+                       if getattr(args[p], "id", None) in stored | bound}:
+            bound |= more    # a name argument must keep its value in the paste
+        body = fn.body[ast.get_docstring(fn) is not None:]
+        if targets is not None and returns > isinstance(body[-1], ast.Return):
+            line = next(n.lineno for n in ast.walk(ast.Module(body, []))
+                        if isinstance(n, ast.Return) and n is not body[-1])
+            raise TypeError("%s, line %d: %s returns at line %d, where no paste "
+                            "form covers it" % (self.where, stmt.lineno,
+                                                call.func.attr, line))
+        tnames = {n.id for t in targets or () for n in ast.walk(t) if isinstance(n, ast.Name)}
+        at, end = (stmt.lineno, stmt.col_offset), (stmt.end_lineno, stmt.end_col_offset)
+        self.pastes.append((stmt, any(b <= at and end <= e for b, e in self.loops),
+                            (stored | bound) - tnames, call.func.attr))
+        self.reads |= read - set(params) | {n.id for a in args.values()
+                                            for n in ast.walk(a) if isinstance(n, ast.Name)}
+        self.assigns |= stored | bound | tnames
+        subst = {p: args[p] for p in used - bound if getattr(args[p], "id", None) != p}
+        body = [_subst(b, subst) for b in body] if subst else body[:]
+        if targets is None:
+            self.returns += returns
+            if not isinstance(body[-1], (ast.Return, ast.Raise)):
+                body.append(ast.copy_location(ast.Return(None), body[-1]))
+                self.returns += 1
+        else:
+            last = body.pop() if isinstance(body[-1], ast.Return) else stmt
+            value = getattr(last, "value", None) or ast.Constant(None)
+            if not targets and last is not stmt and last.value:
+                body.append(ast.copy_location(ast.Expr(value), last))
+            elif targets and [ast.unparse(t) for t in targets] != [ast.unparse(value)]:
+                body.append(ast.copy_location(ast.Assign(targets, value), last))
+        if bound:
+            order = [p for p in params if p in bound]
+            body.insert(0, ast.fix_missing_locations(ast.copy_location(ast.Assign(
+                [ast.Tuple([ast.Name(p, ast.Store()) for p in order], ast.Store())],
+                ast.Tuple([args[p] for p in order], ast.Load())), stmt)))
+        return body
+
+    visit_Assign = visit_Return = visit_Expr
+
+
+def _method_def(fn) -> ast.FunctionDef:
+    """The def of ``fn`` from its own lines, read by ``linecache`` to the
+    last line in ``co_positions()`` (by ``inspect`` on CPython 3.10) and
+    padded so that every line and column number is the file's."""
+    code = fn.__code__
+    if hasattr(code, "co_positions"):
+        first = code.co_firstlineno
+        block = linecache.getlines(code.co_filename, fn.__globals__)[
+            first - 1:max(filter(None, map(operator.itemgetter(1), code.co_positions())))]
+    else:   # CPython 3.10
+        block, first = inspect.getsourcelines(fn)
+    indented = block[0][:1].isspace()
+    source = ("\n" * (first - 1 - indented)
+              + ("class _:\n" if indented else "") + "".join(block))
+    return next(n for n in ast.walk(ast.parse(source, code.co_filename))
+                if isinstance(n, ast.FunctionDef))
+
+
+def _plain_defs(cls, parse=_method_def) -> dict:
+    """Twin name -> (folded def, method) for every generator method that
+    ``cls`` has, own or inherited; ``parse(fn)`` gives the def of ``fn``."""
+    gens: dict = {}
+    for klass in reversed(cls.__mro__):
+        gens.update(vars(klass))
+    gens = {n: fn for n, fn in gens.items() if inspect.isgeneratorfunction(fn)}
+    done: dict = {}
+
+    def fold(name, op=None):
+        fn = gens[name]
+        if fn.__code__.co_freevars:
+            raise TypeError("%s.%s uses enclosing variables %s; only plain "
+                            "methods can be compiled"
+                            % (cls.__name__, name, fn.__code__.co_freevars))
+
+        def paste(m):   # ``_op`` calls its attempts, and a twin calls across modules
+            return (folded(m) if name != "_op" and m in gens
+                    and gens[m].__globals__ is fn.__globals__ else None)
+        return _FoldInstrumentation("%s.%s" % (cls.__name__, name), op,
+                                    paste).visit(parse(fn))
+
+    def folded(name):
+        if name not in done:
+            done[name] = None   # a method that pastes itself calls itself
+            done[name] = fold(name)
+        return done[name]
+
+    twins = {op: (fold("_op", op)[0], gens["_op"]) for op in _OPS if "_op" in gens}
+    twins.update((name + "_plain", (folded(name)[0], fn))
+                 for name, fn in gens.items() if name != "_op")
+    done.clear()   # ``fold`` and ``folded`` form a cycle; the defs need not wait for it
+    return twins
 
 
 def compile_plain(cls) -> None:
     """Install on ``cls`` the plain twins of every generator method that
-    ``cls`` itself defines (inherited ones already have theirs).
-
-    Each twin parses its method's own lines, read by ``linecache`` to the
-    last line in ``co_positions()`` (by ``inspect`` on CPython 3.10), and
-    padded so that every line and column number is the file's.  Subclasses
-    are compiled when they are created; call this again after replacing a
-    generator method on a class, or the plain form keeps running the old body.
+    ``cls`` has, own or inherited, as an inherited twin may have pasted a
+    method that ``cls`` redefines; a public method that ``cls`` or a base
+    defines itself stays.  Subclasses that define a generator method are
+    compiled when they are created; call this again after replacing one.
+    ``TypeError`` names the method and line of a ``return`` that no paste
+    form covers, a paste that changes a caller local read later, or a
+    ``yield`` left after folding.
     """
-    for name, fn in list(vars(cls).items()):
-        if not inspect.isgeneratorfunction(fn):
+    for twin, (node, fn) in _plain_defs(cls).items():
+        own = inspect.getattr_static(cls, twin, None)
+        if twin in _OPS and own is not None and not hasattr(own, "plain_twin"):
             continue
-        code = fn.__code__
-        if code.co_freevars:
-            raise TypeError("%s.%s uses enclosing variables %s; only plain "
-                            "methods can be compiled"
-                            % (cls.__name__, name, code.co_freevars))
-        if hasattr(code, "co_positions"):
-            first = code.co_firstlineno
-            block = linecache.getlines(code.co_filename, fn.__globals__)[
-                first - 1:max(end or 0 for _, end, _, _ in code.co_positions())]
-        else:   # CPython 3.10
-            block, first = inspect.getsourcelines(fn)
-        indented = block[0][:1].isspace()
-        source = ("\n" * (first - 1 - indented)
-                  + ("class _:\n" if indented else "") + "".join(block))
-        for op, twin in (_PLAIN_TWINS.items() if name == "_op"
-                         else [(None, name + "_plain")]):
-            node = next(n for n in ast.walk(ast.parse(source, code.co_filename))
-                        if isinstance(n, ast.FunctionDef))
-            node = _FoldInstrumentation(op).visit(node)
-            node.name = twin
-            for sub in ast.walk(node):
-                if isinstance(sub, (ast.Yield, ast.YieldFrom)):
-                    raise TypeError("%s.%s: yield left at line %d after "
-                                    "folding" % (cls.__name__, name, sub.lineno))
-            ns: dict = {}
-            exec(compile(ast.Module([node], []), code.co_filename, "exec"),
-                 fn.__globals__, ns)
-            setattr(cls, twin, ns[twin])
+        node.name = twin
+        ns: dict = {}
+        exec(compile(ast.Module([node], []), fn.__code__.co_filename, "exec"),
+             fn.__globals__, ns)
+        if inspect.isgeneratorfunction(ns[twin]):
+            line = next(n.lineno for n in ast.walk(node)
+                        if isinstance(n, (ast.Yield, ast.YieldFrom)))
+            raise TypeError("%s.%s: yield left at line %d after folding"
+                            % (cls.__name__, fn.__name__, line))
+        ns[twin].plain_twin = True
+        setattr(cls, twin, ns[twin])
 
 
-compile_plain(ConcurrentSet)
+class _CompiledOnUse:
+    """Stands for a twin of ``cls`` until one is looked up, which compiles
+    them all, so that importing cobst folds nothing."""
+
+    plain_twin = True
+
+    def __init__(self, cls, name):
+        self.cls, self.name = cls, name
+
+    def __get__(self, obj, owner):
+        compile_plain(self.cls)
+        return vars(self.cls)[self.name].__get__(obj, owner)
+
+
+for _twin in [n + "_plain" for n, fn in vars(ConcurrentSet).items()
+              if inspect.isgeneratorfunction(fn) and n != "_op"] + list(_OPS):
+    setattr(ConcurrentSet, _twin, _CompiledOnUse(ConcurrentSet, _twin))

@@ -81,8 +81,9 @@ class SpinPolicy:
     """Bounded retry policy for CONTENDED outcomes, each one a word that
     another thread really holds.
 
-    ``ATTEMPTS`` caps how many CAS attempts are made before the caller
-    gives up and restarts from scratch.  Between attempts ``sleep(0)``
+    ``ATTEMPTS`` caps how many CAS attempts are made, the caller's first
+    one and ``lock_with_spin``'s retries, before the caller gives up and
+    restarts from scratch.  Before each retry ``sleep(0)``
     yields the GIL, the only way the holder can run.  A timed sleep would
     stretch the hold times of the locks the caller may hold by orders of
     magnitude, turning transient collisions into stable livelock, so
@@ -157,17 +158,18 @@ class CondRwLock:
 
     def lock_with_spin(self, mode: LockMode, condition, node=None,
                        expected=None, edge: int = 0) -> LockOutcome:
-        """Retry CONTENDED outcomes up to ``SpinPolicy.ATTEMPTS`` times.
+        """Wait out an attempt that ended CONTENDED: pause, then retry, at
+        most ``SpinPolicy.ATTEMPTS - 1`` times, so that with the caller's
+        own first attempt the budget is ``ATTEMPTS`` attempts.
 
         Returns the first non-contended outcome, or CONTENDED once the
-        attempt budget is spent.  The caller is expected to restart its
-        whole operation in that case rather than block.
+        budget is spent.  The caller is expected to restart its whole
+        operation in that case rather than block.
         """
-        out = self.try_lock_with_condition(mode, condition, node, expected, edge)
-        if out is CONTENDED:
-            for _ in range(SpinPolicy.ATTEMPTS - 1):
-                SpinPolicy.pause()
-                out = self.try_lock_with_condition(mode, condition, node, expected, edge)
-                if out is not CONTENDED:
-                    break
+        out = CONTENDED
+        for _ in range(SpinPolicy.ATTEMPTS - 1):
+            SpinPolicy.pause()
+            out = self.try_lock_with_condition(mode, condition, node, expected, edge)
+            if out is not CONTENDED:
+                break
         return out

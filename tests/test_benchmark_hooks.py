@@ -7,8 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import inspect
+
 import cobst.harness
 from cobst.concurrent_set import ConcurrentSet
+from cobst.rwlock import CondRwLock, SpinPolicy
 
 from scenarios import script_parallel_inserts, script_twin_replacement
 
@@ -22,7 +25,12 @@ def load_tracing():
     return module
 
 
-def test_tracer_patches_existing_names_and_restores_them():
+def test_tracer_patches_existing_names_and_restores_them(monkeypatch):
+    # an insert that finds its edge bit held spins, so ``rwlock.acquire``
+    # spans too; the first pause frees the bit
+    held = []
+    monkeypatch.setattr(SpinPolicy, "pause",
+                        staticmethod(lambda: setattr(held.pop(), "edges", 0)))
     tracing = load_tracing()
     targets = [(owner, attr) for owner, attr, _, _ in tracing._TARGETS]
     missing = [(owner.__name__, attr) for owner, attr in targets
@@ -38,6 +46,9 @@ def test_tracer_patches_existing_names_and_restores_them():
             s.insert(k)
         s.contains(3)
         s.delete(3)
+        held.append(s.root.left.right)      # 7, whose right edge 9 hangs on
+        s.root.left.right.edges = 2
+        assert s.insert(9) and held == []
         s.reclaimer.drain()
         # through the module, as the benchmark calls it
         cobst.harness.run_script(script_parallel_inserts())
@@ -85,16 +96,10 @@ def test_selftest_locking_contains_takes_one_root_read_lock(monkeypatch):
     assert s.root.state_lock.word == 0
 
 
-def test_one_insert_traces_an_edge_word_and_a_state_word():
-    """Each traced lock method records its span whichever lock it acts
-    on; an insert of a new leaf takes an edge bit and a state word."""
-    import inspect
-
-    from cobst.rwlock import CondRwLock
-
+def traced_insert(s, key):
+    """Insert ``key`` into ``s`` traced, and return the tracer and the
+    (span name, edge) of each traced lock call, in call order."""
     tracing = load_tracing()
-    s = ConcurrentSet()
-    s.insert(5)
     seen = []
 
     def spy(attr, traced):
@@ -114,20 +119,51 @@ def test_one_insert_traces_an_edge_word_and_a_state_word():
     try:
         for a in attrs:
             setattr(CondRwLock, a, spy(a, traced[a]))
-        assert s.insert(3)
+        assert s.insert(key)
     finally:
         for a in attrs:
             setattr(CondRwLock, a, traced[a])
         tr.uninstall()
     tr.flush(1.0)
-    for edge in (1, 0):     # the left edge bit and the state word
-        for name in ("rwlock.acquire", "rwlock.attempt", "rwlock.unlock"):
-            assert seen.count((name, edge)) == 1, (name, edge, seen)
-    assert len(seen) == 6
-    for name, parent in (("rwlock.acquire", "concurrent_set.insert"),
-                         ("rwlock.attempt", "rwlock.acquire"),
-                         ("rwlock.unlock", "concurrent_set.insert")):
-        assert tr.count(name, (parent,)) == 2, name
+    return tr, seen
+
+
+def test_one_insert_traces_an_edge_word_and_a_state_word():
+    """Each traced lock method records its span whichever lock it acts
+    on; an insert of a new leaf takes an edge bit and a state word, each
+    in one attempt straight under the insert."""
+    s = ConcurrentSet()
+    s.insert(5)
+    tr, seen = traced_insert(s, 3)
+    assert seen == [("rwlock.attempt", 1), ("rwlock.attempt", 0),
+                    ("rwlock.unlock", 0), ("rwlock.unlock", 1)]
+    for name in ("rwlock.attempt", "rwlock.unlock"):
+        assert tr.count(name) == tr.count(name, ("concurrent_set.insert",)) == 2
+    assert tr.count("rwlock.acquire") == 0
+
+
+def test_a_contended_lock_nests_its_retries_under_an_acquire_span(monkeypatch):
+    """Only a contended attempt leads to ``lock_with_spin``: its span sits
+    under the insert and holds the retry; here the first pause frees the
+    held edge bit."""
+    s = ConcurrentSet()
+    s.insert(5)
+    parent = s.root.left
+    parent.edges = 1     # another writer holds the left edge
+    monkeypatch.setattr(SpinPolicy, "pause",
+                        staticmethod(lambda: setattr(parent, "edges", 0)))
+    tr, seen = traced_insert(s, 3)
+    assert seen == [("rwlock.attempt", 1), ("rwlock.attempt", 1),
+                    ("rwlock.acquire", 1), ("rwlock.attempt", 0),
+                    ("rwlock.unlock", 0), ("rwlock.unlock", 1)]
+    for name, parent_span, n in (
+            ("rwlock.acquire", "concurrent_set.insert", 1),
+            ("rwlock.attempt", "concurrent_set.insert", 2),
+            ("rwlock.attempt", "rwlock.acquire", 1),
+            ("rwlock.pause", "rwlock.acquire", 1),
+            ("rwlock.unlock", "concurrent_set.insert", 2)):
+        assert tr.count(name, (parent_span,)) == n, name
+    assert tr.count("rwlock.attempt") == 3
 
 
 def test_the_benchmark_self_test_holds_every_expectation(tmp_path):

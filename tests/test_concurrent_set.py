@@ -386,30 +386,26 @@ def test_every_entry_point_accepts_the_edge_keys_and_int_subclasses(key):
 
 # -- lock bookkeeping ---------------------------------------------------------------
 
-class CountsReleases(ConcurrentSet):
-    releases = 0
-
-    def _release_all(self, ctx):
-        self.releases += 1
-        super()._release_all(ctx)
-
-
 @pytest.mark.parametrize("stepped", [False, True])
-def test_updates_that_lock_nothing_do_no_lock_bookkeeping(stepped):
-    s = CountsReleases()
+def test_updates_that_lock_nothing_do_no_lock_bookkeeping(stepped, monkeypatch):
+    s = ConcurrentSet()
     s.insert(10)
     run = (lambda op, k: s._drain(s.op_gen(op, k, "t")).result) if stepped \
         else (lambda op, k: getattr(s, op)(k))
-    s.releases = 0
+    unlocked = []
+    real = CondRwLock.unlock
+    monkeypatch.setattr(CondRwLock, "unlock",
+                        lambda lk, *args: unlocked.append(lk) or real(lk, *args))
     assert run("insert", 10) is False            # present
     assert run("delete", 3) is False             # absent: no node at all
-    s.root.left.state = ROUTING
+    parent = s.root.left
+    parent.state = ROUTING
     assert run("delete", 10) is False            # absent: a routing node
-    assert s.releases == 0
+    assert unlocked == []
     assert run("insert", 5) is True              # locks the edge and the state
-    assert s.releases == 1
+    assert unlocked == [parent] * 2
     assert run("insert", 10) is True             # promotes the routing node
-    assert s.releases == 2
+    assert unlocked == [parent] * 3
     assert validate_structure(s).ok
 
 
@@ -736,25 +732,24 @@ def test_a_held_edge_word_ends_in_a_counted_restart(monkeypatch):
     assert busy_locks(s) == [] and s.contains(5)
 
 
-class RaisesAtSecondLock(ConcurrentSet):
-    """The plain insert's second lock call raises, while the first lock
-    is held; later calls lock as usual."""
+def test_an_exception_leaves_the_reused_context_empty(monkeypatch):
+    # the plain insert's second lock attempt raises, while the first lock
+    # is held; later attempts lock as usual
+    calls = []
+    real = CondRwLock.try_lock_with_condition
 
-    calls = 0
-
-    def _lock_plain(self, *args):
-        self.calls += 1
-        if self.calls == 2:
+    def raises_at_the_second(lk, *args):
+        calls.append(lk)
+        if len(calls) == 2:
             raise RuntimeError("after a granted lock")
-        return ConcurrentSet._lock_plain(self, *args)
+        return real(lk, *args)
 
-
-def test_an_exception_leaves_the_reused_context_empty():
-    s = RaisesAtSecondLock()
+    monkeypatch.setattr(CondRwLock, "try_lock_with_condition", raises_at_the_second)
+    s = ConcurrentSet()
     ctx = s._thread_stats(threading.get_ident()).ctx
     with pytest.raises(RuntimeError):
         s.insert(5)                      # edge lock granted, then the raise
-    assert s.calls == 2
+    assert len(calls) == 2
     assert ctx.held == [] and busy_locks(s) == []
     assert s.insert(5) is True and s.delete(5) is True
     assert s._thread_stats(threading.get_ident()).ctx is ctx
@@ -875,7 +870,7 @@ def test_every_descent_finds_the_same_nodes_on_trees_with_routing_nodes():
             sites, got = _stepped(s._traverse(k))
             assert sites == path and all(g is w for g, w in zip(got, want)), k
             member = curr is not None and curr.state == DATA
-            assert s._contains_plain(k, "t") is member
+            assert s.contains(k) is member
             sites, out = _stepped(s.op_gen("contains", k, tkey="t"))
             assert sites == path + ([S_CONT_STATE] if curr is not None else [])
             assert out.result is member

@@ -9,18 +9,19 @@ import random
 import subprocess
 import sys
 import traceback
+from collections import Counter
 
 import pytest
 
 import cobst.concurrent_set as cs
 from cobst.concurrent_set import (S_CONT_STATE, ConcurrentSet, OpOutcome,
                                   Restart, W_DEL_DEMOTE)
-from cobst.rwlock import CondRwLock
+from cobst.rwlock import CondRwLock, SpinPolicy
 
 from tree_text import dump_tree
 
 
-OP_TWINS = ("_contains_plain", "_insert_plain", "_delete_plain")
+OP_TWINS = ("contains", "insert", "delete")   # ``_op``'s twins are public
 
 
 def twin_names():
@@ -62,15 +63,15 @@ def test_every_twin_is_a_plain_function_from_the_module_source():
             assert fn.__code__.co_filename == cs.__file__
     for twin in OP_TWINS:
         params = inspect.signature(getattr(ConcurrentSet, twin)).parameters
-        assert list(params) == ["self", "v", "tkey"], twin
+        assert list(params) == ["self", "v"], twin
 
 
 def test_op_twins_keep_only_their_own_operation():
-    other = {"_contains_plain": ("_traverse_plain", "_AttemptCtx",
-                                 "_insert_attempt_plain",
-                                 "_delete_attempt_plain", "_backoff"),
-             "_insert_plain": ("_delete_attempt_plain",),
-             "_delete_plain": ("_insert_attempt_plain",)}
+    other = {"contains": ("_traverse_plain", "_AttemptCtx",
+                          "_insert_attempt_plain", "_delete_attempt_plain",
+                          "_backoff"),
+             "insert": ("_delete_attempt_plain",),
+             "delete": ("_insert_attempt_plain",)}
     for twin, absent in other.items():
         names = getattr(ConcurrentSet, twin).__code__.co_names
         assert "OpOutcome" not in names, twin
@@ -92,7 +93,7 @@ def test_plain_twins_build_no_closures_and_updates_no_context():
         for c in codes:
             assert not [k for k in c.co_consts if inspect.iscode(k)], \
                 (twin, c.co_name)
-    for twin in ("_insert_plain", "_delete_plain"):
+    for twin in ("insert", "delete"):
         names = getattr(ConcurrentSet, twin).__code__.co_names
         assert "_AttemptCtx" not in names, twin
 
@@ -106,21 +107,199 @@ def test_plain_form_observes_nothing_and_the_set_takes_no_options():
 
 
 def test_twin_traceback_points_into_the_generator_source(monkeypatch):
+    """The attempt's frame, where ``_lock`` is pasted, points into
+    ``_lock``'s lines; no frame runs between it and the lock method."""
     def boom(self, mode, cond, node=None, expected=None, edge=0):
         raise RuntimeError("from the lock")
 
-    monkeypatch.setattr(CondRwLock, "lock_with_spin", boom)
+    monkeypatch.setattr(CondRwLock, "try_lock_with_condition", boom)
     s = ConcurrentSet()
     with pytest.raises(RuntimeError) as info:
         s.insert(5)
-    frames = {f.name: f for f in traceback.extract_tb(info.value.__traceback__)}
-    for twin, name in (("_insert_plain", "_op"),
-                       ("_insert_attempt_plain", "_insert_attempt"),
-                       ("_lock_plain", "_lock")):
+    tb = traceback.extract_tb(info.value.__traceback__)[1:]   # from ``insert`` on
+    assert [f.name for f in tb] == ["insert", "_insert_attempt_plain", "boom"]
+    for f, name in zip(tb, ("_op", "_lock")):
         lines, first = inspect.getsourcelines(getattr(ConcurrentSet, name))
-        f = frames[twin]
         assert f.filename == cs.__file__
-        assert first < f.lineno < first + len(lines), (twin, f.lineno)
+        assert first < f.lineno < first + len(lines), (f.name, f.lineno)
+
+
+# -- the flat shape: which Python functions one plain operation calls -----
+
+def python_calls(fn, *args) -> Counter:
+    """The names of the Python functions that ``fn(*args)`` runs, ``fn``
+    included, each with its count of calls."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def flat_tree() -> ConcurrentSet:
+    """50 over 20 and 80, 20 over 10 and 30, after this thread's first
+    operation, which alone makes its stats."""
+    s = ConcurrentSet()
+    for k in (50, 20, 80, 10, 30):
+        s.insert(k)
+    return s
+
+
+def test_a_plain_update_runs_its_twin_and_one_attempt_frame():
+    s = flat_tree()
+    # 25 hangs left of 30: 30's left edge bit, then 30's state word
+    assert python_calls(s.insert, 25) == Counter({
+        "insert": 1, "_insert_attempt_plain": 1,
+        "try_lock_with_condition": 2, "_left_is": 2, "<lambda>": 2,
+        "__init__": 1, "set_child": 1, "unlock": 2})
+    assert python_calls(s.insert, 30) == Counter(
+        {"insert": 1, "_insert_attempt_plain": 1})
+    assert python_calls(s.delete, 35) == Counter(
+        {"delete": 1, "_delete_attempt_plain": 1})
+    # 25, a leaf under the DATA node 30: its edge, its state, 30's state
+    assert python_calls(s.delete, 25) == Counter({
+        "delete": 1, "_delete_attempt_plain": 1,
+        "try_lock_with_condition": 3, "_left_holds": 2, "_state_is": 4,
+        "child": 1, "set_child": 1, "unlock": 3})
+    for k in (30, 35):
+        assert python_calls(s.contains, k) == Counter({"contains": 1})
+
+
+def test_one_held_edge_bit_adds_one_spin(monkeypatch):
+    s = flat_tree()
+    thirty = s.root.left.left.right
+    uncontended = python_calls(s.insert, 25)
+    assert s.delete(25)
+
+    def pause():   # frees the held bit
+        thirty.edges = 0
+
+    monkeypatch.setattr(SpinPolicy, "pause", staticmethod(pause))
+    thirty.edges = 1
+    contended = python_calls(s.insert, 25)
+    # the contended try checks its condition once, before the CAS
+    assert contended - uncontended == Counter({
+        "lock_with_spin": 1, "pause": 1, "try_lock_with_condition": 1,
+        "_left_is": 1})
+    assert uncontended - contended == Counter()
+
+
+# -- the fold's rules -------------------------------------------------------
+
+def _calls_an_early_return(self, ctx, tkey, st, curr):
+    yield from self._returns_early(curr)
+    return True
+
+
+def _returns_early(self, curr):
+    if curr.left is None:
+        return
+    if self._instr:
+        yield W_DEL_DEMOTE
+
+
+def _reads_a_clobbered_local(self, ctx, tkey, st, curr):
+    seen = curr.left
+    yield from self._sets_seen(curr)
+    return seen is curr.left
+
+
+def _sets_seen(self, curr):
+    seen = curr.right
+    if self._instr:
+        yield W_DEL_DEMOTE
+    curr.left = seen
+
+
+def test_a_return_that_no_paste_form_covers_is_refused():
+    with pytest.raises(TypeError) as info:
+        type("EarlyReturn", (ConcurrentSet,), {
+            "_delete_two_children": _calls_an_early_return,
+            "_returns_early": _returns_early})
+    assert str(info.value) == (
+        "EarlyReturn._delete_two_children, line %d: _returns_early returns "
+        "at line %d, where no paste form covers it" % (
+            _calls_an_early_return.__code__.co_firstlineno + 1,
+            _returns_early.__code__.co_firstlineno + 2))
+
+
+def test_a_paste_that_changes_a_local_read_later_is_refused():
+    with pytest.raises(TypeError) as info:
+        type("Clobbers", (ConcurrentSet,), {
+            "_delete_two_children": _reads_a_clobbered_local,
+            "_sets_seen": _sets_seen})
+    assert str(info.value) == (
+        "Clobbers._delete_two_children, line %d: pasting _sets_seen would "
+        "change its local seen"
+        % (_reads_a_clobbered_local.__code__.co_firstlineno + 2))
+
+
+class CountsLockAttempts(ConcurrentSet):
+    """Counts every lock attempt, then makes it as the base class does."""
+
+    attempts_made = 0
+    _base_lock = ConcurrentSet._lock
+
+    def _lock(self, ctx, tkey, st, optag, lock, mode, cond, family, name,
+              level, node=None, expected=None, edge=0):
+        self.attempts_made += 1
+        yield from self._base_lock(ctx, tkey, st, optag, lock, mode, cond,
+                                   family, name, level, node, expected, edge)
+
+
+@pytest.mark.parametrize("stepped", [False, True])
+def test_a_redefined_lock_is_seen_by_the_updates(stepped):
+    for twin in ("_insert_attempt_plain", "_delete_attempt_plain", "_lock_plain"):
+        assert getattr(CountsLockAttempts, twin) is not getattr(ConcurrentSet, twin)
+    s = CountsLockAttempts()
+
+    def run(op, k):
+        return s._drain(s.op_gen(op, k)).result if stepped else getattr(s, op)(k)
+
+    # locks taken: a leaf edge and state, the same, a leaf's edge, its
+    # state and its DATA parent's state, none for an absent key
+    for (op, k), attempts in zip((("insert", 10), ("insert", 5),
+                                  ("delete", 5), ("delete", 7)), (2, 4, 7, 7)):
+        assert run(op, k) is (k != 7)
+        assert s.attempts_made == attempts, (op, k)
+    assert s.stats_snapshot()["acquisitions"] == {
+        "contains": 0, "insert": 4, "delete": 3}
+
+
+class KeepsItsOwnDelete(ConcurrentSet):
+    """A class body's own public method, beside a generator method, so
+    that ``compile_plain`` runs on the class."""
+
+    def delete(self, v):
+        return "own"
+
+    def _unused(self):
+        if self._instr:
+            yield S_CONT_STATE
+        return None
+
+
+class InheritsAnOwnDelete(KeepsItsOwnDelete):
+    def _unused(self):
+        if self._instr:
+            yield S_CONT_STATE
+        return None
+
+
+def test_a_class_keeps_its_own_public_method():
+    for cls in (KeepsItsOwnDelete, InheritsAnOwnDelete):
+        cs.compile_plain(cls)
+        assert cls.delete is vars(KeepsItsOwnDelete)["delete"]
+        assert cls.insert is not ConcurrentSet.insert
+        s = cls()
+        assert (s.insert(5), s.delete(5), s.contains(5)) == (True, "own", True)
 
 
 class RefusesDemotion(ConcurrentSet):
@@ -134,8 +313,9 @@ class RefusesDemotion(ConcurrentSet):
 
 @pytest.mark.parametrize("stepped", [False, True])
 def test_subclass_generator_gets_its_own_twin(stepped):
-    assert (RefusesDemotion._delete_two_children_plain
-            is not ConcurrentSet._delete_two_children_plain)
+    # the inherited attempt pasted the base shape, so it is compiled again
+    for twin in ("_delete_two_children_plain", "_delete_attempt_plain"):
+        assert getattr(RefusesDemotion, twin) is not getattr(ConcurrentSet, twin)
     s = RefusesDemotion()
 
     def run(op, k):
@@ -246,7 +426,8 @@ def test_twins_match_the_whole_file_compiler():
         want = reference_twins(cls)
         assert want, cls.__name__
         for twin, fn in want.items():
-            got = vars(cls)[twin]
+            got = getattr(cls, twin)   # compiles a class not compiled yet
+            assert vars(cls)[twin] is got
             assert same_code(got.__code__, fn.__code__), (cls.__name__, twin)
 
 
@@ -300,7 +481,7 @@ def test_awkward_layouts_match_the_whole_file_compiler():
     want = reference_twins(Awkward)
     assert set(want) == {"_flush_left_docstring_plain", "_flush_left_continuation_plain",
                          "_decorated_plain", "_multiline_end_plain",
-                         "_ends_in_a_handler_plain"}
+                         "_ends_in_a_handler_plain"} | set(reference_twins(ConcurrentSet))
     for twin, fn in want.items():
         assert same_code(vars(Awkward)[twin].__code__, fn.__code__), twin
     s = Awkward()
@@ -320,7 +501,15 @@ def test_importing_cobst_runs_no_tokenizer():
             "    return real(*args, **kwargs)\n"
             "tokenize.generate_tokens = counting\n"
             "import cobst.concurrent_set as cs\n"
-            "assert cs.ConcurrentSet._insert_plain\n"
+            "assert isinstance(vars(cs.ConcurrentSet)['insert'], "
+            "cs._CompiledOnUse)\n"
+            "class Own(cs.ConcurrentSet):\n"
+            "    def contains(self, v):\n"
+            "        return super().contains(v)\n"
+            "assert Own().contains(3) is False\n"   # compiled through super()
+            "assert cs.ConcurrentSet.insert.__code__.co_name == 'insert'\n"
+            "assert not isinstance(vars(cs.ConcurrentSet)['_lock_plain'], "
+            "cs._CompiledOnUse)\n"
             "assert len(calls) == 0, len(calls)\n")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

@@ -224,12 +224,18 @@ def test_failed_outcomes_leave_word_unchanged():
 def test_spin_gives_up_after_budget(monkeypatch):
     lk = CondRwLock()
     acquire(lk, W)
-    pauses = []
-    monkeypatch.setattr(SpinPolicy, "pause", lambda: pauses.append(lk.word))
-    out = lk.lock_with_spin(LockMode.WRITE, TRUE)
+    events = []
+
+    def cond():
+        events.append("try")
+        return True
+
+    monkeypatch.setattr(SpinPolicy, "pause", lambda: events.append(lk.word))
+    assert lk.try_lock_with_condition(W, cond) is LockOutcome.CONTENDED
+    out = lk.lock_with_spin(LockMode.WRITE, cond)
     assert out is LockOutcome.CONTENDED
-    # ATTEMPTS - 1 pauses between ATTEMPTS tries
-    assert pauses == [1] * (SpinPolicy.ATTEMPTS - 1)
+    # after the caller's own try, a pause before each of ATTEMPTS - 1 retries
+    assert events == ["try"] + [1, "try"] * (SpinPolicy.ATTEMPTS - 1)
 
 
 def test_spin_succeeds_when_freed_mid_way(monkeypatch):
@@ -243,6 +249,7 @@ def test_spin_succeeds_when_freed_mid_way(monkeypatch):
             lk.unlock(W)
 
     monkeypatch.setattr(SpinPolicy, "pause", freeing)
+    assert lk.try_lock_with_condition(W, TRUE) is LockOutcome.CONTENDED
     out = lk.lock_with_spin(LockMode.WRITE, TRUE)
     assert out is LockOutcome.ACQUIRED
     assert lk.word == 1 and len(pauses) == 2
@@ -286,8 +293,9 @@ def test_conditions_run_before_and_after_the_cas_and_pauses_between(monkeypatch)
             is LockOutcome.CONDITION_VIOLATED
         assert seen[-4:] == [0, held, 0, held] and lk.word == 0
     acquire(lk, W)
-    assert lk.lock_with_spin(R, recording) is LockOutcome.CONTENDED
-    assert lk.lock_with_spin(W, recording) is LockOutcome.CONTENDED
+    for mode in (R, W):     # the caller's try, then the spin's retries
+        assert lk.try_lock_with_condition(mode, recording) is LockOutcome.CONTENDED
+        assert lk.lock_with_spin(mode, recording) is LockOutcome.CONTENDED
     assert len(seen) == 4 * 2 + 2 * (2 * SpinPolicy.ATTEMPTS - 1)
     assert seen[8:] == [1] * 2 * (2 * SpinPolicy.ATTEMPTS - 1)
 
@@ -586,9 +594,17 @@ class DiesOnLock(Node):
     """Takes the ``field`` keyword, not the ``edge`` that the workers pass,
     so each of them dies on its first lock call."""
 
-    def lock_with_spin(self, mode, condition, node=None, expected=None,
-                       field="word"):
+    def try_lock_with_condition(self, mode, condition, node=None,
+                                expected=None, field="word"):
         return ACQUIRED
+
+
+def lock_as_the_set_does(lk, mode, edge):
+    """One attempt, and the bounded spin only if it was contended."""
+    out = lk.try_lock_with_condition(mode, TRUE, edge=edge)
+    if out is LockOutcome.CONTENDED:
+        out = lk.lock_with_spin(mode, TRUE, edge=edge)
+    return out
 
 
 def held(lk, edge):
@@ -626,7 +642,7 @@ def exclusion_errors(locks, seconds=1.0, nthreads=4):
             for i, write in plan:
                 lk, edge = locks[i]
                 if write:
-                    if lk.lock_with_spin(W, TRUE, edge=edge) is not ACQUIRED:
+                    if lock_as_the_set_does(lk, W, edge) is not ACQUIRED:
                         continue
                     inside[i] += 1
                     if inside[i] != 1:
@@ -638,7 +654,7 @@ def exclusion_errors(locks, seconds=1.0, nthreads=4):
                     lk.unlock(W, edge)
                     wrote += 1
                 else:
-                    if lk.lock_with_spin(R, TRUE, edge=edge) is not ACQUIRED:
+                    if lock_as_the_set_does(lk, R, edge) is not ACQUIRED:
                         continue
                     for _ in range(2):
                         if counters[i] % 2 or inside[i]:
