@@ -43,11 +43,12 @@ behaviours.  The public methods are plain functions instead, which
 them is first looked up:
 every ``if self._instr:`` block is folded away, ``_op`` becomes
 ``contains``, ``insert`` and ``delete``, and each ``yield from`` in an
-attempt becomes the callee's folded body, pasted in place, so an update
-runs two Python frames (the operation and its attempt) and real threads
-pay for no generator frames, no dispatch on the operation and no
-observation.  The twins return bare bools, the stepping form an
-``OpOutcome``.  Both forms keep every check, counter and lock call.
+attempt becomes the callee's folded body, pasted in place with the lock
+steps of ``rwlock`` and their conditions, so an uncontended update runs
+two Python frames (the operation and its attempt), no lock call, no
+generator frame, no dispatch on the operation and no observation.  The
+twins return bare bools, the stepping form an ``OpOutcome``.  Both
+forms keep every check, counter and lock step.
 
 Every descent tests ``v < curr.val`` first and ``curr.val < v`` second,
 so a left step costs one comparison and only the node holding ``v`` pays
@@ -70,7 +71,7 @@ from typing import NamedTuple
 
 from .reclaim import EpochReclaimer
 from .rwlock import (ACQUIRED, CONDITION_VIOLATED, CONTENDED, READ, WRITE,
-                     CondRwLock, LockMode)
+                     CondRwLock, LockMode, try_lock_with_condition, unlock)
 from .tree_core import (DATA, LEFT, MIN_KEY, PLUS_INF, RIGHT, ROUTING, Node,
                         snapshot_keys, validate_key)
 
@@ -136,7 +137,7 @@ class LockPoint(NamedTuple):
         CONDITION_VIOLATED.
         """
         _, _, lock, mode, cond, node, expected, edge = self
-        if not (cond() if node is None else cond(node, expected)):
+        if not cond(node, expected, edge):
             return False
         w = lock.edges & edge if edge else lock.word
         return w != 0 if edge or mode is WRITE else w == 1
@@ -173,9 +174,6 @@ W_DEL_UNLINK_PAIR = Site(K_WRITE, "delete.unlink_pair")
 
 C_INS_NODE = Site(K_CREATE, "insert.node")
 
-_ALWAYS = lambda: True  # noqa: E731  (plain, unconditional acquisition)
-
-
 class Restart(Exception):
     """Aborts an update attempt: release everything, traverse again."""
 
@@ -194,30 +192,30 @@ _BACKOFF_MAX_EXP = 5
 # The guard predicates re-read the node fields on every call, which is
 # the whole point: they run once before the CAS and once after, and only
 # the post-acquire evaluation is authoritative.  ``rwlock`` calls them
-# with the node and the expected value, so an attempt builds no closure.
+# with the node, the expected value and the edge bit, by which an edge
+# condition finds the child; each is one ``return``, which twins paste.
 
-def _left_is(node: Node, expected) -> bool:
-    return node.left is expected and not node.deleted
-
-
-def _right_is(node: Node, expected) -> bool:
-    return node.right is expected and not node.deleted
+def _always(node: Node, expected, edge) -> bool:
+    return True
 
 
-def _left_holds(node: Node, key) -> bool:
-    return (c := node.left) is not None and c.val == key and not node.deleted
-
-
-def _right_holds(node: Node, key) -> bool:
-    return (c := node.right) is not None and c.val == key and not node.deleted
-
-
-def _state_is(node: Node, state) -> bool:
+def _state_is(node: Node, state, edge) -> bool:
     return node.state == state and not node.deleted
 
 
-_EDGE_IS = (_left_is, _right_is)            # edge by reference, by side
-_EDGE_HOLDS = (_left_holds, _right_holds)   # edge by value, by side
+def _edge_is(node: Node, expected, edge) -> bool:
+    return (node.left if edge == 1 else node.right) is expected and not node.deleted
+
+
+def _edge_holds(node: Node, key, edge) -> bool:
+    return ((c := node.left if edge == 1 else node.right) is not None
+            and c.val == key and not node.deleted)
+
+
+def _nullary(cond, expected, edge) -> bool:   # ``cond()``, passed as the node
+    return cond()
+
+
 _EDGE_BIT = (1, 2)                          # a node's edge lock, by side
 _LOCK_NAME = ("word", "left_word", "right_word")    # a lock in reprs, by edge
 
@@ -377,27 +375,30 @@ class ConcurrentSet:
               lock: CondRwLock, mode: LockMode, cond, family: str,
               name: str, level: int, node=None, expected=None, edge=0):
         """One bounded acquisition of ``lock``'s state word (``edge`` 0) or
-        edge bit ``edge`` under ``cond(node, expected)``.
+        edge bit ``edge`` under ``cond(node, expected, edge)``.
 
         Both forms make one attempt; the stepping form yields a LockPoint
-        checkpoint before it and stops there.  The plain form waits out a
-        CONTENDED attempt in ``lock_with_spin``, all of it inside what
-        would be one checkpoint, because a failed CAS re-attempt reads
-        nothing new about the tree.  A granted lock goes on ``ctx.held``,
-        which ``_op`` owns and releases; any other outcome is counted and
-        raises ``Restart``.  The body has no ``return``, so the plain form
-        pastes it into every caller.
+        checkpoint before it and stops there.  The plain form pastes the
+        step and waits out a CONTENDED attempt in ``lock_with_spin``, all
+        of it inside what would be one checkpoint, because a failed CAS
+        re-attempt reads nothing new about the tree.  A granted lock goes
+        on ``ctx.held``, which ``_op`` owns and releases; any other outcome
+        is counted and raises ``Restart``.  The body has no ``return``, so
+        the plain form pastes it into every caller.  ``tkey`` (``ctx``'s)
+        and a ``cond()`` without ``node`` serve ``benchmark/selftest.py``.
         """
         if self._instr:
             assert ctx.last_level is None or level <= ctx.last_level, \
                 "lock order violated: level %d after %d at %s" % (
                     level, ctx.last_level, name)
             ctx.last_level = level
-            self.attempts[ctx.tkey] = ctx
+            self.attempts[tkey] = ctx
+            if node is None:
+                cond, node = _nullary, cond
             yield _new(LockPoint, (family, name, lock, mode, cond, node, expected, edge))
             out = lock.try_lock_with_condition(mode, cond, node, expected, edge)
         else:
-            out = lock.try_lock_with_condition(mode, cond, node, expected, edge)
+            out = try_lock_with_condition(lock, mode, cond, node, expected, edge)
             if out is CONTENDED:
                 out = lock.lock_with_spin(mode, cond, node, expected, edge)
         if out is not ACQUIRED:
@@ -475,11 +476,9 @@ class ConcurrentSet:
                     ctx.last_level = None
                 try:
                     if op == "insert":
-                        result = yield from self._insert_attempt(
-                            ctx, tkey, st, v)
+                        result = yield from self._insert_attempt(ctx, st, v)
                     else:
-                        result = yield from self._delete_attempt(
-                            ctx, tkey, st, v)
+                        result = yield from self._delete_attempt(ctx, st, v)
                     break
                 except Restart:
                     restarts += 1
@@ -491,7 +490,7 @@ class ConcurrentSet:
                     else:
                         while held:
                             lock, mode, edge = held.pop()
-                            lock.unlock(mode, edge)
+                            unlock(lock, mode, edge)
                 if self._instr:
                     continue   # stepped: the schedule picks who runs next
                 self._backoff(restarts)
@@ -502,7 +501,7 @@ class ConcurrentSet:
 
     # -- insert ------------------------------------------------------------
 
-    def _insert_attempt(self, ctx, tkey, st, v):
+    def _insert_attempt(self, ctx, st, v):
         gprev, prev, curr = yield from self._traverse(v)
         if curr is not None:
             if self._instr:
@@ -514,7 +513,7 @@ class ConcurrentSet:
                 return False
             # routing node holds the key structurally: claim it
             yield from self._lock(
-                ctx, tkey, st, "insert", curr, WRITE, _state_is,
+                ctx, ctx.tkey, st, "insert", curr, WRITE, _state_is,
                 "state", "insert.promote_state", 0, curr, ROUTING)
             if self._instr:
                 yield W_INS_PROMOTE
@@ -525,13 +524,13 @@ class ConcurrentSet:
         # still being empty and prev still being live
         side = LEFT if v < prev.val else RIGHT
         yield from self._lock(
-            ctx, tkey, st, "insert", prev, WRITE, _EDGE_IS[side], "edge_ref",
+            ctx, ctx.tkey, st, "insert", prev, WRITE, _edge_is, "edge_ref",
             "insert.edge", 0, prev, None, _EDGE_BIT[side])
         # shared hold on prev's state: blocks a concurrent demotion or
         # deletion of prev between our deleted re-check and the link
         yield from self._lock(
-            ctx, tkey, st, "insert", prev, READ,
-            _ALWAYS, "state_plain", "insert.parent_state", -1)
+            ctx, ctx.tkey, st, "insert", prev, READ,
+            _always, "state_plain", "insert.parent_state", -1, prev)
         if prev.deleted:   # fresh read under the lock
             raise Restart
         if self._instr:
@@ -547,7 +546,7 @@ class ConcurrentSet:
 
     # -- delete ------------------------------------------------------------
 
-    def _delete_attempt(self, ctx, tkey, st, v):
+    def _delete_attempt(self, ctx, st, v):
         gprev, prev, curr = yield from self._traverse(v)
         if curr is None:
             return False
@@ -563,19 +562,19 @@ class ConcurrentSet:
         right = curr.right
 
         if left is not None and right is not None:
-            return (yield from self._delete_two_children(ctx, tkey, st, curr))
+            return (yield from self._delete_two_children(ctx, st, curr))
         if left is not None or right is not None:
             child = left if left is not None else right
             return (yield from self._delete_one_child(
-                ctx, tkey, st, v, prev, curr, child,
+                ctx, st, v, prev, curr, child,
                 LEFT if left is not None else RIGHT))
-        return (yield from self._delete_leaf(ctx, tkey, st, v, gprev, prev))
+        return (yield from self._delete_leaf(ctx, st, v, gprev, prev))
 
-    def _delete_two_children(self, ctx, tkey, st, curr):
+    def _delete_two_children(self, ctx, st, curr):
         """Both children present: the node only loses its membership and
         stays as routing structure."""
         yield from self._lock(
-            ctx, tkey, st, "delete", curr, WRITE, _state_is,
+            ctx, ctx.tkey, st, "delete", curr, WRITE, _state_is,
             "state", "delete.demote_state", 0, curr, DATA)
         # the state lock keeps leaf deletions below us out, but a child
         # may have been spliced away before we got the lock; re-check
@@ -587,7 +586,7 @@ class ConcurrentSet:
         curr.state = ROUTING
         return True
 
-    def _delete_one_child(self, ctx, tkey, st, v, prev, curr, child, child_side):
+    def _delete_one_child(self, ctx, st, v, prev, curr, child, child_side):
         """Exactly one child: splice it up into our parent's slot.
 
         Lock order is strictly deeper-first: the edge below curr, the
@@ -595,14 +594,14 @@ class ConcurrentSet:
         """
         side = LEFT if v < prev.val else RIGHT
         yield from self._lock(
-            ctx, tkey, st, "delete", curr, WRITE, _EDGE_IS[child_side],
+            ctx, ctx.tkey, st, "delete", curr, WRITE, _edge_is,
             "edge_ref", "delete.splice_child_edge", 1, curr, child,
             _EDGE_BIT[child_side])
         yield from self._lock(
-            ctx, tkey, st, "delete", prev, WRITE, _EDGE_IS[side], "edge_ref",
+            ctx, ctx.tkey, st, "delete", prev, WRITE, _edge_is, "edge_ref",
             "delete.splice_parent_edge", 0, prev, curr, _EDGE_BIT[side])
         yield from self._lock(
-            ctx, tkey, st, "delete", curr, WRITE, _state_is,
+            ctx, ctx.tkey, st, "delete", curr, WRITE, _state_is,
             "state", "delete.splice_state", 0, curr, DATA)
         # fresh re-check that curr still has exactly this one child: the
         # other slot may have been filled by an insert before our state
@@ -622,7 +621,7 @@ class ConcurrentSet:
         prev.set_child(side, child)
         return True
 
-    def _delete_leaf(self, ctx, tkey, st, v, gprev, prev):
+    def _delete_leaf(self, ctx, st, v, gprev, prev):
         """A leaf: under a DATA parent just empty the parent's slot; under
         a ROUTING parent the parent must go too, or it would be left with
         a single child, so the sibling moves up into the grandparent's
@@ -643,18 +642,18 @@ class ConcurrentSet:
                 yield S_DEL_SIBLING
             sibling = prev.right if side == LEFT else prev.left
         yield from self._lock(
-            ctx, tkey, st, "delete", prev, WRITE, _EDGE_HOLDS[side], "edge_val",
+            ctx, ctx.tkey, st, "delete", prev, WRITE, _edge_holds, "edge_val",
             "delete.pair_edge" if pair else "delete.leaf_edge", 0, prev, v,
             _EDGE_BIT[side])
         curr = prev.child(side)   # fresh: the locked occupant, maybe a twin
         yield from self._lock(
-            ctx, tkey, st, "delete", curr, WRITE, _state_is, "state",
+            ctx, ctx.tkey, st, "delete", curr, WRITE, _state_is, "state",
             "delete.pair_state" if pair else "delete.leaf_state", 0, curr, DATA)
         if curr.left is not None or curr.right is not None:
             raise Restart     # grew children since the traversal
         if not pair:
             yield from self._lock(
-                ctx, tkey, st, "delete", prev, READ, _state_is,
+                ctx, ctx.tkey, st, "delete", prev, READ, _state_is,
                 "state", "delete.leaf_parent_state", -1, prev, DATA)
             if self._instr:
                 yield W_DEL_MARK
@@ -669,13 +668,13 @@ class ConcurrentSet:
             return True
         pside = LEFT if prev.val < gprev.val else RIGHT
         yield from self._lock(
-            ctx, tkey, st, "delete", prev, WRITE, _EDGE_IS[sside], "edge_ref",
+            ctx, ctx.tkey, st, "delete", prev, WRITE, _edge_is, "edge_ref",
             "delete.pair_sibling_edge", 0, prev, sibling, _EDGE_BIT[sside])
         yield from self._lock(
-            ctx, tkey, st, "delete", gprev, WRITE, _EDGE_IS[pside], "edge_ref",
+            ctx, ctx.tkey, st, "delete", gprev, WRITE, _edge_is, "edge_ref",
             "delete.pair_parent_edge", -1, gprev, prev, _EDGE_BIT[pside])
         yield from self._lock(
-            ctx, tkey, st, "delete", prev, WRITE, _state_is,
+            ctx, ctx.tkey, st, "delete", prev, WRITE, _state_is,
             "state", "delete.pair_parent_state", -1, prev, ROUTING)
         if self._instr:
             yield W_DEL_MARK_PARENT
@@ -698,22 +697,28 @@ class ConcurrentSet:
 # -- the plain-call form ---------------------------------------------------
 #
 # Each generator method ``_m`` is recompiled from its own source into a
-# plain function installed beside it as ``_m_plain``, except ``_op``,
-# which becomes ``contains``, ``insert`` and ``delete``: each read of
-# ``op`` becomes that operation's name, and ``tkey`` is bound from
-# ``_get_ident()`` at entry.  ``self._instr`` reads as False and
-# comparisons of constants fold, so each ``if`` keeps only the branch
-# taken: the twins keep no checkpoint, record or ``OpOutcome``.
+# plain function ``_m_plain``, except ``_op``, which becomes ``contains``,
+# ``insert`` and ``delete``: each read of ``op`` becomes that operation's
+# name, and ``tkey`` is bound from ``_get_ident()`` at entry.
+# ``self._instr`` reads as False and comparisons of constants fold, so
+# each ``if`` keeps only the branch taken: the twins keep no checkpoint,
+# record or ``OpOutcome``.
 #
 # Outside ``_op``, ``yield from self._m(...)`` pastes the folded body of
 # ``_m``, a generator method of the same module, as a statement or an
 # assignment if its only ``return`` is its last statement or it has
-# none, and as a tail ``return (yield from ...)`` in any case.  Constant
-# arguments, and names that the paste never assigns, are substituted;
-# others are bound at the top of the paste if the body reads them.  Any
-# other ``yield from self._m(...)`` calls ``self._m_plain``, as ``_op``
-# calls an attempt.  The twins keep the source's file name and line
-# numbers, so a traceback through one points into the generator bodies.
+# none, and as a tail ``return (yield from ...)`` in any case; so does a
+# call by name of a plain function whose globals the twin's module binds
+# alike, such as a lock step of ``rwlock``.  Constant arguments, and
+# names that the paste never assigns, are substituted, and an ``if`` on
+# a constant keeps one branch; others are bound at the top of the paste
+# if the body reads them.  A call that a substitution names, a condition
+# passed as ``cond``, pastes as its function's one ``return``
+# expression.  Any other ``yield from self._m(...)`` calls
+# ``self._m_plain``, as ``_op`` calls an attempt; only such methods and
+# those that nothing pastes get a twin.  The twins keep the source's
+# file name and line numbers, so a traceback through one points into
+# the generator bodies; a paste from another file takes its call's.
 
 def _self_call(node) -> bool:
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -721,44 +726,84 @@ def _self_call(node) -> bool:
             and node.func.value.id == "self")
 
 
-def _subst(node, args):
+def _subst(node, args, inline=None):
     """``node`` with each read of a name in ``args`` replaced by a copy of
-    its value, a constant or a name; a subtree that reads none is shared."""
+    its value, a constant or a name, an ``if`` so made constant by the
+    branch taken and a call so changed by what ``inline`` gives for it;
+    a subtree that reads none is shared."""
     if isinstance(node, ast.Name):
         arg = args.get(node.id)
         if arg is None or not isinstance(node.ctx, ast.Load):
             return node
         return ast.copy_location(ast.Name(arg.id, ast.Load()) if isinstance(arg, ast.Name)
                                  else ast.Constant(arg.value), node)
+    if isinstance(node, ast.Constant) or not node._fields:
+        return node
     new = node
     for field in node._fields:
         old = getattr(node, field, None)
-        if isinstance(old, list):
-            value = [_subst(x, args) if isinstance(x, ast.AST) else x for x in old]
-            same = all(map(operator.is_, value, old))
+        if field == "test" and isinstance(node, (ast.If, ast.IfExp)):
+            value = _subst(old, args, inline)
+            if isinstance(value, ast.Constant):   # keep the branch taken
+                kept = node.body if value.value else node.orelse
+                return (_subst(kept, args, inline) if isinstance(node, ast.IfExp) else
+                        _substs(kept, args, inline) or [ast.copy_location(ast.Pass(), node)])
+            same = value is old
+        elif isinstance(old, list):
+            value = _substs(old, args, inline)
+            same = len(value) == len(old) and all(map(operator.is_, value, old))
         elif isinstance(old, ast.AST):
-            value = _subst(old, args)
+            value = _subst(old, args, inline)
             same = value is old
         else:
             continue
         if not same:
             new = copy.copy(node) if new is node else new
             setattr(new, field, value)
+    if new is not node and inline is not None and isinstance(new, ast.Call):
+        return inline(new) or new
     return new
+
+
+def _substs(nodes, args, inline=None) -> list:   # branches spliced in
+    out = []
+    for x in nodes:
+        x = _subst(x, args, inline) if isinstance(x, ast.AST) else x
+        out += x if isinstance(x, list) else [x]
+    return out
+
+
+def _arguments(fn, call, method) -> dict:
+    """Parameter of ``fn`` -> the expression ``call`` passes, or its default."""
+    params, defaults = [p.arg for p in fn.args.args], fn.args.defaults
+    args = dict(zip(params[len(params) - len(defaults):], defaults))
+    args.update(zip(params, [ast.Name("self", ast.Load())] * method + call.args))
+    args.update((k.arg, k.value) for k in call.keywords)
+    return args
+
+
+def _moved(nodes, stmt):   # copies at the place of ``stmt``
+    nodes = copy.deepcopy(nodes)
+    for node in ast.walk(ast.Module(nodes, [])):
+        ast.copy_location(node, stmt)
+    return nodes
 
 
 class _FoldInstrumentation(ast.NodeTransformer):
     """Folds a method of ``where``, ``_op`` with ``op`` bound to ``op``,
-    and pastes each callee for which ``pasted(name)`` gives its fold.  A
-    fold is the def, the names its body reads and assigns, and its count
-    of ``return`` statements."""
+    and pastes each callee for which ``pasted(name, method)`` gives its
+    fold: the def, the names its body reads and assigns, its count of
+    ``return`` statements and its file; ``calls`` are left calls."""
 
-    def __init__(self, where, op, pasted):
-        self.where, self.op, self.pasted = where, op, pasted
+    def __init__(self, where, op, pasted, filename):
+        self.where, self.op, self.pasted, self.filename = where, op, pasted, filename
         self.loads, self.stores, self.loops, self.pastes = [], set(), [], []
-        self.reads, self.assigns, self.returns = set(), set(), 0
+        self.reads, self.assigns, self.returns, self.calls = set(), set(), 0, set()
 
-    def visit_FunctionDef(self, node):
+    def visit_FunctionDef(self, node):   # annotations read nothing in a twin
+        node.returns = None
+        for a in node.args.args:
+            a.annotation = None
         self.generic_visit(node)
         locals_ = self.stores | {a.arg for a in node.args.args}
         for stmt, looped, names, callee in self.pastes:
@@ -775,7 +820,7 @@ class _FoldInstrumentation(ast.NodeTransformer):
                     [ast.Name("tkey", ast.Store())],
                     ast.Call(ast.Name("_get_ident", ast.Load()), [], [])), node.body[i])))
         return (node, self.reads | {n for n, _ in self.loads},
-                self.assigns | self.stores, self.returns)
+                self.assigns | self.stores, self.returns, self.filename)
 
     def visit_Name(self, node):
         if isinstance(node.ctx, ast.Load):
@@ -819,24 +864,40 @@ class _FoldInstrumentation(ast.NodeTransformer):
     def visit_YieldFrom(self, node):
         self.generic_visit(node)
         if _self_call(node.value):
+            self.calls.add(node.value.func.attr)
             node.value.func.attr += "_plain"
             return node.value
         return node
 
+    def expression(self, call):   # a one-``return`` function's expression, or None
+        callee = isinstance(call.func, ast.Name) and self.pasted(call.func.id, False)
+        fn = callee and callee[0]
+        if not fn or len(fn.body) > 1 or not isinstance(fn.body[0], ast.Return):
+            return None
+        args = _arguments(fn, call, False)   # each may be read twice: a name or constant
+        if args.keys() != {p.arg for p in fn.args.args} or not all(
+                isinstance(a, (ast.Constant, ast.Name)) for a in args.values()):
+            return None
+        self.reads |= callee[1] - set(args) | {a.id for a in args.values()
+                                               if isinstance(a, ast.Name)}
+        self.assigns |= callee[2]
+        expr = _subst(fn.body[0].value, args, self.expression)
+        return expr if callee[4] == self.filename else _moved([expr], call)[0]
+
     def visit_Expr(self, stmt):   # and Assign and Return: paste the callee
-        call = getattr(stmt.value, "value", None)
-        callee = (self.pasted(call.func.attr)
-                  if isinstance(stmt.value, ast.YieldFrom) and _self_call(call) else None)
+        method = isinstance(stmt.value, ast.YieldFrom)
+        call = stmt.value.value if method else stmt.value
+        callee = (self.pasted(call.func.attr, True) if method and _self_call(call) else
+                  self.pasted(call.func.id, False) if not method
+                  and isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                  else None)
         if callee is None:
             stmt = self.generic_visit(stmt)
             self.returns += isinstance(stmt, ast.Return)
             return stmt
-        fn, read, stored, returns = callee
+        fn, read, stored, returns, filename = callee
         targets = getattr(stmt, "targets", None if isinstance(stmt, ast.Return) else [])
-        params, defaults = [p.arg for p in fn.args.args], fn.args.defaults
-        args = dict(zip(params[len(params) - len(defaults):], defaults))
-        args.update(zip(params, [ast.Name("self", ast.Load())] + call.args))
-        args.update((k.arg, k.value) for k in call.keywords)
+        params, args = [p.arg for p in fn.args.args], _arguments(fn, call, method)
         used = read & set(params)
         bound = {p for p in used if p in stored
                  or not isinstance(args[p], (ast.Constant, ast.Name))}
@@ -848,17 +909,17 @@ class _FoldInstrumentation(ast.NodeTransformer):
             line = next(n.lineno for n in ast.walk(ast.Module(body, []))
                         if isinstance(n, ast.Return) and n is not body[-1])
             raise TypeError("%s, line %d: %s returns at line %d, where no paste "
-                            "form covers it" % (self.where, stmt.lineno,
-                                                call.func.attr, line))
+                            "form covers it" % (self.where, stmt.lineno, fn.name, line))
         tnames = {n.id for t in targets or () for n in ast.walk(t) if isinstance(n, ast.Name)}
-        at, end = (stmt.lineno, stmt.col_offset), (stmt.end_lineno, stmt.end_col_offset)
-        self.pastes.append((stmt, any(b <= at and end <= e for b, e in self.loops),
-                            (stored | bound) - tnames, call.func.attr))
         self.reads |= read - set(params) | {n.id for a in args.values()
                                             for n in ast.walk(a) if isinstance(n, ast.Name)}
-        self.assigns |= stored | bound | tnames
+        assigns = set(self.assigns)
         subst = {p: args[p] for p in used - bound if getattr(args[p], "id", None) != p}
-        body = [_subst(b, subst) for b in body] if subst else body[:]
+        body = _substs(body, subst, self.expression) if subst else body[:]
+        at, end = (stmt.lineno, stmt.col_offset), (stmt.end_lineno, stmt.end_col_offset)
+        self.pastes.append((stmt, any(b <= at and end <= e for b, e in self.loops),
+                            (stored | bound | self.assigns - assigns) - tnames, fn.name))
+        self.assigns |= stored | bound | tnames
         if targets is None:
             self.returns += returns
             if not isinstance(body[-1], (ast.Return, ast.Raise)):
@@ -876,7 +937,7 @@ class _FoldInstrumentation(ast.NodeTransformer):
             body.insert(0, ast.fix_missing_locations(ast.copy_location(ast.Assign(
                 [ast.Tuple([ast.Name(p, ast.Store()) for p in order], ast.Store())],
                 ast.Tuple([args[p] for p in order], ast.Load())), stmt)))
-        return body
+        return body if filename == self.filename else _moved(body, stmt)
 
     visit_Assign = visit_Return = visit_Expr
 
@@ -900,51 +961,71 @@ def _method_def(fn) -> ast.FunctionDef:
 
 
 def _plain_defs(cls, parse=_method_def) -> dict:
-    """Twin name -> (folded def, method) for every generator method that
-    ``cls`` has, own or inherited; ``parse(fn)`` gives the def of ``fn``."""
+    """Twin name -> (folded def, method) for each generator method that
+    ``cls`` has, own or inherited, and that a twin calls or nothing
+    pastes; ``parse(fn)`` gives the def of ``fn``."""
     gens: dict = {}
     for klass in reversed(cls.__mro__):
         gens.update(vars(klass))
     gens = {n: fn for n, fn in gens.items() if inspect.isgeneratorfunction(fn)}
     done: dict = {}
+    pasted, called = set(), set()
 
-    def fold(name, op=None):
-        fn = gens[name]
+    def fold(fn, op=None, name=None):
+        where = "%s.%s" % (cls.__name__, name) if name else fn.__qualname__
         if fn.__code__.co_freevars:
-            raise TypeError("%s.%s uses enclosing variables %s; only plain "
-                            "methods can be compiled"
-                            % (cls.__name__, name, fn.__code__.co_freevars))
+            raise TypeError("%s uses enclosing variables %s; only plain "
+                            "methods can be compiled" % (where, fn.__code__.co_freevars))
 
-        def paste(m):   # ``_op`` calls its attempts, and a twin calls across modules
-            return (folded(m) if name != "_op" and m in gens
-                    and gens[m].__globals__ is fn.__globals__ else None)
-        return _FoldInstrumentation("%s.%s" % (cls.__name__, name), op,
-                                    paste).visit(parse(fn))
+        def paste(m, method):   # ``_op`` calls its attempts, and a twin calls across modules
+            f = gens.get(m) if method else fn.__globals__.get(m)
+            if method and (name == "_op" or f is None or f.__globals__ is not fn.__globals__):
+                return None
+            if not method and (m in fn.__code__.co_varnames or not inspect.isfunction(f)
+                               or f.__name__ == "<lambda>" or inspect.isgeneratorfunction(f)):
+                return None
+            callee = folded(m if method else f)
+            if method and callee is not None:
+                pasted.add(m)
+            if method or callee is None:
+                return callee
+            globs = callee[1] - callee[2] - {a.arg for a in callee[0].args.args}
+            return None if any(f.__globals__.get(g, len) is not fn.__globals__.get(g, len)
+                               for g in globs) else callee   # ``len``: in neither
 
-    def folded(name):
-        if name not in done:
-            done[name] = None   # a method that pastes itself calls itself
-            done[name] = fold(name)
-        return done[name]
+        t = _FoldInstrumentation(where, op, paste, fn.__code__.co_filename)
+        out = t.visit(parse(fn))
+        called.update(t.calls)
+        return out
 
-    twins = {op: (fold("_op", op)[0], gens["_op"]) for op in _OPS if "_op" in gens}
-    twins.update((name + "_plain", (folded(name)[0], fn))
-                 for name, fn in gens.items() if name != "_op")
+    def folded(key):   # a method's name or a function
+        if key not in done:
+            done[key] = None   # a callee that pastes itself calls itself
+            done[key] = fold(gens[key], name=key) if isinstance(key, str) else fold(key)
+        return done[key]
+
+    twins = {op: (fold(gens["_op"], op, "_op")[0], gens["_op"]) for op in _OPS if "_op" in gens}
+    folds = {name: folded(name)[0] for name in gens if name != "_op"}
+    twins.update((name + "_plain", (node, gens[name])) for name, node in folds.items()
+                 if name in called or name not in pasted)
     done.clear()   # ``fold`` and ``folded`` form a cycle; the defs need not wait for it
     return twins
 
 
 def compile_plain(cls) -> None:
-    """Install on ``cls`` the plain twins of every generator method that
-    ``cls`` has, own or inherited, as an inherited twin may have pasted a
-    method that ``cls`` redefines; a public method that ``cls`` or a base
-    defines itself stays.  Subclasses that define a generator method are
-    compiled when they are created; call this again after replacing one.
-    ``TypeError`` names the method and line of a ``return`` that no paste
-    form covers, a paste that changes a caller local read later, or a
-    ``yield`` left after folding.
+    """Install on ``cls`` the plain twins of its generator methods, own
+    or inherited, as an inherited twin may have pasted a method that
+    ``cls`` redefines; a public method that ``cls`` or a base defines
+    itself stays.  A method that every plain caller pastes gets no twin.
+    Subclasses that define a generator method are compiled when they are
+    created; call this again after replacing one.  ``TypeError`` names
+    the method and line of a ``return`` that no paste form covers, a
+    paste that changes a caller local read later, or a ``yield`` left
+    after folding.
     """
-    for twin, (node, fn) in _plain_defs(cls).items():
+    twins = _plain_defs(cls)
+    while twins:   # each def is dropped once compiled
+        twin, (node, fn) = twins.popitem()
         own = inspect.getattr_static(cls, twin, None)
         if twin in _OPS and own is not None and not hasattr(own, "plain_twin"):
             continue
@@ -959,6 +1040,8 @@ def compile_plain(cls) -> None:
                             % (cls.__name__, fn.__name__, line))
         ns[twin].plain_twin = True
         setattr(cls, twin, ns[twin])
+    for name in [n for n, a in vars(cls).items() if isinstance(a, _CompiledOnUse)]:
+        delattr(cls, name)   # the stand-in of a twin not made
 
 
 class _CompiledOnUse:
@@ -972,7 +1055,7 @@ class _CompiledOnUse:
 
     def __get__(self, obj, owner):
         compile_plain(self.cls)
-        return vars(self.cls)[self.name].__get__(obj, owner)
+        return getattr(owner if obj is None else obj, self.name)
 
 
 for _twin in [n + "_plain" for n, fn in vars(ConcurrentSet).items()

@@ -14,13 +14,14 @@ left and right child edges with the bits.  A lock method's trailing
 
 Acquisitions are compare-and-swap steps on a word (0 -> 1 for a write,
 even w -> w + 2 for a read, a clear bit set) and releases undo them.
-Each is one read-modify-write: the method branches once, on state word
+Each is one read-modify-write: the step branches once, on state word
 or edge bit, then reads the word by attribute, computes the new word
 and stores it, with no call, function entry or jump in between (a
 failed CAS stores the word back as it read it; a release checks the
 word it read after its store).  CPython 3.10 and later, with the GIL,
 switch threads only at such points, so nothing else runs between the
-read and the store; a test walks the bytecode of every such span.  It
+read and the store; a test walks the bytecode of every such span, here
+and where the set's plain twins paste the steps.  It
 allows only locals, constants, ``+``, ``*``, ``&`` and ``not``, each
 its own opcode on 3.10, so ``3 - edge`` is computed before the read.
 An attempt fails only on a lock held in a mode that excludes it.
@@ -32,8 +33,11 @@ On top of the words the lock offers conditional acquisition: a predicate
 is evaluated before and after the CAS, and the lock is released again
 if the second evaluation fails.  Callers use this to take a lock only
 while some observed field value still holds.  It is called as
-``condition(node, expected)``, or ``condition()`` without a ``node``,
-so callers pass a module function and its arguments, not a closure.
+``condition(node, expected, edge)``, so callers pass a module function
+and its arguments, not a closure.  The two steps, ``unlock`` and
+``try_lock_with_condition``, are module functions that ``CondRwLock``
+takes as methods, each ending in its only ``return``, so that the set's
+plain twins paste them, condition and release included.
 
 The hot path reads the enum members as module constants (``READ``,
 ``WRITE``, ``ACQUIRED``, ``CONTENDED``, ``CONDITION_VIOLATED``), a
@@ -98,47 +102,38 @@ class SpinPolicy:
         time.sleep(0)
 
 
-class CondRwLock:
-    """The state lock ``word`` and two exclusive edge locks, the bits of
-    ``edges``, with the lock protocol on them; ``edge`` picks one: 0 the
-    state word, 1 or 2 a bit."""
+def unlock(self, mode: LockMode, edge: int = 0) -> None:
+    """Release the lock ``edge`` of ``self``, held in ``mode``."""
+    if edge:
+        keep = 3 - edge
+        w = self.edges
+        self.edges = w & keep
+        assert w & edge, "edge unlock without a held edge lock"
+    elif mode is WRITE:
+        w = self.word
+        self.word = w & -2
+        assert w == 1, "write unlock without a held write lock"
+    else:
+        w = self.word
+        self.word = w + -2
+        assert w >= 2, "read unlock without a held read lock"
 
-    __slots__ = ("word", "edges")
 
-    def __init__(self):
-        self.word = 0
-        self.edges = 0
+def try_lock_with_condition(self, mode: LockMode, condition, node=None,
+                            expected=None, edge: int = 0) -> LockOutcome:
+    """One conditional acquire attempt on the lock ``edge`` of ``self``.
 
-    def unlock(self, mode: LockMode, edge: int = 0) -> None:
-        if edge:
-            keep = 3 - edge
-            w = self.edges
-            self.edges = w & keep
-            assert w & edge, "edge unlock without a held edge lock"
-        elif mode is WRITE:
-            w = self.word
-            self.word = w & -2
-            assert w == 1, "write unlock without a held write lock"
-        else:
-            w = self.word
-            self.word = w + -2
-            assert w >= 2, "read unlock without a held read lock"
-
-    def try_lock_with_condition(self, mode: LockMode, condition, node=None,
-                                expected=None, edge: int = 0) -> LockOutcome:
-        """One conditional acquire attempt on the lock ``edge``.
-
-        The predicate runs before the CAS (cheap fast-out while the value
-        has already moved on) and again after a successful CAS.  The
-        second check is the one that matters: between the first check and
-        the acquire the world may change, but once the lock is held the
-        guarded field can no longer move, so a passing re-check is
-        definitive.  On a failed re-check the lock is released before
-        returning, so CONDITION_VIOLATED and CONTENDED both leave nothing
-        held.
-        """
-        if not (condition() if node is None else condition(node, expected)):
-            return CONDITION_VIOLATED
+    The predicate runs before the CAS (cheap fast-out while the value
+    has already moved on) and again after a successful CAS.  The
+    second check is the one that matters: between the first check and
+    the acquire the world may change, but once the lock is held the
+    guarded field can no longer move, so a passing re-check is
+    definitive.  On a failed re-check the lock is released before
+    returning, so CONDITION_VIOLATED and CONTENDED both leave nothing
+    held.
+    """
+    out = CONDITION_VIOLATED
+    if condition(node, expected, edge):
         # a bit needs itself clear and sets it, a write needs 0 and adds 1,
         # a read needs an even word and adds 2; a busy word is stored back
         if edge:
@@ -150,11 +145,27 @@ class CondRwLock:
             w = self.word
             self.word = w + step * (not w & busy)
         if w & busy:
-            return CONTENDED
-        if not (condition() if node is None else condition(node, expected)):
-            self.unlock(mode, edge)
-            return CONDITION_VIOLATED
-        return ACQUIRED
+            out = CONTENDED
+        elif condition(node, expected, edge):
+            out = ACQUIRED
+        else:
+            unlock(self, mode, edge)
+    return out
+
+
+class CondRwLock:
+    """The state lock ``word`` and two exclusive edge locks, the bits of
+    ``edges``, with the lock protocol on them; ``edge`` picks one: 0 the
+    state word, 1 or 2 a bit."""
+
+    __slots__ = ("word", "edges")
+
+    def __init__(self):
+        self.word = 0
+        self.edges = 0
+
+    unlock = unlock
+    try_lock_with_condition = try_lock_with_condition
 
     def lock_with_spin(self, mode: LockMode, condition, node=None,
                        expected=None, edge: int = 0) -> LockOutcome:

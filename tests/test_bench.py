@@ -210,10 +210,10 @@ class RestartsEachInsertOnce(ConcurrentSet):
 
     _base_insert_attempt = ConcurrentSet._insert_attempt
 
-    def _insert_attempt(self, ctx, tkey, st, v):
+    def _insert_attempt(self, ctx, st, v):
         if st.restarts < st.ops["insert"]:
             raise Restart
-        return (yield from self._base_insert_attempt(ctx, tkey, st, v))
+        return (yield from self._base_insert_attempt(ctx, st, v))
 
 
 def test_restarts_are_the_sets_own(monkeypatch):

@@ -96,9 +96,10 @@ def test_selftest_locking_contains_takes_one_root_read_lock(monkeypatch):
     assert s.root.state_lock.word == 0
 
 
-def traced_insert(s, key):
-    """Insert ``key`` into ``s`` traced, and return the tracer and the
-    (span name, edge) of each traced lock call, in call order."""
+def traced_insert(s, key, stepped=False):
+    """Insert ``key`` into ``s`` traced, plain or stepped, and return the
+    tracer and the (span name, edge) of each traced lock call, in call
+    order."""
     tracing = load_tracing()
     seen = []
 
@@ -119,7 +120,7 @@ def traced_insert(s, key):
     try:
         for a in attrs:
             setattr(CondRwLock, a, spy(a, traced[a]))
-        assert s.insert(key)
+        assert s._drain(s.op_gen("insert", key)).result if stepped else s.insert(key)
     finally:
         for a in attrs:
             setattr(CondRwLock, a, traced[a])
@@ -130,22 +131,26 @@ def traced_insert(s, key):
 
 def test_one_insert_traces_an_edge_word_and_a_state_word():
     """Each traced lock method records its span whichever lock it acts
-    on; an insert of a new leaf takes an edge bit and a state word, each
-    in one attempt straight under the insert."""
-    s = ConcurrentSet()
-    s.insert(5)
-    tr, seen = traced_insert(s, 3)
-    assert seen == [("rwlock.attempt", 1), ("rwlock.attempt", 0),
-                    ("rwlock.unlock", 0), ("rwlock.unlock", 1)]
-    for name in ("rwlock.attempt", "rwlock.unlock"):
-        assert tr.count(name) == tr.count(name, ("concurrent_set.insert",)) == 2
-    assert tr.count("rwlock.acquire") == 0
+    on; an insert of a new leaf takes an edge bit and a state word.  The
+    stepped insert makes one attempt on each and releases both through
+    the lock methods; the plain insert pastes those steps, so it traces
+    no lock span at all under its own."""
+    for stepped in (True, False):
+        s = ConcurrentSet()
+        s.insert(5)
+        tr, seen = traced_insert(s, 3, stepped)
+        assert seen == ([("rwlock.attempt", 1), ("rwlock.attempt", 0),
+                         ("rwlock.unlock", 0), ("rwlock.unlock", 1)] if stepped else [])
+        for name in ("rwlock.attempt", "rwlock.unlock"):
+            assert tr.count(name) == 2 * stepped
+        assert tr.count("concurrent_set.insert") == 1 - stepped
+        assert tr.count("rwlock.acquire") == 0
 
 
 def test_a_contended_lock_nests_its_retries_under_an_acquire_span(monkeypatch):
     """Only a contended attempt leads to ``lock_with_spin``: its span sits
-    under the insert and holds the retry; here the first pause frees the
-    held edge bit."""
+    under the insert and holds the retry, the one lock call of the
+    insert; here the first pause frees the held edge bit."""
     s = ConcurrentSet()
     s.insert(5)
     parent = s.root.left
@@ -153,17 +158,15 @@ def test_a_contended_lock_nests_its_retries_under_an_acquire_span(monkeypatch):
     monkeypatch.setattr(SpinPolicy, "pause",
                         staticmethod(lambda: setattr(parent, "edges", 0)))
     tr, seen = traced_insert(s, 3)
-    assert seen == [("rwlock.attempt", 1), ("rwlock.attempt", 1),
-                    ("rwlock.acquire", 1), ("rwlock.attempt", 0),
-                    ("rwlock.unlock", 0), ("rwlock.unlock", 1)]
+    assert seen == [("rwlock.attempt", 1), ("rwlock.acquire", 1)]
     for name, parent_span, n in (
             ("rwlock.acquire", "concurrent_set.insert", 1),
-            ("rwlock.attempt", "concurrent_set.insert", 2),
+            ("rwlock.attempt", "concurrent_set.insert", 0),
             ("rwlock.attempt", "rwlock.acquire", 1),
             ("rwlock.pause", "rwlock.acquire", 1),
-            ("rwlock.unlock", "concurrent_set.insert", 2)):
+            ("rwlock.unlock", "concurrent_set.insert", 0)):
         assert tr.count(name, (parent_span,)) == n, name
-    assert tr.count("rwlock.attempt") == 3
+    assert tr.count("rwlock.attempt") == 1
 
 
 def test_the_benchmark_self_test_holds_every_expectation(tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from cobst.concurrent_set import (ConcurrentSet, K_CREATE, K_LOCK, K_READ,
                                   LockPoint,
                                   K_WRITE, S_CONT_STATE, S_TRAV_LEFT,
-                                  S_TRAV_RIGHT, _EDGE_HOLDS, _EDGE_IS,
+                                  S_TRAV_RIGHT, _edge_holds, _edge_is,
                                   _EDGE_BIT, _state_is)
 from cobst.reclaim import POISON, EpochReclaimer
 from cobst.rwlock import CondRwLock, LockMode, LockOutcome, SpinPolicy
@@ -38,12 +38,12 @@ def two_level_tree():
 
 def try_lock_edge_ref(node, side, expected):
     return node.try_lock_with_condition(
-        LockMode.WRITE, _EDGE_IS[side], node, expected, _EDGE_BIT[side])
+        LockMode.WRITE, _edge_is, node, expected, _EDGE_BIT[side])
 
 
 def try_lock_edge_val(node, side, expected_key):
     return node.try_lock_with_condition(
-        LockMode.WRITE, _EDGE_HOLDS[side], node, expected_key, _EDGE_BIT[side])
+        LockMode.WRITE, _edge_holds, node, expected_key, _EDGE_BIT[side])
 
 
 def try_lock_state(node, mode, expected_state):
@@ -83,7 +83,7 @@ def test_edge_ref_expected_null():
 
 def test_edge_ref_contended_when_held():
     _, parent, child, _ = two_level_tree()
-    parent.try_lock_with_condition(LockMode.WRITE, lambda: True, edge=1)
+    parent.try_lock_with_condition(LockMode.WRITE, lambda *_: True, edge=1)
     assert try_lock_edge_ref(parent, LEFT, child) is LockOutcome.CONTENDED
 
 
@@ -162,26 +162,26 @@ def test_a_nodes_three_words_are_independent():
     R, W = LockMode.READ, LockMode.WRITE
     ok = LockOutcome.ACQUIRED
     attempt = n.try_lock_with_condition
-    assert attempt(W, lambda: True, edge=1) is ok
+    assert attempt(W, lambda *_: True, edge=1) is ok
     assert words(n) == (1, 0, 0)
     # a held left bit blocks neither the right bit nor the state word
-    assert attempt(W, lambda: True, edge=2) is ok
-    assert attempt(R, lambda: True) is ok
-    assert attempt(R, lambda: True) is ok
+    assert attempt(W, lambda *_: True, edge=2) is ok
+    assert attempt(R, lambda *_: True) is ok
+    assert attempt(R, lambda *_: True) is ok
     assert words(n) == (1, 1, 4)
     # the state word still shares READ and excludes WRITE
-    assert attempt(W, lambda: True) is LockOutcome.CONTENDED
-    assert attempt(W, lambda: True, edge=1) is LockOutcome.CONTENDED
+    assert attempt(W, lambda *_: True) is LockOutcome.CONTENDED
+    assert attempt(W, lambda *_: True, edge=1) is LockOutcome.CONTENDED
     assert words(n) == (1, 1, 4)
     n.unlock(R)
     n.unlock(R)
     # with the state word free, the held left bit still excludes a writer,
     # and a reader too: an edge bit is exclusive whatever the mode
-    assert attempt(W, lambda: True, edge=1) is LockOutcome.CONTENDED
-    assert attempt(R, lambda: True, edge=1) is LockOutcome.CONTENDED
+    assert attempt(W, lambda *_: True, edge=1) is LockOutcome.CONTENDED
+    assert attempt(R, lambda *_: True, edge=1) is LockOutcome.CONTENDED
     assert words(n) == (1, 1, 0)
-    assert attempt(W, lambda: True) is ok
-    assert attempt(R, lambda: True) is LockOutcome.CONTENDED
+    assert attempt(W, lambda *_: True) is ok
+    assert attempt(R, lambda *_: True) is LockOutcome.CONTENDED
     n.unlock(W, 1)
     assert words(n) == (0, 1, 1)
     n.unlock(W, 2)
@@ -192,7 +192,7 @@ def test_a_nodes_three_words_are_independent():
 def test_a_lock_point_reads_the_word_it_names():
     n = Node(5)
     n.edges = 1
-    always = lambda: True  # noqa: E731
+    always = lambda *_: True  # noqa: E731
     point = LockPoint("edge_ref", "x", n, LockMode.WRITE, always)
     assert point.edge == 0 and not point.would_block()
     assert point._replace(edge=1).would_block()
@@ -242,16 +242,16 @@ def test_lock_predicates_agree_with_the_closures_they_replaced():
         node.deleted, node.left, node.right = deleted, left, right
         for side in (LEFT, RIGHT):
             for expected in children:
-                got = _EDGE_IS[side](node, expected)
+                got = _edge_is(node, expected, _EDGE_BIT[side])
                 assert got == edge_ref_cond(node, side, expected)(), \
                     (node, side, expected)
                 seen.add(("ref", got))
             for key in (5, 7, 10):
-                got = _EDGE_HOLDS[side](node, key)
+                got = _edge_holds(node, key, _EDGE_BIT[side])
                 assert got == edge_val_cond(node, side, key)(), (node, side, key)
                 seen.add(("val", got))
         for want in (DATA, ROUTING):
-            got = _state_is(node, want)
+            got = _state_is(node, want, 0)
             assert got == state_cond(node, want)(), (node, want)
             seen.add(("state", got))
     assert len(seen) == 6      # each predicate answered both ways
@@ -386,6 +386,19 @@ def test_every_entry_point_accepts_the_edge_keys_and_int_subclasses(key):
 
 # -- lock bookkeeping ---------------------------------------------------------------
 
+class PopLog(list):
+    """A context's ``held`` list that logs the lock of each entry popped."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def pop(self):
+        entry = super().pop()
+        self.log.append(entry[0])
+        return entry
+
+
 @pytest.mark.parametrize("stepped", [False, True])
 def test_updates_that_lock_nothing_do_no_lock_bookkeeping(stepped, monkeypatch):
     s = ConcurrentSet()
@@ -393,9 +406,12 @@ def test_updates_that_lock_nothing_do_no_lock_bookkeeping(stepped, monkeypatch):
     run = (lambda op, k: s._drain(s.op_gen(op, k, "t")).result) if stepped \
         else (lambda op, k: getattr(s, op)(k))
     unlocked = []
-    real = CondRwLock.unlock
-    monkeypatch.setattr(CondRwLock, "unlock",
-                        lambda lk, *args: unlocked.append(lk) or real(lk, *args))
+    if stepped:
+        real = CondRwLock.unlock
+        monkeypatch.setattr(CondRwLock, "unlock",
+                            lambda lk, *args: unlocked.append(lk) or real(lk, *args))
+    else:   # the plain form releases inline, popping each lock off ``held``
+        s._thread_stats(threading.get_ident()).ctx.held = PopLog(unlocked)
     assert run("insert", 10) is False            # present
     assert run("delete", 3) is False             # absent: no node at all
     parent = s.root.left
@@ -652,7 +668,7 @@ def test_lock_order_tracker_rejects_upward_then_downward():
     s = ConcurrentSet()
     s.insert(10)
     node = s.root.left
-    from cobst.concurrent_set import _ALWAYS, _AttemptCtx
+    from cobst.concurrent_set import _AttemptCtx
     ctx = _AttemptCtx("t")
     st = s._thread_stats("t")
 
@@ -664,11 +680,11 @@ def test_lock_order_tracker_rejects_upward_then_downward():
                 return stop.value
 
     run(s._lock(ctx, "t", st, "delete", node, LockMode.READ,
-                _ALWAYS, "state", "x", level=-1))
+                lambda: True, "state", "x", level=-1))
     assert ctx.held == [(node, LockMode.READ, 0)]
     with pytest.raises(AssertionError):
         run(s._lock(ctx, "t", st, "delete", node, LockMode.WRITE,
-                    _ALWAYS, "edge_ref", "y", level=0, edge=1))
+                    lambda: True, "edge_ref", "y", level=0, edge=1))
     s._release_all(ctx)
 
 
@@ -733,23 +749,23 @@ def test_a_held_edge_word_ends_in_a_counted_restart(monkeypatch):
 
 
 def test_an_exception_leaves_the_reused_context_empty(monkeypatch):
-    # the plain insert's second lock attempt raises, while the first lock
-    # is held; later attempts lock as usual
-    calls = []
-    real = CondRwLock.try_lock_with_condition
+    # the plain insert's new node raises, while the insert holds the edge
+    # it hangs on and its parent's state; later attempts lock as usual
+    held = []
+    real = Node.__init__
 
-    def raises_at_the_second(lk, *args):
-        calls.append(lk)
-        if len(calls) == 2:
-            raise RuntimeError("after a granted lock")
-        return real(lk, *args)
+    def raises_at_the_first(node, *args):
+        held.append(list(ctx.held))
+        if len(held) == 1:
+            raise RuntimeError("with two locks held")
+        real(node, *args)
 
-    monkeypatch.setattr(CondRwLock, "try_lock_with_condition", raises_at_the_second)
     s = ConcurrentSet()
     ctx = s._thread_stats(threading.get_ident()).ctx
+    monkeypatch.setattr(Node, "__init__", raises_at_the_first)
     with pytest.raises(RuntimeError):
-        s.insert(5)                      # edge lock granted, then the raise
-    assert len(calls) == 2
+        s.insert(5)
+    assert held == [[(s.root, LockMode.WRITE, 1), (s.root, LockMode.READ, 0)]]
     assert ctx.held == [] and busy_locks(s) == []
     assert s.insert(5) is True and s.delete(5) is True
     assert s._thread_stats(threading.get_ident()).ctx is ctx
@@ -840,6 +856,14 @@ def _stepped(gen):
         return points, stop.value
 
 
+class Descends(ConcurrentSet):
+    """The updates' descent with a twin of its own, ``_descend_plain``,
+    which pastes it as the attempt twins do."""
+
+    def _descend(self, v):
+        return (yield from self._traverse(v))
+
+
 def test_every_descent_finds_the_same_nodes_on_trees_with_routing_nodes():
     # tree_core.traverse (the sequential oracle's and coarse-bst's
     # descent), the updates' descent in both forms and contains in both
@@ -847,7 +871,7 @@ def test_every_descent_finds_the_same_nodes_on_trees_with_routing_nodes():
     rng = random.Random(5)
     seen = set()
     for _ in range(40):
-        s = ConcurrentSet()
+        s = Descends()
         keys = rng.sample(range(64), rng.randint(8, 40))
         for k in keys:
             s.insert(k)
@@ -865,7 +889,7 @@ def test_every_descent_finds_the_same_nodes_on_trees_with_routing_nodes():
                 path.append(S_TRAV_LEFT if k < node.val else S_TRAV_RIGHT)
                 node = node.left if k < node.val else node.right
             assert node is curr
-            got = s._traverse_plain(k)
+            got = s._descend_plain(k)
             assert len(got) == 3 and all(g is w for g, w in zip(got, want)), k
             sites, got = _stepped(s._traverse(k))
             assert sites == path and all(g is w for g, w in zip(got, want)), k

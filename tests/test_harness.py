@@ -563,9 +563,9 @@ class DemotesWithoutRecheck(ConcurrentSet):
     """Demotes a node with two children without re-reading them under
     the state lock."""
 
-    def _delete_two_children(self, ctx, tkey, st, curr):
+    def _delete_two_children(self, ctx, st, curr):
         yield from self._lock(
-            ctx, tkey, st, "delete", curr, WRITE, _state_is,
+            ctx, ctx.tkey, st, "delete", curr, WRITE, _state_is,
             "state", "delete.demote_state", 0, curr, DATA)
         if self._instr:
             yield W_DEL_DEMOTE

@@ -24,15 +24,20 @@ from tree_text import dump_tree
 OP_TWINS = ("contains", "insert", "delete")   # ``_op``'s twins are public
 
 
+# the generator methods that the attempts paste, and so have no twin
+PASTED = {"_traverse", "_lock", "_delete_two_children", "_delete_one_child",
+          "_delete_leaf"}
+
+
 def twin_names():
-    """Each generator method -> its plain twins: ``_op`` has one per
-    operation, every other method one."""
+    """Each generator method that a twin calls -> its plain twins: ``_op``
+    has one per operation, an attempt one; the others are pasted."""
     names = [name for name, fn in vars(ConcurrentSet).items()
              if inspect.isgeneratorfunction(fn)]
-    assert "_op" in names and "_lock" in names
-    assert not hasattr(ConcurrentSet, "_op_plain")
+    assert set(names) - PASTED == {"_op", "_insert_attempt", "_delete_attempt"}
+    assert not [n for n in PASTED | {"_op"} if hasattr(ConcurrentSet, n + "_plain")]
     return {name: OP_TWINS if name == "_op" else (name + "_plain",)
-            for name in names}
+            for name in names if name not in PASTED}
 
 
 def test_plain_form_matches_drained_generators():
@@ -106,22 +111,38 @@ def test_plain_form_observes_nothing_and_the_set_takes_no_options():
     assert not inspect.signature(ConcurrentSet).parameters
 
 
+def line_of(name, text):
+    """The line of ``ConcurrentSet``'s method ``name`` that holds ``text``."""
+    lines, first = inspect.getsourcelines(getattr(ConcurrentSet, name))
+    return first + next(i for i, line in enumerate(lines) if text in line)
+
+
 def test_twin_traceback_points_into_the_generator_source(monkeypatch):
     """The attempt's frame, where ``_lock`` is pasted, points into
-    ``_lock``'s lines; no frame runs between it and the lock method."""
+    ``_lock``'s lines; no frame runs between it and the spin that a held
+    edge bit leads to.  A fault in a pasted lock step, from ``rwlock``,
+    points at the line that calls it."""
     def boom(self, mode, cond, node=None, expected=None, edge=0):
         raise RuntimeError("from the lock")
 
-    monkeypatch.setattr(CondRwLock, "try_lock_with_condition", boom)
+    monkeypatch.setattr(CondRwLock, "lock_with_spin", boom)
     s = ConcurrentSet()
+    s.root.edges = 1
     with pytest.raises(RuntimeError) as info:
         s.insert(5)
     tb = traceback.extract_tb(info.value.__traceback__)[1:]   # from ``insert`` on
     assert [f.name for f in tb] == ["insert", "_insert_attempt_plain", "boom"]
-    for f, name in zip(tb, ("_op", "_lock")):
-        lines, first = inspect.getsourcelines(getattr(ConcurrentSet, name))
-        assert f.filename == cs.__file__
-        assert first < f.lineno < first + len(lines), (f.name, f.lineno)
+    assert [(f.filename, f.lineno) for f in tb[:2]] == [
+        (cs.__file__, line_of("_op", "_insert_attempt(ctx")),
+        (cs.__file__, line_of("_lock", "lock.lock_with_spin("))]
+    # the insert's new node frees the edge bit it holds: its release fails
+    s.root.edges = 0
+    monkeypatch.setattr(cs, "Node", lambda v: setattr(s.root, "edges", 0))
+    with pytest.raises(AssertionError, match="edge unlock without") as info:
+        s.insert(5)
+    f = traceback.extract_tb(info.value.__traceback__)[-1]
+    assert (f.name, f.filename, f.lineno) == (
+        "insert", cs.__file__, line_of("_op", "unlock(lock, mode, edge)"))
 
 
 # -- the flat shape: which Python functions one plain operation calls -----
@@ -154,20 +175,17 @@ def flat_tree() -> ConcurrentSet:
 
 def test_a_plain_update_runs_its_twin_and_one_attempt_frame():
     s = flat_tree()
-    # 25 hangs left of 30: 30's left edge bit, then 30's state word
+    # 25 hangs left of 30: 30's left edge bit, then 30's state word, each
+    # taken and released with no lock or condition call
     assert python_calls(s.insert, 25) == Counter({
-        "insert": 1, "_insert_attempt_plain": 1,
-        "try_lock_with_condition": 2, "_left_is": 2, "<lambda>": 2,
-        "__init__": 1, "set_child": 1, "unlock": 2})
+        "insert": 1, "_insert_attempt_plain": 1, "__init__": 1, "set_child": 1})
     assert python_calls(s.insert, 30) == Counter(
         {"insert": 1, "_insert_attempt_plain": 1})
     assert python_calls(s.delete, 35) == Counter(
         {"delete": 1, "_delete_attempt_plain": 1})
     # 25, a leaf under the DATA node 30: its edge, its state, 30's state
     assert python_calls(s.delete, 25) == Counter({
-        "delete": 1, "_delete_attempt_plain": 1,
-        "try_lock_with_condition": 3, "_left_holds": 2, "_state_is": 4,
-        "child": 1, "set_child": 1, "unlock": 3})
+        "delete": 1, "_delete_attempt_plain": 1, "child": 1, "set_child": 1})
     for k in (30, 35):
         assert python_calls(s.contains, k) == Counter({"contains": 1})
 
@@ -184,16 +202,18 @@ def test_one_held_edge_bit_adds_one_spin(monkeypatch):
     monkeypatch.setattr(SpinPolicy, "pause", staticmethod(pause))
     thirty.edges = 1
     contended = python_calls(s.insert, 25)
-    # the contended try checks its condition once, before the CAS
+    # the pasted try fails on the held bit; the spin's retry, after the
+    # pause, is the one call of the lock step and checks its condition
+    # before and after the CAS
     assert contended - uncontended == Counter({
         "lock_with_spin": 1, "pause": 1, "try_lock_with_condition": 1,
-        "_left_is": 1})
+        "_edge_is": 2})
     assert uncontended - contended == Counter()
 
 
 # -- the fold's rules -------------------------------------------------------
 
-def _calls_an_early_return(self, ctx, tkey, st, curr):
+def _calls_an_early_return(self, ctx, st, curr):
     yield from self._returns_early(curr)
     return True
 
@@ -205,7 +225,7 @@ def _returns_early(self, curr):
         yield W_DEL_DEMOTE
 
 
-def _reads_a_clobbered_local(self, ctx, tkey, st, curr):
+def _reads_a_clobbered_local(self, ctx, st, curr):
     seen = curr.left
     yield from self._sets_seen(curr)
     return seen is curr.left
@@ -256,8 +276,11 @@ class CountsLockAttempts(ConcurrentSet):
 
 @pytest.mark.parametrize("stepped", [False, True])
 def test_a_redefined_lock_is_seen_by_the_updates(stepped):
-    for twin in ("_insert_attempt_plain", "_delete_attempt_plain", "_lock_plain"):
+    for twin in ("_insert_attempt_plain", "_delete_attempt_plain"):
         assert getattr(CountsLockAttempts, twin) is not getattr(ConcurrentSet, twin)
+    # the attempts call a ``_lock`` of another module instead of pasting it
+    assert "_lock_plain" in vars(CountsLockAttempts)
+    assert not hasattr(ConcurrentSet, "_lock_plain")
     s = CountsLockAttempts()
 
     def run(op, k):
@@ -305,7 +328,7 @@ def test_a_class_keeps_its_own_public_method():
 class RefusesDemotion(ConcurrentSet):
     """Mutant: a node with two children is never demoted."""
 
-    def _delete_two_children(self, ctx, tkey, st, curr):
+    def _delete_two_children(self, ctx, st, curr):
         if self._instr:
             yield W_DEL_DEMOTE
         return False
@@ -313,9 +336,11 @@ class RefusesDemotion(ConcurrentSet):
 
 @pytest.mark.parametrize("stepped", [False, True])
 def test_subclass_generator_gets_its_own_twin(stepped):
-    # the inherited attempt pasted the base shape, so it is compiled again
-    for twin in ("_delete_two_children_plain", "_delete_attempt_plain"):
-        assert getattr(RefusesDemotion, twin) is not getattr(ConcurrentSet, twin)
+    # the inherited attempt pasted the base shape, so it is compiled again,
+    # and calls the shape of another module
+    assert RefusesDemotion._delete_attempt_plain is not ConcurrentSet._delete_attempt_plain
+    assert "_delete_two_children_plain" in vars(RefusesDemotion)
+    assert not hasattr(ConcurrentSet, "_delete_two_children_plain")
     s = RefusesDemotion()
 
     def run(op, k):
@@ -332,7 +357,7 @@ def test_closure_methods_are_refused():
     site = W_DEL_DEMOTE
     with pytest.raises(TypeError, match="enclosing variables"):
         class UsesClosure(ConcurrentSet):
-            def _delete_two_children(self, ctx, tkey, st, curr):
+            def _delete_two_children(self, ctx, st, curr):
                 yield site
                 return False
 
@@ -342,10 +367,10 @@ class RestartsEachInsertOnce(ConcurrentSet):
 
     _base_insert_attempt = ConcurrentSet._insert_attempt
 
-    def _insert_attempt(self, ctx, tkey, st, v):
+    def _insert_attempt(self, ctx, st, v):
         if st.restarts < st.ops["insert"]:
             raise Restart
-        return (yield from self._base_insert_attempt(ctx, tkey, st, v))
+        return (yield from self._base_insert_attempt(ctx, st, v))
 
 
 def test_plain_restarts_match_the_stepping_form():
@@ -399,7 +424,7 @@ def same_code(a, b) -> bool:
         "co_argcount", "co_kwonlyargcount")) and positions(a) == positions(b)
 
 
-def _unindented_demotion(self, ctx, tkey, st, curr):
+def _unindented_demotion(self, ctx, st, curr):
     if self._instr:
         yield W_DEL_DEMOTE
     return curr.left is None
@@ -468,9 +493,9 @@ starts at column 0."""
                 v + 3,
                 )
 
-    def _ends_in_a_handler(self, v):
+    def _ends_in_a_handler(self, v):   # pastes the method above
         try:
-            yield from self._multiline_end(v)
+            return (yield from self._multiline_end(v))
         except LookupError:
             pass
 
@@ -480,14 +505,13 @@ def test_awkward_layouts_match_the_whole_file_compiler():
 
     want = reference_twins(Awkward)
     assert set(want) == {"_flush_left_docstring_plain", "_flush_left_continuation_plain",
-                         "_decorated_plain", "_multiline_end_plain",
-                         "_ends_in_a_handler_plain"} | set(reference_twins(ConcurrentSet))
+                         "_decorated_plain", "_ends_in_a_handler_plain"} | set(
+                             reference_twins(ConcurrentSet))
     for twin, fn in want.items():
         assert same_code(vars(Awkward)[twin].__code__, fn.__code__), twin
     s = Awkward()
     assert (s._flush_left_docstring_plain(1), s._flush_left_continuation_plain(1),
-            s._decorated_plain(1), s._multiline_end_plain(1),
-            s._ends_in_a_handler_plain(1)) == (1, 2, 3, (1, 4), None)
+            s._decorated_plain(1), s._ends_in_a_handler_plain(1)) == (1, 2, 3, (1, 4))
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
@@ -508,8 +532,9 @@ def test_importing_cobst_runs_no_tokenizer():
             "        return super().contains(v)\n"
             "assert Own().contains(3) is False\n"   # compiled through super()
             "assert cs.ConcurrentSet.insert.__code__.co_name == 'insert'\n"
-            "assert not isinstance(vars(cs.ConcurrentSet)['_lock_plain'], "
+            "assert not isinstance(vars(cs.ConcurrentSet)['_insert_attempt_plain'], "
             "cs._CompiledOnUse)\n"
+            "assert '_lock_plain' not in vars(cs.ConcurrentSet)\n"
             "assert len(calls) == 0, len(calls)\n")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

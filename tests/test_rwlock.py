@@ -13,13 +13,16 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+import cobst.concurrent_set as cs
 from cobst import rwlock
-from cobst.rwlock import CondRwLock, LockMode, LockOutcome, SpinPolicy
-from cobst.tree_core import Node
+from cobst.concurrent_set import ConcurrentSet
+from cobst.rwlock import (CONDITION_VIOLATED, CONTENDED, WRITE, CondRwLock,
+                          LockMode, LockOutcome, SpinPolicy, unlock)
+from cobst.tree_core import Node, validate_structure
 
 
-TRUE = lambda: True  # noqa: E731
-FALSE = lambda: False  # noqa: E731
+TRUE = lambda *_: True  # noqa: E731
+FALSE = lambda *_: False  # noqa: E731
 
 R, W = LockMode.READ, LockMode.WRITE
 ACQUIRED = LockOutcome.ACQUIRED
@@ -180,7 +183,7 @@ def test_cond_fails_before_acquire():
     lk = CondRwLock()
     calls = []
     out = lk.try_lock_with_condition(LockMode.WRITE,
-                                     lambda: calls.append(1) and False)
+                                     lambda *_: calls.append(1) and False)
     assert out is LockOutcome.CONDITION_VIOLATED
     assert lk.word == 0
     assert len(calls) == 1       # no second evaluation, no acquire
@@ -191,7 +194,7 @@ def test_cond_fails_after_acquire_releases():
     # lock must come back released
     lk = CondRwLock()
     answers = [True, False]
-    out = lk.try_lock_with_condition(LockMode.READ, lambda: answers.pop(0))
+    out = lk.try_lock_with_condition(LockMode.READ, lambda *_: answers.pop(0))
     assert out is LockOutcome.CONDITION_VIOLATED
     assert lk.word == 0
     assert answers == []
@@ -226,7 +229,7 @@ def test_spin_gives_up_after_budget(monkeypatch):
     acquire(lk, W)
     events = []
 
-    def cond():
+    def cond(*_):
         events.append("try")
         return True
 
@@ -259,7 +262,7 @@ def test_spin_never_retries_condition_violation():
     lk = CondRwLock()
     calls = []
 
-    def cond():
+    def cond(*_):
         calls.append(1)
         return False
 
@@ -277,12 +280,12 @@ def test_conditions_run_before_and_after_the_cas_and_pauses_between(monkeypatch)
     lk = CondRwLock()
     seen = []
 
-    def recording():
+    def recording(*_):
         seen.append(lk.word)
         return True
 
     def flipping(answers):
-        return lambda: recording() and answers.pop(0)
+        return lambda *_: recording() and answers.pop(0)
 
     monkeypatch.setattr(SpinPolicy, "pause", recording)
     for mode, held in ((W, 1), (R, 2)):
@@ -301,18 +304,19 @@ def test_conditions_run_before_and_after_the_cas_and_pauses_between(monkeypatch)
 
 
 def test_condition_is_called_with_the_node_and_the_expected_value():
+    # and the edge bit, by which an edge condition finds the child
     lk = CondRwLock()
     calls = []
 
-    def cond(node, expected):
-        calls.append((node, expected))
+    def cond(node, expected, edge):
+        calls.append((node, expected, edge))
         return expected == 3
 
     assert lk.lock_with_spin(W, cond, "node", 3) is LockOutcome.ACQUIRED
     lk.unlock(W)
-    assert lk.try_lock_with_condition(R, cond, "node", 4) \
+    assert lk.try_lock_with_condition(R, cond, "node", 4, 2) \
         is LockOutcome.CONDITION_VIOLATED
-    assert calls == [("node", 3), ("node", 3), ("node", 4)]
+    assert calls == [("node", 3, 0), ("node", 3, 0), ("node", 4, 2)]
     assert lk.word == 0
 
 
@@ -517,6 +521,56 @@ def test_the_bytecode_check_fails_a_call_or_a_loop_between_read_and_store():
         assert spans(func) == []
 
 
+# The plain twins paste the lock steps: every span they hold must pass too.
+TWINS = ("insert", "delete", "_insert_attempt_plain", "_delete_attempt_plain")
+
+
+def _step_with_a_call(self, mode, condition, node=None, expected=None, edge=0):
+    """``rwlock.try_lock_with_condition`` with a call, which yields the GIL,
+    between the read of a word and its store."""
+    out = CONDITION_VIOLATED
+    if condition(node, expected, edge):
+        if edge:
+            busy = step = edge
+            w = self.edges
+            time.sleep(0)
+            self.edges = w + step * (not w & busy)
+        else:
+            busy, step = (-1, 1) if mode is WRITE else (1, 2)
+            w = self.word
+            time.sleep(0)
+            self.word = w + step * (not w & busy)
+        if w & busy:
+            out = CONTENDED
+        elif condition(node, expected, edge):
+            out = ACQUIRED
+        else:
+            unlock(self, mode, edge)
+    return out
+
+
+class CallsInTheCas(ConcurrentSet):
+    """Mutant: its twins paste ``_step_with_a_call`` as the lock step."""
+
+
+with pytest.MonkeyPatch.context() as mp:
+    mp.setattr(cs, "try_lock_with_condition", _step_with_a_call)
+    cs.compile_plain(CallsInTheCas)
+
+
+@pytest.mark.parametrize("twin", TWINS)
+def test_each_plain_twin_pastes_its_lock_steps_with_no_switch_point(twin):
+    func = getattr(ConcurrentSet, twin)
+    assert sorted({word for word, _ in spans(func)}) == sorted(WORDS)
+    assert switch_points(func) == []
+
+
+def test_the_bytecode_check_fails_a_lock_step_with_a_call_in_the_twins():
+    for twin in TWINS[2:]:
+        calls = {op for _, op in switch_points(getattr(CallsInTheCas, twin))}
+        assert calls & {"CALL", "CALL_FUNCTION", "PRECALL"}, twin
+
+
 # -- supported runtimes -------------------------------------------------------
 
 @pytest.mark.parametrize("gil", [True, False])
@@ -700,6 +754,78 @@ def test_the_exclusion_check_fails_a_broken_lock(broken):
     lk = broken(0)
     errors = exclusion_errors([(lk, edge) for edge in broken.EDGES])
     assert {e[0] for e in errors} - {"worker ended without a write hold"}
+
+
+def lost_updates(cls, seconds=1.0, nthreads=4, nkeys=8):
+    """What goes wrong when ``nthreads`` threads insert and delete ``nkeys``
+    keys on a ``cls`` set through its public methods for ``seconds``, at a
+    1 us switch interval; the threads stop once one of them raises.
+
+    Per key, the initial membership plus the successful inserts minus the
+    successful deletes must be the final membership; the tree must pass
+    ``validate_structure``, and no lock word may be left set.  An update
+    that still restarts a second after the time is up, as one on a lock
+    word left set does for ever, raises instead of backing off."""
+    def _backoff(self, n):
+        if time.perf_counter() > deadline + 1:
+            raise TimeoutError("restarting after the time is up")
+        cls._backoff(self, n)
+
+    s = type("Bounded" + cls.__name__, (cls,), {"_backoff": _backoff})()
+    initial = set(random.Random(nkeys).sample(range(nkeys), nkeys // 2))
+    for k in initial:
+        s.insert(k)
+    nets = [[0] * nkeys for _ in range(nthreads)]
+    errors = []
+    start = threading.Barrier(nthreads)
+
+    def worker(t):
+        rng = random.Random(t)
+        plan = [(rng.random() < 0.5, rng.randrange(nkeys)) for _ in range(256)]
+        net = nets[t]
+        start.wait(60)
+        try:
+            while not errors and time.perf_counter() < deadline:
+                for insert, k in plan:
+                    if insert:
+                        net[k] += s.insert(k)
+                    else:
+                        net[k] -= s.delete(k)
+        except Exception as e:   # a release's assert, or a broken tree
+            errors.append(("raised", repr(e)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,), daemon=True)
+                   for t in range(nthreads)]
+        deadline = time.perf_counter() + seconds
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(seconds + 60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    final = set(s.snapshot_keys())
+    errors += [("lost update", k) for k in range(nkeys)
+               if (k in initial) + sum(net[k] for net in nets) != (k in final)]
+    errors += [("structure", p) for p in validate_structure(s).problems]
+    stack = [s.root]
+    while stack:
+        node = stack.pop()
+        if node.word or node.edges:
+            errors.append(("lock left held", node.val, node.word, node.edges))
+        stack += [c for c in (node.left, node.right) if c is not None]
+    return errors
+
+
+def test_no_update_is_lost_by_the_plain_twins_under_real_threads():
+    assert lost_updates(ConcurrentSet) == []
+
+
+def test_the_lost_update_check_fails_a_lock_step_with_a_call():
+    assert lost_updates(CallsInTheCas)
 
 
 def test_the_exclusion_check_fails_a_lock_its_workers_die_on(monkeypatch):
