@@ -39,8 +39,8 @@ Post-lock re-verification reads do not yield: no other thread can run
 between a lock grant and its re-check in any schedule, so suspending
 there would only inflate the interleaving space without adding
 behaviours.  The public methods are plain functions instead, which
-``compile_plain`` derives from the same generator source when one of
-them is first looked up:
+``cobst.plain.compile_plain`` derives from the same generator source
+when one of them is first looked up:
 every ``if self._instr:`` block is folded away, ``_op`` becomes
 ``contains``, ``insert`` and ``delete``, and each ``yield from`` in an
 attempt becomes the callee's folded body, pasted in place with the lock
@@ -59,11 +59,7 @@ them on its first operation only.
 
 from __future__ import annotations
 
-import ast
-import copy
 import inspect
-import linecache
-import operator
 import random
 import threading
 import time
@@ -77,7 +73,7 @@ from .tree_core import (DATA, LEFT, MIN_KEY, PLUS_INF, RIGHT, ROUTING, Node,
 
 __all__ = [
     "ConcurrentSet", "OpOutcome", "ThreadStats",
-    "Site", "LockPoint", "compile_plain",
+    "Site", "LockPoint",
     "K_READ", "K_WRITE", "K_LOCK", "K_CREATE",
 ]
 
@@ -283,7 +279,7 @@ class ConcurrentSet:
               list is what that thread holds
     """
 
-    _instr = True   # the stepping form; ``compile_plain`` folds it to False
+    _instr = True   # the stepping form; ``cobst.plain`` folds it to False
 
     def __init__(self):
         self.root = Node(PLUS_INF)
@@ -297,12 +293,14 @@ class ConcurrentSet:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if any(map(inspect.isgeneratorfunction, vars(cls).values())):
+            from .plain import compile_plain
             compile_plain(cls)   # a redefined generator method needs new twins
 
     # -- public set interface -------------------------------------------
     #
     # ``contains(v)``, ``insert(v)`` and ``delete(v)`` are the plain twins
-    # of ``_op``, which ``compile_plain`` installs at the end of the module.
+    # of ``_op``, which ``cobst.plain`` compiles on the first lookup of a
+    # stand-in installed at the end of this module.
 
     def op_gen(self, op: str, v, tkey=None):
         """The stepping form used by the schedule harness: a generator
@@ -694,356 +692,6 @@ class ConcurrentSet:
         return True
 
 
-# -- the plain-call form ---------------------------------------------------
-#
-# Each generator method ``_m`` is recompiled from its own source into a
-# plain function ``_m_plain``, except ``_op``, which becomes ``contains``,
-# ``insert`` and ``delete``: each read of ``op`` becomes that operation's
-# name, and ``tkey`` is bound from ``_get_ident()`` at entry.
-# ``self._instr`` reads as False and comparisons of constants fold, so
-# each ``if`` keeps only the branch taken: the twins keep no checkpoint,
-# record or ``OpOutcome``.
-#
-# Outside ``_op``, ``yield from self._m(...)`` pastes the folded body of
-# ``_m``, a generator method of the same module, as a statement or an
-# assignment if its only ``return`` is its last statement or it has
-# none, and as a tail ``return (yield from ...)`` in any case; so does a
-# call by name of a plain function whose globals the twin's module binds
-# alike, such as a lock step of ``rwlock``.  Constant arguments, and
-# names that the paste never assigns, are substituted, and an ``if`` on
-# a constant keeps one branch; others are bound at the top of the paste
-# if the body reads them.  A call that a substitution names, a condition
-# passed as ``cond``, pastes as its function's one ``return``
-# expression.  Any other ``yield from self._m(...)`` calls
-# ``self._m_plain``, as ``_op`` calls an attempt; only such methods and
-# those that nothing pastes get a twin.  The twins keep the source's
-# file name and line numbers, so a traceback through one points into
-# the generator bodies; a paste from another file takes its call's.
-
-def _self_call(node) -> bool:
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "self")
-
-
-def _subst(node, args, inline=None):
-    """``node`` with each read of a name in ``args`` replaced by a copy of
-    its value, a constant or a name, an ``if`` so made constant by the
-    branch taken and a call so changed by what ``inline`` gives for it;
-    a subtree that reads none is shared."""
-    if isinstance(node, ast.Name):
-        arg = args.get(node.id)
-        if arg is None or not isinstance(node.ctx, ast.Load):
-            return node
-        return ast.copy_location(ast.Name(arg.id, ast.Load()) if isinstance(arg, ast.Name)
-                                 else ast.Constant(arg.value), node)
-    if isinstance(node, ast.Constant) or not node._fields:
-        return node
-    new = node
-    for field in node._fields:
-        old = getattr(node, field, None)
-        if field == "test" and isinstance(node, (ast.If, ast.IfExp)):
-            value = _subst(old, args, inline)
-            if isinstance(value, ast.Constant):   # keep the branch taken
-                kept = node.body if value.value else node.orelse
-                return (_subst(kept, args, inline) if isinstance(node, ast.IfExp) else
-                        _substs(kept, args, inline) or [ast.copy_location(ast.Pass(), node)])
-            same = value is old
-        elif isinstance(old, list):
-            value = _substs(old, args, inline)
-            same = len(value) == len(old) and all(map(operator.is_, value, old))
-        elif isinstance(old, ast.AST):
-            value = _subst(old, args, inline)
-            same = value is old
-        else:
-            continue
-        if not same:
-            new = copy.copy(node) if new is node else new
-            setattr(new, field, value)
-    if new is not node and inline is not None and isinstance(new, ast.Call):
-        return inline(new) or new
-    return new
-
-
-def _substs(nodes, args, inline=None) -> list:   # branches spliced in
-    out = []
-    for x in nodes:
-        x = _subst(x, args, inline) if isinstance(x, ast.AST) else x
-        out += x if isinstance(x, list) else [x]
-    return out
-
-
-def _arguments(fn, call, method) -> dict:
-    """Parameter of ``fn`` -> the expression ``call`` passes, or its default."""
-    params, defaults = [p.arg for p in fn.args.args], fn.args.defaults
-    args = dict(zip(params[len(params) - len(defaults):], defaults))
-    args.update(zip(params, [ast.Name("self", ast.Load())] * method + call.args))
-    args.update((k.arg, k.value) for k in call.keywords)
-    return args
-
-
-def _moved(nodes, stmt):   # copies at the place of ``stmt``
-    nodes = copy.deepcopy(nodes)
-    for node in ast.walk(ast.Module(nodes, [])):
-        ast.copy_location(node, stmt)
-    return nodes
-
-
-class _FoldInstrumentation(ast.NodeTransformer):
-    """Folds a method of ``where``, ``_op`` with ``op`` bound to ``op``,
-    and pastes each callee for which ``pasted(name, method)`` gives its
-    fold: the def, the names its body reads and assigns, its count of
-    ``return`` statements and its file; ``calls`` are left calls."""
-
-    def __init__(self, where, op, pasted, filename):
-        self.where, self.op, self.pasted, self.filename = where, op, pasted, filename
-        self.loads, self.stores, self.loops, self.pastes = [], set(), [], []
-        self.reads, self.assigns, self.returns, self.calls = set(), set(), 0, set()
-
-    def visit_FunctionDef(self, node):   # annotations read nothing in a twin
-        node.returns = None
-        for a in node.args.args:
-            a.annotation = None
-        self.generic_visit(node)
-        locals_ = self.stores | {a.arg for a in node.args.args}
-        for stmt, looped, names, callee in self.pastes:
-            end = (stmt.end_lineno, stmt.end_col_offset)
-            clash = names & locals_ & {n for n, at in self.loads if at > end or looped}
-            if clash:
-                raise TypeError("%s, line %d: pasting %s would change its local %s"
-                                % (self.where, stmt.lineno, callee, ", ".join(sorted(clash))))
-        if self.op is not None:
-            node.args.args = [a for a in node.args.args if a.arg not in ("op", "tkey")]
-            if any(n == "tkey" for n, _ in self.loads):
-                i = int(ast.get_docstring(node) is not None)
-                node.body.insert(i, ast.fix_missing_locations(ast.copy_location(ast.Assign(
-                    [ast.Name("tkey", ast.Store())],
-                    ast.Call(ast.Name("_get_ident", ast.Load()), [], [])), node.body[i])))
-        return (node, self.reads | {n for n, _ in self.loads},
-                self.assigns | self.stores, self.returns, self.filename)
-
-    def visit_Name(self, node):
-        if isinstance(node.ctx, ast.Load):
-            self.loads.append((node.id, (node.lineno, node.col_offset)))
-        else:
-            self.stores.add(node.id)
-        if self.op is not None and node.id == "op":
-            return ast.copy_location(ast.Constant(self.op), node)
-        return node
-
-    def visit_Attribute(self, node):
-        if (node.attr == "_instr" and isinstance(node.value, ast.Name)
-                and node.value.id == "self"):
-            return ast.copy_location(ast.Constant(False), node)
-        return self.generic_visit(node)
-
-    def visit_Compare(self, node):
-        self.generic_visit(node)
-        if (len(node.ops) == 1 and isinstance(node.ops[0], (ast.Eq, ast.NotEq))
-                and isinstance(node.left, ast.Constant)
-                and isinstance(node.comparators[0], ast.Constant)):
-            equal = node.left.value == node.comparators[0].value
-            return ast.copy_location(
-                ast.Constant(equal == isinstance(node.ops[0], ast.Eq)), node)
-        return node
-
-    def visit_If(self, node):   # a constant test keeps one branch, unvisited
-        node.test = self.visit(node.test)
-        if not isinstance(node.test, ast.Constant):
-            return self.generic_visit(node)
-        return self.generic_visit(
-            ast.Module(node.body if node.test.value else node.orelse, [])).body
-
-    def visit_While(self, node):   # and For: a paste inside reads the whole loop
-        self.loops.append(((node.lineno, node.col_offset),
-                           (node.end_lineno, node.end_col_offset)))
-        return self.generic_visit(node)
-
-    visit_For = visit_While
-
-    def visit_YieldFrom(self, node):
-        self.generic_visit(node)
-        if _self_call(node.value):
-            self.calls.add(node.value.func.attr)
-            node.value.func.attr += "_plain"
-            return node.value
-        return node
-
-    def expression(self, call):   # a one-``return`` function's expression, or None
-        callee = isinstance(call.func, ast.Name) and self.pasted(call.func.id, False)
-        fn = callee and callee[0]
-        if not fn or len(fn.body) > 1 or not isinstance(fn.body[0], ast.Return):
-            return None
-        args = _arguments(fn, call, False)   # each may be read twice: a name or constant
-        if args.keys() != {p.arg for p in fn.args.args} or not all(
-                isinstance(a, (ast.Constant, ast.Name)) for a in args.values()):
-            return None
-        self.reads |= callee[1] - set(args) | {a.id for a in args.values()
-                                               if isinstance(a, ast.Name)}
-        self.assigns |= callee[2]
-        expr = _subst(fn.body[0].value, args, self.expression)
-        return expr if callee[4] == self.filename else _moved([expr], call)[0]
-
-    def visit_Expr(self, stmt):   # and Assign and Return: paste the callee
-        method = isinstance(stmt.value, ast.YieldFrom)
-        call = stmt.value.value if method else stmt.value
-        callee = (self.pasted(call.func.attr, True) if method and _self_call(call) else
-                  self.pasted(call.func.id, False) if not method
-                  and isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-                  else None)
-        if callee is None:
-            stmt = self.generic_visit(stmt)
-            self.returns += isinstance(stmt, ast.Return)
-            return stmt
-        fn, read, stored, returns, filename = callee
-        targets = getattr(stmt, "targets", None if isinstance(stmt, ast.Return) else [])
-        params, args = [p.arg for p in fn.args.args], _arguments(fn, call, method)
-        used = read & set(params)
-        bound = {p for p in used if p in stored
-                 or not isinstance(args[p], (ast.Constant, ast.Name))}
-        while more := {p for p in used - bound
-                       if getattr(args[p], "id", None) in stored | bound}:
-            bound |= more    # a name argument must keep its value in the paste
-        body = fn.body[ast.get_docstring(fn) is not None:]
-        if targets is not None and returns > isinstance(body[-1], ast.Return):
-            line = next(n.lineno for n in ast.walk(ast.Module(body, []))
-                        if isinstance(n, ast.Return) and n is not body[-1])
-            raise TypeError("%s, line %d: %s returns at line %d, where no paste "
-                            "form covers it" % (self.where, stmt.lineno, fn.name, line))
-        tnames = {n.id for t in targets or () for n in ast.walk(t) if isinstance(n, ast.Name)}
-        self.reads |= read - set(params) | {n.id for a in args.values()
-                                            for n in ast.walk(a) if isinstance(n, ast.Name)}
-        assigns = set(self.assigns)
-        subst = {p: args[p] for p in used - bound if getattr(args[p], "id", None) != p}
-        body = _substs(body, subst, self.expression) if subst else body[:]
-        at, end = (stmt.lineno, stmt.col_offset), (stmt.end_lineno, stmt.end_col_offset)
-        self.pastes.append((stmt, any(b <= at and end <= e for b, e in self.loops),
-                            (stored | bound | self.assigns - assigns) - tnames, fn.name))
-        self.assigns |= stored | bound | tnames
-        if targets is None:
-            self.returns += returns
-            if not isinstance(body[-1], (ast.Return, ast.Raise)):
-                body.append(ast.copy_location(ast.Return(None), body[-1]))
-                self.returns += 1
-        else:
-            last = body.pop() if isinstance(body[-1], ast.Return) else stmt
-            value = getattr(last, "value", None) or ast.Constant(None)
-            if not targets and last is not stmt and last.value:
-                body.append(ast.copy_location(ast.Expr(value), last))
-            elif targets and [ast.unparse(t) for t in targets] != [ast.unparse(value)]:
-                body.append(ast.copy_location(ast.Assign(targets, value), last))
-        if bound:
-            order = [p for p in params if p in bound]
-            body.insert(0, ast.fix_missing_locations(ast.copy_location(ast.Assign(
-                [ast.Tuple([ast.Name(p, ast.Store()) for p in order], ast.Store())],
-                ast.Tuple([args[p] for p in order], ast.Load())), stmt)))
-        return body if filename == self.filename else _moved(body, stmt)
-
-    visit_Assign = visit_Return = visit_Expr
-
-
-def _method_def(fn) -> ast.FunctionDef:
-    """The def of ``fn`` from its own lines, read by ``linecache`` to the
-    last line in ``co_positions()`` (by ``inspect`` on CPython 3.10) and
-    padded so that every line and column number is the file's."""
-    code = fn.__code__
-    if hasattr(code, "co_positions"):
-        first = code.co_firstlineno
-        block = linecache.getlines(code.co_filename, fn.__globals__)[
-            first - 1:max(filter(None, map(operator.itemgetter(1), code.co_positions())))]
-    else:   # CPython 3.10
-        block, first = inspect.getsourcelines(fn)
-    indented = block[0][:1].isspace()
-    source = ("\n" * (first - 1 - indented)
-              + ("class _:\n" if indented else "") + "".join(block))
-    return next(n for n in ast.walk(ast.parse(source, code.co_filename))
-                if isinstance(n, ast.FunctionDef))
-
-
-def _plain_defs(cls, parse=_method_def) -> dict:
-    """Twin name -> (folded def, method) for each generator method that
-    ``cls`` has, own or inherited, and that a twin calls or nothing
-    pastes; ``parse(fn)`` gives the def of ``fn``."""
-    gens: dict = {}
-    for klass in reversed(cls.__mro__):
-        gens.update(vars(klass))
-    gens = {n: fn for n, fn in gens.items() if inspect.isgeneratorfunction(fn)}
-    done: dict = {}
-    pasted, called = set(), set()
-
-    def fold(fn, op=None, name=None):
-        where = "%s.%s" % (cls.__name__, name) if name else fn.__qualname__
-        if fn.__code__.co_freevars:
-            raise TypeError("%s uses enclosing variables %s; only plain "
-                            "methods can be compiled" % (where, fn.__code__.co_freevars))
-
-        def paste(m, method):   # ``_op`` calls its attempts, and a twin calls across modules
-            f = gens.get(m) if method else fn.__globals__.get(m)
-            if method and (name == "_op" or f is None or f.__globals__ is not fn.__globals__):
-                return None
-            if not method and (m in fn.__code__.co_varnames or not inspect.isfunction(f)
-                               or f.__name__ == "<lambda>" or inspect.isgeneratorfunction(f)):
-                return None
-            callee = folded(m if method else f)
-            if method and callee is not None:
-                pasted.add(m)
-            if method or callee is None:
-                return callee
-            globs = callee[1] - callee[2] - {a.arg for a in callee[0].args.args}
-            return None if any(f.__globals__.get(g, len) is not fn.__globals__.get(g, len)
-                               for g in globs) else callee   # ``len``: in neither
-
-        t = _FoldInstrumentation(where, op, paste, fn.__code__.co_filename)
-        out = t.visit(parse(fn))
-        called.update(t.calls)
-        return out
-
-    def folded(key):   # a method's name or a function
-        if key not in done:
-            done[key] = None   # a callee that pastes itself calls itself
-            done[key] = fold(gens[key], name=key) if isinstance(key, str) else fold(key)
-        return done[key]
-
-    twins = {op: (fold(gens["_op"], op, "_op")[0], gens["_op"]) for op in _OPS if "_op" in gens}
-    folds = {name: folded(name)[0] for name in gens if name != "_op"}
-    twins.update((name + "_plain", (node, gens[name])) for name, node in folds.items()
-                 if name in called or name not in pasted)
-    done.clear()   # ``fold`` and ``folded`` form a cycle; the defs need not wait for it
-    return twins
-
-
-def compile_plain(cls) -> None:
-    """Install on ``cls`` the plain twins of its generator methods, own
-    or inherited, as an inherited twin may have pasted a method that
-    ``cls`` redefines; a public method that ``cls`` or a base defines
-    itself stays.  A method that every plain caller pastes gets no twin.
-    Subclasses that define a generator method are compiled when they are
-    created; call this again after replacing one.  ``TypeError`` names
-    the method and line of a ``return`` that no paste form covers, a
-    paste that changes a caller local read later, or a ``yield`` left
-    after folding.
-    """
-    twins = _plain_defs(cls)
-    while twins:   # each def is dropped once compiled
-        twin, (node, fn) = twins.popitem()
-        own = inspect.getattr_static(cls, twin, None)
-        if twin in _OPS and own is not None and not hasattr(own, "plain_twin"):
-            continue
-        node.name = twin
-        ns: dict = {}
-        exec(compile(ast.Module([node], []), fn.__code__.co_filename, "exec"),
-             fn.__globals__, ns)
-        if inspect.isgeneratorfunction(ns[twin]):
-            line = next(n.lineno for n in ast.walk(node)
-                        if isinstance(n, (ast.Yield, ast.YieldFrom)))
-            raise TypeError("%s.%s: yield left at line %d after folding"
-                            % (cls.__name__, fn.__name__, line))
-        ns[twin].plain_twin = True
-        setattr(cls, twin, ns[twin])
-    for name in [n for n, a in vars(cls).items() if isinstance(a, _CompiledOnUse)]:
-        delattr(cls, name)   # the stand-in of a twin not made
-
-
 class _CompiledOnUse:
     """Stands for a twin of ``cls`` until one is looked up, which compiles
     them all, so that importing cobst folds nothing."""
@@ -1054,6 +702,7 @@ class _CompiledOnUse:
         self.cls, self.name = cls, name
 
     def __get__(self, obj, owner):
+        from .plain import compile_plain
         compile_plain(self.cls)
         return getattr(owner if obj is None else obj, self.name)
 

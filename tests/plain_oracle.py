@@ -3,8 +3,8 @@ compiler's: it parses and walks the whole source file of a class's
 generator methods, where ``compile_plain`` parses each method's own
 lines, and hands each def to the same fold and pastes.
 ``reference_twins`` returns the twins instead of installing them.  It
-compiles under the same ``__future__`` flags as ``cobst.concurrent_set``,
-whose flags ``compile`` passes on to the twins."""
+compiles under the same ``__future__`` flags as ``cobst.plain``, whose
+flags ``compile`` passes on to the twins."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import ast
 import copy
 import linecache
 
-from cobst.concurrent_set import _plain_defs
+from cobst.plain import _plain_defs
 
 
 def reference_twins(cls) -> dict:

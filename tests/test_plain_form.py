@@ -16,6 +16,7 @@ import pytest
 import cobst.concurrent_set as cs
 from cobst.concurrent_set import (S_CONT_STATE, ConcurrentSet, OpOutcome,
                                   Restart, W_DEL_DEMOTE)
+from cobst.plain import compile_plain
 from cobst.rwlock import CondRwLock, SpinPolicy
 
 from tree_text import dump_tree
@@ -318,7 +319,7 @@ class InheritsAnOwnDelete(KeepsItsOwnDelete):
 
 def test_a_class_keeps_its_own_public_method():
     for cls in (KeepsItsOwnDelete, InheritsAnOwnDelete):
-        cs.compile_plain(cls)
+        compile_plain(cls)
         assert cls.delete is vars(KeepsItsOwnDelete)["delete"]
         assert cls.insert is not ConcurrentSet.insert
         s = cls()
@@ -443,7 +444,7 @@ def test_twins_match_the_whole_file_compiler():
         pass
 
     Unindented._delete_two_children = _unindented_demotion
-    cs.compile_plain(Unindented)
+    compile_plain(Unindented)
     assert set(reference_twins(ConcurrentSet)) == set(
         itertools.chain(*twin_names().values()))
     for cls in (ConcurrentSet, RefusesDemotion, RestartsEachInsertOnce,
@@ -527,6 +528,8 @@ def test_importing_cobst_runs_no_tokenizer():
             "import cobst.concurrent_set as cs\n"
             "assert isinstance(vars(cs.ConcurrentSet)['insert'], "
             "cs._CompiledOnUse)\n"
+            "import sys\n"
+            "assert 'cobst.plain' not in sys.modules\n"   # the compiler loads on use
             "class Own(cs.ConcurrentSet):\n"
             "    def contains(self, v):\n"
             "        return super().contains(v)\n"

@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 import cobst.concurrent_set as cs
 from cobst import rwlock
 from cobst.concurrent_set import ConcurrentSet
+from cobst.plain import compile_plain
 from cobst.rwlock import (CONDITION_VIOLATED, CONTENDED, WRITE, CondRwLock,
                           LockMode, LockOutcome, SpinPolicy, unlock)
 from cobst.tree_core import Node, validate_structure
@@ -555,7 +556,7 @@ class CallsInTheCas(ConcurrentSet):
 
 with pytest.MonkeyPatch.context() as mp:
     mp.setattr(cs, "try_lock_with_condition", _step_with_a_call)
-    cs.compile_plain(CallsInTheCas)
+    compile_plain(CallsInTheCas)
 
 
 @pytest.mark.parametrize("twin", TWINS)
