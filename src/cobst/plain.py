@@ -63,12 +63,11 @@ def _subst(node, args, inline=None):
     new = node
     for field in node._fields:
         old = getattr(node, field, None)
-        if field == "test" and isinstance(node, (ast.If, ast.IfExp)):
+        if field == "test" and isinstance(node, ast.If):
             value = _subst(old, args, inline)
             if isinstance(value, ast.Constant):   # keep the branch taken
                 kept = node.body if value.value else node.orelse
-                return (_subst(kept, args, inline) if isinstance(node, ast.IfExp) else
-                        _substs(kept, args, inline) or [ast.copy_location(ast.Pass(), node)])
+                return _substs(kept, args, inline) or [ast.copy_location(ast.Pass(), node)]
             same = value is old
         elif isinstance(old, list):
             value = _substs(old, args, inline)
@@ -346,7 +345,10 @@ def compile_plain(cls) -> None:
     """
     twins = _plain_defs(cls)
     while twins:   # each def is dropped once compiled
-        twin, (node, fn) = twins.popitem()
+        # in fold order, the attempts last: compiling the largest twin last
+        # leaves less of the compiler's freed memory resident
+        twin = next(iter(twins))
+        node, fn = twins.pop(twin)
         own = inspect.getattr_static(cls, twin, None)
         if twin in _OPS and own is not None and not hasattr(own, "plain_twin"):
             continue
