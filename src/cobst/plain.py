@@ -345,10 +345,7 @@ def compile_plain(cls) -> None:
     """
     twins = _plain_defs(cls)
     while twins:   # each def is dropped once compiled
-        # in fold order, the attempts last: compiling the largest twin last
-        # leaves less of the compiler's freed memory resident
-        twin = next(iter(twins))
-        node, fn = twins.pop(twin)
+        twin, (node, fn) = twins.popitem()
         own = inspect.getattr_static(cls, twin, None)
         if twin in _OPS and own is not None and not hasattr(own, "plain_twin"):
             continue
