@@ -692,9 +692,13 @@ class ConcurrentSet:
         return True
 
 
+_compiling = threading.RLock()   # held while a class's twins are compiled
+
+
 class _CompiledOnUse:
     """Stands for a twin of ``cls`` until one is looked up, which compiles
-    them all, so that importing cobst folds nothing."""
+    them all, so that importing cobst folds nothing; the first lookups of
+    several threads compile once."""
 
     plain_twin = True
 
@@ -702,8 +706,10 @@ class _CompiledOnUse:
         self.cls, self.name = cls, name
 
     def __get__(self, obj, owner):
-        from .plain import compile_plain
-        compile_plain(self.cls)
+        with _compiling:
+            if vars(self.cls).get(self.name) is self:   # not compiled meanwhile
+                from .plain import compile_plain
+                compile_plain(self.cls)
         return getattr(owner if obj is None else obj, self.name)
 
 

@@ -1,42 +1,41 @@
-"""The plain-call form of ``ConcurrentSet``: the public methods and the
-twins they call, compiled from the generator bodies of
-``cobst.concurrent_set`` on the first lookup of one of them, which
+"""The plain-call form of ``ConcurrentSet``, compiled from the generator
+bodies of ``cobst.concurrent_set`` on the first lookup of a twin, which
 imports this module.
 
-Each generator method ``_m`` is recompiled from its own source into a
-plain function ``_m_plain``, except ``_op``, which becomes ``contains``,
-``insert`` and ``delete``: each read of ``op`` becomes that operation's
-name, and ``tkey`` is bound from ``_get_ident()`` at entry.
-``self._instr`` reads as False and comparisons of constants fold, so
-each ``if`` keeps only the branch taken: the twins keep no checkpoint,
-record or ``OpOutcome``.
+Each generator method ``_m`` becomes a plain function ``_m_plain``,
+except ``_op``, which becomes ``contains``, ``insert`` and ``delete``,
+with ``op`` read as the operation's name and ``tkey`` bound from
+``_get_ident()``.  ``self._instr`` reads as False and comparisons of
+constants fold, so each ``if`` keeps only the branch taken: the twins
+keep no checkpoint, record or ``OpOutcome``.
 
-Outside ``_op``, ``yield from self._m(...)`` pastes the folded body of
-``_m``, a generator method of the same module, as a statement or an
-assignment if its only ``return`` is its last statement or it has
-none, and as a tail ``return (yield from ...)`` in any case; so does a
-call by name of a plain function whose globals the twin's module binds
-alike, such as a lock step of ``rwlock``.  Constant arguments, and
-names that the paste never assigns, are substituted, and an ``if`` on
-a constant keeps one branch; others are bound at the top of the paste
-if the body reads them.  A call that a substitution names, a condition
-passed as ``cond``, pastes as its function's one ``return``
-expression.  Any other ``yield from self._m(...)`` calls
-``self._m_plain``, as ``_op`` calls an attempt; only such methods and
-those that nothing pastes get a twin.  The twins keep the source's
-file name and line numbers, so a traceback through one points into
-the generator bodies; a paste from another file takes its call's.
+Outside ``_op``, ``yield from self._m(...)`` of a generator method of
+the same module, and a call by name of a plain function whose globals
+the twin's module binds alike, such as a lock step of ``rwlock``, paste
+the callee's folded body: as a statement or an assignment if its only
+``return`` ends it, and as a tail ``return`` in any case.  Only callees
+with positional-or-keyword parameters and no nested scope paste, only
+for calls with no ``*`` or ``**`` argument, and a function whose
+``return`` statements no form covers stays a call.  Constant arguments,
+and names that the paste never assigns, are substituted, others bound
+at the top of the paste; a call that a substitution names, a condition
+passed as ``cond``, pastes as its function's one ``return`` expression.
+Any other ``yield from self._m(...)`` calls ``self._m_plain``; only such
+methods and those that nothing pastes get a twin.  The twins keep the
+source's file name and line numbers, so a traceback through one points
+into the generator bodies; a paste from another file takes its call's.
 """
 
 from __future__ import annotations
 
 import ast
 import copy
+import ctypes
 import inspect
 import linecache
 import operator
 
-from .concurrent_set import _OPS, _CompiledOnUse
+from .concurrent_set import _OPS, _CompiledOnUse, _compiling
 
 __all__ = ["compile_plain"]
 
@@ -49,29 +48,20 @@ def _self_call(node) -> bool:
 
 def _subst(node, args, inline=None):
     """``node`` with each read of a name in ``args`` replaced by a copy of
-    its value, a constant or a name, an ``if`` so made constant by the
-    branch taken and a call so changed by what ``inline`` gives for it;
-    a subtree that reads none is shared."""
+    its value, a constant or a name, and each call so changed by what
+    ``inline`` gives for it; a subtree that reads none is shared."""
     if isinstance(node, ast.Name):
         arg = args.get(node.id)
         if arg is None or not isinstance(node.ctx, ast.Load):
             return node
         return ast.copy_location(ast.Name(arg.id, ast.Load()) if isinstance(arg, ast.Name)
                                  else ast.Constant(arg.value), node)
-    if isinstance(node, ast.Constant) or not node._fields:
-        return node
     new = node
     for field in node._fields:
         old = getattr(node, field, None)
-        if field == "test" and isinstance(node, ast.If):
-            value = _subst(old, args, inline)
-            if isinstance(value, ast.Constant):   # keep the branch taken
-                kept = node.body if value.value else node.orelse
-                return _substs(kept, args, inline) or [ast.copy_location(ast.Pass(), node)]
-            same = value is old
-        elif isinstance(old, list):
-            value = _substs(old, args, inline)
-            same = len(value) == len(old) and all(map(operator.is_, value, old))
+        if isinstance(old, list):
+            value = [_subst(x, args, inline) if isinstance(x, ast.AST) else x for x in old]
+            same = all(map(operator.is_, value, old))
         elif isinstance(old, ast.AST):
             value = _subst(old, args, inline)
             same = value is old
@@ -85,12 +75,16 @@ def _subst(node, args, inline=None):
     return new
 
 
-def _substs(nodes, args, inline=None) -> list:   # branches spliced in
-    out = []
-    for x in nodes:
-        x = _subst(x, args, inline) if isinstance(x, ast.AST) else x
-        out += x if isinstance(x, list) else [x]
-    return out
+def _spread(call) -> bool:   # a ``*`` or ``**`` argument, which no paste binds
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg is None for k in call.keywords))
+
+
+def _pastable(fn) -> bool:   # a paste binds ``args.args`` in the caller's own scope
+    a = fn.args
+    return not (a.posonlyargs or a.kwonlyargs or a.vararg or a.kwarg or any(
+        isinstance(n, (ast.Lambda, ast.comprehension, ast.FunctionDef, ast.ClassDef))
+        for stmt in fn.body for n in ast.walk(stmt)))
 
 
 def _arguments(fn, call, method) -> dict:
@@ -190,7 +184,8 @@ class _FoldInstrumentation(ast.NodeTransformer):
         return node
 
     def expression(self, call):   # a one-``return`` function's expression, or None
-        callee = isinstance(call.func, ast.Name) and self.pasted(call.func.id, False)
+        callee = (isinstance(call.func, ast.Name) and not _spread(call)
+                  and self.pasted(call.func.id, False))
         fn = callee and callee[0]
         if not fn or len(fn.body) > 1 or not isinstance(fn.body[0], ast.Return):
             return None
@@ -207,16 +202,24 @@ class _FoldInstrumentation(ast.NodeTransformer):
     def visit_Expr(self, stmt):   # and Assign and Return: paste the callee
         method = isinstance(stmt.value, ast.YieldFrom)
         call = stmt.value.value if method else stmt.value
-        callee = (self.pasted(call.func.attr, True) if method and _self_call(call) else
-                  self.pasted(call.func.id, False) if not method
-                  and isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-                  else None)
+        targets = getattr(stmt, "targets", None if isinstance(stmt, ast.Return) else [])
+        callee = None if not isinstance(call, ast.Call) or _spread(call) else (
+            self.pasted(call.func.attr, True) if method and _self_call(call) else
+            self.pasted(call.func.id, False) if not method and isinstance(call.func, ast.Name)
+            else None)
+        if callee and targets is not None and callee[3] > isinstance(
+                callee[0].body[-1], ast.Return):
+            if method:
+                line = next(n.lineno for n in ast.walk(callee[0]) if isinstance(n, ast.Return)
+                            and n is not callee[0].body[-1])
+                raise TypeError("%s, line %d: %s returns at line %d, where no paste form "
+                                "covers it" % (self.where, stmt.lineno, call.func.attr, line))
+            callee = None   # a function stays a call
         if callee is None:
             stmt = self.generic_visit(stmt)
             self.returns += isinstance(stmt, ast.Return)
             return stmt
         fn, read, stored, returns, filename = callee
-        targets = getattr(stmt, "targets", None if isinstance(stmt, ast.Return) else [])
         params, args = [p.arg for p in fn.args.args], _arguments(fn, call, method)
         used = read & set(params)
         bound = {p for p in used if p in stored
@@ -225,17 +228,12 @@ class _FoldInstrumentation(ast.NodeTransformer):
                        if getattr(args[p], "id", None) in stored | bound}:
             bound |= more    # a name argument must keep its value in the paste
         body = fn.body[ast.get_docstring(fn) is not None:]
-        if targets is not None and returns > isinstance(body[-1], ast.Return):
-            line = next(n.lineno for n in ast.walk(ast.Module(body, []))
-                        if isinstance(n, ast.Return) and n is not body[-1])
-            raise TypeError("%s, line %d: %s returns at line %d, where no paste "
-                            "form covers it" % (self.where, stmt.lineno, fn.name, line))
         tnames = {n.id for t in targets or () for n in ast.walk(t) if isinstance(n, ast.Name)}
         self.reads |= read - set(params) | {n.id for a in args.values()
                                             for n in ast.walk(a) if isinstance(n, ast.Name)}
         assigns = set(self.assigns)
         subst = {p: args[p] for p in used - bound if getattr(args[p], "id", None) != p}
-        body = _substs(body, subst, self.expression) if subst else body[:]
+        body = [_subst(b, subst, self.expression) for b in body] if subst else body[:]
         at, end = (stmt.lineno, stmt.col_offset), (stmt.end_lineno, stmt.end_col_offset)
         self.pastes.append((stmt, any(b <= at and end <= e for b, e in self.loops),
                             (stored | bound | self.assigns - assigns) - tnames, fn.name))
@@ -302,12 +300,14 @@ def _plain_defs(cls, parse=_method_def) -> dict:
             if method and (name == "_op" or f is None or f.__globals__ is not fn.__globals__):
                 return None
             if not method and (m in fn.__code__.co_varnames or not inspect.isfunction(f)
-                               or f.__name__ == "<lambda>" or inspect.isgeneratorfunction(f)):
+                               or f.__name__ == "<lambda>" or inspect.isgeneratorfunction(f)
+                               or f.__code__.co_freevars):
                 return None
             callee = folded(m if method else f)
-            if method and callee is not None:
+            if callee is None or not _pastable(callee[0]):
+                return None
+            if method:
                 pasted.add(m)
-            if method or callee is None:
                 return callee
             globs = callee[1] - callee[2] - {a.arg for a in callee[0].args.args}
             return None if any(f.__globals__.get(g, len) is not fn.__globals__.get(g, len)
@@ -338,27 +338,32 @@ def compile_plain(cls) -> None:
     ``cls`` redefines; a public method that ``cls`` or a base defines
     itself stays.  A method that every plain caller pastes gets no twin.
     Subclasses that define a generator method are compiled when they are
-    created; call this again after replacing one.  ``TypeError`` names
-    the method and line of a ``return`` that no paste form covers, a
-    paste that changes a caller local read later, or a ``yield`` left
-    after folding.
+    created; call this again after replacing one.  One thread compiles
+    at a time.  ``TypeError`` names the method and line of a method's
+    ``return`` that no paste form covers, a paste that changes a caller
+    local read later, or a ``yield`` left after folding.
     """
-    twins = _plain_defs(cls)
-    while twins:   # each def is dropped once compiled
-        twin, (node, fn) = twins.popitem()
-        own = inspect.getattr_static(cls, twin, None)
-        if twin in _OPS and own is not None and not hasattr(own, "plain_twin"):
-            continue
-        node.name = twin
-        ns: dict = {}
-        exec(compile(ast.Module([node], []), fn.__code__.co_filename, "exec"),
-             fn.__globals__, ns)
-        if inspect.isgeneratorfunction(ns[twin]):
-            line = next(n.lineno for n in ast.walk(node)
-                        if isinstance(n, (ast.Yield, ast.YieldFrom)))
-            raise TypeError("%s.%s: yield left at line %d after folding"
-                            % (cls.__name__, fn.__name__, line))
-        ns[twin].plain_twin = True
-        setattr(cls, twin, ns[twin])
-    for name in [n for n, a in vars(cls).items() if isinstance(a, _CompiledOnUse)]:
-        delattr(cls, name)   # the stand-in of a twin not made
+    with _compiling:   # as is the first lookup of a stand-in
+        twins = _plain_defs(cls)
+        while twins:   # each def is dropped once compiled
+            twin, (node, fn) = twins.popitem()
+            own = inspect.getattr_static(cls, twin, None)
+            if twin in _OPS and own is not None and not hasattr(own, "plain_twin"):
+                continue
+            node.name = twin
+            ns: dict = {}
+            exec(compile(ast.Module([node], []), fn.__code__.co_filename, "exec"),
+                 fn.__globals__, ns)
+            if inspect.isgeneratorfunction(ns[twin]):
+                line = next(n.lineno for n in ast.walk(node)
+                            if isinstance(n, (ast.Yield, ast.YieldFrom)))
+                raise TypeError("%s.%s: yield left at line %d after folding"
+                                % (cls.__name__, fn.__name__, line))
+            ns[twin].plain_twin = True
+            setattr(cls, twin, ns[twin])
+        for name in [n for n, a in vars(cls).items() if isinstance(a, _CompiledOnUse)]:
+            delattr(cls, name)   # the stand-in of a twin not made
+    try:   # glibc keeps the heap that compiling freed resident: hand it back
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):   # another C library
+        pass

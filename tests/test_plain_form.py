@@ -262,6 +262,84 @@ def test_a_paste_that_changes_a_local_read_later_is_refused():
         % (_reads_a_clobbered_local.__code__.co_firstlineno + 2))
 
 
+# functions that no paste binds: a twin keeps each as a call
+def _positional_only(a, /, b):
+    return a - b
+
+
+def _keyword_only(a, *, b):
+    return a - b
+
+
+def _star_args(*ab):
+    return ab[0] - ab[1]
+
+
+def _star_kwargs(**ab):
+    return ab["a"] - ab["b"]
+
+
+def _two_returns(a, b):
+    if a < b:
+        return 0
+    return a - b
+
+
+def _nested_scope(a, b):
+    return (lambda a: a - b)(a + 1)
+
+
+def _comprehension(a, b):   # its own scope up to CPython 3.11, inlined after
+    return [a - b for a in (a + 1,)][0]
+
+
+def _difference(a, b):
+    return a - b
+
+
+def _pasted_difference(a, b):   # the control: this one pastes
+    return a - b
+
+
+def _calls_helpers(self, v):
+    """Caller locals ``a``, ``b`` and ``ab`` that a paste binding the
+    wrong parameters would read."""
+    a, b, ab, xs, kw = 100, 7, (100, 7), (v, 1), {"a": v, "b": 1}
+    p = _positional_only(v, 1)
+    k = _keyword_only(v, b=1)
+    s = _star_args(v, 1)
+    w = _star_kwargs(a=v, b=1)
+    t = _two_returns(v, 1)
+    n = _nested_scope(v, 1)
+    m = _comprehension(v, 1)
+    c = _difference(*xs)
+    d = _difference(**kw)
+    e = _pasted_difference(v, 1)
+    if self._instr:
+        yield S_CONT_STATE
+    return p, k, s, w, t, n, m, c, d, e, a, b
+
+
+def test_a_call_that_no_paste_binds_stays_a_call():
+    cls = type("CallsHelpers", (ConcurrentSet,), {"_calls_helpers": _calls_helpers})
+    twin = cls._calls_helpers_plain
+    assert set(twin.__code__.co_names) & {
+        "_positional_only", "_keyword_only", "_star_args", "_star_kwargs",
+        "_two_returns", "_nested_scope", "_comprehension", "_difference",
+        "_pasted_difference"} == {
+        "_positional_only", "_keyword_only", "_star_args", "_star_kwargs",
+        "_two_returns", "_nested_scope", "_comprehension", "_difference"}
+    s = cls()
+    gen = s._calls_helpers(5)
+    while True:
+        try:
+            next(gen)
+        except StopIteration as stop:
+            stepped = stop.value
+            break
+    assert twin(s, 5) == stepped == (4, 4, 4, 4, 4, 5, 5, 4, 4, 4, 100, 7)
+
+
 class CountsLockAttempts(ConcurrentSet):
     """Counts every lock attempt, then makes it as the base class does."""
 
@@ -494,25 +572,77 @@ starts at column 0."""
                 v + 3,
                 )
 
-    def _ends_in_a_handler(self, v):   # pastes the method above
+    def _ends_in_a_handler(self, v):   # pastes the method above, value dropped
         try:
-            return (yield from self._multiline_end(v))
+            yield from self._multiline_end(v)
         except LookupError:
             pass
+
+    def _returns_the_multiline_end(self, v):   # pastes it as its value
+        return (yield from self._multiline_end(v))
 
 
 def test_awkward_layouts_match_the_whole_file_compiler():
     from plain_oracle import reference_twins
 
     want = reference_twins(Awkward)
+    # ``_multiline_end`` has no twin: both its callers paste it
     assert set(want) == {"_flush_left_docstring_plain", "_flush_left_continuation_plain",
-                         "_decorated_plain", "_ends_in_a_handler_plain"} | set(
+                         "_decorated_plain", "_ends_in_a_handler_plain",
+                         "_returns_the_multiline_end_plain"} | set(
                              reference_twins(ConcurrentSet))
     for twin, fn in want.items():
         assert same_code(vars(Awkward)[twin].__code__, fn.__code__), twin
     s = Awkward()
     assert (s._flush_left_docstring_plain(1), s._flush_left_continuation_plain(1),
-            s._decorated_plain(1), s._ends_in_a_handler_plain(1)) == (1, 2, 3, (1, 4))
+            s._decorated_plain(1), s._returns_the_multiline_end_plain(1),
+            s._ends_in_a_handler_plain(1)) == (1, 2, 3, (1, 4), None)
+
+
+def test_compiling_without_malloc_trim_still_installs_the_twins(monkeypatch):
+    """After compiling, the twins' freed heap is handed back through the C
+    library's ``malloc_trim``; a library without one is passed over."""
+    import cobst.plain as plain
+
+    def no_such_library(name):
+        raise OSError(name)
+
+    monkeypatch.setattr(plain.ctypes, "CDLL", no_such_library)
+    cls = type("TrimlessSet", (ConcurrentSet,),
+               {"_insert_attempt": ConcurrentSet._insert_attempt})
+    s = cls()
+    assert vars(cls)["insert"].plain_twin and s.insert(3) and s.contains(3)
+
+
+def test_first_lookups_in_several_threads_compile_once():
+    """Four threads look up twins, one of them a twin that is never made,
+    while the first compile is still running: the class is compiled once
+    and no lookup fails."""
+    code = ("import threading, time\n"
+            "import cobst.plain as plain\n"
+            "from cobst.concurrent_set import ConcurrentSet\n"
+            "compiled, defs = [], plain._plain_defs\n"
+            "def slow(cls, *args):\n"
+            "    compiled.append(cls)\n"
+            "    time.sleep(0.05)\n"   # the others arrive meanwhile
+            "    return defs(cls, *args)\n"
+            "plain._plain_defs = slow\n"
+            "s, go, errors, made = ConcurrentSet(), threading.Barrier(4), [], []\n"
+            "def first(k):\n"
+            "    go.wait()\n"
+            "    try:\n"
+            "        made.append(hasattr(ConcurrentSet, '_lock_plain') if k == 3 "
+            "else s.insert(k))\n"
+            "    except Exception as e:\n"
+            "        errors.append(e)\n"
+            "ts = [threading.Thread(target=first, args=(k,)) for k in range(4)]\n"
+            "for t in ts: t.start()\n"
+            "for t in ts: t.join()\n"
+            "assert not errors and compiled == [ConcurrentSet], (errors, compiled)\n"
+            "assert sorted(made) == [False, True, True, True], made\n"
+            "assert [s.contains(k) for k in range(4)] == [True, True, True, False]\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
