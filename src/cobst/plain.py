@@ -364,6 +364,8 @@ def compile_plain(cls) -> None:
         for name in [n for n, a in vars(cls).items() if isinstance(a, _CompiledOnUse)]:
             delattr(cls, name)   # the stand-in of a twin not made
     try:   # glibc keeps the heap that compiling freed resident: hand it back
-        ctypes.CDLL(None).malloc_trim(0)
+        trim = ctypes.CDLL(None).malloc_trim
     except (AttributeError, OSError, TypeError):   # another C library
-        pass
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)

@@ -629,7 +629,7 @@ def test_first_lookups_in_several_threads_compile_once():
             "plain._plain_defs = slow\n"
             "s, go, errors, made = ConcurrentSet(), threading.Barrier(4), [], []\n"
             "def first(k):\n"
-            "    go.wait()\n"
+            "    go.wait(30)\n"
             "    try:\n"
             "        made.append(hasattr(ConcurrentSet, '_lock_plain') if k == 3 "
             "else s.insert(k))\n"
@@ -637,11 +637,12 @@ def test_first_lookups_in_several_threads_compile_once():
             "        errors.append(e)\n"
             "ts = [threading.Thread(target=first, args=(k,)) for k in range(4)]\n"
             "for t in ts: t.start()\n"
-            "for t in ts: t.join()\n"
+            "for t in ts: t.join(30)\n"
+            "assert not any(t.is_alive() for t in ts)\n"
             "assert not errors and compiled == [ConcurrentSet], (errors, compiled)\n"
             "assert sorted(made) == [False, True, True, True], made\n"
             "assert [s.contains(k) for k in range(4)] == [True, True, True, False]\n")
-    subprocess.run([sys.executable, "-c", code], check=True,
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
