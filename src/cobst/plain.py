@@ -80,13 +80,6 @@ def _spread(call) -> bool:   # a ``*`` or ``**`` argument, which no paste binds
             or any(k.arg is None for k in call.keywords))
 
 
-def _pastable(fn) -> bool:   # a paste binds ``args.args`` in the caller's own scope
-    a = fn.args
-    return not (a.posonlyargs or a.kwonlyargs or a.vararg or a.kwarg or any(
-        isinstance(n, (ast.Lambda, ast.comprehension, ast.FunctionDef, ast.ClassDef))
-        for stmt in fn.body for n in ast.walk(stmt)))
-
-
 def _arguments(fn, call, method) -> dict:
     """Parameter of ``fn`` -> the expression ``call`` passes, or its default."""
     params, defaults = [p.arg for p in fn.args.args], fn.args.defaults
@@ -107,14 +100,26 @@ class _FoldInstrumentation(ast.NodeTransformer):
     """Folds a method of ``where``, ``_op`` with ``op`` bound to ``op``,
     and pastes each callee for which ``pasted(name, method)`` gives its
     fold: the def, the names its body reads and assigns, its count of
-    ``return`` statements and its file; ``calls`` are left calls."""
+    ``return`` statements, its file and whether a paste can bind its
+    parameters, all positional-or-keyword, in the caller's scope, with
+    no nested scope in the body; ``calls`` are left calls."""
 
     def __init__(self, where, op, pasted, filename):
         self.where, self.op, self.pasted, self.filename = where, op, pasted, filename
         self.loads, self.stores, self.loops, self.pastes = [], set(), [], []
         self.reads, self.assigns, self.returns, self.calls = set(), set(), 0, set()
+        self.scoped = None   # False inside the def, True once a nested scope is seen
+
+    def visit_Lambda(self, node):   # and the other nested scopes
+        self.scoped = True
+        return self.generic_visit(node)
+
+    visit_comprehension = visit_ClassDef = visit_Lambda
 
     def visit_FunctionDef(self, node):   # annotations read nothing in a twin
+        if self.scoped is not None:
+            return self.visit_Lambda(node)
+        self.scoped = False
         node.returns = None
         for a in node.args.args:
             a.annotation = None
@@ -133,8 +138,10 @@ class _FoldInstrumentation(ast.NodeTransformer):
                 node.body.insert(i, ast.fix_missing_locations(ast.copy_location(ast.Assign(
                     [ast.Name("tkey", ast.Store())],
                     ast.Call(ast.Name("_get_ident", ast.Load()), [], [])), node.body[i])))
-        return (node, self.reads | {n for n, _ in self.loads},
-                self.assigns | self.stores, self.returns, self.filename)
+        a = node.args
+        return (node, self.reads | {n for n, _ in self.loads}, self.assigns | self.stores,
+                self.returns, self.filename,
+                not (self.scoped or a.posonlyargs or a.kwonlyargs or a.vararg or a.kwarg))
 
     def visit_Name(self, node):
         if isinstance(node.ctx, ast.Load):
@@ -219,7 +226,7 @@ class _FoldInstrumentation(ast.NodeTransformer):
             stmt = self.generic_visit(stmt)
             self.returns += isinstance(stmt, ast.Return)
             return stmt
-        fn, read, stored, returns, filename = callee
+        fn, read, stored, returns, filename, _ = callee
         params, args = [p.arg for p in fn.args.args], _arguments(fn, call, method)
         used = read & set(params)
         bound = {p for p in used if p in stored
@@ -304,7 +311,7 @@ def _plain_defs(cls, parse=_method_def) -> dict:
                                or f.__code__.co_freevars):
                 return None
             callee = folded(m if method else f)
-            if callee is None or not _pastable(callee[0]):
+            if callee is None or not callee[5]:
                 return None
             if method:
                 pasted.add(m)
