@@ -107,9 +107,9 @@ class LockPoint(NamedTuple):
     """Checkpoint for one pending lock attempt.
 
     Unlike the constant Sites this is allocated per attempt because the
-    harness needs the concrete lock (holder and edge), the requested mode
-    and the guard predicate with its arguments to decide whether it could
-    even succeed right now (the predicate only performs reads, so
+    harness needs the concrete lock (the node and edge), the requested
+    mode and the guard predicate with its arguments to decide whether it
+    could even succeed right now (the predicate only performs reads, so
     peeking is free of side effects).  The stepping form builds it with
     ``tuple.__new__``, without the Python frame of a constructor;
     ``kind`` is a class attribute, the same for every attempt.
@@ -120,7 +120,6 @@ class LockPoint(NamedTuple):
     lock: CondRwLock
     mode: LockMode
     cond: object
-    node: Node | None = None
     expected: object = None
     edge: int = 0
     kind = K_LOCK
@@ -132,8 +131,8 @@ class LockPoint(NamedTuple):
         such attempts are never blocked, they fail fast with
         CONDITION_VIOLATED.
         """
-        _, _, lock, mode, cond, node, expected, edge = self
-        if not cond(node, expected, edge):
+        _, _, lock, mode, cond, expected, edge = self
+        if not cond(lock, expected, edge):
             return False
         w = lock.edges & edge if edge else lock.word
         return w != 0 if edge or mode is WRITE else w == 1
@@ -187,9 +186,9 @@ _BACKOFF_MAX_EXP = 5
 #
 # The guard predicates re-read the node fields on every call, which is
 # the whole point: they run once before the CAS and once after, and only
-# the post-acquire evaluation is authoritative.  ``rwlock`` calls them
-# with the node, the expected value and the edge bit, by which an edge
-# condition finds the child; each is one ``return``, which twins paste.
+# the post-acquire evaluation is authoritative.  ``rwlock`` passes the
+# lock, which is the node, the expected value and the edge bit, by which
+# an edge condition finds the child; each is one ``return``, which twins paste.
 
 def _always(node: Node, expected, edge) -> bool:
     return True
@@ -208,7 +207,7 @@ def _edge_holds(node: Node, key, edge) -> bool:
             and c.val == key and not node.deleted)
 
 
-def _nullary(cond, expected, edge) -> bool:   # ``cond()``, passed as the node
+def _nullary(lock, cond, edge) -> bool:   # ``cond()``, passed as the expected value
     return cond()
 
 
@@ -371,9 +370,9 @@ class ConcurrentSet:
 
     def _lock(self, ctx: _AttemptCtx, tkey, st: ThreadStats, optag: str,
               lock: CondRwLock, mode: LockMode, cond, family: str,
-              name: str, level: int, node=None, expected=None, edge=0):
+              name: str, level: int, expected=_nullary, edge=0):
         """One bounded acquisition of ``lock``'s state word (``edge`` 0) or
-        edge bit ``edge`` under ``cond(node, expected, edge)``.
+        edge bit ``edge`` under ``cond(lock, expected, edge)``.
 
         Both forms make one attempt; the stepping form yields a LockPoint
         checkpoint before it and stops there.  The plain form pastes the
@@ -383,7 +382,7 @@ class ConcurrentSet:
         on ``ctx.held``, which ``_op`` owns and releases; any other outcome
         is counted and raises ``Restart``.  The body has no ``return``, so
         the plain form pastes it into every caller.  ``tkey`` (``ctx``'s)
-        and a ``cond()`` without ``node`` serve ``benchmark/selftest.py``.
+        and a ``cond()`` without ``expected`` serve ``benchmark/selftest.py``.
         """
         if self._instr:
             assert ctx.last_level is None or level <= ctx.last_level, \
@@ -391,14 +390,14 @@ class ConcurrentSet:
                     level, ctx.last_level, name)
             ctx.last_level = level
             self.attempts[tkey] = ctx
-            if node is None:
-                cond, node = _nullary, cond
-            yield _new(LockPoint, (family, name, lock, mode, cond, node, expected, edge))
-            out = lock.try_lock_with_condition(mode, cond, node, expected, edge)
+            if expected is _nullary:
+                cond, expected = _nullary, cond
+            yield _new(LockPoint, (family, name, lock, mode, cond, expected, edge))
+            out = lock.try_lock_with_condition(mode, cond, expected, edge)
         else:
-            out = try_lock_with_condition(lock, mode, cond, node, expected, edge)
+            out = try_lock_with_condition(lock, mode, cond, expected, edge)
             if out is CONTENDED:
-                out = lock.lock_with_spin(mode, cond, node, expected, edge)
+                out = lock.lock_with_spin(mode, cond, expected, edge)
         if out is not ACQUIRED:
             counts = (st.cond_violations if out is CONDITION_VIOLATED
                       else st.contended_aborts)
@@ -512,7 +511,7 @@ class ConcurrentSet:
             # routing node holds the key structurally: claim it
             yield from self._lock(
                 ctx, ctx.tkey, st, "insert", curr, WRITE, _state_is,
-                "state", "insert.promote_state", 0, curr, ROUTING)
+                "state", "insert.promote_state", 0, ROUTING)
             if self._instr:
                 yield W_INS_PROMOTE
                 self.trace.append(("state", self.ids[curr], DATA))
@@ -523,12 +522,12 @@ class ConcurrentSet:
         side = LEFT if v < prev.val else RIGHT
         yield from self._lock(
             ctx, ctx.tkey, st, "insert", prev, WRITE, _edge_is, "edge_ref",
-            "insert.edge", 0, prev, None, _EDGE_BIT[side])
+            "insert.edge", 0, None, _EDGE_BIT[side])
         # shared hold on prev's state: blocks a concurrent demotion or
         # deletion of prev between our deleted re-check and the link
         yield from self._lock(
             ctx, ctx.tkey, st, "insert", prev, READ,
-            _always, "state_plain", "insert.parent_state", -1, prev)
+            _always, "state_plain", "insert.parent_state", -1, None)
         if prev.deleted:   # fresh read under the lock
             raise Restart
         if self._instr:
@@ -573,7 +572,7 @@ class ConcurrentSet:
         stays as routing structure."""
         yield from self._lock(
             ctx, ctx.tkey, st, "delete", curr, WRITE, _state_is,
-            "state", "delete.demote_state", 0, curr, DATA)
+            "state", "delete.demote_state", 0, DATA)
         # the state lock keeps leaf deletions below us out, but a child
         # may have been spliced away before we got the lock; re-check
         if curr.left is None or curr.right is None:
@@ -593,14 +592,13 @@ class ConcurrentSet:
         side = LEFT if v < prev.val else RIGHT
         yield from self._lock(
             ctx, ctx.tkey, st, "delete", curr, WRITE, _edge_is,
-            "edge_ref", "delete.splice_child_edge", 1, curr, child,
-            _EDGE_BIT[child_side])
+            "edge_ref", "delete.splice_child_edge", 1, child, _EDGE_BIT[child_side])
         yield from self._lock(
             ctx, ctx.tkey, st, "delete", prev, WRITE, _edge_is, "edge_ref",
-            "delete.splice_parent_edge", 0, prev, curr, _EDGE_BIT[side])
+            "delete.splice_parent_edge", 0, curr, _EDGE_BIT[side])
         yield from self._lock(
             ctx, ctx.tkey, st, "delete", curr, WRITE, _state_is,
-            "state", "delete.splice_state", 0, curr, DATA)
+            "state", "delete.splice_state", 0, DATA)
         # fresh re-check that curr still has exactly this one child: the
         # other slot may have been filled by an insert before our state
         # lock landed
@@ -641,18 +639,17 @@ class ConcurrentSet:
             sibling = prev.right if side == LEFT else prev.left
         yield from self._lock(
             ctx, ctx.tkey, st, "delete", prev, WRITE, _edge_holds, "edge_val",
-            "delete.pair_edge" if pair else "delete.leaf_edge", 0, prev, v,
-            _EDGE_BIT[side])
+            "delete.pair_edge" if pair else "delete.leaf_edge", 0, v, _EDGE_BIT[side])
         curr = prev.child(side)   # fresh: the locked occupant, maybe a twin
         yield from self._lock(
             ctx, ctx.tkey, st, "delete", curr, WRITE, _state_is, "state",
-            "delete.pair_state" if pair else "delete.leaf_state", 0, curr, DATA)
+            "delete.pair_state" if pair else "delete.leaf_state", 0, DATA)
         if curr.left is not None or curr.right is not None:
             raise Restart     # grew children since the traversal
         if not pair:
             yield from self._lock(
                 ctx, ctx.tkey, st, "delete", prev, READ, _state_is,
-                "state", "delete.leaf_parent_state", -1, prev, DATA)
+                "state", "delete.leaf_parent_state", -1, DATA)
             if self._instr:
                 yield W_DEL_MARK
                 self.trace.append(("mark", self.ids[curr]))
@@ -667,13 +664,13 @@ class ConcurrentSet:
         pside = LEFT if prev.val < gprev.val else RIGHT
         yield from self._lock(
             ctx, ctx.tkey, st, "delete", prev, WRITE, _edge_is, "edge_ref",
-            "delete.pair_sibling_edge", 0, prev, sibling, _EDGE_BIT[sside])
+            "delete.pair_sibling_edge", 0, sibling, _EDGE_BIT[sside])
         yield from self._lock(
             ctx, ctx.tkey, st, "delete", gprev, WRITE, _edge_is, "edge_ref",
-            "delete.pair_parent_edge", -1, gprev, prev, _EDGE_BIT[pside])
+            "delete.pair_parent_edge", -1, prev, _EDGE_BIT[pside])
         yield from self._lock(
             ctx, ctx.tkey, st, "delete", prev, WRITE, _state_is,
-            "state", "delete.pair_parent_state", -1, prev, ROUTING)
+            "state", "delete.pair_parent_state", -1, ROUTING)
         if self._instr:
             yield W_DEL_MARK_PARENT
             self.trace.append(("mark", self.ids[prev]))
@@ -696,9 +693,9 @@ _compiling = threading.RLock()   # held while a class's twins are compiled
 
 
 class _CompiledOnUse:
-    """Stands for a twin of ``cls`` until one is looked up, which compiles
-    them all, so that importing cobst folds nothing; the first lookups of
-    several threads compile once."""
+    """Stands for a public method of ``cls`` until the first lookup, which
+    compiles the twins (importing cobst folds nothing) and gets ``cls``'s
+    own, also through ``super()``; several threads' first lookups compile once."""
 
     plain_twin = True
 
@@ -710,9 +707,8 @@ class _CompiledOnUse:
             if vars(self.cls).get(self.name) is self:   # not compiled meanwhile
                 from .plain import compile_plain
                 compile_plain(self.cls)
-        return getattr(owner if obj is None else obj, self.name)
+        return vars(self.cls)[self.name].__get__(obj, owner)
 
 
-for _twin in [n + "_plain" for n, fn in vars(ConcurrentSet).items()
-              if inspect.isgeneratorfunction(fn) and n != "_op"] + list(_OPS):
+for _twin in _OPS:
     setattr(ConcurrentSet, _twin, _CompiledOnUse(ConcurrentSet, _twin))

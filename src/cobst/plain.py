@@ -1,6 +1,6 @@
 """The plain-call form of ``ConcurrentSet``, compiled from the generator
-bodies of ``cobst.concurrent_set`` on the first lookup of a twin, which
-imports this module.
+bodies of ``cobst.concurrent_set`` on the first lookup of a public
+method, which imports this module.
 
 Each generator method ``_m`` becomes a plain function ``_m_plain``,
 except ``_op``, which becomes ``contains``, ``insert`` and ``delete``,
@@ -11,12 +11,13 @@ keep no checkpoint, record or ``OpOutcome``.
 
 Outside ``_op``, ``yield from self._m(...)`` of a generator method of
 the same module, and a call by name of a plain function whose globals
-the twin's module binds alike, such as a lock step of ``rwlock``, paste
-the callee's folded body: as a statement or an assignment if its only
-``return`` ends it, and as a tail ``return`` in any case.  Only callees
-with positional-or-keyword parameters and no nested scope paste, only
-for calls with no ``*`` or ``**`` argument, and a function whose
-``return`` statements no form covers stays a call.  Constant arguments,
+the twin's module binds alike, such as a lock step of ``rwlock`` (not a
+method call, like its ``self.unlock``), paste the callee's folded body:
+as a statement or an assignment if its only ``return`` ends it, and as
+a tail ``return`` in any case.  Only callees with positional-or-keyword
+parameters and no nested scope paste, only for calls with no ``*`` or
+``**`` argument, and a function whose ``return`` statements no form
+covers stays a call.  Constant arguments,
 and names that the paste never assigns, are substituted, others bound
 at the top of the paste; a call that a substitution names, a condition
 passed as ``cond``, pastes as its function's one ``return`` expression.
@@ -35,7 +36,7 @@ import inspect
 import linecache
 import operator
 
-from .concurrent_set import _OPS, _CompiledOnUse, _compiling
+from .concurrent_set import _OPS, _compiling
 
 __all__ = ["compile_plain"]
 
@@ -368,8 +369,6 @@ def compile_plain(cls) -> None:
                                 % (cls.__name__, fn.__name__, line))
             ns[twin].plain_twin = True
             setattr(cls, twin, ns[twin])
-        for name in [n for n, a in vars(cls).items() if isinstance(a, _CompiledOnUse)]:
-            delattr(cls, name)   # the stand-in of a twin not made
     try:   # glibc keeps the heap that compiling freed resident: hand it back
         trim = ctypes.CDLL(None).malloc_trim
     except (AttributeError, OSError, TypeError):   # another C library

@@ -33,11 +33,12 @@ On top of the words the lock offers conditional acquisition: a predicate
 is evaluated before and after the CAS, and the lock is released again
 if the second evaluation fails.  Callers use this to take a lock only
 while some observed field value still holds.  It is called as
-``condition(node, expected, edge)``, so callers pass a module function
-and its arguments, not a closure.  The two steps, ``unlock`` and
-``try_lock_with_condition``, are module functions that ``CondRwLock``
-takes as methods, each ending in its only ``return``, so that the set's
-plain twins paste them, condition and release included.
+``condition(lock, expected, edge)``, and the lock is the node it guards,
+so callers pass a module function and its arguments, not a closure.
+The steps ``unlock`` and ``try_lock_with_condition`` are module
+functions that ``CondRwLock`` takes as methods, each ending in its only
+``return``, so that the set's plain twins paste them and the condition;
+the release after a failed re-check stays a method call.
 
 The hot path reads the enum members as module constants (``READ``,
 ``WRITE``, ``ACQUIRED``, ``CONTENDED``, ``CONDITION_VIOLATED``), a
@@ -119,8 +120,8 @@ def unlock(self, mode: LockMode, edge: int = 0) -> None:
         assert w >= 2, "read unlock without a held read lock"
 
 
-def try_lock_with_condition(self, mode: LockMode, condition, node=None,
-                            expected=None, edge: int = 0) -> LockOutcome:
+def try_lock_with_condition(self, mode: LockMode, condition, expected=None,
+                            edge: int = 0) -> LockOutcome:
     """One conditional acquire attempt on the lock ``edge`` of ``self``.
 
     The predicate runs before the CAS (cheap fast-out while the value
@@ -128,12 +129,12 @@ def try_lock_with_condition(self, mode: LockMode, condition, node=None,
     second check is the one that matters: between the first check and
     the acquire the world may change, but once the lock is held the
     guarded field can no longer move, so a passing re-check is
-    definitive.  On a failed re-check the lock is released before
-    returning, so CONDITION_VIOLATED and CONTENDED both leave nothing
-    held.
+    definitive.  On a failed re-check ``self.unlock`` releases the lock
+    before returning, so CONDITION_VIOLATED and CONTENDED both leave
+    nothing held.
     """
     out = CONDITION_VIOLATED
-    if condition(node, expected, edge):
+    if condition(self, expected, edge):
         # a bit needs itself clear and sets it, a write needs 0 and adds 1,
         # a read needs an even word and adds 2; a busy word is stored back
         if edge:
@@ -146,10 +147,10 @@ def try_lock_with_condition(self, mode: LockMode, condition, node=None,
             self.word = w + step * (not w & busy)
         if w & busy:
             out = CONTENDED
-        elif condition(node, expected, edge):
+        elif condition(self, expected, edge):
             out = ACQUIRED
         else:
-            unlock(self, mode, edge)
+            self.unlock(mode, edge)
     return out
 
 
@@ -167,8 +168,8 @@ class CondRwLock:
     unlock = unlock
     try_lock_with_condition = try_lock_with_condition
 
-    def lock_with_spin(self, mode: LockMode, condition, node=None,
-                       expected=None, edge: int = 0) -> LockOutcome:
+    def lock_with_spin(self, mode: LockMode, condition, expected=None,
+                       edge: int = 0) -> LockOutcome:
         """Wait out an attempt that ended CONTENDED: pause, then retry, at
         most ``SpinPolicy.ATTEMPTS - 1`` times, so that with the caller's
         own first attempt the budget is ``ATTEMPTS`` attempts.
@@ -180,7 +181,7 @@ class CondRwLock:
         out = CONTENDED
         for _ in range(SpinPolicy.ATTEMPTS - 1):
             SpinPolicy.pause()
-            out = self.try_lock_with_condition(mode, condition, node, expected, edge)
+            out = self.try_lock_with_condition(mode, condition, expected, edge)
             if out is not CONTENDED:
                 break
         return out

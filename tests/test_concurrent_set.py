@@ -38,16 +38,16 @@ def two_level_tree():
 
 def try_lock_edge_ref(node, side, expected):
     return node.try_lock_with_condition(
-        LockMode.WRITE, _edge_is, node, expected, _EDGE_BIT[side])
+        LockMode.WRITE, _edge_is, expected, _EDGE_BIT[side])
 
 
 def try_lock_edge_val(node, side, expected_key):
     return node.try_lock_with_condition(
-        LockMode.WRITE, _edge_holds, node, expected_key, _EDGE_BIT[side])
+        LockMode.WRITE, _edge_holds, expected_key, _EDGE_BIT[side])
 
 
 def try_lock_state(node, mode, expected_state):
-    return node.try_lock_with_condition(mode, _state_is, node, expected_state)
+    return node.try_lock_with_condition(mode, _state_is, expected_state)
 
 
 # -- edge lock by reference ------------------------------------------------

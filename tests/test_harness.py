@@ -566,7 +566,7 @@ class DemotesWithoutRecheck(ConcurrentSet):
     def _delete_two_children(self, ctx, st, curr):
         yield from self._lock(
             ctx, ctx.tkey, st, "delete", curr, WRITE, _state_is,
-            "state", "delete.demote_state", 0, curr, DATA)
+            "state", "delete.demote_state", 0, DATA)
         if self._instr:
             yield W_DEL_DEMOTE
             self.trace.append(("state", self.ids[curr], ROUTING))

@@ -30,13 +30,20 @@ PASTED = {"_traverse", "_lock", "_delete_two_children", "_delete_one_child",
           "_delete_leaf"}
 
 
+def compiled():
+    """``ConcurrentSet`` with its twins: the first lookup of a public
+    method compiles them all, and only then are the private ones set."""
+    ConcurrentSet.insert
+    return ConcurrentSet
+
+
 def twin_names():
     """Each generator method that a twin calls -> its plain twins: ``_op``
     has one per operation, an attempt one; the others are pasted."""
     names = [name for name, fn in vars(ConcurrentSet).items()
              if inspect.isgeneratorfunction(fn)]
     assert set(names) - PASTED == {"_op", "_insert_attempt", "_delete_attempt"}
-    assert not [n for n in PASTED | {"_op"} if hasattr(ConcurrentSet, n + "_plain")]
+    assert not [n for n in PASTED | {"_op"} if hasattr(compiled(), n + "_plain")]
     return {name: OP_TWINS if name == "_op" else (name + "_plain",)
             for name in names if name not in PASTED}
 
@@ -123,7 +130,7 @@ def test_twin_traceback_points_into_the_generator_source(monkeypatch):
     ``_lock``'s lines; no frame runs between it and the spin that a held
     edge bit leads to.  A fault in a pasted lock step, from ``rwlock``,
     points at the line that calls it."""
-    def boom(self, mode, cond, node=None, expected=None, edge=0):
+    def boom(self, mode, cond, expected=None, edge=0):
         raise RuntimeError("from the lock")
 
     monkeypatch.setattr(CondRwLock, "lock_with_spin", boom)
@@ -347,19 +354,19 @@ class CountsLockAttempts(ConcurrentSet):
     _base_lock = ConcurrentSet._lock
 
     def _lock(self, ctx, tkey, st, optag, lock, mode, cond, family, name,
-              level, node=None, expected=None, edge=0):
+              level, expected=None, edge=0):
         self.attempts_made += 1
         yield from self._base_lock(ctx, tkey, st, optag, lock, mode, cond,
-                                   family, name, level, node, expected, edge)
+                                   family, name, level, expected, edge)
 
 
 @pytest.mark.parametrize("stepped", [False, True])
 def test_a_redefined_lock_is_seen_by_the_updates(stepped):
     for twin in ("_insert_attempt_plain", "_delete_attempt_plain"):
-        assert getattr(CountsLockAttempts, twin) is not getattr(ConcurrentSet, twin)
+        assert getattr(CountsLockAttempts, twin) is not getattr(compiled(), twin)
     # the attempts call a ``_lock`` of another module instead of pasting it
     assert "_lock_plain" in vars(CountsLockAttempts)
-    assert not hasattr(ConcurrentSet, "_lock_plain")
+    assert not hasattr(compiled(), "_lock_plain")
     s = CountsLockAttempts()
 
     def run(op, k):
@@ -417,9 +424,9 @@ class RefusesDemotion(ConcurrentSet):
 def test_subclass_generator_gets_its_own_twin(stepped):
     # the inherited attempt pasted the base shape, so it is compiled again,
     # and calls the shape of another module
-    assert RefusesDemotion._delete_attempt_plain is not ConcurrentSet._delete_attempt_plain
+    assert RefusesDemotion._delete_attempt_plain is not compiled()._delete_attempt_plain
     assert "_delete_two_children_plain" in vars(RefusesDemotion)
-    assert not hasattr(ConcurrentSet, "_delete_two_children_plain")
+    assert not hasattr(compiled(), "_delete_two_children_plain")
     s = RefusesDemotion()
 
     def run(op, k):
@@ -454,7 +461,7 @@ class RestartsEachInsertOnce(ConcurrentSet):
 
 def test_plain_restarts_match_the_stepping_form():
     assert (RestartsEachInsertOnce._insert_attempt_plain
-            is not ConcurrentSet._insert_attempt_plain)
+            is not compiled()._insert_attempt_plain)
     plain, stepped = RestartsEachInsertOnce(), RestartsEachInsertOnce()
     for k in (5, 3, 5):
         want = stepped._drain(stepped.op_gen("insert", k))
@@ -530,8 +537,8 @@ def test_twins_match_the_whole_file_compiler():
         want = reference_twins(cls)
         assert want, cls.__name__
         for twin, fn in want.items():
-            got = getattr(cls, twin)   # compiles a class not compiled yet
-            assert vars(cls)[twin] is got
+            got = vars(cls)[twin]   # ``twin_names`` compiled ConcurrentSet
+            assert getattr(cls, twin) is got
             assert same_code(got.__code__, fn.__code__), (cls.__name__, twin)
 
 
@@ -615,9 +622,9 @@ def test_compiling_without_malloc_trim_still_installs_the_twins(monkeypatch):
 
 
 def test_first_lookups_in_several_threads_compile_once():
-    """Four threads look up twins, one of them a twin that is never made,
-    while the first compile is still running: the class is compiled once
-    and no lookup fails."""
+    """Four threads look up public methods, one of them on the class, while
+    the first compile is still running: the class is compiled once and no
+    lookup fails."""
     code = ("import threading, time\n"
             "import cobst.plain as plain\n"
             "from cobst.concurrent_set import ConcurrentSet\n"
@@ -631,8 +638,7 @@ def test_first_lookups_in_several_threads_compile_once():
             "def first(k):\n"
             "    go.wait(30)\n"
             "    try:\n"
-            "        made.append(hasattr(ConcurrentSet, '_lock_plain') if k == 3 "
-            "else s.insert(k))\n"
+            "        made.append(ConcurrentSet.delete(s, k) if k == 3 else s.insert(k))\n"
             "    except Exception as e:\n"
             "        errors.append(e)\n"
             "ts = [threading.Thread(target=first, args=(k,)) for k in range(4)]\n"
@@ -657,8 +663,10 @@ def test_importing_cobst_runs_no_tokenizer():
             "    return real(*args, **kwargs)\n"
             "tokenize.generate_tokens = counting\n"
             "import cobst.concurrent_set as cs\n"
-            "assert isinstance(vars(cs.ConcurrentSet)['insert'], "
-            "cs._CompiledOnUse)\n"
+            "stand_ins = lambda: [n for n, a in vars(cs.ConcurrentSet).items()\n"
+            "                     if isinstance(a, cs._CompiledOnUse)]\n"
+            "assert stand_ins() == ['contains', 'insert', 'delete'], stand_ins()\n"
+            "assert '_insert_attempt_plain' not in vars(cs.ConcurrentSet)\n"
             "import sys\n"
             "assert 'cobst.plain' not in sys.modules\n"   # the compiler loads on use
             "class Own(cs.ConcurrentSet):\n"
@@ -666,9 +674,28 @@ def test_importing_cobst_runs_no_tokenizer():
             "        return super().contains(v)\n"
             "assert Own().contains(3) is False\n"   # compiled through super()
             "assert cs.ConcurrentSet.insert.__code__.co_name == 'insert'\n"
-            "assert not isinstance(vars(cs.ConcurrentSet)['_insert_attempt_plain'], "
-            "cs._CompiledOnUse)\n"
+            "assert stand_ins() == [], stand_ins()\n"
+            "assert '_insert_attempt_plain' in vars(cs.ConcurrentSet)\n"
             "assert '_lock_plain' not in vars(cs.ConcurrentSet)\n"
             "assert len(calls) == 0, len(calls)\n")
     subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+def test_a_first_lookup_through_super_runs_the_override_once():
+    """The first lookup of a public method, through ``super()`` in a
+    subclass's own override, compiles the twins and returns the base
+    class's twin, not the override, which would run again."""
+    code = ("import cobst.concurrent_set as cs\n"
+            "class Counts(cs.ConcurrentSet):\n"
+            "    calls = 0\n"
+            "    def delete(self, v):\n"
+            "        self.calls += 1\n"
+            "        return super().delete(v)\n"
+            "s = Counts()\n"
+            "assert isinstance(vars(cs.ConcurrentSet)['delete'], cs._CompiledOnUse)\n"
+            "assert s.delete(3) is False\n"
+            "assert s.calls == 1, s.calls\n"
+            "assert (s.insert(3), s.delete(3), s.calls) == (True, True, 2)\n")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

@@ -18,7 +18,7 @@ from cobst import rwlock
 from cobst.concurrent_set import ConcurrentSet
 from cobst.plain import compile_plain
 from cobst.rwlock import (CONDITION_VIOLATED, CONTENDED, WRITE, CondRwLock,
-                          LockMode, LockOutcome, SpinPolicy, unlock)
+                          LockMode, LockOutcome, SpinPolicy)
 from cobst.tree_core import Node, validate_structure
 
 
@@ -305,20 +305,42 @@ def test_conditions_run_before_and_after_the_cas_and_pauses_between(monkeypatch)
 
 
 def test_condition_is_called_with_the_node_and_the_expected_value():
-    # and the edge bit, by which an edge condition finds the child
-    lk = CondRwLock()
+    # the node is the lock itself; the edge bit is how an edge condition
+    # finds the child
+    lk = Node(5)
     calls = []
 
     def cond(node, expected, edge):
         calls.append((node, expected, edge))
         return expected == 3
 
-    assert lk.lock_with_spin(W, cond, "node", 3) is LockOutcome.ACQUIRED
+    assert lk.lock_with_spin(W, cond, 3) is LockOutcome.ACQUIRED
     lk.unlock(W)
-    assert lk.try_lock_with_condition(R, cond, "node", 4, 2) \
+    assert lk.try_lock_with_condition(R, cond, 4, 2) \
         is LockOutcome.CONDITION_VIOLATED
-    assert calls == [("node", 3, 0), ("node", 3, 0), ("node", 4, 2)]
+    assert calls == [(lk, 3, 0), (lk, 3, 0), (lk, 4, 2)]   # a Node equals only itself
     assert lk.word == 0
+
+
+class CountsUnlocks(CondRwLock):
+    __slots__ = ("unlocks",)
+
+    def unlock(self, mode, edge=0):
+        self.unlocks.append((mode, edge))
+        super().unlock(mode, edge)
+
+
+@pytest.mark.parametrize("mode, edge", [(W, 0), (R, 0), (W, 1), (R, 2)])
+def test_a_failed_recheck_releases_through_the_unlock_method(mode, edge):
+    """The release after a failed re-check is one call of the lock's own
+    ``unlock``, which the tracer wraps, and leaves the word free."""
+    lk = CountsUnlocks()
+    lk.unlocks = []
+    answers = [True, False]
+    out = lk.try_lock_with_condition(mode, lambda *_: answers.pop(0), None, edge)
+    assert out is LockOutcome.CONDITION_VIOLATED and answers == []
+    assert lk.unlocks == [(mode, edge)]
+    assert (lk.word, lk.edges) == (0, 0)
 
 
 def test_lock_has_only_its_word():
@@ -526,11 +548,11 @@ def test_the_bytecode_check_fails_a_call_or_a_loop_between_read_and_store():
 TWINS = ("insert", "delete", "_insert_attempt_plain", "_delete_attempt_plain")
 
 
-def _step_with_a_call(self, mode, condition, node=None, expected=None, edge=0):
+def _step_with_a_call(self, mode, condition, expected=None, edge=0):
     """``rwlock.try_lock_with_condition`` with a call, which yields the GIL,
     between the read of a word and its store."""
     out = CONDITION_VIOLATED
-    if condition(node, expected, edge):
+    if condition(self, expected, edge):
         if edge:
             busy = step = edge
             w = self.edges
@@ -543,10 +565,10 @@ def _step_with_a_call(self, mode, condition, node=None, expected=None, edge=0):
             self.word = w + step * (not w & busy)
         if w & busy:
             out = CONTENDED
-        elif condition(node, expected, edge):
+        elif condition(self, expected, edge):
             out = ACQUIRED
         else:
-            unlock(self, mode, edge)
+            self.unlock(mode, edge)
     return out
 
 
@@ -561,6 +583,7 @@ with pytest.MonkeyPatch.context() as mp:
 
 @pytest.mark.parametrize("twin", TWINS)
 def test_each_plain_twin_pastes_its_lock_steps_with_no_switch_point(twin):
+    ConcurrentSet.insert   # compiles all the twins, setting the private ones
     func = getattr(ConcurrentSet, twin)
     assert sorted({word for word, _ in spans(func)}) == sorted(WORDS)
     assert switch_points(func) == []
@@ -599,8 +622,7 @@ class NoExclusion(Node):
 
     EDGES = (0, 1, 2)
 
-    def try_lock_with_condition(self, mode, condition, node=None,
-                                expected=None, edge=0):
+    def try_lock_with_condition(self, mode, condition, expected=None, edge=0):
         return ACQUIRED
 
     def unlock(self, mode, edge=0):
@@ -614,8 +636,7 @@ class GetattrBetween(Node):
 
     EDGES = (0,)
 
-    def try_lock_with_condition(self, mode, condition, node=None,
-                                expected=None, edge=0):
+    def try_lock_with_condition(self, mode, condition, expected=None, edge=0):
         w = getattr(self, "word")
         if w == 1 or (w and mode is W):
             return LockOutcome.CONTENDED
@@ -633,8 +654,7 @@ class EdgesByName(Node):
 
     EDGES = (1, 2)
 
-    def try_lock_with_condition(self, mode, condition, node=None,
-                                expected=None, edge=0):
+    def try_lock_with_condition(self, mode, condition, expected=None, edge=0):
         w = getattr(self, "edges")
         if w & edge:
             return LockOutcome.CONTENDED
@@ -649,8 +669,8 @@ class DiesOnLock(Node):
     """Takes the ``field`` keyword, not the ``edge`` that the workers pass,
     so each of them dies on its first lock call."""
 
-    def try_lock_with_condition(self, mode, condition, node=None,
-                                expected=None, field="word"):
+    def try_lock_with_condition(self, mode, condition, expected=None,
+                                field="word"):
         return ACQUIRED
 
 
