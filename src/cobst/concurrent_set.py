@@ -53,8 +53,9 @@ forms keep every check, counter and lock step.
 Every descent tests ``v < curr.val`` first and ``curr.val < v`` second,
 so a left step costs one comparison and only the node holding ``v`` pays
 two; ``val`` never changes, so reading it twice needs no checkpoint.
-The wrapper reads a thread's stats with one dict lookup and creates
-them on its first operation only.
+The counters are one ``SetStats`` per set, which every thread bumps by a
+straight-line ``+=``: with the GIL no increment is lost, for the reason
+no lock word's step is, so an operation reads no thread id.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ import inspect
 import random
 import threading
 import time
+from collections import defaultdict
 from typing import NamedTuple
 
 from .reclaim import EpochReclaimer
@@ -72,7 +74,7 @@ from .tree_core import (DATA, LEFT, MIN_KEY, PLUS_INF, RIGHT, ROUTING, Node,
                         snapshot_keys, validate_key)
 
 __all__ = [
-    "ConcurrentSet", "OpOutcome", "ThreadStats",
+    "ConcurrentSet", "OpOutcome", "SetStats",
     "Site", "LockPoint",
     "K_READ", "K_WRITE", "K_LOCK", "K_CREATE",
 ]
@@ -215,20 +217,23 @@ _EDGE_BIT = (1, 2)                          # a node's edge lock, by side
 _LOCK_NAME = ("word", "left_word", "right_word")    # a lock in reprs, by edge
 
 
-class ThreadStats:
-    __slots__ = ("ops", "completed", "restarts", "acquisitions",
-                 "cond_violations", "contended_aborts", "ctx")
+class SetStats:
+    """A set's counters, shared by its threads.  Each is bumped by a ``+=``
+    with no call, jump or function entry between its read and its store,
+    where the GIL never passes, so no increment is lost."""
+
+    __slots__ = ("ops", "restarts", "acquisitions", "cond_violations",
+                 "contended_aborts")
 
     def __init__(self):
-        self.ops = {"contains": 0, "insert": 0, "delete": 0}
-        self.completed = 0
+        self.ops = {"contains": 0, "insert": 0, "delete": 0}   # completed
         self.restarts = 0
         # successful lock acquisitions attributed to the operation type;
         # the contains column staying at zero is the wait-free-read
         # evidence the tests assert on
         self.acquisitions = {"contains": 0, "insert": 0, "delete": 0}
-        self.cond_violations = {}    # lock family -> count
-        self.contended_aborts = {}   # lock family -> count
+        self.cond_violations = defaultdict(int)    # lock family -> count
+        self.contended_aborts = defaultdict(int)   # lock family -> count
 
 
 class OpOutcome(NamedTuple):
@@ -245,20 +250,25 @@ class _NodeIds(dict):
         return -1
 
 
-class _AttemptCtx:
-    """Lock bookkeeping of an update: what its current attempt holds (for
-    the all-or-nothing release) and, in the stepping form, the last lock
-    level (for the deadlock-order assert).  ``_op`` resets both between
-    attempts, ``held`` before any backoff.  A plain update reuses its
-    thread's, made with its stats; a stepped one makes its own, so that
-    closing an abandoned generator cannot release a later one's locks."""
+class _AttemptCtx(list):
+    """What a stepped update's current attempt holds, as ``(lock, mode,
+    edge)`` entries (for the all-or-nothing release), with its thread key
+    and its last lock level (for the deadlock-order assert).  ``_op``
+    empties it and resets the level between attempts.  Each stepped
+    update makes its own, so that closing an abandoned generator cannot
+    release a later one's locks; a plain update holds its locks in a
+    fresh ``list``."""
 
-    __slots__ = ("tkey", "held", "last_level")
+    __slots__ = ("tkey", "last_level")
 
     def __init__(self, tkey):
+        super().__init__()
         self.tkey = tkey
-        self.held = []
         self.last_level = None
+
+    @property
+    def held(self):   # the schedule harness reads what a thread holds here
+        return self
 
 
 class ConcurrentSet:
@@ -274,8 +284,8 @@ class ConcurrentSet:
               commit order, naming nodes by ``ids`` (a ``_NodeIds``)
     unlinked  every node unlinked, so validation can prove that none
               becomes reachable again
-    attempts  thread key -> its current ``_AttemptCtx``, whose ``held``
-              list is what that thread holds
+    attempts  thread key -> its current ``_AttemptCtx``, the list of what
+              that thread holds
     """
 
     _instr = True   # the stepping form; ``cobst.plain`` folds it to False
@@ -284,7 +294,7 @@ class ConcurrentSet:
         self.root = Node(PLUS_INF)
         self.ids = _NodeIds({self.root: 0})
         self.reclaimer = EpochReclaimer()
-        self._stats: dict = {}
+        self._stats = SetStats()
         self.trace: list = []
         self.unlinked: list[Node] = []
         self.attempts: dict = {}
@@ -323,37 +333,27 @@ class ConcurrentSet:
     snapshot_keys = snapshot_keys
 
     def stats_snapshot(self) -> dict:
-        """Merged per-thread counters.  Safe while operations run: each
-        counter is then read once during the call, so counts may differ
-        by the operations in flight but never fall from call to call."""
-        total = ThreadStats()
-        for st in list(self._stats.values()):
-            total.completed += st.completed
-            total.restarts += st.restarts
-            for k in total.ops:
-                total.ops[k] += st.ops[k]
-                total.acquisitions[k] += st.acquisitions[k]
-            for d_to, d_from in ((total.cond_violations, st.cond_violations),
-                                 (total.contended_aborts, st.contended_aborts)):
-                for k, n in list(d_from.items()):
-                    d_to[k] = d_to.get(k, 0) + n
+        """A copy of the set's counters, with ``completed`` the sum of
+        ``ops``, which count each operation once it completes.  Safe while
+        operations run: each counter is then copied once during the call,
+        so counts may differ by the operations in flight but never fall
+        from call to call."""
+        st = self._stats
+        ops = dict(st.ops)
         return {
-            "completed": total.completed,
-            "restarts": total.restarts,
-            "ops": total.ops,
-            "acquisitions": total.acquisitions,
-            "cond_violations": total.cond_violations,
-            "contended_aborts": total.contended_aborts,
+            "completed": sum(ops.values()),
+            "restarts": st.restarts,
+            "ops": ops,
+            "acquisitions": dict(st.acquisitions),
+            "cond_violations": {k: n for k, n in dict(st.cond_violations).items() if n},
+            "contended_aborts": {k: n for k, n in dict(st.contended_aborts).items() if n},
         }
 
     # -- internals ---------------------------------------------------------
 
-    def _thread_stats(self, tkey) -> ThreadStats:
-        st = self._stats.get(tkey)
-        if st is None:
-            st = self._stats[tkey] = ThreadStats()
-            st.ctx = _AttemptCtx(tkey)
-        return st
+    def _thread_stats(self, tkey) -> SetStats:
+        """The counters that thread ``tkey`` bumps: the set's, as every thread's."""
+        return self._stats
 
     def _backoff(self, n: int) -> None:
         """Sleep a random, exponentially growing amount after the n-th
@@ -363,12 +363,11 @@ class ConcurrentSet:
         time.sleep(random.uniform(0.0, limit))
 
     def _release_all(self, ctx: _AttemptCtx) -> None:
-        held = ctx.held
-        while held:
-            lock, mode, edge = held.pop()
+        while ctx:
+            lock, mode, edge = ctx.pop()
             lock.unlock(mode, edge)
 
-    def _lock(self, ctx: _AttemptCtx, tkey, st: ThreadStats, optag: str,
+    def _lock(self, ctx: _AttemptCtx, tkey, st: SetStats, optag: str,
               lock: CondRwLock, mode: LockMode, cond, family: str,
               name: str, level: int, expected=_nullary, edge=0):
         """One bounded acquisition of ``lock``'s state word (``edge`` 0) or
@@ -379,17 +378,19 @@ class ConcurrentSet:
         step and waits out a CONTENDED attempt in ``lock_with_spin``, all
         of it inside what would be one checkpoint, because a failed CAS
         re-attempt reads nothing new about the tree.  A granted lock goes
-        on ``ctx.held``, which ``_op`` owns and releases; any other outcome
-        is counted and raises ``Restart``.  The body has no ``return``, so
-        the plain form pastes it into every caller.  ``tkey`` (``ctx``'s)
-        and a ``cond()`` without ``expected`` serve ``benchmark/selftest.py``.
+        on ``ctx``, which ``_op`` owns and releases; any other outcome is
+        counted and raises ``Restart``.  The body has no ``return``, so the
+        plain form pastes it into every caller.  ``tkey`` is not read (the
+        attempts pass None, and the stepping form records ``ctx`` under
+        ``ctx.tkey``); it and a ``cond()`` without ``expected`` keep the
+        ten-argument call of ``benchmark/selftest.py``.
         """
         if self._instr:
             assert ctx.last_level is None or level <= ctx.last_level, \
                 "lock order violated: level %d after %d at %s" % (
                     level, ctx.last_level, name)
             ctx.last_level = level
-            self.attempts[tkey] = ctx
+            self.attempts[ctx.tkey] = ctx
             if expected is _nullary:
                 cond, expected = _nullary, cond
             yield _new(LockPoint, (family, name, lock, mode, cond, expected, edge))
@@ -399,11 +400,12 @@ class ConcurrentSet:
             if out is CONTENDED:
                 out = lock.lock_with_spin(mode, cond, expected, edge)
         if out is not ACQUIRED:
-            counts = (st.cond_violations if out is CONDITION_VIOLATED
-                      else st.contended_aborts)
-            counts[family] = counts.get(family, 0) + 1
+            if out is CONDITION_VIOLATED:
+                st.cond_violations[family] += 1
+            else:
+                st.contended_aborts[family] += 1
             raise Restart
-        ctx.held.append((lock, mode, edge))
+        ctx.append((lock, mode, edge))
         st.acquisitions[optag] += 1
 
     def _traverse(self, v: int):
@@ -433,17 +435,15 @@ class ConcurrentSet:
     # -- one operation: the wrapper shared by all three -------------------
 
     def _op(self, op, v, tkey):
-        """Run ``op`` on ``v``: ``tkey``'s stats (no epoch pin: a stepping
-        caller pins) around the wait-free read or the restart loop of an
-        update.  The stepping form returns an ``OpOutcome``, the plain
-        twins, the public methods, the bare result; they take ``tkey``
-        from the running thread."""
+        """Run ``op`` on ``v``: the wait-free read or the restart loop of an
+        update (no epoch pin: a stepping caller pins), counted in the set's
+        ``SetStats`` once it completes.  The stepping form returns an
+        ``OpOutcome``, the plain twins, the public methods, the bare
+        result; only the stepping form reads ``tkey``, the logical thread
+        under which ``attempts`` records what the update holds."""
         if not (type(v) is int and MIN_KEY <= v < PLUS_INF):
             validate_key(v)   # int subclasses pass; anything else raises
-        st = self._stats.get(tkey)
-        if st is None:   # the thread's first operation
-            st = self._thread_stats(tkey)
-        st.ops[op] += 1
+        st = self._stats
         restarts = 0
         if op == "contains":
             # ``_traverse``'s descent and checkpoints, keeping only curr
@@ -464,10 +464,9 @@ class ConcurrentSet:
                     result = curr.state == DATA
                     break
         else:
-            ctx = st.ctx
+            ctx = []   # the locks that the current attempt holds
             if self._instr:
                 ctx = _AttemptCtx(tkey)   # see ``_AttemptCtx``
-            held = ctx.held
             while True:
                 if self._instr:
                     ctx.last_level = None
@@ -480,18 +479,18 @@ class ConcurrentSet:
                 except Restart:
                     restarts += 1
                     st.restarts += 1
-                finally:   # ``held`` is empty if the attempt took no lock
+                finally:   # ``ctx`` is empty if the attempt took no lock
                     if self._instr:
-                        if held:
+                        if ctx:
                             self._release_all(ctx)
                     else:
-                        while held:
-                            lock, mode, edge = held.pop()
+                        while ctx:
+                            lock, mode, edge = ctx.pop()
                             unlock(lock, mode, edge)
                 if self._instr:
                     continue   # stepped: the schedule picks who runs next
                 self._backoff(restarts)
-        st.completed += 1
+        st.ops[op] += 1
         if self._instr:
             return _new(OpOutcome, (op, v, result, restarts))
         return result
@@ -510,7 +509,7 @@ class ConcurrentSet:
                 return False
             # routing node holds the key structurally: claim it
             yield from self._lock(
-                ctx, ctx.tkey, st, "insert", curr, WRITE, _state_is,
+                ctx, None, st, "insert", curr, WRITE, _state_is,
                 "state", "insert.promote_state", 0, ROUTING)
             if self._instr:
                 yield W_INS_PROMOTE
@@ -521,12 +520,12 @@ class ConcurrentSet:
         # still being empty and prev still being live
         side = LEFT if v < prev.val else RIGHT
         yield from self._lock(
-            ctx, ctx.tkey, st, "insert", prev, WRITE, _edge_is, "edge_ref",
+            ctx, None, st, "insert", prev, WRITE, _edge_is, "edge_ref",
             "insert.edge", 0, None, _EDGE_BIT[side])
         # shared hold on prev's state: blocks a concurrent demotion or
         # deletion of prev between our deleted re-check and the link
         yield from self._lock(
-            ctx, ctx.tkey, st, "insert", prev, READ,
+            ctx, None, st, "insert", prev, READ,
             _always, "state_plain", "insert.parent_state", -1, None)
         if prev.deleted:   # fresh read under the lock
             raise Restart
@@ -571,7 +570,7 @@ class ConcurrentSet:
         """Both children present: the node only loses its membership and
         stays as routing structure."""
         yield from self._lock(
-            ctx, ctx.tkey, st, "delete", curr, WRITE, _state_is,
+            ctx, None, st, "delete", curr, WRITE, _state_is,
             "state", "delete.demote_state", 0, DATA)
         # the state lock keeps leaf deletions below us out, but a child
         # may have been spliced away before we got the lock; re-check
@@ -591,13 +590,13 @@ class ConcurrentSet:
         """
         side = LEFT if v < prev.val else RIGHT
         yield from self._lock(
-            ctx, ctx.tkey, st, "delete", curr, WRITE, _edge_is,
+            ctx, None, st, "delete", curr, WRITE, _edge_is,
             "edge_ref", "delete.splice_child_edge", 1, child, _EDGE_BIT[child_side])
         yield from self._lock(
-            ctx, ctx.tkey, st, "delete", prev, WRITE, _edge_is, "edge_ref",
+            ctx, None, st, "delete", prev, WRITE, _edge_is, "edge_ref",
             "delete.splice_parent_edge", 0, curr, _EDGE_BIT[side])
         yield from self._lock(
-            ctx, ctx.tkey, st, "delete", curr, WRITE, _state_is,
+            ctx, None, st, "delete", curr, WRITE, _state_is,
             "state", "delete.splice_state", 0, DATA)
         # fresh re-check that curr still has exactly this one child: the
         # other slot may have been filled by an insert before our state
@@ -638,17 +637,17 @@ class ConcurrentSet:
                 yield S_DEL_SIBLING
             sibling = prev.right if side == LEFT else prev.left
         yield from self._lock(
-            ctx, ctx.tkey, st, "delete", prev, WRITE, _edge_holds, "edge_val",
+            ctx, None, st, "delete", prev, WRITE, _edge_holds, "edge_val",
             "delete.pair_edge" if pair else "delete.leaf_edge", 0, v, _EDGE_BIT[side])
         curr = prev.child(side)   # fresh: the locked occupant, maybe a twin
         yield from self._lock(
-            ctx, ctx.tkey, st, "delete", curr, WRITE, _state_is, "state",
+            ctx, None, st, "delete", curr, WRITE, _state_is, "state",
             "delete.pair_state" if pair else "delete.leaf_state", 0, DATA)
         if curr.left is not None or curr.right is not None:
             raise Restart     # grew children since the traversal
         if not pair:
             yield from self._lock(
-                ctx, ctx.tkey, st, "delete", prev, READ, _state_is,
+                ctx, None, st, "delete", prev, READ, _state_is,
                 "state", "delete.leaf_parent_state", -1, DATA)
             if self._instr:
                 yield W_DEL_MARK
@@ -663,13 +662,13 @@ class ConcurrentSet:
             return True
         pside = LEFT if prev.val < gprev.val else RIGHT
         yield from self._lock(
-            ctx, ctx.tkey, st, "delete", prev, WRITE, _edge_is, "edge_ref",
+            ctx, None, st, "delete", prev, WRITE, _edge_is, "edge_ref",
             "delete.pair_sibling_edge", 0, sibling, _EDGE_BIT[sside])
         yield from self._lock(
-            ctx, ctx.tkey, st, "delete", gprev, WRITE, _edge_is, "edge_ref",
+            ctx, None, st, "delete", gprev, WRITE, _edge_is, "edge_ref",
             "delete.pair_parent_edge", -1, prev, _EDGE_BIT[pside])
         yield from self._lock(
-            ctx, ctx.tkey, st, "delete", prev, WRITE, _state_is,
+            ctx, None, st, "delete", prev, WRITE, _state_is,
             "state", "delete.pair_parent_state", -1, ROUTING)
         if self._instr:
             yield W_DEL_MARK_PARENT

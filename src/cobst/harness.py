@@ -509,9 +509,8 @@ def explore_small(setup, programs) -> ExplorationReport:
                 rep.checkpoint_coverage.add((point.kind, point.name))
 
         rep.interleavings += 1
-        for st in run.set._stats.values():
-            for op, n in st.acquisitions.items():
-                acquired[op] += n
+        for op, n in run.set._stats.acquisitions.items():
+            acquired[op] += n
         if rep.interleavings > _EXPLORE_BOUND:
             raise ExplorationBoundError(
                 "actual interleavings exceeded the bound %d" % _EXPLORE_BOUND)

@@ -4,10 +4,10 @@ method, which imports this module.
 
 Each generator method ``_m`` becomes a plain function ``_m_plain``,
 except ``_op``, which becomes ``contains``, ``insert`` and ``delete``,
-with ``op`` read as the operation's name and ``tkey`` bound from
-``_get_ident()``.  ``self._instr`` reads as False and comparisons of
-constants fold, so each ``if`` keeps only the branch taken: the twins
-keep no checkpoint, record or ``OpOutcome``.
+with ``op`` read as the operation's name and ``tkey``, where a fold
+still reads it, bound from ``_get_ident()``.  ``self._instr`` reads as
+False and comparisons of constants fold, so each ``if`` keeps only the
+branch taken: the twins keep no checkpoint, record or ``OpOutcome``.
 
 Outside ``_op``, ``yield from self._m(...)`` of a generator method of
 the same module, and a call by name of a plain function whose globals

@@ -206,12 +206,19 @@ def test_workload_is_drawn_before_the_threads_start(monkeypatch):
 
 
 class RestartsEachInsertOnce(ConcurrentSet):
-    """Every insert's first attempt restarts; the second runs the real one."""
+    """Every insert's first attempt restarts; the second runs the real one.
+    An update's attempts share its ``ctx``, a new one per update, so an
+    attempt is a first one if its thread's last attempt had another."""
 
     _base_insert_attempt = ConcurrentSet._insert_attempt
 
+    def __init__(self):
+        super().__init__()
+        self.last_ctx = {}   # thread -> the ``ctx`` of its last insert attempt
+
     def _insert_attempt(self, ctx, st, v):
-        if st.restarts < st.ops["insert"]:
+        if self.last_ctx.get(threading.get_ident()) is not ctx:
+            self.last_ctx[threading.get_ident()] = ctx
             raise Restart
         return (yield from self._base_insert_attempt(ctx, st, v))
 

@@ -386,32 +386,36 @@ def test_every_entry_point_accepts_the_edge_keys_and_int_subclasses(key):
 
 # -- lock bookkeeping ---------------------------------------------------------------
 
-class PopLog(list):
-    """A context's ``held`` list that logs the lock of each entry popped."""
-
-    def __init__(self, log):
-        super().__init__()
-        self.log = log
-
-    def pop(self):
-        entry = super().pop()
-        self.log.append(entry[0])
-        return entry
+def logs_pops(log):
+    """A profile function that logs the lock of each entry that a list
+    ``pop`` takes off a list of held locks."""
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__qualname__", None) == "list.pop":
+            held = arg.__self__
+            if held and isinstance(held[-1], tuple):
+                log.append(held[-1][0])
+    return profile
 
 
 @pytest.mark.parametrize("stepped", [False, True])
 def test_updates_that_lock_nothing_do_no_lock_bookkeeping(stepped, monkeypatch):
     s = ConcurrentSet()
     s.insert(10)
-    run = (lambda op, k: s._drain(s.op_gen(op, k, "t")).result) if stepped \
-        else (lambda op, k: getattr(s, op)(k))
     unlocked = []
     if stepped:
         real = CondRwLock.unlock
         monkeypatch.setattr(CondRwLock, "unlock",
                             lambda lk, *args: unlocked.append(lk) or real(lk, *args))
-    else:   # the plain form releases inline, popping each lock off ``held``
-        s._thread_stats(threading.get_ident()).ctx.held = PopLog(unlocked)
+
+        def run(op, k):
+            return s._drain(s.op_gen(op, k, "t")).result
+    else:   # the plain form releases inline, popping each lock off its list
+        def run(op, k):
+            sys.setprofile(logs_pops(unlocked))
+            try:
+                return getattr(s, op)(k)
+            finally:
+                sys.setprofile(None)
     assert run("insert", 10) is False            # present
     assert run("delete", 3) is False             # absent: no node at all
     parent = s.root.left
@@ -438,9 +442,11 @@ def test_one_context_serves_every_attempt_of_an_update():
     assert ctx.last_level == -1 and len(ctx.held) == 1   # the edge lock
     assert next(gen) in (S_TRAV_LEFT, S_TRAV_RIGHT)      # contended: retraverse
     assert ctx.held == [] and ctx.last_level is None
+    assert busy_locks(s, but=(parent, 0)) == []
     parent.word = 0
     assert s._drain(gen).restarts == 1
     assert s.attempts["t"] is ctx and ctx.held == []
+    assert busy_locks(s) == []
 
 
 # -- stats and wait-freedom ---------------------------------------------------------
@@ -458,16 +464,17 @@ def test_contains_acquires_no_locks():
     assert snap["acquisitions"]["insert"] > 0
 
 
-def test_stats_track_per_thread_and_merge():
+def test_stats_count_every_logical_thread_in_one_set():
     s = ConcurrentSet()
     for op, k, tkey in (("insert", 1, "a"), ("insert", 2, "b"),
                         ("delete", 1, "b")):
         s._drain(s.op_gen(op, k, tkey))
-    assert s._thread_stats("a").ops["insert"] == 1
-    assert s._thread_stats("b").completed == 2
+    assert s._thread_stats("a") is s._thread_stats("b") is s._stats
     snap = s.stats_snapshot()
     assert snap["completed"] == 3
     assert snap["ops"] == {"contains": 0, "insert": 2, "delete": 1}
+    # an edge and a state each; deleting 1 splices its child 2 up: 3 locks
+    assert snap["acquisitions"] == {"contains": 0, "insert": 4, "delete": 3}
 
 
 def test_stats_snapshot_can_be_read_mid_run():
@@ -748,28 +755,27 @@ def test_a_held_edge_word_ends_in_a_counted_restart(monkeypatch):
     assert busy_locks(s) == [] and s.contains(5)
 
 
-def test_an_exception_leaves_the_reused_context_empty(monkeypatch):
+def test_an_exception_in_a_plain_update_releases_its_locks(monkeypatch):
     # the plain insert's new node raises, while the insert holds the edge
     # it hangs on and its parent's state; later attempts lock as usual
     held = []
     real = Node.__init__
 
     def raises_at_the_first(node, *args):
-        held.append(list(ctx.held))
+        held.append(busy_locks(s))
         if len(held) == 1:
             raise RuntimeError("with two locks held")
         real(node, *args)
 
     s = ConcurrentSet()
-    ctx = s._thread_stats(threading.get_ident()).ctx
     monkeypatch.setattr(Node, "__init__", raises_at_the_first)
     with pytest.raises(RuntimeError):
         s.insert(5)
-    assert held == [[(s.root, LockMode.WRITE, 1), (s.root, LockMode.READ, 0)]]
-    assert ctx.held == [] and busy_locks(s) == []
+    assert held == [[(s.root, 1), (s.root, 0)]]
+    assert busy_locks(s) == [] and s.stats_snapshot()["completed"] == 0
     assert s.insert(5) is True and s.delete(5) is True
-    assert s._thread_stats(threading.get_ident()).ctx is ctx
-    assert ctx.held == [] and busy_locks(s) == []
+    assert held[1:] == [[(s.root, 1), (s.root, 0)]] and busy_locks(s) == []
+    assert s.stats_snapshot()["ops"] == {"contains": 0, "insert": 1, "delete": 1}
 
 
 def test_closing_an_abandoned_stepped_update_keeps_later_locks():

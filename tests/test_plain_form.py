@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import traceback
 from collections import Counter
 
@@ -94,7 +95,8 @@ def test_op_twins_keep_only_their_own_operation():
 def test_plain_twins_build_no_closures_and_updates_no_context():
     """Neither a twin nor a module function it names (alone or in a
     tuple) holds a nested code object, so no lock attempt builds a
-    closure; the update twins reuse the thread's ``_AttemptCtx``."""
+    closure; the update twins hold their locks in a plain list, not an
+    ``_AttemptCtx``."""
     for twin in itertools.chain(*twin_names().values()):
         code = getattr(ConcurrentSet, twin).__code__
         codes = [code]
@@ -155,14 +157,17 @@ def test_twin_traceback_points_into_the_generator_source(monkeypatch):
 
 # -- the flat shape: which Python functions one plain operation calls -----
 
-def python_calls(fn, *args) -> Counter:
+def python_calls(fn, *args, builtins=False) -> Counter:
     """The names of the Python functions that ``fn(*args)`` runs, ``fn``
-    included, each with its count of calls."""
+    included, or with ``builtins`` the qualified names of the built-in
+    functions and methods that it calls, each with its count of calls."""
     calls = Counter()
 
     def profile(frame, event, arg):
-        if event == "call":
+        if event == "call" and not builtins:
             calls[frame.f_code.co_name] += 1
+        elif event == "c_call" and builtins and arg is not sys.setprofile:
+            calls[arg.__qualname__] += 1
 
     sys.setprofile(profile)
     try:
@@ -173,8 +178,7 @@ def python_calls(fn, *args) -> Counter:
 
 
 def flat_tree() -> ConcurrentSet:
-    """50 over 20 and 80, 20 over 10 and 30, after this thread's first
-    operation, which alone makes its stats."""
+    """50 over 20 and 80, 20 over 10 and 30."""
     s = ConcurrentSet()
     for k in (50, 20, 80, 10, 30):
         s.insert(k)
@@ -196,6 +200,12 @@ def test_a_plain_update_runs_its_twin_and_one_attempt_frame():
         "delete": 1, "_delete_attempt_plain": 1, "child": 1, "set_child": 1})
     for k in (30, 35):
         assert python_calls(s.contains, k) == Counter({"contains": 1})
+    # the set's one counter object: no thread id, no stats looked up by it
+    for op, k in (("insert", 40), ("insert", 40), ("delete", 40),
+                  ("delete", 40), ("contains", 30), ("contains", 35)):
+        calls = python_calls(getattr(s, op), k, builtins=True)
+        assert not {"get_ident", "dict.get"} & set(calls), (op, k, calls)
+    assert python_calls(s.contains, 30, builtins=True) == Counter()
 
 
 def test_one_held_edge_bit_adds_one_spin(monkeypatch):
@@ -449,12 +459,19 @@ def test_closure_methods_are_refused():
 
 
 class RestartsEachInsertOnce(ConcurrentSet):
-    """Every insert's first attempt restarts; the second runs the real one."""
+    """Every insert's first attempt restarts; the second runs the real one.
+    An update's attempts share its ``ctx``, a new one per update, so an
+    attempt is a first one if its thread's last attempt had another."""
 
     _base_insert_attempt = ConcurrentSet._insert_attempt
 
+    def __init__(self):
+        super().__init__()
+        self.last_ctx = {}   # thread -> the ``ctx`` of its last insert attempt
+
     def _insert_attempt(self, ctx, st, v):
-        if st.restarts < st.ops["insert"]:
+        if self.last_ctx.get(threading.get_ident()) is not ctx:
+            self.last_ctx[threading.get_ident()] = ctx
             raise Restart
         return (yield from self._base_insert_attempt(ctx, st, v))
 

@@ -2,13 +2,17 @@
 CondRwLock."""
 
 import dis
+import functools
 import itertools
+import linecache
 import pathlib
 import random
 import subprocess
 import sys
 import threading
 import time
+import types
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -459,8 +463,8 @@ NO_SWITCH = frozenset({
     # every version
     "LOAD_FAST", "STORE_FAST", "LOAD_CONST", "POP_TOP", "NOP", "UNARY_NOT",
     # 3.10
-    "DUP_TOP", "ROT_TWO", "BINARY_ADD", "BINARY_MULTIPLY", "BINARY_AND",
-    "INPLACE_SUBTRACT",
+    "DUP_TOP", "DUP_TOP_TWO", "ROT_TWO", "ROT_THREE", "BINARY_ADD",
+    "BINARY_MULTIPLY", "BINARY_AND", "INPLACE_ADD", "INPLACE_SUBTRACT",
     # 3.11 and later
     "BINARY_OP", "COPY", "SWAP",
     # 3.12 and later
@@ -473,18 +477,25 @@ _ALWAYS_JUMPS = {"JUMP_FORWARD", "JUMP_BACKWARD", "JUMP_ABSOLUTE",
                  "JUMP_BACKWARD_NO_INTERRUPT"}
 
 
-def spans(func):
-    """Every path through ``func``'s bytecode from a ``LOAD_ATTR`` of a
-    lock word to a ``STORE_ATTR`` of the same word, as ``(word, steps)``
-    with the opname of each instruction in between.  A path that comes
-    back to an instruction ends in a ``<loop>`` step."""
+# the set's counters, on its ``SetStats``: a count, and dicts of counts
+COUNTERS = ("restarts", "ops", "acquisitions", "cond_violations", "contended_aborts")
+TALLIES = COUNTERS[1:]
+
+
+def spans(func, words=WORDS):
+    """Every path through ``func``'s bytecode from a ``LOAD_ATTR`` of one
+    of ``words`` to its store, a ``STORE_ATTR`` of the same name or, for a
+    dict of ``TALLIES``, a ``STORE_SUBSCR``, as ``(word, steps)`` with the
+    opname of each instruction in between.  A path that comes back to an
+    instruction ends in a ``<loop>`` step."""
     code = list(dis.get_instructions(func))
     index = {ins.offset: k for k, ins in enumerate(code)}
     found = []
 
     def walk(k, word, steps, seen):
         ins = code[k]
-        if ins.opname == "STORE_ATTR" and ins.argval == word:
+        if (ins.opname == "STORE_ATTR" and ins.argval == word
+                or ins.opname == "STORE_SUBSCR" and word in TALLIES):
             found.append((word, steps))
         elif k in seen:
             found.append((word, steps + ["<loop>"]))
@@ -496,7 +507,7 @@ def spans(func):
                 walk(k + 1, word, steps, seen)
 
     for k, ins in enumerate(code):
-        if ins.opname == "LOAD_ATTR" and ins.argval in WORDS:
+        if ins.opname == "LOAD_ATTR" and ins.argval in words:
             walk(k + 1, ins.argval, [], frozenset())
     return found
 
@@ -545,6 +556,7 @@ def test_the_bytecode_check_fails_a_call_or_a_loop_between_read_and_store():
 
 
 # The plain twins paste the lock steps: every span they hold must pass too.
+CALLS = {"CALL", "CALL_FUNCTION", "CALL_METHOD", "PRECALL"}   # in 3.10 to 3.13
 TWINS = ("insert", "delete", "_insert_attempt_plain", "_delete_attempt_plain")
 
 
@@ -592,7 +604,72 @@ def test_each_plain_twin_pastes_its_lock_steps_with_no_switch_point(twin):
 def test_the_bytecode_check_fails_a_lock_step_with_a_call_in_the_twins():
     for twin in TWINS[2:]:
         calls = {op for _, op in switch_points(getattr(CallsInTheCas, twin))}
-        assert calls & {"CALL", "CALL_FUNCTION", "CALL_METHOD", "PRECALL"}, twin
+        assert calls & CALLS, twin
+
+
+# Every thread bumps its set's one ``SetStats``, so each count, too, must be
+# read, added to and stored with no switch point in between.
+
+def counter_switch_points(func):
+    """The steps of ``spans(func, COUNTERS)`` where the GIL may pass, but
+    for the one ``BINARY_SUBSCR`` that reads a count out of its dict."""
+    points = []
+    for name, steps in spans(func, COUNTERS):
+        if name in TALLIES and "BINARY_SUBSCR" in steps:
+            steps = steps.copy()
+            steps.remove("BINARY_SUBSCR")
+        points += [(name, op) for op in steps if op not in NO_SWITCH]
+    return points
+
+
+# the counters that each twin and each stepping function bumps
+COUNTED = {"contains": {"ops"}, "insert": {"ops", "restarts"},
+           "delete": {"ops", "restarts"}, "_op": {"ops", "restarts"},
+           "_insert_attempt_plain": set(TALLIES[1:]),
+           "_delete_attempt_plain": set(TALLIES[1:]), "_lock": set(TALLIES[1:])}
+
+
+@functools.lru_cache(maxsize=None)
+def counts_through_a_call():
+    """Mutant: ``cobst.concurrent_set`` run again from its source, where
+    ``_op`` and ``_lock`` bump ``ops`` and ``acquisitions`` by a ``get``,
+    a call, then a store."""
+    src = pathlib.Path(cs.__file__).read_text()
+    for name, key in (("ops", "op"), ("acquisitions", "optag")):
+        bump = "st.%s[%s] += 1" % (name, key)
+        assert src.count(bump) == 1, bump
+        src = src.replace(bump, "st.%s[%s] = st.%s.get(%s, 0) + 1" % (name, key, name, key))
+    path = "<%s, counting through a call>" % cs.__file__
+    linecache.cache[path] = (len(src), None, src.splitlines(True), path)
+    mod = types.ModuleType("cobst.counts_through_a_call")
+    mod.__package__ = "cobst"
+    exec(compile(src, path, "exec"), vars(mod))
+    return mod
+
+
+def counted(cls):
+    cls.insert   # compiles the twins, setting the private ones
+    return {name: getattr(cls, name) for name in COUNTED}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED))
+def test_each_count_is_read_bumped_and_stored_with_no_switch_point(name):
+    func = counted(ConcurrentSet)[name]
+    assert {counter for counter, _ in spans(func, COUNTERS)} == COUNTED[name]
+    assert counter_switch_points(func) == []
+
+
+def test_each_count_is_read_by_a_subscript_with_no_python_code():
+    st = ConcurrentSet()._stats
+    assert type(st.ops) is type(st.acquisitions) is dict
+    for counts in (st.cond_violations, st.contended_aborts):
+        assert type(counts) is defaultdict and counts.default_factory is int
+
+
+def test_the_counter_check_fails_a_count_bumped_through_a_call():
+    for name, func in counted(counts_through_a_call().ConcurrentSet).items():
+        calls = {op for _, op in counter_switch_points(func)}
+        assert calls & CALLS, name
 
 
 # -- supported runtimes -------------------------------------------------------
@@ -778,15 +855,18 @@ def test_the_exclusion_check_fails_a_broken_lock(broken):
 
 
 def lost_updates(cls, seconds=1.0, nthreads=4, nkeys=8):
-    """What goes wrong when ``nthreads`` threads insert and delete ``nkeys``
-    keys on a ``cls`` set through its public methods for ``seconds``, at a
-    1 us switch interval; the threads stop once one of them raises.
+    """What goes wrong when ``nthreads`` threads run a known mix of
+    ``contains``, ``insert`` and ``delete`` over ``nkeys`` keys on a ``cls``
+    set through its public methods for ``seconds``, at a 1 us switch
+    interval; the threads stop once one of them raises.
 
     Per key, the initial membership plus the successful inserts minus the
     successful deletes must be the final membership; the tree must pass
-    ``validate_structure``, and no lock word may be left set.  An update
-    that still restarts a second after the time is up, as one on a lock
-    word left set does for ever, raises instead of backing off."""
+    ``validate_structure``, and no lock word may be left set.  The set's
+    counters must count exactly the operations run, and no lock taken by
+    ``contains``.  An update that still restarts a second after the time
+    is up, as one on a lock word left set does for ever, raises instead
+    of backing off."""
     def _backoff(self, n):
         if time.perf_counter() > deadline + 1:
             raise TimeoutError("restarting after the time is up")
@@ -797,21 +877,25 @@ def lost_updates(cls, seconds=1.0, nthreads=4, nkeys=8):
     for k in initial:
         s.insert(k)
     nets = [[0] * nkeys for _ in range(nthreads)]
+    plans = [[(rng.choice(cs._OPS), rng.randrange(nkeys)) for _ in range(256)]
+             for rng in map(random.Random, range(nthreads))]
+    passes = [0] * nthreads   # each thread's runs of its whole plan
     errors = []
     start = threading.Barrier(nthreads)
 
     def worker(t):
-        rng = random.Random(t)
-        plan = [(rng.random() < 0.5, rng.randrange(nkeys)) for _ in range(256)]
         net = nets[t]
         start.wait(60)
         try:
             while not errors and time.perf_counter() < deadline:
-                for insert, k in plan:
-                    if insert:
+                for op, k in plans[t]:
+                    if op == "insert":
                         net[k] += s.insert(k)
-                    else:
+                    elif op == "delete":
                         net[k] -= s.delete(k)
+                    else:
+                        s.contains(k)
+                passes[t] += 1
         except Exception as e:   # a release's assert, or a broken tree
             errors.append(("raised", repr(e)))
 
@@ -828,6 +912,16 @@ def lost_updates(cls, seconds=1.0, nthreads=4, nkeys=8):
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
+    ran = Counter(insert=len(initial))
+    for plan, n in zip(plans, passes):
+        for op, _ in plan:
+            ran[op] += n
+    snap = s.stats_snapshot()
+    if not errors and (snap["ops"], snap["completed"]) != (   # no thread raised mid-plan
+            {op: ran[op] for op in cs._OPS}, sum(ran.values())):
+        errors.append(("miscounted", snap["ops"], dict(ran)))
+    if snap["acquisitions"]["contains"]:
+        errors.append(("contains locked", snap["acquisitions"]["contains"]))
     final = set(s.snapshot_keys())
     errors += [("lost update", k) for k in range(nkeys)
                if (k in initial) + sum(net[k] for net in nets) != (k in final)]
@@ -847,6 +941,11 @@ def test_no_update_is_lost_by_the_plain_twins_under_real_threads():
 
 def test_the_lost_update_check_fails_a_lock_step_with_a_call():
     assert lost_updates(CallsInTheCas)
+
+
+def test_the_lost_update_check_fails_a_count_bumped_through_a_call():
+    errors = lost_updates(counts_through_a_call().ConcurrentSet)
+    assert "miscounted" in {e[0] for e in errors}, errors
 
 
 def test_the_exclusion_check_fails_a_lock_its_workers_die_on(monkeypatch):
