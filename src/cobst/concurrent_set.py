@@ -44,18 +44,23 @@ when one of them is first looked up:
 every ``if self._instr:`` block is folded away, ``_op`` becomes
 ``contains``, ``insert`` and ``delete``, and each ``yield from`` in an
 attempt becomes the callee's folded body, pasted in place with the lock
-steps of ``rwlock`` and their conditions, so an uncontended update runs
-two Python frames (the operation and its attempt), no lock call, no
-generator frame, no dispatch on the operation and no observation.  The
-twins return bare bools, the stepping form an ``OpOutcome``.  Both
-forms keep every check, counter and lock step.
+steps of ``rwlock``, their conditions and ``tree_core``'s child links,
+so an uncontended update runs two Python frames (the operation and its
+attempt), no lock or ``Node`` method call, no generator frame, no
+dispatch on the operation and no observation.  Each lock site passes
+its mode as a module constant and its edge as 0 or an item of
+``_EDGE_BIT``, so its paste keeps one CAS branch.  The twins return
+bare bools, the stepping form an ``OpOutcome``.  Both forms keep every
+check, counter and lock step.
 
 Every descent tests ``v < curr.val`` first and ``curr.val < v`` second,
 so a left step costs one comparison and only the node holding ``v`` pays
 two; ``val`` never changes, so reading it twice needs no checkpoint.
+The updates' descent rotates three slots, so no step copies a parent.
 The counters are one ``SetStats`` per set, which every thread bumps by a
 straight-line ``+=``: with the GIL no increment is lost, for the reason
-no lock word's step is, so an operation reads no thread id.
+no lock word's step is, so an operation reads no thread id.  A plain
+update counts its acquisitions once an attempt, at the release.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ from .reclaim import EpochReclaimer
 from .rwlock import (ACQUIRED, CONDITION_VIOLATED, CONTENDED, READ, WRITE,
                      CondRwLock, LockMode, try_lock_with_condition, unlock)
 from .tree_core import (DATA, LEFT, MIN_KEY, PLUS_INF, RIGHT, ROUTING, Node,
-                        snapshot_keys, validate_key)
+                        child, set_child, snapshot_keys, validate_key)
 
 __all__ = [
     "ConcurrentSet", "OpOutcome", "SetStats",
@@ -378,8 +383,10 @@ class ConcurrentSet:
         step and waits out a CONTENDED attempt in ``lock_with_spin``, all
         of it inside what would be one checkpoint, because a failed CAS
         re-attempt reads nothing new about the tree.  A granted lock goes
-        on ``ctx``, which ``_op`` owns and releases; any other outcome is
-        counted and raises ``Restart``.  The body has no ``return``, so the
+        on ``ctx``, which ``_op`` owns and releases; the stepping form
+        counts it under ``optag`` here, the plain ``_op`` counts all of an
+        attempt's at the release.  Any other outcome is counted and raises
+        ``Restart``.  The body has no ``return``, so the
         plain form pastes it into every caller.  ``tkey`` is not read (the
         attempts pass None, and the stepping form records ``ctx`` under
         ``ctx.tkey``); it and a ``cond()`` without ``expected`` keep the
@@ -406,29 +413,60 @@ class ConcurrentSet:
                 st.contended_aborts[family] += 1
             raise Restart
         ctx.append((lock, mode, edge))
-        st.acquisitions[optag] += 1
+        if self._instr:
+            st.acquisitions[optag] += 1   # the plain form counts at the release
 
     def _traverse(self, v: int):
         """Unsynchronized descent to ``(gprev, prev, curr)`` as in
-        ``tree_core.traverse``, with the same comparison order; the only
-        checkpoints are the child pointer reads, one per step down."""
-        gprev = None
-        prev = None
-        curr = self.root
-        while curr is not None:
-            if v < curr.val:
-                gprev = prev
-                prev = curr
+        ``tree_core.traverse``, with the same reads and comparison order;
+        the only checkpoints are the child pointer reads, one per step
+        down.  Three slots take turns, three steps to a loop: each step
+        stores the child over the grandparent's slot, so no step copies
+        a parent, and the exit names the slots in order once."""
+        x = y = None
+        z = self.root
+        while True:   # (gprev, prev, curr) is (x, y, z)
+            if z is None:
+                gprev, prev, curr = x, y, z
+                break
+            if v < z.val:
                 if self._instr:
                     yield S_TRAV_LEFT
-                curr = curr.left
-            elif curr.val < v:
-                gprev = prev
-                prev = curr
+                x = z.left
+            elif z.val < v:
                 if self._instr:
                     yield S_TRAV_RIGHT
-                curr = curr.right
+                x = z.right
             else:
+                gprev, prev, curr = x, y, z
+                break
+            if x is None:   # (gprev, prev, curr) is (y, z, x)
+                gprev, prev, curr = y, z, x
+                break
+            if v < x.val:
+                if self._instr:
+                    yield S_TRAV_LEFT
+                y = x.left
+            elif x.val < v:
+                if self._instr:
+                    yield S_TRAV_RIGHT
+                y = x.right
+            else:
+                gprev, prev, curr = y, z, x
+                break
+            if y is None:   # (gprev, prev, curr) is (z, x, y)
+                gprev, prev, curr = z, x, y
+                break
+            if v < y.val:
+                if self._instr:
+                    yield S_TRAV_LEFT
+                z = y.left
+            elif y.val < v:
+                if self._instr:
+                    yield S_TRAV_RIGHT
+                z = y.right
+            else:
+                gprev, prev, curr = z, x, y
                 break
         return gprev, prev, curr
 
@@ -444,8 +482,9 @@ class ConcurrentSet:
         if not (type(v) is int and MIN_KEY <= v < PLUS_INF):
             validate_key(v)   # int subclasses pass; anything else raises
         st = self._stats
-        restarts = 0
         if op == "contains":
+            if self._instr:
+                restarts = 0   # for the ``OpOutcome``; the plain twin reads none
             # ``_traverse``'s descent and checkpoints, keeping only curr
             result = False
             curr = self.root
@@ -464,6 +503,7 @@ class ConcurrentSet:
                     result = curr.state == DATA
                     break
         else:
+            restarts = 0
             ctx = []   # the locks that the current attempt holds
             if self._instr:
                 ctx = _AttemptCtx(tkey)   # see ``_AttemptCtx``
@@ -483,7 +523,9 @@ class ConcurrentSet:
                     if self._instr:
                         if ctx:
                             self._release_all(ctx)
-                    else:
+                    else:   # one count an attempt; ``len`` is a call, so
+                        n = len(ctx)   # it is read before the ``+=``
+                        st.acquisitions[op] += n
                         while ctx:
                             lock, mode, edge = ctx.pop()
                             unlock(lock, mode, edge)
@@ -537,7 +579,7 @@ class ConcurrentSet:
             self.trace.append(("create", nid, v, DATA))
             yield W_INS_LINK
             self.trace.append(("edge", self.ids[prev], side, nid))
-        prev.set_child(side, node)
+        set_child(prev, side, node)
         return True
 
     # -- delete ------------------------------------------------------------
@@ -560,9 +602,9 @@ class ConcurrentSet:
         if left is not None and right is not None:
             return (yield from self._delete_two_children(ctx, st, curr))
         if left is not None or right is not None:
-            child = left if left is not None else right
+            lone = left if left is not None else right
             return (yield from self._delete_one_child(
-                ctx, st, v, prev, curr, child,
+                ctx, st, v, prev, curr, lone,
                 LEFT if left is not None else RIGHT))
         return (yield from self._delete_leaf(ctx, st, v, gprev, prev))
 
@@ -582,7 +624,7 @@ class ConcurrentSet:
         curr.state = ROUTING
         return True
 
-    def _delete_one_child(self, ctx, st, v, prev, curr, child, child_side):
+    def _delete_one_child(self, ctx, st, v, prev, curr, lone, lone_side):
         """Exactly one child: splice it up into our parent's slot.
 
         Lock order is strictly deeper-first: the edge below curr, the
@@ -591,7 +633,7 @@ class ConcurrentSet:
         side = LEFT if v < prev.val else RIGHT
         yield from self._lock(
             ctx, None, st, "delete", curr, WRITE, _edge_is,
-            "edge_ref", "delete.splice_child_edge", 1, child, _EDGE_BIT[child_side])
+            "edge_ref", "delete.splice_child_edge", 1, lone, _EDGE_BIT[lone_side])
         yield from self._lock(
             ctx, None, st, "delete", prev, WRITE, _edge_is, "edge_ref",
             "delete.splice_parent_edge", 0, curr, _EDGE_BIT[side])
@@ -601,7 +643,7 @@ class ConcurrentSet:
         # fresh re-check that curr still has exactly this one child: the
         # other slot may have been filled by an insert before our state
         # lock landed
-        other = curr.right if child_side == LEFT else curr.left
+        other = curr.right if lone_side == LEFT else curr.left
         if other is not None:
             raise Restart
         if self._instr:
@@ -610,10 +652,10 @@ class ConcurrentSet:
         curr.deleted = True
         if self._instr:
             yield W_DEL_SPLICE
-            self.trace.append(("edge", self.ids[prev], side, self.ids[child]))
+            self.trace.append(("edge", self.ids[prev], side, self.ids[lone]))
             self.unlinked.append(curr)
             self.reclaimer.retire(curr)
-        prev.set_child(side, child)
+        set_child(prev, side, lone)
         return True
 
     def _delete_leaf(self, ctx, st, v, gprev, prev):
@@ -639,7 +681,7 @@ class ConcurrentSet:
         yield from self._lock(
             ctx, None, st, "delete", prev, WRITE, _edge_holds, "edge_val",
             "delete.pair_edge" if pair else "delete.leaf_edge", 0, v, _EDGE_BIT[side])
-        curr = prev.child(side)   # fresh: the locked occupant, maybe a twin
+        curr = child(prev, side)   # fresh: the locked occupant, maybe a twin
         yield from self._lock(
             ctx, None, st, "delete", curr, WRITE, _state_is, "state",
             "delete.pair_state" if pair else "delete.leaf_state", 0, DATA)
@@ -658,7 +700,7 @@ class ConcurrentSet:
                 self.trace.append(("edge", self.ids[prev], side, None))
                 self.unlinked.append(curr)
                 self.reclaimer.retire(curr)
-            prev.set_child(side, None)
+            set_child(prev, side, None)
             return True
         pside = LEFT if prev.val < gprev.val else RIGHT
         yield from self._lock(
@@ -684,7 +726,7 @@ class ConcurrentSet:
             self.unlinked += (prev, curr)
             self.reclaimer.retire(prev)
             self.reclaimer.retire(curr)
-        gprev.set_child(pside, sibling)
+        set_child(gprev, pside, sibling)
         return True
 
 

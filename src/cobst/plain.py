@@ -4,10 +4,11 @@ method, which imports this module.
 
 Each generator method ``_m`` becomes a plain function ``_m_plain``,
 except ``_op``, which becomes ``contains``, ``insert`` and ``delete``,
-with ``op`` read as the operation's name and ``tkey``, where a fold
-still reads it, bound from ``_get_ident()``.  ``self._instr`` reads as
-False and comparisons of constants fold, so each ``if`` keeps only the
-branch taken: the twins keep no checkpoint, record or ``OpOutcome``.
+with ``op`` read as the operation's name; a twin has no ``tkey``, and
+an ``_op`` that still reads it outside the stepping form is refused.
+``self._instr`` reads as False and comparisons of constants fold, so
+each ``if`` keeps only the branch taken: the twins keep no checkpoint,
+record or ``OpOutcome``.
 
 Outside ``_op``, ``yield from self._m(...)`` of a generator method of
 the same module, and a call by name of a plain function whose globals
@@ -21,6 +22,12 @@ covers stays a call.  Constant arguments,
 and names that the paste never assigns, are substituted, others bound
 at the top of the paste; a call that a substitution names, a condition
 passed as ``cond``, pastes as its function's one ``return`` expression.
+A paste then tells what tests it can: ``is`` or ``is not`` between two
+module globals, such as a lock step's ``mode is WRITE`` with ``WRITE``
+passed, by the objects that they are bound to, and the truth of a
+parameter bound to an item of a module's tuple of true constants, such
+as an edge bit; the compiler keeps only the branch taken.  Like a paste,
+a fold reads a name that the twin does not bind as the module's global.
 Any other ``yield from self._m(...)`` calls ``self._m_plain``; only such
 methods and those that nothing pastes get a twin.  The twins keep the
 source's file name and line numbers, so a traceback through one points
@@ -31,7 +38,6 @@ from __future__ import annotations
 
 import ast
 import copy
-import ctypes
 import inspect
 import linecache
 import operator
@@ -47,32 +53,32 @@ def _self_call(node) -> bool:
             and node.func.value.id == "self")
 
 
-def _subst(node, args, inline=None):
+def _subst(node, args, fold=None):
     """``node`` with each read of a name in ``args`` replaced by a copy of
-    its value, a constant or a name, and each call so changed by what
-    ``inline`` gives for it; a subtree that reads none is shared."""
+    its value, a constant or a name, and each node so changed, and each
+    ``if`` or conditional expression, by what ``fold`` gives for it, if
+    anything; a subtree that reads none is shared."""
     if isinstance(node, ast.Name):
         arg = args.get(node.id)
         if arg is None or not isinstance(node.ctx, ast.Load):
             return node
-        return ast.copy_location(ast.Name(arg.id, ast.Load()) if isinstance(arg, ast.Name)
-                                 else ast.Constant(arg.value), node)
+        return ast.copy_location(copy.copy(arg), node)
     new = node
     for field in node._fields:
         old = getattr(node, field, None)
         if isinstance(old, list):
-            value = [_subst(x, args, inline) if isinstance(x, ast.AST) else x for x in old]
+            value = [_subst(x, args, fold) if isinstance(x, ast.AST) else x for x in old]
             same = all(map(operator.is_, value, old))
         elif isinstance(old, ast.AST):
-            value = _subst(old, args, inline)
+            value = _subst(old, args, fold)
             same = value is old
         else:
             continue
         if not same:
             new = copy.copy(node) if new is node else new
             setattr(new, field, value)
-    if new is not node and inline is not None and isinstance(new, ast.Call):
-        return inline(new) or new
+    if fold and (new is not node or isinstance(node, (ast.If, ast.IfExp))):
+        return fold(new) or new
     return new
 
 
@@ -103,10 +109,12 @@ class _FoldInstrumentation(ast.NodeTransformer):
     fold: the def, the names its body reads and assigns, its count of
     ``return`` statements, its file and whether a paste can bind its
     parameters, all positional-or-keyword, in the caller's scope, with
-    no nested scope in the body; ``calls`` are left calls."""
+    no nested scope in the body; ``calls`` are left calls.  The method is
+    ``fn``, by whose globals a paste folds the tests that it can tell."""
 
-    def __init__(self, where, op, pasted, filename):
-        self.where, self.op, self.pasted, self.filename = where, op, pasted, filename
+    def __init__(self, where, op, pasted, fn):
+        self.where, self.op, self.pasted = where, op, pasted
+        self.filename, self.module = fn.__code__.co_filename, fn.__globals__
         self.loads, self.stores, self.loops, self.pastes = [], set(), [], []
         self.reads, self.assigns, self.returns, self.calls = set(), set(), 0, set()
         self.scoped = None   # False inside the def, True once a nested scope is seen
@@ -134,11 +142,6 @@ class _FoldInstrumentation(ast.NodeTransformer):
                                 % (self.where, stmt.lineno, callee, ", ".join(sorted(clash))))
         if self.op is not None:
             node.args.args = [a for a in node.args.args if a.arg not in ("op", "tkey")]
-            if any(n == "tkey" for n, _ in self.loads):
-                i = int(ast.get_docstring(node) is not None)
-                node.body.insert(i, ast.fix_missing_locations(ast.copy_location(ast.Assign(
-                    [ast.Name("tkey", ast.Store())],
-                    ast.Call(ast.Name("_get_ident", ast.Load()), [], [])), node.body[i])))
         a = node.args
         return (node, self.reads | {n for n, _ in self.loads}, self.assigns | self.stores,
                 self.returns, self.filename,
@@ -151,6 +154,9 @@ class _FoldInstrumentation(ast.NodeTransformer):
             self.stores.add(node.id)
         if self.op is not None and node.id == "op":
             return ast.copy_location(ast.Constant(self.op), node)
+        if self.op is not None and node.id == "tkey":
+            raise TypeError("%s, line %d: reads tkey, which only the stepping form has"
+                            % (self.where, node.lineno))
         return node
 
     def visit_Attribute(self, node):
@@ -160,14 +166,7 @@ class _FoldInstrumentation(ast.NodeTransformer):
         return self.generic_visit(node)
 
     def visit_Compare(self, node):
-        self.generic_visit(node)
-        if (len(node.ops) == 1 and isinstance(node.ops[0], (ast.Eq, ast.NotEq))
-                and isinstance(node.left, ast.Constant)
-                and isinstance(node.comparators[0], ast.Constant)):
-            equal = node.left.value == node.comparators[0].value
-            return ast.copy_location(
-                ast.Constant(equal == isinstance(node.ops[0], ast.Eq)), node)
-        return node
+        return self.fold(self.generic_visit(node)) or node
 
     def visit_If(self, node):   # a constant test keeps one branch, unvisited
         node.test = self.visit(node.test)
@@ -191,6 +190,33 @@ class _FoldInstrumentation(ast.NodeTransformer):
             return node.value
         return node
 
+    def fold(self, node, true=()):
+        """What the fold puts for ``node``, if anything: a call pasted as an
+        expression, a true test for an ``if`` on a name in ``true``, and a
+        constant for ``==`` or ``!=`` between constants, or for ``is`` or
+        ``is not`` between module globals, by the objects bound to them."""
+        if isinstance(node, ast.Call):
+            return self.expression(node)
+        if isinstance(node, (ast.If, ast.IfExp)) and getattr(node.test, "id", 0) in true:
+            node = copy.copy(node)
+            node.test = ast.copy_location(ast.Constant(True), node.test)
+            return node
+        if not isinstance(node, ast.Compare) or len(node.ops) > 1:
+            return None
+        a, b, op = node.left, node.comparators[0], type(node.ops[0])
+        if op in (ast.Eq, ast.NotEq) and type(a) is type(b) is ast.Constant:
+            same = a.value == b.value
+        elif op in (ast.Is, ast.IsNot) and {getattr(a, "id", 0), getattr(b, "id", 0)
+                                            } <= self.module.keys():
+            same = self.module[a.id] is self.module[b.id]
+        else:
+            return None
+        return ast.copy_location(ast.Constant(same == (op in (ast.Eq, ast.Is))), node)
+
+    def true_items(self, node) -> bool:   # names a module's tuple of true constants
+        items = self.module.get(getattr(node, "id", 0))
+        return type(items) is tuple and all(items)
+
     def expression(self, call):   # a one-``return`` function's expression, or None
         callee = (isinstance(call.func, ast.Name) and not _spread(call)
                   and self.pasted(call.func.id, False))
@@ -204,7 +230,7 @@ class _FoldInstrumentation(ast.NodeTransformer):
         self.reads |= callee[1] - set(args) | {a.id for a in args.values()
                                                if isinstance(a, ast.Name)}
         self.assigns |= callee[2]
-        expr = _subst(fn.body[0].value, args, self.expression)
+        expr = _subst(fn.body[0].value, args, self.fold)
         return expr if callee[4] == self.filename else _moved([expr], call)[0]
 
     def visit_Expr(self, stmt):   # and Assign and Return: paste the callee
@@ -241,7 +267,10 @@ class _FoldInstrumentation(ast.NodeTransformer):
                                             for n in ast.walk(a) if isinstance(n, ast.Name)}
         assigns = set(self.assigns)
         subst = {p: args[p] for p in used - bound if getattr(args[p], "id", None) != p}
-        body = [_subst(b, subst, self.expression) for b in body] if subst else body[:]
+        true = {p for p in bound - stored if isinstance(args[p], ast.Subscript)
+                and self.true_items(args[p].value)}
+        body = [_subst(b, subst, lambda n: self.fold(n, true))
+                for b in body] if subst or true else body[:]
         at, end = (stmt.lineno, stmt.col_offset), (stmt.end_lineno, stmt.end_col_offset)
         self.pastes.append((stmt, any(b <= at and end <= e for b, e in self.loops),
                             (stored | bound | self.assigns - assigns) - tnames, fn.name))
@@ -321,7 +350,7 @@ def _plain_defs(cls, parse=_method_def) -> dict:
             return None if any(f.__globals__.get(g, len) is not fn.__globals__.get(g, len)
                                for g in globs) else callee   # ``len``: in neither
 
-        t = _FoldInstrumentation(where, op, paste, fn.__code__.co_filename)
+        t = _FoldInstrumentation(where, op, paste, fn)
         out = t.visit(parse(fn))
         called.update(t.calls)
         return out
@@ -349,7 +378,8 @@ def compile_plain(cls) -> None:
     created; call this again after replacing one.  One thread compiles
     at a time.  ``TypeError`` names the method and line of a method's
     ``return`` that no paste form covers, a paste that changes a caller
-    local read later, or a ``yield`` left after folding.
+    local read later, an ``_op`` that reads ``tkey`` in plain code, or a
+    ``yield`` left after folding.
     """
     with _compiling:   # as is the first lookup of a stand-in
         twins = _plain_defs(cls)
@@ -369,6 +399,7 @@ def compile_plain(cls) -> None:
                                 % (cls.__name__, fn.__name__, line))
             ns[twin].plain_twin = True
             setattr(cls, twin, ns[twin])
+    import ctypes   # only now: what it allocates is not held while compiling
     try:   # glibc keeps the heap that compiling freed resident: hand it back
         trim = ctypes.CDLL(None).malloc_trim
     except (AttributeError, OSError, TypeError):   # another C library

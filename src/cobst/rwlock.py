@@ -14,11 +14,14 @@ left and right child edges with the bits.  A lock method's trailing
 
 Acquisitions are compare-and-swap steps on a word (0 -> 1 for a write,
 even w -> w + 2 for a read, a clear bit set) and releases undo them.
-Each is one read-modify-write: the step branches once, on state word
-or edge bit, then reads the word by attribute, computes the new word
-and stores it, with no call, function entry or jump in between (a
-failed CAS stores the word back as it read it; a release checks the
-word it read after its store).  CPython 3.10 and later, with the GIL,
+Each is one read-modify-write: the step branches on state word or edge
+bit and, for the word, on the mode, then reads the word by attribute,
+computes the new word and stores it, with no call, function entry or
+jump in between (a failed CAS stores the word back as it read it; a
+release checks the word it read after its store).  Where the set's
+plain twins paste a step, each lock site fixes both branches: its mode
+is a module constant, and its edge an item of a tuple of true bits or
+0, so the paste keeps one CAS and tests nothing about the lock's kind.  CPython 3.10 and later, with the GIL,
 switch threads only at such points, so nothing else runs between the
 read and the store; a test walks the bytecode of every such span, here
 and where the set's plain twins paste the steps.  It

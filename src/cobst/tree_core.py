@@ -50,11 +50,26 @@ def validate_key(v) -> int:
     return v
 
 
+def child(self, side: int):
+    """``self``'s child on ``side``."""
+    return self.left if side == LEFT else self.right
+
+
+def set_child(self, side: int, node) -> None:
+    """Make ``node`` ``self``'s child on ``side``."""
+    if side == LEFT:
+        self.left = node
+    else:
+        self.right = node
+
+
 class Node(CondRwLock):
     """One tree node: the sequential tree's fields, of which only ``val``
     never changes, and the two lock words it inherits from ``CondRwLock``:
     ``word`` for the state/deleted pair, bits 1 and 2 of ``edges`` for the
-    left and right child edges; trace ids live in the set."""
+    left and right child edges; trace ids live in the set.  ``child`` and
+    ``set_child`` are module functions that it takes as methods, so that
+    the set's plain twins, which call them by name, paste them."""
 
     __slots__ = ("val", "state", "left", "right", "deleted")
 
@@ -71,14 +86,8 @@ class Node(CondRwLock):
     # passes ``root.state_lock`` as a lock to ``ConcurrentSet._lock``
     state_lock = property(lambda self: self)
 
-    def child(self, side: int):
-        return self.left if side == LEFT else self.right
-
-    def set_child(self, side: int, node) -> None:
-        if side == LEFT:
-            self.left = node
-        else:
-            self.right = node
+    child = child
+    set_child = set_child
 
     def __repr__(self):
         v = "inf" if self.val == PLUS_INF else str(self.val)

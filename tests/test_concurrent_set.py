@@ -873,9 +873,12 @@ class Descends(ConcurrentSet):
 def test_every_descent_finds_the_same_nodes_on_trees_with_routing_nodes():
     # tree_core.traverse (the sequential oracle's and coarse-bst's
     # descent), the updates' descent in both forms and contains in both
-    # forms must agree on every key: present, absent and routing
+    # forms must agree on every key: present, absent and routing.  The
+    # updates' descent rotates three slots, three steps to a loop, so it
+    # has six exits, the key found or a null child reached after a number
+    # of steps of each residue mod 3, and every one must be taken
     rng = random.Random(5)
-    seen = set()
+    seen, exits = set(), set()
     for _ in range(40):
         s = Descends()
         keys = rng.sample(range(64), rng.randint(8, 40))
@@ -899,12 +902,14 @@ def test_every_descent_finds_the_same_nodes_on_trees_with_routing_nodes():
             assert len(got) == 3 and all(g is w for g, w in zip(got, want)), k
             sites, got = _stepped(s._traverse(k))
             assert sites == path and all(g is w for g, w in zip(got, want)), k
+            exits.add((len(path) % 3, curr is None))
             member = curr is not None and curr.state == DATA
             assert s.contains(k) is member
             sites, out = _stepped(s.op_gen("contains", k, tkey="t"))
             assert sites == path + ([S_CONT_STATE] if curr is not None else [])
             assert out.result is member
     assert seen == {"absent", DATA, ROUTING}
+    assert exits == {(r, absent) for r in range(3) for absent in (False, True)}
 
 
 def test_stepped_contains_and_insert_checkpoints_are_exact():

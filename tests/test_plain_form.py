@@ -2,6 +2,7 @@
 generator bodies, must behave exactly like the stepping form the
 harness explores, and observe nothing."""
 
+import dis
 import inspect
 import itertools
 import os
@@ -188,16 +189,16 @@ def flat_tree() -> ConcurrentSet:
 def test_a_plain_update_runs_its_twin_and_one_attempt_frame():
     s = flat_tree()
     # 25 hangs left of 30: 30's left edge bit, then 30's state word, each
-    # taken and released with no lock or condition call
+    # taken and released with no lock, condition or child-link call
     assert python_calls(s.insert, 25) == Counter({
-        "insert": 1, "_insert_attempt_plain": 1, "__init__": 1, "set_child": 1})
+        "insert": 1, "_insert_attempt_plain": 1, "__init__": 1})
     assert python_calls(s.insert, 30) == Counter(
         {"insert": 1, "_insert_attempt_plain": 1})
     assert python_calls(s.delete, 35) == Counter(
         {"delete": 1, "_delete_attempt_plain": 1})
     # 25, a leaf under the DATA node 30: its edge, its state, 30's state
     assert python_calls(s.delete, 25) == Counter({
-        "delete": 1, "_delete_attempt_plain": 1, "child": 1, "set_child": 1})
+        "delete": 1, "_delete_attempt_plain": 1})
     for k in (30, 35):
         assert python_calls(s.contains, k) == Counter({"contains": 1})
     # the set's one counter object: no thread id, no stats looked up by it
@@ -206,6 +207,22 @@ def test_a_plain_update_runs_its_twin_and_one_attempt_frame():
         calls = python_calls(getattr(s, op), k, builtins=True)
         assert not {"get_ident", "dict.get"} & set(calls), (op, k, calls)
     assert python_calls(s.contains, 30, builtins=True) == Counter()
+
+
+def test_each_pasted_lock_site_keeps_one_cas_and_tests_no_lock_kind():
+    """Each lock site fixes its mode and whether it locks the state word
+    or an edge bit, so its paste keeps one CAS branch: an attempt twin
+    reads ``word`` once per state-lock site and ``edges`` once per
+    edge-lock site, and tests no mode at run time, where ``WRITE is
+    WRITE`` would load two globals and compare them."""
+    compiled()
+    for twin, words, edges in (("_insert_attempt_plain", 2, 1),
+                               ("_delete_attempt_plain", 5, 5)):
+        ins = list(dis.get_instructions(getattr(ConcurrentSet, twin)))
+        loads = Counter(i.argval for i in ins if i.opname == "LOAD_ATTR")
+        assert (loads["word"], loads["edges"]) == (words, edges), twin
+        assert not [c.offset for a, b, c in zip(ins, ins[1:], ins[2:])
+                    if a.opname == b.opname == "LOAD_GLOBAL" and c.opname == "IS_OP"], twin
 
 
 def test_one_held_edge_bit_adds_one_spin(monkeypatch):
@@ -280,6 +297,22 @@ def test_a_paste_that_changes_a_local_read_later_is_refused():
 
 
 # functions that no paste binds: a twin keeps each as a call
+def _reads_tkey(self, op, v, tkey):
+    owner = tkey   # plain code: the twins have no thread key
+    if self._instr:
+        yield
+    return owner
+
+
+def test_an_op_that_reads_tkey_in_plain_code_is_refused():
+    """The twins have no ``tkey``: an ``_op`` that reads it outside the
+    stepping form is refused when its class is made, naming the line."""
+    lines, first = inspect.getsourcelines(_reads_tkey)
+    line = first + next(i for i, text in enumerate(lines) if "= tkey" in text)
+    with pytest.raises(TypeError, match=r"ReadsTkey\._op, line %d: reads tkey" % line):
+        type("ReadsTkey", (ConcurrentSet,), {"_op": _reads_tkey})
+
+
 def _positional_only(a, /, b):
     return a - b
 
@@ -625,13 +658,18 @@ def test_awkward_layouts_match_the_whole_file_compiler():
 
 def test_compiling_without_malloc_trim_still_installs_the_twins(monkeypatch):
     """After compiling, the twins' freed heap is handed back through the C
-    library's ``malloc_trim``; a library without one is passed over."""
+    library's ``malloc_trim``; a library without one is passed over.
+    ``compile_plain`` imports ``ctypes`` only then, so that what the import
+    allocates is not held while the twins compile."""
+    import ctypes
+
     import cobst.plain as plain
 
     def no_such_library(name):
         raise OSError(name)
 
-    monkeypatch.setattr(plain.ctypes, "CDLL", no_such_library)
+    assert not hasattr(plain, "ctypes")
+    monkeypatch.setattr(ctypes, "CDLL", no_such_library)
     cls = type("TrimlessSet", (ConcurrentSet,),
                {"_insert_attempt": ConcurrentSet._insert_attempt})
     s = cls()

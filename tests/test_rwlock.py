@@ -622,23 +622,28 @@ def counter_switch_points(func):
     return points
 
 
-# the counters that each twin and each stepping function bumps
-COUNTED = {"contains": {"ops"}, "insert": {"ops", "restarts"},
-           "delete": {"ops", "restarts"}, "_op": {"ops", "restarts"},
-           "_insert_attempt_plain": set(TALLIES[1:]),
-           "_delete_attempt_plain": set(TALLIES[1:]), "_lock": set(TALLIES[1:])}
+# the counters that each twin and each stepping function bumps: a plain
+# update counts its acquisitions once an attempt, at the release in its
+# ``_op`` twin, a stepped one in ``_lock``, once a lock
+COUNTED = {"contains": {"ops"}, "insert": {"ops", "restarts", "acquisitions"},
+           "delete": {"ops", "restarts", "acquisitions"},
+           "_op": {"ops", "restarts", "acquisitions"},
+           "_insert_attempt_plain": set(TALLIES[2:]),
+           "_delete_attempt_plain": set(TALLIES[2:]), "_lock": set(TALLIES[1:])}
 
 
 @functools.lru_cache(maxsize=None)
 def counts_through_a_call():
     """Mutant: ``cobst.concurrent_set`` run again from its source, where
-    ``_op`` and ``_lock`` bump ``ops`` and ``acquisitions`` by a ``get``,
-    a call, then a store."""
+    ``_op`` bumps ``ops`` and ``acquisitions``, and ``_lock`` each dict of
+    counts, by a ``get``, a call, then a store."""
     src = pathlib.Path(cs.__file__).read_text()
-    for name, key in (("ops", "op"), ("acquisitions", "optag")):
-        bump = "st.%s[%s] += 1" % (name, key)
+    for name, key, n in (("ops", "op", "1"), ("acquisitions", "optag", "1"),
+                         ("acquisitions", "op", "n"), ("cond_violations", "family", "1"),
+                         ("contended_aborts", "family", "1")):
+        bump = "st.%s[%s] += %s" % (name, key, n)
         assert src.count(bump) == 1, bump
-        src = src.replace(bump, "st.%s[%s] = st.%s.get(%s, 0) + 1" % (name, key, name, key))
+        src = src.replace(bump, "st.%s[%s] = st.%s.get(%s, 0) + %s" % (name, key, name, key, n))
     path = "<%s, counting through a call>" % cs.__file__
     linecache.cache[path] = (len(src), None, src.splitlines(True), path)
     mod = types.ModuleType("cobst.counts_through_a_call")
