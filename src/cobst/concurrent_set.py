@@ -42,21 +42,22 @@ behaviours.  The public methods are plain functions instead, which
 ``cobst.plain.compile_plain`` derives from the same generator source
 when one of them is first looked up:
 every ``if self._instr:`` block is folded away, ``_op`` becomes
-``contains``, ``insert`` and ``delete``, and each ``yield from`` in an
-attempt becomes the callee's folded body, pasted in place with the lock
-steps of ``rwlock``, their conditions and ``tree_core``'s child links,
-so an uncontended update runs two Python frames (the operation and its
-attempt), no lock or ``Node`` method call, no generator frame, no
-dispatch on the operation and no observation.  Each lock site passes
-its mode as a module constant and its edge as 0 or an item of
-``_EDGE_BIT``, so its paste keeps one CAS branch.  The twins return
-bare bools, the stepping form an ``OpOutcome``.  Both forms keep every
-check, counter and lock step.
+``contains``, ``insert`` and ``delete``, and each ``yield from`` but
+``_op``'s calls of the attempts becomes the callee's folded body, pasted
+in place with the lock steps of ``rwlock``, their conditions and
+``tree_core``'s child links, so a read runs one Python frame and an
+uncontended update two (the operation and its attempt), no lock or
+``Node`` method call, no generator frame, no dispatch on the operation
+and no observation.  Each lock site passes its mode as a module constant
+and its edge as 0 or an item of ``_EDGE_BIT``, so its paste keeps one
+CAS branch.  The twins return bare bools, the stepping form an
+``OpOutcome``.  Both forms keep every check, counter and lock step.
 
-Every descent tests ``v < curr.val`` first and ``curr.val < v`` second,
-so a left step costs one comparison and only the node holding ``v`` pays
-two; ``val`` never changes, so reading it twice needs no checkpoint.
-The updates' descent rotates three slots, so no step copies a parent.
+All three operations descend by ``_traverse``, which tests ``v <
+curr.val`` first and ``curr.val < v`` second, so a left step costs one
+comparison and only the node holding ``v`` pays two; ``val`` never
+changes, so reading it twice needs no checkpoint.  It rotates three
+slots, so no step copies a parent.
 The counters are one ``SetStats`` per set, which every thread bumps by a
 straight-line ``+=``: with the GIL no increment is lost, for the reason
 no lock word's step is, so an operation reads no thread id.  A plain
@@ -257,12 +258,12 @@ class _NodeIds(dict):
 
 class _AttemptCtx(list):
     """What a stepped update's current attempt holds, as ``(lock, mode,
-    edge)`` entries (for the all-or-nothing release), with its thread key
-    and its last lock level (for the deadlock-order assert).  ``_op``
-    empties it and resets the level between attempts.  Each stepped
-    update makes its own, so that closing an abandoned generator cannot
-    release a later one's locks; a plain update holds its locks in a
-    fresh ``list``."""
+    edge)`` entries (for the all-or-nothing release and the schedule
+    harness's wait-for chain), with its thread key and its last lock
+    level (for the deadlock-order assert).  ``_op`` empties it and resets
+    the level between attempts.  Each stepped update makes its own, so
+    that closing an abandoned generator cannot release a later one's
+    locks; a plain update holds its locks in a fresh ``list``."""
 
     __slots__ = ("tkey", "last_level")
 
@@ -270,10 +271,6 @@ class _AttemptCtx(list):
         super().__init__()
         self.tkey = tkey
         self.last_level = None
-
-    @property
-    def held(self):   # the schedule harness reads what a thread holds here
-        return self
 
 
 class ConcurrentSet:
@@ -417,7 +414,8 @@ class ConcurrentSet:
             st.acquisitions[optag] += 1   # the plain form counts at the release
 
     def _traverse(self, v: int):
-        """Unsynchronized descent to ``(gprev, prev, curr)`` as in
+        """The set's one descent, which ``contains`` and both attempts
+        paste: unsynchronized, to ``(gprev, prev, curr)`` as in
         ``tree_core.traverse``, with the same reads and comparison order;
         the only checkpoints are the child pointer reads, one per step
         down.  Three slots take turns, three steps to a loop: each step
@@ -473,35 +471,25 @@ class ConcurrentSet:
     # -- one operation: the wrapper shared by all three -------------------
 
     def _op(self, op, v, tkey):
-        """Run ``op`` on ``v``: the wait-free read or the restart loop of an
-        update (no epoch pin: a stepping caller pins), counted in the set's
-        ``SetStats`` once it completes.  The stepping form returns an
-        ``OpOutcome``, the plain twins, the public methods, the bare
-        result; only the stepping form reads ``tkey``, the logical thread
-        under which ``attempts`` records what the update holds."""
+        """Run ``op`` on ``v``: the wait-free read (the descent, then one
+        state read) or the restart loop of an update (no epoch pin: a
+        stepping caller pins), counted in the set's ``SetStats`` once it
+        completes.  The stepping form returns an ``OpOutcome``, the plain
+        twins, the public methods, the bare result; only the stepping form
+        reads ``tkey``, the logical thread under which ``attempts`` records
+        what the update holds."""
         if not (type(v) is int and MIN_KEY <= v < PLUS_INF):
             validate_key(v)   # int subclasses pass; anything else raises
         st = self._stats
         if op == "contains":
             if self._instr:
                 restarts = 0   # for the ``OpOutcome``; the plain twin reads none
-            # ``_traverse``'s descent and checkpoints, keeping only curr
+            gprev, prev, curr = yield from self._traverse(v)
             result = False
-            curr = self.root
-            while curr is not None:
-                if v < curr.val:
-                    if self._instr:
-                        yield S_TRAV_LEFT
-                    curr = curr.left
-                elif curr.val < v:
-                    if self._instr:
-                        yield S_TRAV_RIGHT
-                    curr = curr.right
-                else:
-                    if self._instr:
-                        yield S_CONT_STATE
-                    result = curr.state == DATA
-                    break
+            if curr is not None:
+                if self._instr:
+                    yield S_CONT_STATE
+                result = curr.state == DATA
         else:
             restarts = 0
             ctx = []   # the locks that the current attempt holds

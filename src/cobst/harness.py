@@ -332,7 +332,7 @@ def _wait_chain(set_: ConcurrentSet, workers: dict, start_tid: int) -> str:
     for _ in range(len(workers) + 1):
         p = workers[tid].pending
         holders = [t for t, ctx in set_.attempts.items() if t != tid
-                   and any(lock is p.lock and e == p.edge for lock, _, e in ctx.held)]
+                   and any(lock is p.lock and e == p.edge for lock, _, e in ctx)]
         if not holders:
             hops.append("thread %d waits on %r (holder unknown)" % (tid, p))
             break
@@ -639,10 +639,14 @@ def parse_script(text: str) -> ScheduleScript:
 
 
 def emit_script(script: ScheduleScript) -> str:
+    """The text that ``parse_script`` reads as ``script``; ``ScriptError``
+    for a thread with no operations, which that format has no line for."""
     lines = []
     if script.setup:
         lines.append("setup: " + " ".join(str(k) for k in script.setup))
     for tid in sorted(script.programs):
+        if not script.programs[tid]:
+            raise ScriptError("thread %d has no operations to write" % tid)
         lines.append("thread %d: " % tid + " ".join(
             "%s(%d)" % (op, k) for op, k in script.programs[tid]))
     if script.steps:

@@ -10,15 +10,15 @@ an ``_op`` that still reads it outside the stepping form is refused.
 each ``if`` keeps only the branch taken: the twins keep no checkpoint,
 record or ``OpOutcome``.
 
-Outside ``_op``, ``yield from self._m(...)`` of a generator method of
-the same module, and a call by name of a plain function whose globals
-the twin's module binds alike, such as a lock step of ``rwlock`` (not a
-method call, like its ``self.unlock``), paste the callee's folded body:
-as a statement or an assignment if its only ``return`` ends it, and as
-a tail ``return`` in any case.  Only callees with positional-or-keyword
-parameters and no nested scope paste, only for calls with no ``*`` or
-``**`` argument, and a function whose ``return`` statements no form
-covers stays a call.  Constant arguments,
+``yield from self._m(...)`` of a generator method of the same module,
+and a call by name of a plain function whose globals the twin's module
+binds alike, such as a lock step of ``rwlock`` (not a method call, like
+its ``self.unlock``), paste the callee's folded body: as a statement or
+an assignment if its only ``return`` ends it, and as a tail ``return``
+in any case.  Only callees with positional-or-keyword parameters and no
+nested scope paste, only for calls with no ``*`` or ``**`` argument; a
+callee whose ``return`` statements no form covers, such as an attempt
+that ``_op`` calls, stays a call.  Constant arguments,
 and names that the paste never assigns, are substituted, others bound
 at the top of the paste; a call that a substitution names, a condition
 passed as ``cond``, pastes as its function's one ``return`` expression.
@@ -241,15 +241,8 @@ class _FoldInstrumentation(ast.NodeTransformer):
             self.pasted(call.func.attr, True) if method and _self_call(call) else
             self.pasted(call.func.id, False) if not method and isinstance(call.func, ast.Name)
             else None)
-        if callee and targets is not None and callee[3] > isinstance(
-                callee[0].body[-1], ast.Return):
-            if method:
-                line = next(n.lineno for n in ast.walk(callee[0]) if isinstance(n, ast.Return)
-                            and n is not callee[0].body[-1])
-                raise TypeError("%s, line %d: %s returns at line %d, where no paste form "
-                                "covers it" % (self.where, stmt.lineno, call.func.attr, line))
-            callee = None   # a function stays a call
-        if callee is None:
+        if callee is None or targets is not None and callee[3] > isinstance(
+                callee[0].body[-1], ast.Return):   # no paste form covers its returns
             stmt = self.generic_visit(stmt)
             self.returns += isinstance(stmt, ast.Return)
             return stmt
@@ -332,9 +325,9 @@ def _plain_defs(cls, parse=_method_def) -> dict:
             raise TypeError("%s uses enclosing variables %s; only plain "
                             "methods can be compiled" % (where, fn.__code__.co_freevars))
 
-        def paste(m, method):   # ``_op`` calls its attempts, and a twin calls across modules
+        def paste(m, method):   # a twin calls a method of another module
             f = gens.get(m) if method else fn.__globals__.get(m)
-            if method and (name == "_op" or f is None or f.__globals__ is not fn.__globals__):
+            if method and (f is None or f.__globals__ is not fn.__globals__):
                 return None
             if not method and (m in fn.__code__.co_varnames or not inspect.isfunction(f)
                                or f.__name__ == "<lambda>" or inspect.isgeneratorfunction(f)
@@ -376,10 +369,9 @@ def compile_plain(cls) -> None:
     itself stays.  A method that every plain caller pastes gets no twin.
     Subclasses that define a generator method are compiled when they are
     created; call this again after replacing one.  One thread compiles
-    at a time.  ``TypeError`` names the method and line of a method's
-    ``return`` that no paste form covers, a paste that changes a caller
-    local read later, an ``_op`` that reads ``tkey`` in plain code, or a
-    ``yield`` left after folding.
+    at a time.  ``TypeError`` names the method and line of a paste that
+    changes a caller local read later, an ``_op`` that reads ``tkey`` in
+    plain code, or a ``yield`` left after folding.
     """
     with _compiling:   # as is the first lookup of a stand-in
         twins = _plain_defs(cls)

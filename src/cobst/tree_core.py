@@ -67,9 +67,7 @@ class Node(CondRwLock):
     """One tree node: the sequential tree's fields, of which only ``val``
     never changes, and the two lock words it inherits from ``CondRwLock``:
     ``word`` for the state/deleted pair, bits 1 and 2 of ``edges`` for the
-    left and right child edges; trace ids live in the set.  ``child`` and
-    ``set_child`` are module functions that it takes as methods, so that
-    the set's plain twins, which call them by name, paste them."""
+    left and right child edges; trace ids live in the set."""
 
     __slots__ = ("val", "state", "left", "right", "deleted")
 
@@ -85,9 +83,6 @@ class Node(CondRwLock):
     # the node, whose ``word`` is its state lock: ``benchmark/selftest.py``
     # passes ``root.state_lock`` as a lock to ``ConcurrentSet._lock``
     state_lock = property(lambda self: self)
-
-    child = child
-    set_child = set_child
 
     def __repr__(self):
         v = "inf" if self.val == PLUS_INF else str(self.val)
@@ -168,7 +163,7 @@ class SequentialBst:
                 return False
             curr.state = DATA
             return True
-        prev.set_child(self._side(prev, v), Node(v))
+        set_child(prev, self._side(prev, v), Node(v))
         return True
 
     def seq_delete(self, v) -> bool:
@@ -183,19 +178,19 @@ class SequentialBst:
             return True
         if left is not None or right is not None:
             # exactly one child: splice it into our parent's slot
-            child = left if left is not None else right
-            prev.set_child(self._side(prev, v), child)
+            lone = left if left is not None else right
+            set_child(prev, self._side(prev, v), lone)
             curr.deleted = True
             return True
         # leaf; the root sentinel is DATA and never demoted
         if prev.state == DATA:
-            prev.set_child(self._side(prev, v), None)
+            set_child(prev, self._side(prev, v), None)
             curr.deleted = True
             return True
         # leaf under a routing parent: the parent would be left with one
         # child, so both go and the sibling moves up to the grandparent
         sibling = prev.right if self._side(prev, v) == LEFT else prev.left
-        gprev.set_child(self._side(gprev, prev.val), sibling)
+        set_child(gprev, self._side(gprev, prev.val), sibling)
         prev.deleted = True
         curr.deleted = True
         return True

@@ -439,13 +439,13 @@ def test_one_context_serves_every_attempt_of_an_update():
     while getattr(point, "name", None) != "insert.parent_state":
         point = next(gen)
     ctx = s.attempts["t"]
-    assert ctx.last_level == -1 and len(ctx.held) == 1   # the edge lock
+    assert ctx.last_level == -1 and len(ctx) == 1   # the edge lock
     assert next(gen) in (S_TRAV_LEFT, S_TRAV_RIGHT)      # contended: retraverse
-    assert ctx.held == [] and ctx.last_level is None
+    assert ctx == [] and ctx.last_level is None
     assert busy_locks(s, but=(parent, 0)) == []
     parent.word = 0
     assert s._drain(gen).restarts == 1
-    assert s.attempts["t"] is ctx and ctx.held == []
+    assert s.attempts["t"] is ctx and ctx == []
     assert busy_locks(s) == []
 
 
@@ -688,7 +688,7 @@ def test_lock_order_tracker_rejects_upward_then_downward():
 
     run(s._lock(ctx, "t", st, "delete", node, LockMode.READ,
                 lambda: True, "state", "x", level=-1))
-    assert ctx.held == [(node, LockMode.READ, 0)]
+    assert ctx == [(node, LockMode.READ, 0)]
     with pytest.raises(AssertionError):
         run(s._lock(ctx, "t", st, "delete", node, LockMode.WRITE,
                     lambda: True, "edge_ref", "y", level=0, edge=1))
@@ -789,10 +789,10 @@ def test_closing_an_abandoned_stepped_update_keeps_later_locks():
     point = next(later)
     while getattr(point, "name", None) != "insert.parent_state":
         point = next(later)
-    held = list(s.attempts["t"].held)
+    held = list(s.attempts["t"])
     assert [(lk, e) for lk, _, e in held] == [(s.root.left, 2)]
     abandoned.close()
-    assert s.attempts["t"].held == held
+    assert s.attempts["t"] == held
     assert busy_locks(s) == [(s.root.left, 2)]
     assert s._drain(later).result is True
     assert busy_locks(s) == [] and s.snapshot_keys() == [10, 15]
@@ -810,7 +810,7 @@ def test_stepped_contended_abort_holds_nothing_at_the_next_traversal():
     assert point.would_block()
     point = next(gen)           # the attempt fails and the insert retraverses
     assert point in (S_TRAV_LEFT, S_TRAV_RIGHT)
-    assert s.attempts["t"].held == []
+    assert s.attempts["t"] == []
     assert busy_locks(s, but=(parent, 0)) == []
     parent.word = 0
     assert s._drain(gen).restarts == 1

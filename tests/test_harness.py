@@ -538,8 +538,8 @@ class LeakingSet(ConcurrentSet):
     """Forgets to release the last lock each attempt took."""
 
     def _release_all(self, ctx):
-        if ctx.held:
-            ctx.held.pop()
+        if ctx:
+            ctx.pop()
         super()._release_all(ctx)
 
 
@@ -945,7 +945,9 @@ def test_a_parsed_verify_shaped_corpus_stays_small():
 def test_emit_parse_round_trip():
     for script in (script_parallel_inserts(), script_twin_replacement(),
                    script_edge_conflict_restart(), parse_script(SCRIPT_TEXT),
-                   *(random_schedule(2 + s % 3, 6, 8, s) for s in range(20))):
+                   *(random_schedule(2 + s % 3, 6, 8, s) for s in range(20)),
+                   *(random_schedule(1 + s % 4, 1 + s % 7, 4 + s % 13, s)
+                     for s in range(300))):
         text = emit_script(script)
         again = parse_script(text)
         assert again == script
@@ -958,6 +960,17 @@ def test_emit_format_is_exact():
         "thread 0: insert(1)\n"
         "thread 1: insert(3)\n"
         "schedule: 0:1 1:1 0:1 1:1 0:1 1:1 0:1 1:1 0:1 1:1 0:1 1:1\n")
+
+
+def test_emit_refuses_a_thread_that_parse_would_refuse():
+    """``thread 0:`` with no operations does not parse, so a script that
+    runs with an empty program has no text."""
+    script = ScheduleScript(setup=[1], programs={0: [], 1: [("insert", 2)]})
+    assert run_script(script).history.ops()
+    with pytest.raises(ScriptError, match="thread 0 has no operations"):
+        emit_script(script)
+    with pytest.raises(ScriptError, match="line 2: cannot parse ops"):
+        parse_script("setup: 1\nthread 0: \nthread 1: insert(2)\n")
 
 
 @pytest.mark.parametrize("text,msg", [

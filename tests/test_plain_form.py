@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import threading
+import tokenize
 import traceback
 from collections import Counter
 
@@ -254,10 +255,13 @@ def _calls_an_early_return(self, ctx, st, curr):
 
 
 def _returns_early(self, curr):
-    if curr.left is None:
+    """Demotes ``curr`` unless it lost a child, with no lock: the tests
+    that use it run one operation at a time."""
+    if curr.left is None or curr.right is None:
         return
     if self._instr:
         yield W_DEL_DEMOTE
+    curr.state = cs.ROUTING
 
 
 def _reads_a_clobbered_local(self, ctx, st, curr):
@@ -273,16 +277,28 @@ def _sets_seen(self, curr):
     curr.left = seen
 
 
-def test_a_return_that_no_paste_form_covers_is_refused():
-    with pytest.raises(TypeError) as info:
-        type("EarlyReturn", (ConcurrentSet,), {
-            "_delete_two_children": _calls_an_early_return,
-            "_returns_early": _returns_early})
-    assert str(info.value) == (
-        "EarlyReturn._delete_two_children, line %d: _returns_early returns "
-        "at line %d, where no paste form covers it" % (
-            _calls_an_early_return.__code__.co_firstlineno + 1,
-            _returns_early.__code__.co_firstlineno + 2))
+def test_a_method_whose_return_no_paste_form_covers_stays_a_call():
+    """As a function does: the twin of ``_delete_two_children`` calls the
+    twin of the ``_returns_early`` that it names."""
+    cls = type("EarlyReturn", (ConcurrentSet,), {
+        "_delete_two_children": _calls_an_early_return,
+        "_returns_early": _returns_early})
+    assert "_returns_early_plain" in cls._delete_two_children_plain.__code__.co_names
+    rng = random.Random(35)
+    stepped, plain = cls(), cls()
+    for i in range(3_000):
+        op, k = rng.choice(("insert", "delete", "contains")), rng.randrange(64)
+        want = stepped._drain(stepped.op_gen(op, k))
+        assert OpOutcome(op, k, getattr(plain, op)(k), 0) == want, (i, op, k)
+    assert dump_tree(plain) == dump_tree(stepped)
+    assert " R " in dump_tree(plain)   # a demote ran through the call
+    leaf = plain.root
+    while leaf.left is not None:
+        leaf = leaf.left
+    state = leaf.state
+    assert cls._returns_early_plain(plain, leaf) is None   # the early return
+    assert stepped._drain(stepped._returns_early(leaf)) is None
+    assert leaf.state == state
 
 
 def test_a_paste_that_changes_a_local_read_later_is_refused():
@@ -294,6 +310,21 @@ def test_a_paste_that_changes_a_local_read_later_is_refused():
         "Clobbers._delete_two_children, line %d: pasting _sets_seen would "
         "change its local seen"
         % (_reads_a_clobbered_local.__code__.co_firstlineno + 2))
+
+
+def _op_reads_seen(self, op, v, tkey):   # ``_op`` pastes as any method does
+    seen = self.root.left
+    yield from self._sets_seen(self.root)
+    return seen is self.root.left
+
+
+def test_a_paste_into_op_that_changes_a_local_read_later_is_refused():
+    with pytest.raises(TypeError) as info:
+        type("OpClobbers", (ConcurrentSet,), {
+            "_op": _op_reads_seen, "_sets_seen": _sets_seen})
+    assert str(info.value) == (
+        "OpClobbers._op, line %d: pasting _sets_seen would change its local "
+        "seen" % (_op_reads_seen.__code__.co_firstlineno + 2))
 
 
 # functions that no paste binds: a twin keeps each as a call
@@ -735,6 +766,18 @@ def test_importing_cobst_runs_no_tokenizer():
             "assert len(calls) == 0, len(calls)\n")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+def test_the_compiler_source_parses_below_the_token_cliff():
+    """CPython 3.11's parser doubles its token array and allocates each new
+    slot, so a module of 4 096 tokens or more costs about 0.23 MiB more to
+    parse; ``cobst.plain`` is parsed in every process that runs without a
+    bytecode cache, by the first lookup of a public method."""
+    with open(inspect.getsourcefile(compile_plain), "rb") as f:
+        count = sum(t.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+                    for t in tokenize.tokenize(f.readline))
+    assert count < 4096, ("cobst/plain.py has %d tokens, past the parser's "
+                          "4 096-token cliff" % count)
 
 
 def test_a_first_lookup_through_super_runs_the_override_once():
