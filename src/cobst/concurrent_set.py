@@ -9,11 +9,11 @@ catches it, releases everything the attempt holds and traverses again.
 Reads (``contains``) take no locks at all and never restart.
 
 Lock granularity is per-field: each node holds one lock per outgoing
-child edge (bits 1 and 2 of ``edges``) and one for its state/deleted
-pair (``word``).  Edge locks are exclusive in either mode; state locks
-are taken shared by operations that merely need the state pinned and
-exclusively by the ones changing it.  Edge locks come in two
-conditional flavours: by reference (the child pointer
+child edge (bits 1 and 2 of its lock ``word``) and one for its
+state/deleted pair (the rest of ``word``).  Edge locks are exclusive in
+either mode; state locks are taken shared by operations that merely
+need the state pinned and exclusively by the ones changing it.  Edge
+locks come in two conditional flavours: by reference (the child pointer
 must still be the expected object) and by value (the child must hold
 the expected key, tolerating replacement of the node by an equal one).
 Within one attempt locks are acquired from deeper nodes towards the
@@ -142,11 +142,11 @@ class LockPoint(NamedTuple):
         _, _, lock, mode, cond, expected, edge = self
         if not cond(lock, expected, edge):
             return False
-        w = lock.edges & edge if edge else lock.word
+        w = lock.word & edge if edge else lock.word >> 2
         return w != 0 if edge or mode is WRITE else w == 1
 
     def __repr__(self):
-        w = self.lock.edges & self.edge != 0 if self.edge else self.lock.word
+        w = self.lock.word & self.edge != 0 if self.edge else self.lock.word >> 2
         state = ("free", "write-held")[w] if w < 2 else "%d readers" % (w >> 1)
         return "<lock %s %s %r %s %s>" % (self.name, self.mode.value, self.lock,
                                           _LOCK_NAME[self.edge], state)
@@ -372,7 +372,7 @@ class ConcurrentSet:
     def _lock(self, ctx: _AttemptCtx, tkey, st: SetStats, optag: str,
               lock: CondRwLock, mode: LockMode, cond, family: str,
               name: str, level: int, expected=_nullary, edge=0):
-        """One bounded acquisition of ``lock``'s state word (``edge`` 0) or
+        """One bounded acquisition of ``lock``'s state lock (``edge`` 0) or
         edge bit ``edge`` under ``cond(lock, expected, edge)``.
 
         Both forms make one attempt; the stepping form yields a LockPoint

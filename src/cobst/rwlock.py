@@ -1,38 +1,40 @@
-"""Conditional read-write locks on int words.
+"""Conditional read-write and edge locks in one int word.
 
-A lock object has two int words.  ``word`` is a read-write lock:
+A lock object has one int word, ``word``, which holds three locks:
 
-* ``0``      free
-* ``1``      held by a writer
-* ``2 * k``  held by ``k`` readers
+* bits 1 and 2   two exclusive edge locks, each held while set
+                 whatever mode is asked for
+* bit 4          a writer of the read-write state lock
+* ``8 * k``      ``k`` readers of the state lock
 
-``edges`` holds two exclusive locks, bits 1 and 2, each held while set
-whatever mode is asked for.  A ``tree_core.Node`` guards its
-state/deleted pair, the only lock with readers, with ``word`` and its
-left and right child edges with the bits.  A lock method's trailing
-``edge`` argument picks the lock: 0 for ``word``, else the bit.
+A ``tree_core.Node`` guards its state/deleted pair, the only lock with
+readers, with the state lock and its left and right child edges with
+the edge bits.  A lock method's trailing ``edge`` argument picks the
+lock: 0 for the state lock, else the bit.
 
-Acquisitions are compare-and-swap steps on a word (0 -> 1 for a write,
-even w -> w + 2 for a read, a clear bit set) and releases undo them.
-Each is one read-modify-write: the step branches on state word or edge
-bit and, for the word, on the mode, then reads the word by attribute,
-computes the new word and stores it, with no call, function entry or
-jump in between (a failed CAS stores the word back as it read it; a
-release checks the word it read after its store).  Where the set's
-plain twins paste a step, each lock site fixes both branches: its mode
-is a module constant, and its edge an item of a tuple of true bits or
-0, so the paste keeps one CAS and tests nothing about the lock's kind.  CPython 3.10 and later, with the GIL,
-switch threads only at such points, so nothing else runs between the
-read and the store; a test walks the bytecode of every such span, here
-and where the set's plain twins paste the steps.  It
-allows only locals, constants, ``+``, ``*``, ``&`` and ``not``, each
-its own opcode on 3.10, so ``3 - edge`` is computed before the read.
-An attempt fails only on a lock held in a mode that excludes it.
+Acquisitions are compare-and-swap steps on the word (a clear edge bit
+set, no state bits -> 4 for a write, no writer -> w + 8 for a read) and
+releases undo them (``w & (-1 - edge)``, ``w & -5``, ``w + -8``),
+leaving the other locks' bits as they were.  Each is one
+read-modify-write: the step picks what it tests and adds by edge and
+mode, then reads the word by attribute, computes the new word and
+stores it, with no call, function entry or jump in between (a failed
+CAS stores the word back as it read it; a release checks the word it
+read after its store).  Where the set's plain twins paste a step, each
+lock site fixes both choices: its mode is a module constant, and its
+edge an item of a tuple of true bits or 0, so the paste tests nothing
+about the lock's kind.  CPython 3.10 and later, with the GIL, switch
+threads only at such points, so nothing else runs between the read and
+the store; a test walks the bytecode of every such span, here and where
+the set's plain twins paste the steps.  It allows only locals,
+constants, ``+``, ``*``, ``&`` and ``not``, each its own opcode on
+3.10, so ``-1 - edge`` is computed before the read.  An attempt fails
+only on a lock held in a mode that excludes it.
 
 CPython 3.9 could switch almost anywhere and is not supported; a
 free-threaded build runs threads in parallel, so import fails there.
 
-On top of the words the lock offers conditional acquisition: a predicate
+On top of the word the lock offers conditional acquisition: a predicate
 is evaluated before and after the CAS, and the lock is released again
 if the second evaluation fails.  Callers use this to take a lock only
 while some observed field value still holds.  It is called as
@@ -109,18 +111,18 @@ class SpinPolicy:
 def unlock(self, mode: LockMode, edge: int = 0) -> None:
     """Release the lock ``edge`` of ``self``, held in ``mode``."""
     if edge:
-        keep = 3 - edge
-        w = self.edges
-        self.edges = w & keep
+        keep = -1 - edge
+        w = self.word
+        self.word = w & keep
         assert w & edge, "edge unlock without a held edge lock"
     elif mode is WRITE:
         w = self.word
-        self.word = w & -2
-        assert w == 1, "write unlock without a held write lock"
+        self.word = w & -5
+        assert w & -4 == 4, "write unlock without a held write lock"
     else:
         w = self.word
-        self.word = w + -2
-        assert w >= 2, "read unlock without a held read lock"
+        self.word = w + -8
+        assert w >= 8, "read unlock without a held read lock"
 
 
 def try_lock_with_condition(self, mode: LockMode, condition, expected=None,
@@ -138,16 +140,12 @@ def try_lock_with_condition(self, mode: LockMode, condition, expected=None,
     """
     out = CONDITION_VIOLATED
     if condition(self, expected, edge):
-        # a bit needs itself clear and sets it, a write needs 0 and adds 1,
-        # a read needs an even word and adds 2; a busy word is stored back
-        if edge:
-            busy = step = edge
-            w = self.edges
-            self.edges = w + step * (not w & busy)
-        else:
-            busy, step = (-1, 1) if mode is WRITE else (1, 2)
-            w = self.word
-            self.word = w + step * (not w & busy)
+        # an edge needs its bit clear and sets it, a write needs the state
+        # bits (4 and up) clear and adds 4, a read needs no writer (4) and
+        # adds 8; a busy word is stored back
+        busy, step = (edge, edge) if edge else (-4, 4) if mode is WRITE else (4, 8)
+        w = self.word
+        self.word = w + step * (not w & busy)
         if w & busy:
             out = CONTENDED
         elif condition(self, expected, edge):
@@ -158,15 +156,14 @@ def try_lock_with_condition(self, mode: LockMode, condition, expected=None,
 
 
 class CondRwLock:
-    """The state lock ``word`` and two exclusive edge locks, the bits of
-    ``edges``, with the lock protocol on them; ``edge`` picks one: 0 the
-    state word, 1 or 2 a bit."""
+    """The state lock and two exclusive edge locks in the bits of one
+    ``word``, with the lock protocol on them; ``edge`` picks one: 0 the
+    state lock, 1 or 2 an edge."""
 
-    __slots__ = ("word", "edges")
+    __slots__ = ("word",)
 
     def __init__(self):
         self.word = 0
-        self.edges = 0
 
     unlock = unlock
     try_lock_with_condition = try_lock_with_condition

@@ -65,9 +65,10 @@ def set_child(self, side: int, node) -> None:
 
 class Node(CondRwLock):
     """One tree node: the sequential tree's fields, of which only ``val``
-    never changes, and the two lock words it inherits from ``CondRwLock``:
-    ``word`` for the state/deleted pair, bits 1 and 2 of ``edges`` for the
-    left and right child edges; trace ids live in the set."""
+    never changes, and the lock word it inherits from ``CondRwLock``,
+    whose bits 1 and 2 lock the left and right child edges and the rest
+    the state/deleted pair; trace ids live in the set.  Six slots make
+    80 B, a block of pymalloc's 80-B size class."""
 
     __slots__ = ("val", "state", "left", "right", "deleted")
 
@@ -78,9 +79,8 @@ class Node(CondRwLock):
         self.right = None
         self.deleted = False
         self.word = 0
-        self.edges = 0
 
-    # the node, whose ``word`` is its state lock: ``benchmark/selftest.py``
+    # the node, whose ``word`` holds its state lock: ``benchmark/selftest.py``
     # passes ``root.state_lock`` as a lock to ``ConcurrentSet._lock``
     state_lock = property(lambda self: self)
 
@@ -140,7 +140,7 @@ class SequentialBst:
 
     This is the reference implementation: the concurrent set must be
     indistinguishable from it when driven by one thread.  It shares the
-    Node type (lock words included, unused here).
+    Node type (lock word included, unused here).
     """
 
     def __init__(self):
@@ -209,7 +209,7 @@ class StructureReport:
     problems: list[str] = field(default_factory=list)
     node_count: int = 0
     data_count: int = 0
-    held_locks: int = 0     # set state words and edge bits; ``ok`` ignores them
+    held_locks: int = 0     # held state locks and edge bits; ``ok`` ignores them
 
     @property
     def ok(self) -> bool:
@@ -230,8 +230,8 @@ def validate_structure(tree) -> StructureReport:
     no cycles); the value property holds with strict bounds; routing
     nodes have exactly two children; no reachable node is marked deleted
     or reclaimed (``left`` is ``POISON``); and no node of ``tree.unlinked``
-    is reachable.  The walk also counts, in ``held_locks``, the state words
-    and edge bits left set on reachable and unlinked nodes.
+    is reachable.  The walk also counts, in ``held_locks``, the state locks
+    and edge bits left held on reachable and unlinked nodes.
     """
     rep = StructureReport()
     root = tree.root
@@ -285,4 +285,4 @@ def validate_structure(tree) -> StructureReport:
 
 
 def _held(node) -> int:
-    return (node.edges & 1) + (node.edges >> 1 & 1) + (node.word != 0)
+    return (node.word & 1) + (node.word >> 1 & 1) + (node.word > 3)

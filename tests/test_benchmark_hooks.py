@@ -30,7 +30,7 @@ def test_tracer_patches_existing_names_and_restores_them(monkeypatch):
     # spans too; the first pause frees the bit
     held = []
     monkeypatch.setattr(SpinPolicy, "pause",
-                        staticmethod(lambda: setattr(held.pop(), "edges", 0)))
+                        staticmethod(lambda: setattr(held.pop(), "word", 0)))
     tracing = load_tracing()
     targets = [(owner, attr) for owner, attr, _, _ in tracing._TARGETS]
     missing = [(owner.__name__, attr) for owner, attr in targets
@@ -47,7 +47,7 @@ def test_tracer_patches_existing_names_and_restores_them(monkeypatch):
         s.contains(3)
         s.delete(3)
         held.append(s.root.left.right)      # 7, whose right edge 9 hangs on
-        s.root.left.right.edges = 2
+        s.root.left.right.word = 2
         assert s.insert(9) and held == []
         s.reclaimer.drain()
         # through the module, as the benchmark calls it
@@ -131,7 +131,7 @@ def traced_insert(s, key, stepped=False):
 
 def test_one_insert_traces_an_edge_word_and_a_state_word():
     """Each traced lock method records its span whichever lock it acts
-    on; an insert of a new leaf takes an edge bit and a state word.  The
+    on; an insert of a new leaf takes an edge bit and a state lock.  The
     stepped insert makes one attempt on each and releases both through
     the lock methods; the plain insert pastes those steps, so it traces
     no lock span at all under its own."""
@@ -154,9 +154,9 @@ def test_a_contended_lock_nests_its_retries_under_an_acquire_span(monkeypatch):
     s = ConcurrentSet()
     s.insert(5)
     parent = s.root.left
-    parent.edges = 1     # another writer holds the left edge
+    parent.word = 1     # another writer holds the left edge
     monkeypatch.setattr(SpinPolicy, "pause",
-                        staticmethod(lambda: setattr(parent, "edges", 0)))
+                        staticmethod(lambda: setattr(parent, "word", 0)))
     tr, seen = traced_insert(s, 3)
     assert seen == [("rwlock.attempt", 1), ("rwlock.acquire", 1)]
     for name, parent_span, n in (

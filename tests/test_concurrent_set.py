@@ -55,14 +55,14 @@ def try_lock_state(node, mode, expected_state):
 def test_edge_ref_acquires_on_match():
     _, parent, child, _ = two_level_tree()
     assert try_lock_edge_ref(parent, LEFT, child) is LockOutcome.ACQUIRED
-    assert parent.edges == 1
+    assert parent.word == 1
 
 
 def test_edge_ref_rejects_deleted_node():
     _, parent, child, _ = two_level_tree()
     parent.deleted = True
     assert try_lock_edge_ref(parent, LEFT, child) is LockOutcome.CONDITION_VIOLATED
-    assert parent.edges == 0
+    assert parent.word == 0
 
 
 def test_edge_ref_rejects_swung_child():
@@ -100,7 +100,7 @@ def test_edge_val_tolerates_node_replacement():
     _, parent, _, _ = two_level_tree()
     parent.left = Node(5)
     assert try_lock_edge_val(parent, LEFT, 5) is LockOutcome.ACQUIRED
-    assert parent.edges == 1
+    assert parent.word == 1
 
 
 def test_edge_val_rejects_null_child():
@@ -125,7 +125,7 @@ def test_edge_val_rejects_deleted_parent():
 def test_state_lock_write_on_expected_state():
     _, parent, _, _ = two_level_tree()
     assert try_lock_state(parent, LockMode.WRITE, DATA) is LockOutcome.ACQUIRED
-    assert parent.word == 1
+    assert parent.word == 4
 
 
 def test_state_lock_rejects_state_mismatch():
@@ -145,7 +145,7 @@ def test_state_lock_read_is_shared():
     _, parent, _, _ = two_level_tree()
     assert try_lock_state(parent, LockMode.READ, DATA) is LockOutcome.ACQUIRED
     assert try_lock_state(parent, LockMode.READ, DATA) is LockOutcome.ACQUIRED
-    assert parent.word == 4
+    assert parent.word == 16
     assert try_lock_state(parent, LockMode.WRITE, DATA) is LockOutcome.CONTENDED
 
 
@@ -153,8 +153,9 @@ def test_state_lock_read_is_shared():
 # -- the three locks of a node ---------------------------------------------------
 
 def words(node):
-    """The left and right edge bits and the state word."""
-    return node.edges & 1, node.edges >> 1, node.word
+    """The left and right edge bits and the state lock's bits shifted
+    down: 1 for a writer, 2 * k for k readers."""
+    return node.word & 1, node.word >> 1 & 1, node.word >> 2
 
 
 def test_a_nodes_three_words_are_independent():
@@ -164,18 +165,18 @@ def test_a_nodes_three_words_are_independent():
     attempt = n.try_lock_with_condition
     assert attempt(W, lambda *_: True, edge=1) is ok
     assert words(n) == (1, 0, 0)
-    # a held left bit blocks neither the right bit nor the state word
+    # a held left bit blocks neither the right bit nor the state lock
     assert attempt(W, lambda *_: True, edge=2) is ok
     assert attempt(R, lambda *_: True) is ok
     assert attempt(R, lambda *_: True) is ok
     assert words(n) == (1, 1, 4)
-    # the state word still shares READ and excludes WRITE
+    # the state lock still shares READ and excludes WRITE
     assert attempt(W, lambda *_: True) is LockOutcome.CONTENDED
     assert attempt(W, lambda *_: True, edge=1) is LockOutcome.CONTENDED
     assert words(n) == (1, 1, 4)
     n.unlock(R)
     n.unlock(R)
-    # with the state word free, the held left bit still excludes a writer,
+    # with the state lock free, the held left bit still excludes a writer,
     # and a reader too: an edge bit is exclusive whatever the mode
     assert attempt(W, lambda *_: True, edge=1) is LockOutcome.CONTENDED
     assert attempt(R, lambda *_: True, edge=1) is LockOutcome.CONTENDED
@@ -191,7 +192,7 @@ def test_a_nodes_three_words_are_independent():
 
 def test_a_lock_point_reads_the_word_it_names():
     n = Node(5)
-    n.edges = 1
+    n.word = 1          # the left edge
     always = lambda *_: True  # noqa: E731
     point = LockPoint("edge_ref", "x", n, LockMode.WRITE, always)
     assert point.edge == 0 and not point.would_block()
@@ -200,10 +201,10 @@ def test_a_lock_point_reads_the_word_it_names():
     assert not point._replace(edge=2).would_block()
     assert repr(point._replace(edge=1)).endswith(
         "<Node 5 D> left_word write-held>")
-    n.word = 4
+    n.word = 1 + 16     # and two readers
     assert repr(point).endswith("<Node 5 D> word 2 readers>")
     assert repr(point._replace(edge=2)).endswith("right_word free>")
-    n.edges = 2
+    n.word = 2 + 16     # the right edge instead
     assert not point._replace(edge=1).would_block()
     assert repr(point._replace(edge=2)).endswith("right_word write-held>")
 
@@ -220,7 +221,7 @@ def test_only_the_stepping_form_draws_node_ids():
     # the plain form records no trace, so its nodes need no id, and a
     # node has no slot for one: the set's ``ids`` map names them
     assert Node.__slots__ == ("val", "state", "left", "right", "deleted")
-    assert CondRwLock.__slots__ == ("word", "edges")
+    assert CondRwLock.__slots__ == ("word",)
     s = ConcurrentSet()
     assert s.insert(5) and s.ids[s.root.left] == -1
     assert dict(s.ids) == {s.root: 0}
@@ -433,7 +434,7 @@ def test_one_context_serves_every_attempt_of_an_update():
     s = ConcurrentSet()
     s.insert(10)
     parent = s.root.left
-    parent.word = 1
+    parent.word = 4     # a writer holds the parent's state
     gen = s.op_gen("insert", 5, "t")
     point = next(gen)
     while getattr(point, "name", None) != "insert.parent_state":
@@ -701,7 +702,7 @@ def busy_locks(s, but=None):
     while stack:
         node = stack.pop()
         busy += [(node, e) for e in (1, 2, 0)
-                 if (node.edges & e if e else node.word) and (node, e) != but]
+                 if (node.word & e if e else node.word >> 2) and (node, e) != but]
         stack += [c for c in (node.left, node.right) if c is not None]
     return busy
 
@@ -726,7 +727,7 @@ def test_plain_contended_abort_releases_before_backoff(monkeypatch):
     s.insert(10)
     parent = s.root.left
     s.hand_held = (parent, 0)
-    parent.word = 1   # a writer holds the parent's state
+    parent.word = 4   # a writer holds the parent's state
     before = s.stats_snapshot()
     assert s.insert(5) is True
     after = s.stats_snapshot()
@@ -739,12 +740,12 @@ def test_plain_contended_abort_releases_before_backoff(monkeypatch):
 def test_a_held_edge_word_ends_in_a_counted_restart(monkeypatch):
     pauses = []
     monkeypatch.setattr(SpinPolicy, "pause",
-                        staticmethod(lambda: pauses.append(parent.edges)))
+                        staticmethod(lambda: pauses.append(parent.word)))
     s = ChecksReleaseBeforeBackoff()
     s.insert(10)
     parent = s.root.left
     s.hand_held = (parent, 1)
-    parent.edges = 1   # a writer holds the edge the insert hangs 5 on
+    parent.word = 1   # a writer holds the edge the insert hangs 5 on
     before = s.stats_snapshot()
     assert s.insert(5) is True
     after = s.stats_snapshot()
@@ -802,7 +803,7 @@ def test_stepped_contended_abort_holds_nothing_at_the_next_traversal():
     s = ConcurrentSet()
     s.insert(10)
     parent = s.root.left
-    parent.word = 1
+    parent.word = 4     # a writer holds the parent's state
     gen = s.op_gen("insert", 5, "t")
     point = next(gen)
     while getattr(point, "name", None) != "insert.parent_state":

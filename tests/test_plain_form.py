@@ -139,7 +139,7 @@ def test_twin_traceback_points_into_the_generator_source(monkeypatch):
 
     monkeypatch.setattr(CondRwLock, "lock_with_spin", boom)
     s = ConcurrentSet()
-    s.root.edges = 1
+    s.root.word = 1     # the left edge
     with pytest.raises(RuntimeError) as info:
         s.insert(5)
     tb = traceback.extract_tb(info.value.__traceback__)[1:]   # from ``insert`` on
@@ -148,8 +148,8 @@ def test_twin_traceback_points_into_the_generator_source(monkeypatch):
         (cs.__file__, line_of("_op", "_insert_attempt(ctx")),
         (cs.__file__, line_of("_lock", "lock.lock_with_spin("))]
     # the insert's new node frees the edge bit it holds: its release fails
-    s.root.edges = 0
-    monkeypatch.setattr(cs, "Node", lambda v: setattr(s.root, "edges", 0))
+    s.root.word = 0
+    monkeypatch.setattr(cs, "Node", lambda v: setattr(s.root, "word", s.root.word & -2))
     with pytest.raises(AssertionError, match="edge unlock without") as info:
         s.insert(5)
     f = traceback.extract_tb(info.value.__traceback__)[-1]
@@ -189,7 +189,7 @@ def flat_tree() -> ConcurrentSet:
 
 def test_a_plain_update_runs_its_twin_and_one_attempt_frame():
     s = flat_tree()
-    # 25 hangs left of 30: 30's left edge bit, then 30's state word, each
+    # 25 hangs left of 30: 30's left edge bit, then 30's state lock, each
     # taken and released with no lock, condition or child-link call
     assert python_calls(s.insert, 25) == Counter({
         "insert": 1, "_insert_attempt_plain": 1, "__init__": 1})
@@ -211,17 +211,23 @@ def test_a_plain_update_runs_its_twin_and_one_attempt_frame():
 
 
 def test_each_pasted_lock_site_keeps_one_cas_and_tests_no_lock_kind():
-    """Each lock site fixes its mode and whether it locks the state word
-    or an edge bit, so its paste keeps one CAS branch: an attempt twin
-    reads ``word`` once per state-lock site and ``edges`` once per
-    edge-lock site, and tests no mode at run time, where ``WRITE is
-    WRITE`` would load two globals and compare them."""
+    """Each lock site fixes its mode and whether it locks the state or
+    an edge, so its paste keeps one CAS and picks what it tests and adds
+    by no test at run time: an attempt twin reads ``word`` once per lock
+    site, loads a state step's constant ``(busy, step)`` once per
+    state-lock site, never jumps on ``edge``, and tests no mode, where
+    ``WRITE is WRITE`` would load two globals and compare them."""
     compiled()
-    for twin, words, edges in (("_insert_attempt_plain", 2, 1),
-                               ("_delete_attempt_plain", 5, 5)):
+    for twin, sites, states in (("_insert_attempt_plain", 3, 2),
+                                ("_delete_attempt_plain", 10, 5)):
         ins = list(dis.get_instructions(getattr(ConcurrentSet, twin)))
         loads = Counter(i.argval for i in ins if i.opname == "LOAD_ATTR")
-        assert (loads["word"], loads["edges"]) == (words, edges), twin
+        steps = [i for i in ins if i.opname == "LOAD_CONST" and i.argval in ((-4, 4), (4, 8))]
+        assert (loads["word"], len(steps)) == (sites, states), twin
+        # 3.13's ``TO_BOOL`` and a far jump's ``EXTENDED_ARG`` come between
+        tested = [i for i in ins if i.opname not in ("TO_BOOL", "EXTENDED_ARG")]
+        assert not [a.offset for a, b in zip(tested, tested[1:])
+                    if a.argval == "edge" and "JUMP" in b.opname], twin
         assert not [c.offset for a, b, c in zip(ins, ins[1:], ins[2:])
                     if a.opname == b.opname == "LOAD_GLOBAL" and c.opname == "IS_OP"], twin
 
@@ -233,10 +239,10 @@ def test_one_held_edge_bit_adds_one_spin(monkeypatch):
     assert s.delete(25)
 
     def pause():   # frees the held bit
-        thirty.edges = 0
+        thirty.word &= -2
 
     monkeypatch.setattr(SpinPolicy, "pause", staticmethod(pause))
-    thirty.edges = 1
+    thirty.word = 1
     contended = python_calls(s.insert, 25)
     # the pasted try fails on the held bit; the spin's retry, after the
     # pause, is the one call of the lock step and checks its condition

@@ -1,6 +1,7 @@
 """Sequential tree semantics, structural validation, and the dump
 format."""
 
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -47,6 +48,15 @@ def test_validate_key_rejects_non_ints():
 
 
 # -- fresh tree -----------------------------------------------------------
+
+def test_a_node_fits_pymalloc_s_80_byte_size_class():
+    # pymalloc serves small objects from size classes 16 B apart, so an
+    # 88-B node, one slot more, would take a 96-B block: the six slots
+    # (five fields and the one lock word) and the GC header make 80 B
+    assert Node.__slots__ + CondRwLock.__slots__ == (
+        "val", "state", "left", "right", "deleted", "word")
+    assert sys.getsizeof(Node(1)) <= 80
+
 
 def test_fresh_tree_shape():
     bst = SequentialBst()
@@ -348,10 +358,10 @@ def test_validator_counts_held_lock_words_without_failing():
     bst.seq_insert(3)
     gone = bst.root.left.left
     bst.seq_delete(3)
-    bst.root.left.word = 1                  # reachable: write-held
-    gone.edges = 2                          # unlinked: its right edge held
+    bst.root.left.word = 4 + 1              # reachable: write-held, left edge held
+    gone.word = 2                           # unlinked: its right edge held
     rep = validate_structure(SimpleNamespace(root=bst.root, unlinked=[gone]))
-    assert rep.held_locks == 2
+    assert rep.held_locks == 3
     assert rep.ok, rep.problems
 
 
