@@ -20,7 +20,7 @@ import sys
 
 from .bench import CSV_HEADER, IMPLS, RANGE_PRESETS, WorkerError, WorkloadConfig, run_bench
 from .harness import ScheduleBlockedError, ScriptError, parse_script, run_script
-from .history import (HistoryTooLargeError, check_observable_correctness,
+from .history import (DEFAULT_MAX_OPS, HistoryTooLargeError, check_observable_correctness,
                       is_linearizable, parse_history)
 
 
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--history", required=True, metavar="FILE")
     c.add_argument("--initial", default="",
                    help="comma separated keys present before the history")
-    c.add_argument("--max-ops", type=int, default=24)
+    c.add_argument("--max-ops", type=int, default=DEFAULT_MAX_OPS)
 
     r = sub.add_parser("replay", help="run a schedule script deterministically")
     r.set_defaults(run=_cmd_replay)

@@ -88,7 +88,6 @@ __all__ = [
 # the operations, each a public method: ``_op``'s plain twin with ``op`` bound
 _OPS = ("contains", "insert", "delete")
 
-_get_ident = threading.get_ident   # one global read, not a global and an attribute
 _new = tuple.__new__   # builds a stepping record without a constructor frame
 
 # checkpoint kinds, as seen by the schedule harness
@@ -123,7 +122,6 @@ class LockPoint(NamedTuple):
     ``kind`` is a class attribute, the same for every attempt.
     """
 
-    family: str
     name: str
     lock: CondRwLock
     mode: LockMode
@@ -139,7 +137,7 @@ class LockPoint(NamedTuple):
         such attempts are never blocked, they fail fast with
         CONDITION_VIOLATED.
         """
-        _, _, lock, mode, cond, expected, edge = self
+        _, lock, mode, cond, expected, edge = self
         if not cond(lock, expected, edge):
             return False
         w = lock.word & edge if edge else lock.word >> 2
@@ -315,12 +313,15 @@ class ConcurrentSet:
 
     def op_gen(self, op: str, v, tkey=None):
         """The stepping form used by the schedule harness: a generator
-        that yields at every checkpoint.  ``tkey`` keys the logical
-        thread's stats only (default: the real thread id); a caller that
-        steps it by hand pins ``reclaimer`` itself, as the harness does."""
+        that yields at every checkpoint.  One real thread at a time steps
+        a set's stepping form, as ``ids``, ``trace`` and ``reclaimer`` need
+        it to; logical threads interleave only by checkpoint.  ``tkey``
+        keys ``attempts`` only (an omitted key is None there); a caller
+        that steps it by hand pins ``reclaimer`` itself, as the harness
+        does."""
         if op not in _OPS:
             raise ValueError("unknown operation %r" % (op,))
-        return self._op(op, v, _get_ident() if tkey is None else tkey)
+        return self._op(op, v, tkey)
 
     @staticmethod
     def _drain(gen) -> OpOutcome:
@@ -397,7 +398,7 @@ class ConcurrentSet:
             self.attempts[ctx.tkey] = ctx
             if expected is _nullary:
                 cond, expected = _nullary, cond
-            yield _new(LockPoint, (family, name, lock, mode, cond, expected, edge))
+            yield _new(LockPoint, (name, lock, mode, cond, expected, edge))
             out = lock.try_lock_with_condition(mode, cond, expected, edge)
         else:
             out = try_lock_with_condition(lock, mode, cond, expected, edge)

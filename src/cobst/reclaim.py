@@ -9,6 +9,11 @@ global epoch has advanced twice past it, which implies every operation
 that could have seen the node has finished.  An ``unpin`` while a node
 waits advances the epoch if every pinned thread has caught up with it.
 
+The reclaimer is single-threaded and takes no lock.  Only the stepping
+form retires, and one real thread at a time steps it (see
+``ConcurrentSet.op_gen``), so no two of ``pin``, ``unpin``, ``retire``
+and ``try_advance`` ever run at once.
+
 Reclaiming a node poisons its child pointers, which is its only mark,
 so any buggy late access blows up loudly instead of silently wandering
 through freed structure.  Memory is freed once the last reference
@@ -16,8 +21,6 @@ drops; real-thread operations neither pin nor retire and rely on that.
 """
 
 from __future__ import annotations
-
-import threading
 
 __all__ = ["EpochReclaimer", "POISON"]
 
@@ -38,7 +41,6 @@ class EpochReclaimer:
         self.epoch = 0
         self._pins: dict = {}          # thread key -> epoch pinned at
         self._buckets: dict = {}       # retirement epoch -> [nodes]
-        self._advance_guard = threading.Lock()
         self.reclaimed_count = 0
 
     # -- per-operation protocol -----------------------------------------
@@ -64,32 +66,18 @@ class EpochReclaimer:
     # -- epoch machinery --------------------------------------------------
 
     def try_advance(self) -> bool:
-        """Advance the epoch if every pinned thread has caught up.
-
-        Non-blocking: if another thread is mid-advance we just skip; the
-        next ``unpin`` tries again.
-        """
-        if not self._advance_guard.acquire(blocking=False):
+        """Advance the epoch if every pinned thread has caught up, then
+        reclaim each bucket at least ``_GRACE`` epochs old; False if a pin
+        lags, and the next ``unpin`` tries again."""
+        e = self.epoch
+        if any(p != e for p in self._pins.values()):
             return False
-        try:
-            e = self.epoch
-            # list() snapshots concurrently mutating pins; a pin that
-            # appears mid-check pinned at e or later, never earlier
-            if any(p != e for p in list(self._pins.values())):
-                return False
-            self.epoch = e + 1
-            self._sweep()
-            return True
-        finally:
-            self._advance_guard.release()
-
-    def _sweep(self) -> None:
-        horizon = self.epoch - _GRACE
-        # list() snapshots the keys: a retire on another thread may add
-        # the bucket of the epoch just entered while the filter runs
-        for ep in [ep for ep in list(self._buckets) if ep <= horizon]:
+        self.epoch = e + 1
+        horizon = e + 1 - _GRACE
+        for ep in [ep for ep in self._buckets if ep <= horizon]:
             for node in self._buckets.pop(ep):
                 self._reclaim(node)
+        return True
 
     def _reclaim(self, node) -> None:
         node.left = node.right = POISON

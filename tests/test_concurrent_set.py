@@ -194,7 +194,7 @@ def test_a_lock_point_reads_the_word_it_names():
     n = Node(5)
     n.word = 1          # the left edge
     always = lambda *_: True  # noqa: E731
-    point = LockPoint("edge_ref", "x", n, LockMode.WRITE, always)
+    point = LockPoint("x", n, LockMode.WRITE, always)
     assert point.edge == 0 and not point.would_block()
     assert point._replace(edge=1).would_block()
     assert point._replace(edge=1, mode=LockMode.READ).would_block()
@@ -559,35 +559,6 @@ def test_epoch_advances_only_when_pins_caught_up():
     assert not r.try_advance()          # now t1 lags one epoch behind
     r.unpin("t1")
     assert r.try_advance()
-
-
-def test_sweep_survives_a_retire_into_the_new_epoch():
-    # The sweep filters the buckets right after the epoch advanced; a
-    # delete on another thread may retire a node at that moment, adding
-    # the new epoch's bucket.  The retire is injected deterministically
-    # from the filter's own comparison.
-    r = EpochReclaimer()
-    late = Node(7)
-    late.deleted = True
-    injected = []
-
-    class Epoch(int):
-        def __le__(self, other):
-            if not injected:            # once, on the first comparison
-                injected.append(late)
-                r.retire(late)
-            return int(self) <= other
-
-    r.epoch = Epoch(0)
-    old = Node(5)
-    old.deleted = True
-    r.retire(old)                       # bucket keyed by Epoch(0)
-    r.epoch = 2                         # bucket 0 is now old enough
-    assert r.try_advance()              # sweeps at epoch 3, horizon 1
-    assert old.left is POISON and late.left is None
-    assert injected == [late]
-    assert r.reclaimed_count == 1
-    assert r.pending() == 1             # the late node waits in bucket 3
 
 
 # -- the stepping form ------------------------------------------------------------

@@ -559,6 +559,32 @@ def test_a_lock_left_held_fails_replay_and_exploration(monkeypatch, tmp_path,
     assert "locks left held: 1" in capsys.readouterr().out
 
 
+def _flips_contains(gen):
+    out = yield from gen
+    return out._replace(result=not out.result) if out.op == "contains" else out
+
+
+class LyingSet(ConcurrentSet):
+    """Reports the opposite of what each stepped ``contains`` read, with
+    a sound tree and trace: only the history shows it."""
+
+    def op_gen(self, op, v, tkey=None):
+        return _flips_contains(super().op_gen(op, v, tkey))
+
+
+def test_a_wrong_result_fails_replay_and_exploration(monkeypatch, tmp_path,
+                                                     capsys):
+    monkeypatch.setattr(harness, "ConcurrentSet", LyingSet)
+    ex = explore_small([1], {0: [("contains", 1)]})
+    assert not ex.ok and not ex.obs_failures and not ex.structure_failures
+    assert [msg.startswith("NOT LINEARIZABLE") for _, msg in ex.lin_failures] == [True]
+    p = tmp_path / "one.script"
+    p.write_text("setup: 1\nthread 0: contains(1)\n")
+    assert main(["replay", "--script", str(p), "--kv"]) == 1
+    out = capsys.readouterr().out
+    assert "NOT LINEARIZABLE" in out and "structure=ok" in out
+
+
 class DemotesWithoutRecheck(ConcurrentSet):
     """Demotes a node with two children without re-reading them under
     the state lock."""

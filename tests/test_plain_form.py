@@ -350,6 +350,18 @@ def test_an_op_that_reads_tkey_in_plain_code_is_refused():
         type("ReadsTkey", (ConcurrentSet,), {"_op": _reads_tkey})
 
 
+def _yields_unguarded(self, node):   # nothing pastes it, so it gets a twin
+    yield W_DEL_DEMOTE   # outside ``if self._instr:``
+    return node.state
+
+
+def test_a_yield_left_after_folding_is_refused():
+    line = _yields_unguarded.__code__.co_firstlineno + 1
+    with pytest.raises(TypeError, match=r"YieldsUnguarded\._yields_unguarded: "
+                                        r"yield left at line %d after folding" % line):
+        type("YieldsUnguarded", (ConcurrentSet,), {"_yields_unguarded": _yields_unguarded})
+
+
 def _positional_only(a, /, b):
     return a - b
 

@@ -352,6 +352,19 @@ def test_validator_flags_wrong_root():
     assert any("sentinel" in p for p in rep.problems)
 
 
+@pytest.mark.parametrize("where,field,value,msg", [
+    ("root", "state", ROUTING, "root is not a DATA node"),
+    ("root", "deleted", True, "root is marked deleted"),
+    ("leaf", "state", "X", "<Node 5 R> has unknown state 'X'"),
+])
+def test_validator_flags_a_bad_state_field(where, field, value, msg):
+    bst = SequentialBst()
+    bst.seq_insert(5)
+    setattr(bst.root if where == "root" else bst.root.left, field, value)
+    rep = validate_structure(bst)
+    assert any(msg in p for p in rep.problems), rep.problems
+
+
 def test_validator_counts_held_lock_words_without_failing():
     bst = SequentialBst()
     bst.seq_insert(5)
