@@ -58,7 +58,7 @@ curr.val`` first and ``curr.val < v`` second, so a left step costs one
 comparison and only the node holding ``v`` pays two; ``val`` never
 changes, so reading it twice needs no checkpoint.  It rotates three
 slots, so no step copies a parent.
-The counters are one ``SetStats`` per set, which every thread bumps by a
+The counters are attributes of the set, which every thread bumps by a
 straight-line ``+=``: with the GIL no increment is lost, for the reason
 no lock word's step is, so an operation reads no thread id.  A plain
 update counts its acquisitions once an attempt, at the release.
@@ -80,7 +80,7 @@ from .tree_core import (DATA, LEFT, MIN_KEY, PLUS_INF, RIGHT, ROUTING, Node,
                         child, set_child, snapshot_keys, validate_key)
 
 __all__ = [
-    "ConcurrentSet", "OpOutcome", "SetStats",
+    "ConcurrentSet", "OpOutcome",
     "Site", "LockPoint",
     "K_READ", "K_WRITE", "K_LOCK", "K_CREATE",
 ]
@@ -218,26 +218,7 @@ def _nullary(lock, cond, edge) -> bool:   # ``cond()``, passed as the expected v
 
 
 _EDGE_BIT = (1, 2)                          # a node's edge lock, by side
-_LOCK_NAME = ("word", "left_word", "right_word")    # a lock in reprs, by edge
-
-
-class SetStats:
-    """A set's counters, shared by its threads.  Each is bumped by a ``+=``
-    with no call, jump or function entry between its read and its store,
-    where the GIL never passes, so no increment is lost."""
-
-    __slots__ = ("ops", "restarts", "acquisitions", "cond_violations",
-                 "contended_aborts")
-
-    def __init__(self):
-        self.ops = {"contains": 0, "insert": 0, "delete": 0}   # completed
-        self.restarts = 0
-        # successful lock acquisitions attributed to the operation type;
-        # the contains column staying at zero is the wait-free-read
-        # evidence the tests assert on
-        self.acquisitions = {"contains": 0, "insert": 0, "delete": 0}
-        self.cond_violations = defaultdict(int)    # lock family -> count
-        self.contended_aborts = defaultdict(int)   # lock family -> count
+_LOCK_NAME = ("state lock", "left edge lock", "right edge lock")   # in reprs, by edge
 
 
 class OpOutcome(NamedTuple):
@@ -294,7 +275,15 @@ class ConcurrentSet:
         self.root = Node(PLUS_INF)
         self.ids = _NodeIds({self.root: 0})
         self.reclaimer = EpochReclaimer()
-        self._stats = SetStats()
+        # the counters, which every thread bumps (see the module docstring)
+        self.ops = {"contains": 0, "insert": 0, "delete": 0}   # completed
+        self.restarts = 0
+        # successful lock acquisitions attributed to the operation type;
+        # the contains column staying at zero is the wait-free-read
+        # evidence the tests assert on
+        self.acquisitions = {"contains": 0, "insert": 0, "delete": 0}
+        self.cond_violations = defaultdict(int)    # lock family -> count
+        self.contended_aborts = defaultdict(int)   # lock family -> count
         self.trace: list = []
         self.unlinked: list[Node] = []
         self.attempts: dict = {}
@@ -341,22 +330,21 @@ class ConcurrentSet:
         operations run: each counter is then copied once during the call,
         so counts may differ by the operations in flight but never fall
         from call to call."""
-        st = self._stats
-        ops = dict(st.ops)
+        ops = dict(self.ops)
         return {
             "completed": sum(ops.values()),
-            "restarts": st.restarts,
+            "restarts": self.restarts,
             "ops": ops,
-            "acquisitions": dict(st.acquisitions),
-            "cond_violations": {k: n for k, n in dict(st.cond_violations).items() if n},
-            "contended_aborts": {k: n for k, n in dict(st.contended_aborts).items() if n},
+            "acquisitions": dict(self.acquisitions),
+            "cond_violations": {k: n for k, n in dict(self.cond_violations).items() if n},
+            "contended_aborts": {k: n for k, n in dict(self.contended_aborts).items() if n},
         }
 
     # -- internals ---------------------------------------------------------
 
-    def _thread_stats(self, tkey) -> SetStats:
-        """The counters that thread ``tkey`` bumps: the set's, as every thread's."""
-        return self._stats
+    def _thread_stats(self, tkey) -> ConcurrentSet:
+        """What holds the counters that thread ``tkey`` bumps: the set."""
+        return self
 
     def _backoff(self, n: int) -> None:
         """Sleep a random, exponentially growing amount after the n-th
@@ -370,7 +358,7 @@ class ConcurrentSet:
             lock, mode, edge = ctx.pop()
             lock.unlock(mode, edge)
 
-    def _lock(self, ctx: _AttemptCtx, tkey, st: SetStats, optag: str,
+    def _lock(self, ctx: _AttemptCtx, tkey, st: ConcurrentSet, optag: str,
               lock: CondRwLock, mode: LockMode, cond, family: str,
               name: str, level: int, expected=_nullary, edge=0):
         """One bounded acquisition of ``lock``'s state lock (``edge`` 0) or
@@ -384,11 +372,12 @@ class ConcurrentSet:
         on ``ctx``, which ``_op`` owns and releases; the stepping form
         counts it under ``optag`` here, the plain ``_op`` counts all of an
         attempt's at the release.  Any other outcome is counted and raises
-        ``Restart``.  The body has no ``return``, so the
-        plain form pastes it into every caller.  ``tkey`` is not read (the
-        attempts pass None, and the stepping form records ``ctx`` under
-        ``ctx.tkey``); it and a ``cond()`` without ``expected`` keep the
-        ten-argument call of ``benchmark/selftest.py``.
+        ``Restart``, all on ``st``, which the attempts pass as the set.  The
+        body has no ``return``, so the plain form pastes it into every
+        caller.  ``tkey`` is not read (the attempts pass None, and the
+        stepping form records ``ctx`` under ``ctx.tkey``); it, ``st`` and a
+        ``cond()`` without ``expected`` keep the ten-argument call of
+        ``benchmark/selftest.py``.
         """
         if self._instr:
             assert ctx.last_level is None or level <= ctx.last_level, \
@@ -474,14 +463,13 @@ class ConcurrentSet:
     def _op(self, op, v, tkey):
         """Run ``op`` on ``v``: the wait-free read (the descent, then one
         state read) or the restart loop of an update (no epoch pin: a
-        stepping caller pins), counted in the set's ``SetStats`` once it
+        stepping caller pins), counted in the set's ``ops`` once it
         completes.  The stepping form returns an ``OpOutcome``, the plain
         twins, the public methods, the bare result; only the stepping form
         reads ``tkey``, the logical thread under which ``attempts`` records
         what the update holds."""
         if not (type(v) is int and MIN_KEY <= v < PLUS_INF):
             validate_key(v)   # int subclasses pass; anything else raises
-        st = self._stats
         if op == "contains":
             if self._instr:
                 restarts = 0   # for the ``OpOutcome``; the plain twin reads none
@@ -501,34 +489,34 @@ class ConcurrentSet:
                     ctx.last_level = None
                 try:
                     if op == "insert":
-                        result = yield from self._insert_attempt(ctx, st, v)
+                        result = yield from self._insert_attempt(ctx, v)
                     else:
-                        result = yield from self._delete_attempt(ctx, st, v)
+                        result = yield from self._delete_attempt(ctx, v)
                     break
                 except Restart:
                     restarts += 1
-                    st.restarts += 1
+                    self.restarts += 1
                 finally:   # ``ctx`` is empty if the attempt took no lock
                     if self._instr:
                         if ctx:
                             self._release_all(ctx)
                     else:   # one count an attempt; ``len`` is a call, so
                         n = len(ctx)   # it is read before the ``+=``
-                        st.acquisitions[op] += n
+                        self.acquisitions[op] += n
                         while ctx:
                             lock, mode, edge = ctx.pop()
                             unlock(lock, mode, edge)
                 if self._instr:
                     continue   # stepped: the schedule picks who runs next
                 self._backoff(restarts)
-        st.ops[op] += 1
+        self.ops[op] += 1
         if self._instr:
             return _new(OpOutcome, (op, v, result, restarts))
         return result
 
     # -- insert ------------------------------------------------------------
 
-    def _insert_attempt(self, ctx, st, v):
+    def _insert_attempt(self, ctx, v):
         gprev, prev, curr = yield from self._traverse(v)
         if curr is not None:
             if self._instr:
@@ -540,7 +528,7 @@ class ConcurrentSet:
                 return False
             # routing node holds the key structurally: claim it
             yield from self._lock(
-                ctx, None, st, "insert", curr, WRITE, _state_is,
+                ctx, None, self, "insert", curr, WRITE, _state_is,
                 "state", "insert.promote_state", 0, ROUTING)
             if self._instr:
                 yield W_INS_PROMOTE
@@ -551,12 +539,12 @@ class ConcurrentSet:
         # still being empty and prev still being live
         side = LEFT if v < prev.val else RIGHT
         yield from self._lock(
-            ctx, None, st, "insert", prev, WRITE, _edge_is, "edge_ref",
+            ctx, None, self, "insert", prev, WRITE, _edge_is, "edge_ref",
             "insert.edge", 0, None, _EDGE_BIT[side])
         # shared hold on prev's state: blocks a concurrent demotion or
         # deletion of prev between our deleted re-check and the link
         yield from self._lock(
-            ctx, None, st, "insert", prev, READ,
+            ctx, None, self, "insert", prev, READ,
             _always, "state_plain", "insert.parent_state", -1, None)
         if prev.deleted:   # fresh read under the lock
             raise Restart
@@ -573,7 +561,7 @@ class ConcurrentSet:
 
     # -- delete ------------------------------------------------------------
 
-    def _delete_attempt(self, ctx, st, v):
+    def _delete_attempt(self, ctx, v):
         gprev, prev, curr = yield from self._traverse(v)
         if curr is None:
             return False
@@ -589,19 +577,19 @@ class ConcurrentSet:
         right = curr.right
 
         if left is not None and right is not None:
-            return (yield from self._delete_two_children(ctx, st, curr))
+            return (yield from self._delete_two_children(ctx, curr))
         if left is not None or right is not None:
             lone = left if left is not None else right
             return (yield from self._delete_one_child(
-                ctx, st, v, prev, curr, lone,
+                ctx, v, prev, curr, lone,
                 LEFT if left is not None else RIGHT))
-        return (yield from self._delete_leaf(ctx, st, v, gprev, prev))
+        return (yield from self._delete_leaf(ctx, v, gprev, prev))
 
-    def _delete_two_children(self, ctx, st, curr):
+    def _delete_two_children(self, ctx, curr):
         """Both children present: the node only loses its membership and
         stays as routing structure."""
         yield from self._lock(
-            ctx, None, st, "delete", curr, WRITE, _state_is,
+            ctx, None, self, "delete", curr, WRITE, _state_is,
             "state", "delete.demote_state", 0, DATA)
         # the state lock keeps leaf deletions below us out, but a child
         # may have been spliced away before we got the lock; re-check
@@ -613,7 +601,7 @@ class ConcurrentSet:
         curr.state = ROUTING
         return True
 
-    def _delete_one_child(self, ctx, st, v, prev, curr, lone, lone_side):
+    def _delete_one_child(self, ctx, v, prev, curr, lone, lone_side):
         """Exactly one child: splice it up into our parent's slot.
 
         Lock order is strictly deeper-first: the edge below curr, the
@@ -621,13 +609,13 @@ class ConcurrentSet:
         """
         side = LEFT if v < prev.val else RIGHT
         yield from self._lock(
-            ctx, None, st, "delete", curr, WRITE, _edge_is,
+            ctx, None, self, "delete", curr, WRITE, _edge_is,
             "edge_ref", "delete.splice_child_edge", 1, lone, _EDGE_BIT[lone_side])
         yield from self._lock(
-            ctx, None, st, "delete", prev, WRITE, _edge_is, "edge_ref",
+            ctx, None, self, "delete", prev, WRITE, _edge_is, "edge_ref",
             "delete.splice_parent_edge", 0, curr, _EDGE_BIT[side])
         yield from self._lock(
-            ctx, None, st, "delete", curr, WRITE, _state_is,
+            ctx, None, self, "delete", curr, WRITE, _state_is,
             "state", "delete.splice_state", 0, DATA)
         # fresh re-check that curr still has exactly this one child: the
         # other slot may have been filled by an insert before our state
@@ -647,7 +635,7 @@ class ConcurrentSet:
         set_child(prev, side, lone)
         return True
 
-    def _delete_leaf(self, ctx, st, v, gprev, prev):
+    def _delete_leaf(self, ctx, v, gprev, prev):
         """A leaf: under a DATA parent just empty the parent's slot; under
         a ROUTING parent the parent must go too, or it would be left with
         a single child, so the sibling moves up into the grandparent's
@@ -668,17 +656,17 @@ class ConcurrentSet:
                 yield S_DEL_SIBLING
             sibling = prev.right if side == LEFT else prev.left
         yield from self._lock(
-            ctx, None, st, "delete", prev, WRITE, _edge_holds, "edge_val",
+            ctx, None, self, "delete", prev, WRITE, _edge_holds, "edge_val",
             "delete.pair_edge" if pair else "delete.leaf_edge", 0, v, _EDGE_BIT[side])
         curr = child(prev, side)   # fresh: the locked occupant, maybe a twin
         yield from self._lock(
-            ctx, None, st, "delete", curr, WRITE, _state_is, "state",
+            ctx, None, self, "delete", curr, WRITE, _state_is, "state",
             "delete.pair_state" if pair else "delete.leaf_state", 0, DATA)
         if curr.left is not None or curr.right is not None:
             raise Restart     # grew children since the traversal
         if not pair:
             yield from self._lock(
-                ctx, None, st, "delete", prev, READ, _state_is,
+                ctx, None, self, "delete", prev, READ, _state_is,
                 "state", "delete.leaf_parent_state", -1, DATA)
             if self._instr:
                 yield W_DEL_MARK
@@ -693,13 +681,13 @@ class ConcurrentSet:
             return True
         pside = LEFT if prev.val < gprev.val else RIGHT
         yield from self._lock(
-            ctx, None, st, "delete", prev, WRITE, _edge_is, "edge_ref",
+            ctx, None, self, "delete", prev, WRITE, _edge_is, "edge_ref",
             "delete.pair_sibling_edge", 0, sibling, _EDGE_BIT[sside])
         yield from self._lock(
-            ctx, None, st, "delete", gprev, WRITE, _edge_is, "edge_ref",
+            ctx, None, self, "delete", gprev, WRITE, _edge_is, "edge_ref",
             "delete.pair_parent_edge", -1, prev, _EDGE_BIT[pside])
         yield from self._lock(
-            ctx, None, st, "delete", prev, WRITE, _state_is,
+            ctx, None, self, "delete", prev, WRITE, _state_is,
             "state", "delete.pair_parent_state", -1, ROUTING)
         if self._instr:
             yield W_DEL_MARK_PARENT

@@ -451,11 +451,10 @@ def explore_small(setup, programs) -> ExplorationReport:
 
     The state space is walked depth-first by deterministic replay.  At
     every point where more than one unblocked thread could go next, a
-    run records its grant count, the number of such threads, the index
-    of the one that went and the forced-grant count.  The next run
-    grants the last run's schedule up to the deepest point with an
-    untried alternative by thread id alone, restores the forced-grant
-    count and takes that alternative.  Histories and traces
+    run records its grant count, the number of such threads and the
+    index of the one that went.  The next run grants the last run's
+    schedule up to the deepest point with an untried alternative by
+    thread id alone and takes that alternative.  Histories and traces
     repeat heavily across interleavings, so they are deduplicated before
     the (comparatively expensive) linearizability and trace checks.
 
@@ -477,13 +476,13 @@ def explore_small(setup, programs) -> ExplorationReport:
     seen_histories: set = set()
     seen_traces: set = set()
     acquired = rep.acquisitions_by_op = dict.fromkeys(("contains", "insert", "delete"), 0)
-    decisions = []   # (grant index, runnable count, chosen index, forced count)
+    decisions = []   # (grant index, runnable count, chosen index)
     realized, nxt = [], 0
     while True:
         run = _Run(script)
         workers, grant = run.workers, run.grant
         if decisions:   # replay the last run up to its branch point
-            g, _, chosen, run._forced = decisions.pop()
+            g, _, chosen = decisions.pop()
             nxt = chosen + 1
             for tid in realized[:g]:
                 grant(workers[tid])
@@ -491,7 +490,7 @@ def explore_small(setup, programs) -> ExplorationReport:
             runnable = [w for w in workers.values() if (p := w.pending)
                         is not None and (p.kind != K_LOCK or not p.would_block())]
             if len(runnable) > 1:
-                decisions.append((len(run.realized), len(runnable), nxt, run._forced))
+                decisions.append((len(run.realized), len(runnable), nxt))
                 w = runnable[nxt]
                 nxt = 0
             elif runnable:
@@ -509,7 +508,7 @@ def explore_small(setup, programs) -> ExplorationReport:
                 rep.checkpoint_coverage.add((point.kind, point.name))
 
         rep.interleavings += 1
-        for op, n in run.set._stats.acquisitions.items():
+        for op, n in run.set.acquisitions.items():
             acquired[op] += n
         if rep.interleavings > _EXPLORE_BOUND:
             raise ExplorationBoundError(

@@ -216,11 +216,11 @@ class RestartsEachInsertOnce(ConcurrentSet):
         super().__init__()
         self.last_ctx = {}   # thread -> the ``ctx`` of its last insert attempt
 
-    def _insert_attempt(self, ctx, st, v):
+    def _insert_attempt(self, ctx, v):
         if self.last_ctx.get(threading.get_ident()) is not ctx:
             self.last_ctx[threading.get_ident()] = ctx
             raise Restart
-        return (yield from self._base_insert_attempt(ctx, st, v))
+        return (yield from self._base_insert_attempt(ctx, v))
 
 
 def test_restarts_are_the_sets_own(monkeypatch):

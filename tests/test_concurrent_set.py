@@ -200,13 +200,13 @@ def test_a_lock_point_reads_the_word_it_names():
     assert point._replace(edge=1, mode=LockMode.READ).would_block()
     assert not point._replace(edge=2).would_block()
     assert repr(point._replace(edge=1)).endswith(
-        "<Node 5 D> left_word write-held>")
+        "<Node 5 D> left edge lock write-held>")
     n.word = 1 + 16     # and two readers
-    assert repr(point).endswith("<Node 5 D> word 2 readers>")
-    assert repr(point._replace(edge=2)).endswith("right_word free>")
+    assert repr(point).endswith("<Node 5 D> state lock 2 readers>")
+    assert repr(point._replace(edge=2)).endswith("right edge lock free>")
     n.word = 2 + 16     # the right edge instead
     assert not point._replace(edge=1).would_block()
-    assert repr(point._replace(edge=2)).endswith("right_word write-held>")
+    assert repr(point._replace(edge=2)).endswith("right edge lock write-held>")
 
 
 def test_a_node_refers_to_no_lock_object():
@@ -470,7 +470,7 @@ def test_stats_count_every_logical_thread_in_one_set():
     for op, k, tkey in (("insert", 1, "a"), ("insert", 2, "b"),
                         ("delete", 1, "b")):
         s._drain(s.op_gen(op, k, tkey))
-    assert s._thread_stats("a") is s._thread_stats("b") is s._stats
+    assert s._thread_stats("a") is s._thread_stats("b") is s
     snap = s.stats_snapshot()
     assert snap["completed"] == 3
     assert snap["ops"] == {"contains": 0, "insert": 2, "delete": 1}

@@ -14,8 +14,8 @@ import pytest
 
 from cobst import harness
 from cobst.cli import main
-from cobst.concurrent_set import (K_LOCK, W_DEL_DEMOTE, WRITE, ConcurrentSet,
-                                  _state_is)
+from cobst.concurrent_set import (K_LOCK, S_INS_STATE, W_DEL_DEMOTE, WRITE,
+                                  ConcurrentSet, _state_is)
 from cobst.harness import (SETUP_THREAD, ExplorationBoundError, ScheduleBlockedError,
                            ScheduleScript, ScriptError, emit_script, explore_small,
                            parse_script, run_script)
@@ -224,6 +224,21 @@ def test_reassign_stops_stepping_once_every_thread_finished(monkeypatch):
     assert finished   # the schedules did run past their threads' ends
 
 
+class RefusesInserts(ConcurrentSet):
+    """Mutant: every insert finds its key present."""
+
+    def _insert_attempt(self, ctx, v):
+        if self._instr:
+            yield S_INS_STATE
+        return False
+
+
+def test_a_setup_insert_that_returns_false_is_a_script_error(monkeypatch):
+    monkeypatch.setattr(harness, "ConcurrentSet", RefusesInserts)
+    with pytest.raises(ScriptError, match=r"setup insert\(4\) returned false"):
+        run_script(ScheduleScript(setup=[4], programs={0: [("contains", 4)]}))
+
+
 def test_bad_on_blocked_value():
     with pytest.raises(ValueError):
         run_script(script_parallel_inserts(), on_blocked="panic")
@@ -246,7 +261,7 @@ def test_scripted_step_into_contention_raises_and_names_holder():
         run_script(blocked_script())
     assert "thread 1 waits on" in ei.value.chain
     assert "held by thread 0" in ei.value.chain
-    assert "left_word write-held>" in ei.value.chain     # the word's state
+    assert "left edge lock write-held>" in ei.value.chain   # the lock's state
 
 
 def test_reassign_hands_the_grant_to_the_runnable_thread():
@@ -589,9 +604,9 @@ class DemotesWithoutRecheck(ConcurrentSet):
     """Demotes a node with two children without re-reading them under
     the state lock."""
 
-    def _delete_two_children(self, ctx, st, curr):
+    def _delete_two_children(self, ctx, curr):
         yield from self._lock(
-            ctx, ctx.tkey, st, "delete", curr, WRITE, _state_is,
+            ctx, ctx.tkey, self, "delete", curr, WRITE, _state_is,
             "state", "delete.demote_state", 0, DATA)
         if self._instr:
             yield W_DEL_DEMOTE
@@ -615,6 +630,19 @@ def test_exploration_refuses_oversized_scenarios():
     with pytest.raises(ExplorationBoundError, match="exceeds the bound"):
         explore_small([2], {0: [("insert", 1)], 1: [("insert", 3)],
                             2: [("contains", 2)], 3: [("contains", 1)]})
+    # a stand-off, every thread blocked, needs two pair-deletes under one
+    # routing parent; the smallest such scenario is refused, so no
+    # exploration reaches a forced grant
+    with pytest.raises(ExplorationBoundError, match="estimated 129024480 interleavings"):
+        explore_small([4, 2, 6], {0: [("delete", 4), ("delete", 6)], 1: [("delete", 2)]})
+
+
+def test_exploration_past_the_bound_in_actual_interleavings_stops(monkeypatch):
+    # estimated 6 006 interleavings, 6 026 actual: restarts add some
+    monkeypatch.setattr(harness, "_EXPLORE_BOUND", 6_010)
+    with pytest.raises(ExplorationBoundError,
+                       match="actual interleavings exceeded the bound 6010"):
+        explore_small([5], {0: [("insert", 5)], 1: [("delete", 5)], 2: [("contains", 5)]})
 
 
 # -- the loops against their former versions ------------------------------------
@@ -688,11 +716,12 @@ def _first_free_or_forced(run):
 def test_a_replayed_prefix_with_its_forced_count_continues_as_recorded(
         monkeypatch):
     # exploration grants the last run's prefix by thread id, with no call to
-    # forced(), and restores the forced-grant count.  No scenario under the
-    # exploration bound blocks every thread: a routing parent takes one
+    # forced(), and leaves the forced-grant count at 0.  No scenario under
+    # the exploration bound blocks every thread: a routing parent takes one
     # delete, its sibling leaves two more, and such scenarios estimate over
-    # 10^8 interleavings.  So the mutual sibling block is stepped here, from
-    # the drain's first forced grant on
+    # 10^8 interleavings (``test_exploration_refuses_oversized_scenarios``).
+    # Were one to, the count would need restoring: the mutual sibling block
+    # is stepped here, from the drain's first forced grant on
     script = ScheduleScript(setup=[4, 2, 6], programs={
         0: [("delete", 2)], 1: [("delete", 6)], 2: [("delete", 4)]})
     forced_at = []   # grant index of each forced grant

@@ -255,7 +255,7 @@ def test_one_held_edge_bit_adds_one_spin(monkeypatch):
 
 # -- the fold's rules -------------------------------------------------------
 
-def _calls_an_early_return(self, ctx, st, curr):
+def _calls_an_early_return(self, ctx, curr):
     yield from self._returns_early(curr)
     return True
 
@@ -270,7 +270,7 @@ def _returns_early(self, curr):
     curr.state = cs.ROUTING
 
 
-def _reads_a_clobbered_local(self, ctx, st, curr):
+def _reads_a_clobbered_local(self, ctx, curr):
     seen = curr.left
     yield from self._sets_seen(curr)
     return seen is curr.left
@@ -355,11 +355,17 @@ def _yields_unguarded(self, node):   # nothing pastes it, so it gets a twin
     return node.state
 
 
+def _yields_from_a_tuple(self, node):   # ``yield from`` of no method
+    yield from (W_DEL_DEMOTE,)
+    return node.state
+
+
 def test_a_yield_left_after_folding_is_refused():
-    line = _yields_unguarded.__code__.co_firstlineno + 1
-    with pytest.raises(TypeError, match=r"YieldsUnguarded\._yields_unguarded: "
-                                        r"yield left at line %d after folding" % line):
-        type("YieldsUnguarded", (ConcurrentSet,), {"_yields_unguarded": _yields_unguarded})
+    for method in (_yields_unguarded, _yields_from_a_tuple):
+        line = method.__code__.co_firstlineno + 1
+        with pytest.raises(TypeError, match=r"YieldsUnguarded\.%s: yield left at line "
+                                            r"%d after folding" % (method.__name__, line)):
+            type("YieldsUnguarded", (ConcurrentSet,), {method.__name__: method})
 
 
 def _positional_only(a, /, b):
@@ -400,6 +406,14 @@ def _pasted_difference(a, b):   # the control: this one pastes
     return a - b
 
 
+def _doubles(a, b):   # reads ``a`` twice
+    return a + a - b
+
+
+def _applies(f, a, b):   # pastes; ``f`` names a call with a computed argument
+    return f(a + 1, b)
+
+
 def _calls_helpers(self, v):
     """Caller locals ``a``, ``b`` and ``ab`` that a paste binding the
     wrong parameters would read."""
@@ -414,9 +428,10 @@ def _calls_helpers(self, v):
     c = _difference(*xs)
     d = _difference(**kw)
     e = _pasted_difference(v, 1)
+    g = _applies(_doubles, v, 1)
     if self._instr:
         yield S_CONT_STATE
-    return p, k, s, w, t, n, m, c, d, e, a, b
+    return p, k, s, w, t, n, m, c, d, e, g, a, b
 
 
 def test_a_call_that_no_paste_binds_stays_a_call():
@@ -425,9 +440,10 @@ def test_a_call_that_no_paste_binds_stays_a_call():
     assert set(twin.__code__.co_names) & {
         "_positional_only", "_keyword_only", "_star_args", "_star_kwargs",
         "_two_returns", "_nested_scope", "_comprehension", "_difference",
-        "_pasted_difference"} == {
+        "_pasted_difference", "_applies", "_doubles"} == {
         "_positional_only", "_keyword_only", "_star_args", "_star_kwargs",
-        "_two_returns", "_nested_scope", "_comprehension", "_difference"}
+        "_two_returns", "_nested_scope", "_comprehension", "_difference",
+        "_doubles"}
     s = cls()
     gen = s._calls_helpers(5)
     while True:
@@ -436,7 +452,69 @@ def test_a_call_that_no_paste_binds_stays_a_call():
         except StopIteration as stop:
             stepped = stop.value
             break
-    assert twin(s, 5) == stepped == (4, 4, 4, 4, 4, 5, 5, 4, 4, 4, 100, 7)
+    assert twin(s, 5) == stepped == (4, 4, 4, 4, 4, 5, 5, 4, 4, 4, 11, 100, 7)
+
+
+def _has_a_nested_def(self, curr):   # a nested scope: nothing pastes it
+    def lost_a_child(node):
+        return node.left is None or node.right is None
+    if self._instr:
+        yield W_DEL_DEMOTE
+    return lost_a_child(curr)
+
+
+def _calls_a_nested_def(self, ctx, curr):
+    return (yield from self._has_a_nested_def(curr))
+
+
+@pytest.mark.parametrize("stepped", [False, True])
+def test_a_method_with_a_nested_def_stays_a_call(stepped):
+    cls = type("NestedDef", (ConcurrentSet,), {
+        "_delete_two_children": _calls_a_nested_def,
+        "_has_a_nested_def": _has_a_nested_def})
+    assert "_has_a_nested_def_plain" in cls._delete_two_children_plain.__code__.co_names
+    s = cls()
+
+    def run(op, k):
+        return s._drain(s.op_gen(op, k)).result if stepped else getattr(s, op)(k)
+
+    for k in (10, 5, 15):
+        run("insert", k)
+    assert run("delete", 10) is False   # it kept both children
+    assert run("delete", 5) is True and run("delete", 10) is True
+
+
+def _adds_ten_times(base, step):   # assigns ``y``, which a caller may pass as ``base``
+    y = step * 10
+    return base + y
+
+
+def _appends(xs, x):   # falls off its end: no final ``return``
+    xs.append(x)
+
+
+def _pastes_helpers(self, xs, v):
+    y = v + 1
+    f = _adds_ten_times(y, 2)
+    if xs:
+        return _appends(xs, f)
+    if self._instr:
+        yield S_CONT_STATE
+    return f
+
+
+@pytest.mark.parametrize("xs", [[], [0]])
+def test_a_paste_binds_a_name_it_assigns_and_returns_where_its_callee_ends(xs):
+    """A name argument that the paste assigns is bound first, and a tail
+    ``return`` of a callee that falls off its end returns None there."""
+    cls = type("PastesHelpers", (ConcurrentSet,), {"_pastes_helpers": _pastes_helpers})
+    twin = cls._pastes_helpers_plain
+    assert not {"_adds_ten_times", "_appends"} & set(twin.__code__.co_names)
+    s = cls()
+    stepped_xs, plain_xs = list(xs), list(xs)
+    stepped = s._drain(s._pastes_helpers(stepped_xs, 5))
+    assert twin(s, plain_xs, 5) == stepped == (None if xs else 26)
+    assert plain_xs == stepped_xs == xs + [26] * bool(xs)
 
 
 class CountsLockAttempts(ConcurrentSet):
@@ -506,7 +584,7 @@ def test_a_class_keeps_its_own_public_method():
 class RefusesDemotion(ConcurrentSet):
     """Mutant: a node with two children is never demoted."""
 
-    def _delete_two_children(self, ctx, st, curr):
+    def _delete_two_children(self, ctx, curr):
         if self._instr:
             yield W_DEL_DEMOTE
         return False
@@ -535,7 +613,7 @@ def test_closure_methods_are_refused():
     site = W_DEL_DEMOTE
     with pytest.raises(TypeError, match="enclosing variables"):
         class UsesClosure(ConcurrentSet):
-            def _delete_two_children(self, ctx, st, curr):
+            def _delete_two_children(self, ctx, curr):
                 yield site
                 return False
 
@@ -551,11 +629,11 @@ class RestartsEachInsertOnce(ConcurrentSet):
         super().__init__()
         self.last_ctx = {}   # thread -> the ``ctx`` of its last insert attempt
 
-    def _insert_attempt(self, ctx, st, v):
+    def _insert_attempt(self, ctx, v):
         if self.last_ctx.get(threading.get_ident()) is not ctx:
             self.last_ctx[threading.get_ident()] = ctx
             raise Restart
-        return (yield from self._base_insert_attempt(ctx, st, v))
+        return (yield from self._base_insert_attempt(ctx, v))
 
 
 def test_plain_restarts_match_the_stepping_form():
@@ -609,7 +687,7 @@ def same_code(a, b) -> bool:
         "co_argcount", "co_kwonlyargcount")) and positions(a) == positions(b)
 
 
-def _unindented_demotion(self, ctx, st, curr):
+def _unindented_demotion(self, ctx, curr):
     if self._instr:
         yield W_DEL_DEMOTE
     return curr.left is None

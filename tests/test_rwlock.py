@@ -478,7 +478,7 @@ _ALWAYS_JUMPS = {"JUMP_FORWARD", "JUMP_BACKWARD", "JUMP_ABSOLUTE",
                  "JUMP_BACKWARD_NO_INTERRUPT"}
 
 
-# the set's counters, on its ``SetStats``: a count, and dicts of counts
+# the set's counters, its own attributes: a count, and dicts of counts
 COUNTERS = ("restarts", "ops", "acquisitions", "cond_violations", "contended_aborts")
 TALLIES = COUNTERS[1:]
 
@@ -602,7 +602,7 @@ def test_the_bytecode_check_fails_a_lock_step_with_a_call_in_the_twins():
         assert calls & CALLS, twin
 
 
-# Every thread bumps its set's one ``SetStats``, so each count, too, must be
+# Every thread bumps its set's own counters, so each count, too, must be
 # read, added to and stored with no switch point in between.
 
 def counter_switch_points(func):
@@ -630,15 +630,17 @@ COUNTED = {"contains": {"ops"}, "insert": {"ops", "restarts", "acquisitions"},
 @functools.lru_cache(maxsize=None)
 def counts_through_a_call():
     """Mutant: ``cobst.concurrent_set`` run again from its source, where
-    ``_op`` bumps ``ops`` and ``acquisitions``, and ``_lock`` each dict of
-    counts, by a ``get``, a call, then a store."""
+    ``_op`` bumps ``ops`` and ``acquisitions`` on ``self``, and ``_lock``
+    each dict of counts on ``st``, by a ``get``, a call, then a store."""
     src = pathlib.Path(cs.__file__).read_text()
-    for name, key, n in (("ops", "op", "1"), ("acquisitions", "optag", "1"),
-                         ("acquisitions", "op", "n"), ("cond_violations", "family", "1"),
-                         ("contended_aborts", "family", "1")):
-        bump = "st.%s[%s] += %s" % (name, key, n)
+    for on, name, key, n in (("self", "ops", "op", "1"), ("st", "acquisitions", "optag", "1"),
+                             ("self", "acquisitions", "op", "n"),
+                             ("st", "cond_violations", "family", "1"),
+                             ("st", "contended_aborts", "family", "1")):
+        bump = "%s.%s[%s] += %s" % (on, name, key, n)
         assert src.count(bump) == 1, bump
-        src = src.replace(bump, "st.%s[%s] = st.%s.get(%s, 0) + %s" % (name, key, name, key, n))
+        src = src.replace(bump, "%s.%s[%s] = %s.%s.get(%s, 0) + %s"
+                          % (on, name, key, on, name, key, n))
     path = "<%s, counting through a call>" % cs.__file__
     linecache.cache[path] = (len(src), None, src.splitlines(True), path)
     mod = types.ModuleType("cobst.counts_through_a_call")
@@ -660,9 +662,9 @@ def test_each_count_is_read_bumped_and_stored_with_no_switch_point(name):
 
 
 def test_each_count_is_read_by_a_subscript_with_no_python_code():
-    st = ConcurrentSet()._stats
-    assert type(st.ops) is type(st.acquisitions) is dict
-    for counts in (st.cond_violations, st.contended_aborts):
+    s = ConcurrentSet()
+    assert type(s.ops) is type(s.acquisitions) is dict
+    for counts in (s.cond_violations, s.contended_aborts):
         assert type(counts) is defaultdict and counts.default_factory is int
 
 
