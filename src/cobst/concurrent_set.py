@@ -24,9 +24,10 @@ to ROUTING and stays; one with one child is spliced out; a leaf is
 unlinked, together with its parent when that is a ROUTING node, which
 the leaf's sibling then replaces.  Unlinking is two-stage: a node is
 first marked ``deleted`` (the logical point of no return) and then
-unlinked, both under the same locks.  Readers that already hold a
-reference may still observe the node as DATA afterwards; that is
-deliberate and linearizable, because such reads overlap the deletion.
+unlinked, both under the same locks; ``_unlink`` does both for all
+three unlinking deletes.  Readers that already hold a reference may
+still observe the node as DATA afterwards; that is deliberate and
+linearizable, because such reads overlap the deletion.
 Reference counting frees unlinked nodes (a node has no parent pointer,
 so they form no cycles); stepped deletes also retire them to the epoch
 reclaimer, whose poisoning checks schedules.
@@ -140,8 +141,8 @@ class LockPoint(NamedTuple):
         _, lock, mode, cond, expected, edge = self
         if not cond(lock, expected, edge):
             return False
-        w = lock.word & edge if edge else lock.word >> 2
-        return w != 0 if edge or mode is WRITE else w == 1
+        # the busy bits of ``try_lock_with_condition``
+        return lock.word & (edge if edge else -4 if mode is WRITE else 4) != 0
 
     def __repr__(self):
         w = self.lock.word & self.edge != 0 if self.edge else self.lock.word >> 2
@@ -602,7 +603,7 @@ class ConcurrentSet:
         return True
 
     def _delete_one_child(self, ctx, v, prev, curr, lone, lone_side):
-        """Exactly one child: splice it up into our parent's slot.
+        """Exactly one child: splice it up into our parent's slot by ``_unlink``.
 
         Lock order is strictly deeper-first: the edge below curr, the
         edge above curr, then curr's state.
@@ -623,23 +624,15 @@ class ConcurrentSet:
         other = curr.right if lone_side == LEFT else curr.left
         if other is not None:
             raise Restart
-        if self._instr:
-            yield W_DEL_MARK
-            self.trace.append(("mark", self.ids[curr]))
-        curr.deleted = True
-        if self._instr:
-            yield W_DEL_SPLICE
-            self.trace.append(("edge", self.ids[prev], side, self.ids[lone]))
-            self.unlinked.append(curr)
-            self.reclaimer.retire(curr)
-        set_child(prev, side, lone)
+        yield from self._unlink(curr, W_DEL_SPLICE, prev, side, lone, (curr,))
         return True
 
     def _delete_leaf(self, ctx, v, gprev, prev):
         """A leaf: under a DATA parent just empty the parent's slot; under
         a ROUTING parent the parent must go too, or it would be left with
         a single child, so the sibling moves up into the grandparent's
-        slot, taking both nodes out in one pointer swing.
+        slot, taking both nodes out in one pointer swing.  Both unlink by
+        ``_unlink``; the pair marks its routing parent first.
 
         The leaf's edge is locked by value, so it does not matter whether
         the leaf we traversed to was replaced by another node with the
@@ -668,16 +661,7 @@ class ConcurrentSet:
             yield from self._lock(
                 ctx, None, self, "delete", prev, READ, _state_is,
                 "state", "delete.leaf_parent_state", -1, DATA)
-            if self._instr:
-                yield W_DEL_MARK
-                self.trace.append(("mark", self.ids[curr]))
-            curr.deleted = True
-            if self._instr:
-                yield W_DEL_UNLINK_LEAF
-                self.trace.append(("edge", self.ids[prev], side, None))
-                self.unlinked.append(curr)
-                self.reclaimer.retire(curr)
-            set_child(prev, side, None)
+            yield from self._unlink(curr, W_DEL_UNLINK_LEAF, prev, side, None, (curr,))
             return True
         pside = LEFT if prev.val < gprev.val else RIGHT
         yield from self._lock(
@@ -693,18 +677,26 @@ class ConcurrentSet:
             yield W_DEL_MARK_PARENT
             self.trace.append(("mark", self.ids[prev]))
         prev.deleted = True
+        yield from self._unlink(curr, W_DEL_UNLINK_PAIR, gprev, pside, sibling, (prev, curr))
+        return True
+
+    def _unlink(self, node, site, parent, side, to, gone):
+        """Both stages of an unlink, under the caller's locks: mark ``node``
+        deleted, then swing ``parent``'s edge on ``side`` to ``to``, past
+        the nodes ``gone``, which the stepping form traces at ``site``,
+        records and retires.  Every plain caller pastes it."""
         if self._instr:
             yield W_DEL_MARK
-            self.trace.append(("mark", self.ids[curr]))
-        curr.deleted = True
+            self.trace.append(("mark", self.ids[node]))
+        node.deleted = True
         if self._instr:
-            yield W_DEL_UNLINK_PAIR
-            self.trace.append(("edge", self.ids[gprev], pside, self.ids[sibling]))
-            self.unlinked += (prev, curr)
-            self.reclaimer.retire(prev)
-            self.reclaimer.retire(curr)
-        set_child(gprev, pside, sibling)
-        return True
+            yield site
+            self.trace.append(("edge", self.ids[parent], side,
+                               None if to is None else self.ids[to]))
+            self.unlinked += gone
+            for old in gone:
+                self.reclaimer.retire(old)
+        set_child(parent, side, to)
 
 
 _compiling = threading.RLock()   # held while a class's twins are compiled

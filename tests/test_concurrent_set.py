@@ -207,6 +207,18 @@ def test_a_lock_point_reads_the_word_it_names():
     n.word = 2 + 16     # the right edge instead
     assert not point._replace(edge=1).would_block()
     assert repr(point._replace(edge=2)).endswith("right edge lock write-held>")
+    assert repr(S_CONT_STATE) == "<read contains.state>"   # a constant Site
+
+
+def test_a_lock_point_blocks_exactly_when_its_attempt_is_contended():
+    for word, mode, edge, holds in itertools.product(
+            range(64), LockMode, (0, 1, 2), (True, False)):
+        cond = lambda *_: holds  # noqa: E731
+        n = Node(5)
+        n.word = word
+        blocks = LockPoint("x", n, mode, cond, None, edge).would_block()
+        out = n.try_lock_with_condition(mode, cond, None, edge)
+        assert blocks is (out is LockOutcome.CONTENDED), (word, mode, edge, holds)
 
 
 def test_a_node_refers_to_no_lock_object():
@@ -544,6 +556,7 @@ def test_retired_node_stays_intact_while_a_reader_is_pinned():
     s.reclaimer.unpin("slow-reader")
     s.reclaimer.drain()
     assert ghost.left is POISON and ghost.right is POISON
+    assert repr(ghost.left) == "<poison: reclaimed node>"
 
 
 def test_retire_requires_deleted_mark():

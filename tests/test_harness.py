@@ -288,7 +288,8 @@ def test_mutual_sibling_block_resolves_by_forced_abort():
     assert rep.final_keys == []
     assert rep.structure.ok and rep.locks_clean
     assert is_linearizable(rep.history, max_ops=40).ok
-    assert check_observable_correctness(rep.trace).ok
+    obs = check_observable_correctness(rep.trace)
+    assert obs.ok and str(obs) == "trace ok: %d events" % len(rep.trace)
 
 
 def test_a_scripted_step_into_a_lock_cycle_names_both_threads():

@@ -19,8 +19,10 @@ import pytest
 import cobst.concurrent_set as cs
 from cobst.concurrent_set import (S_CONT_STATE, ConcurrentSet, OpOutcome,
                                   Restart, W_DEL_DEMOTE)
+from cobst.history import HistoryRecorder, is_linearizable
 from cobst.plain import compile_plain
 from cobst.rwlock import CondRwLock, SpinPolicy
+from cobst.tree_core import validate_structure
 
 from tree_text import dump_tree
 
@@ -30,7 +32,7 @@ OP_TWINS = ("contains", "insert", "delete")   # ``_op``'s twins are public
 
 # the generator methods that the attempts paste, and so have no twin
 PASTED = {"_traverse", "_lock", "_delete_two_children", "_delete_one_child",
-          "_delete_leaf"}
+          "_delete_leaf", "_unlink"}
 
 
 def compiled():
@@ -666,6 +668,58 @@ def test_subclass_op_gets_fresh_per_op_twins():
     assert (s.contains(5), s.insert(5), s.delete(5)) == (True, False, False)
     assert s._drain(s.op_gen("insert", 5)) is False
     assert s.snapshot_keys() == []
+
+
+def real_thread_failures(cls, runs=200):
+    """The seeds of ``runs`` real-thread runs of ``cls``'s public methods,
+    3 threads x 6 calls over 4 keys from a half-full set, that leave a
+    history that does not linearize, a broken tree or a lock held."""
+    failures = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)      # switch threads inside the operations
+    try:
+        for seed in range(runs):
+            rng = random.Random(seed)
+            s, rec = cls(), HistoryRecorder()
+            initial = rng.sample(range(4), 2)
+            for k in initial:
+                s.insert(k)
+            calls = [[(rng.choice(OP_TWINS), rng.randrange(4)) for _ in range(6)]
+                     for _ in range(3)]
+            start = threading.Barrier(3)
+
+            def worker(tid):
+                start.wait(timeout=30)
+                for op, k in calls[tid]:
+                    rec.invoke(tid, op, k)
+                    rec.respond(tid, op, k, getattr(s, op)(k))
+
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads), seed
+            rep = validate_structure(s)
+            if not (is_linearizable(rec.history(), initial).ok
+                    and rep.ok and rep.held_locks == 0):
+                failures.append(seed)
+    finally:
+        sys.setswitchinterval(interval)
+    return failures
+
+
+class InsertsAlwaysSucceed(ConcurrentSet):
+    """Mutant public ``insert``: reports True even for a present key."""
+
+    def insert(self, v):
+        super().insert(v)
+        return True
+
+
+def test_plain_twins_linearize_under_real_threads():
+    assert real_thread_failures(ConcurrentSet) == []
+    assert real_thread_failures(InsertsAlwaysSucceed)   # the check can fail
 
 
 def same_code(a, b) -> bool:
